@@ -288,24 +288,6 @@ func BenchmarkFig15Anomalies(b *testing.B) {
 
 // --- Ablations beyond the paper's figures ---------------------------------
 
-// BenchmarkAblationLazyTheory compares eager per-edge cycle detection
-// against lazy full-assignment checking.
-func BenchmarkAblationLazyTheory(b *testing.B) {
-	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 600, 24)
-	for _, lazy := range []bool{false, true} {
-		name := "eager"
-		if lazy {
-			name = "lazy"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep := core.CheckHistory(h, core.Options{Level: core.AdyaSI, LazyTheory: lazy})
-				mustOutcome(b, rep.Outcome, core.Accept)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationCoalesce isolates constraint coalescing.
 func BenchmarkAblationCoalesce(b *testing.B) {
 	h := benchHistory(b, "blindw-rm", workload.NewBlindWRM(), 600, 24)

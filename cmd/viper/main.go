@@ -75,9 +75,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		noCombine   = fs.Bool("no-combine", false, "disable combining writes")
 		noCoalesce  = fs.Bool("no-coalesce", false, "disable coalescing constraints")
 		initialK    = fs.Int("k", 0, "initial heuristic pruning distance (0 = default)")
-		lazy        = fs.Bool("lazy-theory", false, "use lazy (full-assignment) acyclicity checking")
 		parallel    = fs.Int("parallel", 0, "polygraph construction workers (0 = GOMAXPROCS, 1 = serial)")
-		portfolio   = fs.Int("portfolio", 0, "differently-seeded solver instances raced per attempt (<= 1 = single solver)")
+		portfolio   = fs.Int("portfolio", 0, "differently-seeded solver instances raced per check (<= 1 = single solver)")
 		verbose     = fs.Bool("v", false, "print detailed statistics")
 		dotPath     = fs.String("dot", "", "write the BC-polygraph (with any counterexample cycle highlighted) as Graphviz DOT to this path")
 		follow      = fs.Bool("follow", false, "tail the log as it grows, re-auditing incrementally and streaming verdicts")
@@ -129,7 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DisableCombineWrites: *noCombine,
 		DisableCoalesce:      *noCoalesce,
 		InitialK:             *initialK,
-		LazyTheory:           *lazy,
 		Parallelism:          *parallel,
 		Portfolio:            *portfolio,
 	}

@@ -7,12 +7,23 @@ import "viper/internal/sat"
 // any assignment whose true edges contain a directed cycle. This is the
 // acyclic(G) predicate of MonoSAT that the paper's encoding relies on
 // (Figure 4 line 23).
+//
+// Besides variable edges and constants, the theory holds at most one
+// guarded batch (AddBatch): a set of edges present exactly while a guard
+// variable is true. A caller assumes the guard for one SolveAssuming call
+// to assert the batch for that call only, then retires it (Retire).
 type EdgeTheory struct {
 	g        *Graph
 	edgeOf   []Edge // dense, indexed by sat.Var; From == -1 marks non-edge vars
+	on       []bool // dense, indexed by sat.Var: the variable's edge is inserted
 	varOf    map[Edge]sat.Var
 	constSet map[Edge]bool // unconditionally present edges
-	trail    []sat.Var     // vars whose edges are currently inserted
+	trail    []sat.Var     // vars whose edges are currently inserted (a guard stands for its batch)
+
+	guard   sat.Var // guard of the live batch; -1 when there is none
+	batch   []Edge  // the live batch's edges
+	batchOn bool    // the batch is inserted (its guard is assigned true)
+
 	// Conflicts counts theory conflicts (cycles found), for stats.
 	Conflicts int64
 }
@@ -26,10 +37,11 @@ func NewEdgeTheory(n int) *EdgeTheory {
 		g:        NewGraph(n),
 		varOf:    make(map[Edge]sat.Var),
 		constSet: make(map[Edge]bool),
+		guard:    -1,
 	}
 }
 
-// lookupVar returns the edge bound to v, if any.
+// edgeForVar returns the edge bound to v, if any.
 func (t *EdgeTheory) edgeForVar(v sat.Var) (Edge, bool) {
 	if int(v) >= len(t.edgeOf) {
 		return noEdge, false
@@ -87,6 +99,7 @@ func (t *EdgeTheory) EdgeVar(s *sat.Solver, u, v int32) sat.Var {
 	t.varOf[e] = w
 	for int(w) >= len(t.edgeOf) {
 		t.edgeOf = append(t.edgeOf, noEdge)
+		t.on = append(t.on, false)
 	}
 	t.edgeOf[w] = e
 	return w
@@ -108,40 +121,113 @@ func (t *EdgeTheory) NumConstants() int { return len(t.constSet) }
 // Graph.Reorders).
 func (t *EdgeTheory) Reorders() (count, movedNodes int64) { return t.g.Reorders() }
 
+// AddBatch registers edges as a guarded batch and returns its guard, a
+// fresh variable of s. While the guard is true the batch's edges are in
+// the graph; assigning the guard inserts them all at once, and every
+// conflict clause whose cycle runs through a batch edge carries ¬guard.
+// Learned clauses therefore hold without the batch, and an Unsat that
+// assumed the guard leaves s.Okay() true unless the refutation used no
+// batch edge. The theory keeps edges (the caller must not modify it)
+// until Retire ends the batch; at most one batch may be live. An edge
+// that is also a constant is inserted twice, which is harmless: cycles
+// through it are explained by the constant.
+func (t *EdgeTheory) AddBatch(s *sat.Solver, edges []Edge) sat.Var {
+	if t.guard >= 0 {
+		panic("acyclic: AddBatch while a batch is live")
+	}
+	t.batch = edges
+	t.guard = s.NewVar()
+	return t.guard
+}
+
+// Retire ends the live batch, if any: it backtracks s to level 0, adds
+// the unit clause ¬guard (which satisfies, and so disables, every clause
+// learned from a batch edge), and frees the batch. It returns false if s
+// became unsatisfiable.
+func (t *EdgeTheory) Retire(s *sat.Solver) bool {
+	if t.guard < 0 {
+		return s.Okay()
+	}
+	s.Relax()
+	ok := s.AddClause(sat.NegLit(t.guard))
+	t.guard, t.batch = -1, nil
+	return ok
+}
+
 // Assign implements sat.Theory. A positive assignment of an edge variable
-// inserts the edge; if that closes a cycle the conflict clause "some edge
-// on the cycle must be false" is returned.
+// inserts the edge, and of the guard the whole batch; if that closes a
+// cycle the conflict clause "some edge on the cycle must be false" is
+// returned.
 func (t *EdgeTheory) Assign(l sat.Lit) []sat.Lit {
 	if l.Sign() {
 		return nil // edge set to false: nothing to do
 	}
-	e, ok := t.edgeForVar(l.Var())
+	v := l.Var()
+	if v == t.guard {
+		return t.insertBatch(l)
+	}
+	e, ok := t.edgeForVar(v)
 	if !ok {
 		return nil // not an edge variable
 	}
 	cyclePath := t.g.AddEdge(e.From, e.To)
 	if cyclePath == nil {
-		t.trail = append(t.trail, l.Var())
+		t.trail = append(t.trail, v)
+		t.on[v] = true
 		return nil
 	}
 	t.Conflicts++
-	// cyclePath is v..u node path; the cycle's edges are the path edges
-	// plus e itself. Variable-backed edges on the cycle are currently
-	// true, and the clause demands at least one be false; constant edges
-	// (no variable) are immutably present and contribute no literal.
+	return t.explain(sat.NegLit(v), cyclePath)
+}
+
+// insertBatch inserts the live batch. On a cycle it removes the edges it
+// already inserted and returns ¬guard plus the variable edges on the
+// cycle.
+func (t *EdgeTheory) insertBatch(l sat.Lit) []sat.Lit {
+	t.batchOn = true
+	for i, e := range t.batch {
+		cyclePath := t.g.AddEdge(e.From, e.To)
+		if cyclePath == nil {
+			continue
+		}
+		t.Conflicts++
+		confl := t.explain(sat.NegLit(t.guard), cyclePath)
+		for ; i > 0; i-- {
+			t.g.RemoveLastEdge()
+		}
+		t.batchOn = false
+		return confl
+	}
+	t.trail = append(t.trail, l.Var())
+	return nil
+}
+
+// explain turns a cycle into a conflict clause: closing (the negation of
+// the literal whose edge closes the cycle) plus, for each edge of the node
+// path v..u, the literal that made it present. Constants contribute
+// nothing; a true edge variable contributes its negation; anything else in
+// the graph is a batch edge and contributes ¬guard, once.
+func (t *EdgeTheory) explain(closing sat.Lit, cyclePath []int32) []sat.Lit {
 	confl := make([]sat.Lit, 0, len(cyclePath))
-	confl = append(confl, sat.NegLit(l.Var()))
+	confl = append(confl, closing)
+	guarded := closing == sat.NegLit(t.guard)
 	for i := 0; i+1 < len(cyclePath); i++ {
 		e := Edge{cyclePath[i], cyclePath[i+1]}
 		if t.constSet[e] {
 			continue // a constant justifies this step regardless of any var
 		}
-		ev, ok := t.varOf[e]
-		if !ok {
-			// Every non-constant inserted edge came through EdgeVar.
+		if ev, ok := t.varOf[e]; ok && t.on[ev] {
+			confl = append(confl, sat.NegLit(ev))
+			continue
+		}
+		if !t.batchOn {
+			// Every other inserted edge came through EdgeVar or the batch.
 			panic("acyclic: cycle through unregistered edge")
 		}
-		confl = append(confl, sat.NegLit(ev))
+		if !guarded {
+			confl = append(confl, sat.NegLit(t.guard))
+			guarded = true
+		}
 	}
 	return confl
 }
@@ -151,10 +237,20 @@ func (t *EdgeTheory) Undo(l sat.Lit) {
 	if l.Sign() {
 		return
 	}
-	if len(t.trail) > 0 && t.trail[len(t.trail)-1] == l.Var() {
-		t.trail = t.trail[:len(t.trail)-1]
-		t.g.RemoveLastEdge()
+	v := l.Var()
+	if n := len(t.trail); n == 0 || t.trail[n-1] != v {
+		return // the assignment conflicted and inserted nothing
 	}
+	t.trail = t.trail[:len(t.trail)-1]
+	if v == t.guard {
+		for range t.batch {
+			t.g.RemoveLastEdge()
+		}
+		t.batchOn = false
+		return
+	}
+	t.g.RemoveLastEdge()
+	t.on[v] = false
 }
 
 // Check implements sat.Theory. Acyclicity is enforced eagerly in Assign,
@@ -164,104 +260,3 @@ func (t *EdgeTheory) Check() []sat.Lit { return nil }
 // Order exposes the current topological index of a node, used by the model
 // extraction to produce a witness schedule.
 func (t *EdgeTheory) Order(n int32) int32 { return t.g.Order(n) }
-
-// LazyEdgeTheory wraps EdgeTheory but only verifies acyclicity at full
-// assignments (the "lazy SMT" style), as an ablation of eager theory
-// propagation. Assign records edges without cycle checking; Check walks the
-// selected subgraph and returns a cycle conflict if one exists.
-type LazyEdgeTheory struct {
-	inner     *EdgeTheory
-	active    []sat.Var
-	constants []Edge
-}
-
-// InsertConstant records an unconditionally present edge (cycle checking
-// happens at Check time in the lazy theory). It always returns true.
-func (t *LazyEdgeTheory) InsertConstant(u, v int32) bool {
-	e := Edge{u, v}
-	if !t.inner.constSet[e] {
-		t.inner.constSet[e] = true
-		t.constants = append(t.constants, e)
-	}
-	return true
-}
-
-// NewLazyEdgeTheory returns a lazy acyclicity theory over n nodes.
-func NewLazyEdgeTheory(n int) *LazyEdgeTheory {
-	return &LazyEdgeTheory{inner: NewEdgeTheory(n)}
-}
-
-// EdgeVar allocates/returns the edge variable (see EdgeTheory.EdgeVar).
-func (t *LazyEdgeTheory) EdgeVar(s *sat.Solver, u, v int32) sat.Var {
-	return t.inner.EdgeVar(s, u, v)
-}
-
-// Assign implements sat.Theory; it only records the edge.
-func (t *LazyEdgeTheory) Assign(l sat.Lit) []sat.Lit {
-	if l.Sign() {
-		return nil
-	}
-	if _, ok := t.inner.edgeForVar(l.Var()); ok {
-		t.active = append(t.active, l.Var())
-	}
-	return nil
-}
-
-// Undo implements sat.Theory.
-func (t *LazyEdgeTheory) Undo(l sat.Lit) {
-	if l.Sign() {
-		return
-	}
-	if n := len(t.active); n > 0 && t.active[n-1] == l.Var() {
-		t.active = t.active[:n-1]
-	}
-}
-
-// ActiveEdges returns the currently selected (true) edges plus the
-// constant edges, for witness extraction after a satisfying assignment.
-func (t *LazyEdgeTheory) ActiveEdges() []Edge {
-	out := make([]Edge, 0, len(t.active)+len(t.constants))
-	out = append(out, t.constants...)
-	for _, v := range t.active {
-		out = append(out, t.inner.edgeOf[v])
-	}
-	return out
-}
-
-// NumNodes returns the underlying graph's node count.
-func (t *LazyEdgeTheory) NumNodes() int { return t.inner.g.NumNodes() }
-
-// Check implements sat.Theory: it searches the full selected edge set for
-// a cycle.
-func (t *LazyEdgeTheory) Check() []sat.Lit {
-	n := t.inner.g.NumNodes()
-	out := make([][]int32, n)
-	for _, e := range t.constants {
-		out[e.From] = append(out[e.From], e.To)
-	}
-	for _, v := range t.active {
-		e := t.inner.edgeOf[v]
-		out[e.From] = append(out[e.From], e.To)
-	}
-	cycle := FindCycle(n, out)
-	if cycle == nil {
-		return nil
-	}
-	t.inner.Conflicts++
-	// Constant edges contribute no literal; a constants-only cycle yields
-	// the empty clause, i.e. immediate unsatisfiability.
-	confl := make([]sat.Lit, 0, len(cycle))
-	for i := range cycle {
-		from, to := cycle[i], cycle[(i+1)%len(cycle)]
-		e := Edge{from, to}
-		if t.inner.constSet[e] {
-			continue
-		}
-		ev, ok := t.inner.varOf[e]
-		if !ok {
-			panic("acyclic: cycle through unregistered edge")
-		}
-		confl = append(confl, sat.NegLit(ev))
-	}
-	return confl
-}

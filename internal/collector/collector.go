@@ -51,6 +51,11 @@ type Collector struct {
 	clock   atomic.Int64 // shared logical nanosecond clock
 	nextWID atomic.Int64
 
+	// stampMu makes each engine begin/commit and its clock stamp one step,
+	// so stamp order is engine order: a transaction that sees another's
+	// commit in its snapshot also began after it in recorded time.
+	stampMu sync.Mutex
+
 	mu   sync.Mutex
 	h    *history.History
 	rng  *rand.Rand
@@ -115,11 +120,11 @@ func (s *Session) Begin() *Txn {
 	if s.cur != nil && !s.cur.done {
 		panic("collector: session has an unfinished transaction")
 	}
-	t := &Txn{
-		s:   s,
-		db:  s.c.db.Begin(),
-		rec: &history.Txn{Session: s.id, SeqInSession: s.seq, BeginAt: s.c.now() + s.drift},
-	}
+	t := &Txn{s: s, rec: &history.Txn{Session: s.id, SeqInSession: s.seq}}
+	s.c.stampMu.Lock()
+	t.db = s.c.db.Begin()
+	t.rec.BeginAt = s.c.now() + s.drift
+	s.c.stampMu.Unlock()
 	s.seq++
 	s.cur = t
 	return t
@@ -267,8 +272,10 @@ func (t *Txn) Commit() error {
 		return mvcc.ErrDone
 	}
 	t.done = true
+	t.s.c.stampMu.Lock()
 	err := t.db.Commit()
 	t.rec.CommitAt = t.s.c.now() + t.s.drift
+	t.s.c.stampMu.Unlock()
 	if err != nil {
 		t.rec.Status = history.StatusAborted
 	} else {

@@ -265,3 +265,75 @@ func TestVisibleAbortCaughtByValidation(t *testing.T) {
 		t.Fatalf("err = %v, want ErrAbortedRead", err)
 	}
 }
+
+// TestStampOrderMatchesEngineOrder runs contending sessions and checks
+// that the recorded clock agrees with what each committed read saw: the
+// writer it observed committed before the reader began, and no other
+// committed writer of that key falls between the two. Stamps taken
+// outside the engine call they describe break this under goroutines (a
+// begin lands between another transaction's engine commit and its stamp),
+// and Strong Session SI then rejects a correct engine's history.
+func TestStampOrderMatchesEngineOrder(t *testing.T) {
+	const sessions, txnsPerSession, keys = 12, 1500, 3
+	c := New(mvcc.New(mvcc.Config{}), Config{})
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		s := c.Session()
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			for j := 0; j < txnsPerSession; j++ {
+				tx := s.Begin()
+				k := string(rune('a' + (n+j)%keys))
+				tx.Read(k)
+				if j%2 == 0 {
+					tx.Write(k, "v")
+				}
+				tx.Commit() // conflicts simply record aborts
+			}
+		}(i)
+	}
+	wg.Wait()
+	h, err := c.History()
+	if err != nil {
+		t.Fatal(err)
+	}
+	commits := make(map[history.Key][]int64) // committed writers' stamps per key
+	for _, tx := range h.Txns[1:] {
+		if !tx.Committed() {
+			continue
+		}
+		for _, op := range tx.Ops {
+			if op.Kind == history.OpWrite {
+				commits[op.Key] = append(commits[op.Key], tx.CommitAt)
+			}
+		}
+	}
+	for _, r := range h.Txns[1:] {
+		if !r.Committed() {
+			continue
+		}
+		for _, op := range r.Ops {
+			if op.Kind != history.OpRead {
+				continue
+			}
+			var seen int64 // genesis commits at 0
+			if op.Observed != history.GenesisWriteID {
+				ref, ok := h.WriterOf(op.Observed)
+				if !ok {
+					t.Fatalf("txn %d read an unknown write %d", r.ID, op.Observed)
+				}
+				seen = h.Txns[ref.Txn].CommitAt
+			}
+			if seen >= r.BeginAt {
+				t.Fatalf("txn %d (begin %d) read %q from a writer stamped at commit %d", r.ID, r.BeginAt, op.Key, seen)
+			}
+			for _, at := range commits[op.Key] {
+				if at > seen && at < r.BeginAt {
+					t.Fatalf("txn %d (begin %d) read %q committed at %d, but another writer of it committed at %d in between",
+						r.ID, r.BeginAt, op.Key, seen, at)
+				}
+			}
+		}
+	}
+}

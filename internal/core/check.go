@@ -12,7 +12,7 @@ import (
 	"viper/internal/sat"
 )
 
-// portfolioRace coordinates the racing solvers of one portfolio attempt.
+// portfolioRace coordinates the racing solver runs of one portfolio check.
 // Registered solvers are interrupted the moment a winner is decided, and a
 // solver that registers after the decision interrupts itself immediately —
 // a straggler that was still being constructed when the race ended must
@@ -24,12 +24,25 @@ type portfolioRace struct {
 }
 
 func (pr *portfolioRace) register(s *sat.Solver) {
+	if pr == nil {
+		return
+	}
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	if pr.decided {
 		s.Interrupt()
 	}
 	pr.solvers = append(pr.solvers, s)
+}
+
+// over reports whether the race was decided; false outside a race.
+func (pr *portfolioRace) over() bool {
+	if pr == nil {
+		return false
+	}
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	return pr.decided
 }
 
 func (pr *portfolioRace) decide() {
@@ -83,10 +96,11 @@ type PhaseTimings struct {
 	// timestamp-implied order and classifying every constraint against
 	// it. Zero when the path was disabled or the timestamps unusable.
 	TSOrder time.Duration
-	Encode  time.Duration // emitting SMT clauses (summed over attempts)
-	// Solve is SAT+theory solving summed over attempts. Under a portfolio
-	// it is the winning solver's time only; losers' encode/solve time is
-	// never booked (it would misattribute the Figure 10 decomposition).
+	Encode  time.Duration // emitting SMT clauses (summed over solver passes)
+	// Solve is SAT+theory solving summed over solver passes. Under a
+	// portfolio it is the winning run's time only; losers' encode/solve
+	// time is never booked (it would misattribute the Figure 10
+	// decomposition).
 	Solve time.Duration
 }
 
@@ -126,11 +140,13 @@ type Report struct {
 	TSResidual int
 	TSUnusable string
 
-	// Final-attempt statistics.
+	// Solver-pass statistics. The passes of a check share one solver, so
+	// EdgeVars (every solver variable) and Solver count all of them;
+	// PrunedConstraints, HeuristicEdges and FinalK describe the last pass.
 	PrunedConstraints int // constraints resolved by heuristic pruning
 	HeuristicEdges    int
 	EdgeVars          int
-	Retries           int // pruning retries (k doublings)
+	Retries           int // failed passes (timestamp pass, k doublings)
 	FinalK            int // 0 means no heuristic was in force
 
 	Phases PhaseTimings
@@ -284,6 +300,13 @@ func CheckPolygraph(pg *Polygraph, opts Options) *Report {
 // CheckPolygraphContext is CheckPolygraph under a cancellation context
 // (see CheckHistoryContext for the contract).
 func CheckPolygraphContext(ctx context.Context, pg *Polygraph, opts Options) *Report {
+	rep := checkPolygraph(ctx, pg, opts)
+	rep.selfCheck(pg, opts)
+	return rep
+}
+
+// checkPolygraph is CheckPolygraphContext without the witness self-check.
+func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
 	checkStart := time.Now()
 	rep := &Report{
 		Level:       pg.Level,
@@ -291,7 +314,6 @@ func CheckPolygraphContext(ctx context.Context, pg *Polygraph, opts Options) *Re
 		KnownEdges:  len(pg.Known),
 		Constraints: len(pg.Cons),
 	}
-	deadline := solveDeadline(ctx, opts)
 
 	if pg.Contradiction {
 		rep.Outcome = Reject
@@ -304,13 +326,8 @@ func CheckPolygraphContext(ctx context.Context, pg *Polygraph, opts Options) *Re
 	for _, ke := range pg.Known {
 		out[ke.From] = append(out[ke.From], ke.To)
 	}
-	less := func(a, b int32) bool {
-		if pg.nodeTS[a] != pg.nodeTS[b] {
-			return pg.nodeTS[a] < pg.nodeTS[b]
-		}
-		return a < b
-	}
-	order, ok := acyclic.TopoPriority(int(pg.NumNodes), out, less)
+	pl := &checkPlan{pg: pg, opts: opts, out: out, deadline: solveDeadline(ctx, opts), start: checkStart}
+	order, ok := acyclic.TopoPriority(int(pg.NumNodes), out, pl.less)
 	if !ok {
 		rep.Outcome = Reject
 		rep.KnownCycle = pg.knownCycle(out)
@@ -323,21 +340,22 @@ func CheckPolygraphContext(ctx context.Context, pg *Polygraph, opts Options) *Re
 	if len(pg.Cons) == 0 {
 		rep.Outcome = Accept
 		rep.WitnessPositions = positionsOf(order)
-		rep.selfCheck(pg, opts)
 		return rep
 	}
 
-	pos := positionsOf(order)
+	all := consSet{cons: pg.Cons, at: make([]int32, len(pg.Cons)), known: pg.Known, pos: positionsOf(order)}
+	for i := range all.at {
+		all.at[i] = int32(i)
+	}
 
 	// Timestamp fast path (tsorder.go): when the history carries usable
 	// timestamps, classify every constraint against the strict drift
 	// relation in one near-linear pass. With everything decided and the
 	// chosen sides following the topological order (which already embeds
 	// every known edge), the order itself witnesses a compatible graph —
-	// accept without resolution, encoding, or solving. A small residue
-	// goes through resolution and one exact attempt with the decided
-	// sides as constants; Unsat there falls back to a full check with the
-	// fast path off, so timestamps can never flip a verdict (see
+	// accept without resolution, encoding, or solving. When timestamps
+	// decide at least 90%, only the residue goes through resolution, and
+	// the first solver pass asserts the chosen sides for itself alone (see
 	// tsorder.go for the soundness argument).
 	if !opts.DisableTSFastPath && ctx.Err() == nil {
 		if usable, reason := tsUsable(pg.H); !usable {
@@ -345,22 +363,34 @@ func CheckPolygraphContext(ctx context.Context, pg *Polygraph, opts Options) *Re
 		} else {
 			tsStart := time.Now()
 			tc := pg.tsClassify(opts.ClockDrift.Nanoseconds())
-			rep.TSDecided, rep.TSResidual = tc.decided, len(tc.residual)
-			if len(tc.residual) == 0 && edgesForward(tc.chosen, pos) {
-				rep.Phases.TSOrder = time.Since(tsStart)
+			rep.TSDecided, rep.TSResidual = tc.decided, len(tc.residual.cons)
+			rep.Phases.TSOrder = time.Since(tsStart)
+			if len(tc.residual.cons) == 0 && edgesForward(tc.chosen, all.pos) {
 				rep.Outcome = Accept
-				rep.WitnessPositions = pos
-				rep.selfCheck(pg, opts)
+				rep.WitnessPositions = all.pos
 				return rep
 			}
 			if tc.decided*10 >= len(pg.Cons)*9 {
-				// Timestamps decided >= 90%: solve only the residue.
-				rep.Phases.TSOrder = time.Since(tsStart)
-				return pg.checkTSResidue(ctx, opts, rep, tc, out, order, less, deadline, checkStart)
+				residue := tc.residual
+				residue.known, residue.pos = all.known, all.pos
+				if len(residue.cons) > resolveCheapBatch {
+					if residue, ok = pl.resolve(ctx, rep, residue); !ok {
+						return rep
+					}
+				}
+				if len(residue.cons) == 0 && edgesForward(tc.chosen, residue.pos) {
+					// The residue resolved away and the chosen sides still
+					// follow the (possibly re-sorted) topological order:
+					// witness in hand.
+					rep.Outcome = Accept
+					rep.WitnessPositions = residue.pos
+					return rep
+				}
+				pl.ts, pl.all, pl.chosen = true, all, tc.chosen
+				return pl.solve(ctx, rep, residue)
 			}
-			// Timestamps decide too little to carry assumptions — run the
+			// Timestamps decide too little to carry a pass — run the
 			// standard pipeline; the counters still report what they knew.
-			rep.Phases.TSOrder = time.Since(tsStart)
 		}
 	}
 
@@ -370,356 +400,512 @@ func CheckPolygraphContext(ctx context.Context, pg *Polygraph, opts Options) *Re
 	// pass forces is exact, so a cycle among forced edges is an immediate
 	// rejection with known-edge evidence, and a fully-resolved constraint
 	// set accepts without ever encoding a clause.
-	cons, known := pg.Cons, pg.Known
-	if !opts.DisableResolve {
-		resolveStart := time.Now()
-		rr := resolvePolygraph(ctx, pg, pg.Cons, out, order, opts.workers())
-		rep.Phases.Resolve = time.Since(resolveStart)
-		if rr != nil {
-			rep.ResolvedConstraints = rr.resolved
-			rep.ForcedEdges = len(rr.forced)
-			if rr.cycle != nil {
-				rep.Outcome = Reject
-				rep.KnownCycle = rr.cycle
-				return rep
-			}
-			cons = rr.kept
-			if len(rr.forced) > 0 {
-				// Forced edges joined the known graph (resolvePolygraph
-				// extended out in place): recompute the heuristic order over
-				// the extended graph — still a DAG, the resolver checked
-				// every forced edge against the closure.
-				known = make([]KnownEdge, 0, len(pg.Known)+len(rr.forced))
-				known = append(append(known, pg.Known...), rr.forced...)
-				if order, ok = acyclic.TopoPriority(int(pg.NumNodes), out, less); !ok {
-					rep.Outcome = Reject
-					rep.KnownCycle = pg.knownCycle(out)
-					return rep
-				}
-				pos = positionsOf(order)
-			}
-			if len(cons) == 0 {
-				// Every constraint resolved: the extended known graph is the
-				// whole polygraph and its topological order is the witness.
-				rep.Outcome = Accept
-				rep.WitnessPositions = positionsOf(order)
-				rep.selfCheck(pg, opts)
-				return rep
+	set, ok := pl.resolve(ctx, rep, all)
+	if !ok {
+		return rep
+	}
+	if len(set.cons) == 0 {
+		// Every constraint resolved: the extended known graph is the whole
+		// polygraph and its topological order is the witness.
+		rep.Outcome = Accept
+		rep.WitnessPositions = set.pos
+		return rep
+	}
+	return pl.solve(ctx, rep, set)
+}
+
+// consSet is what a run of solver passes works on: the constraints still
+// undecided, each with its index in Polygraph.Cons; the known graph
+// extended by every edge resolution forced (all exact, so all constants);
+// and the heuristic order ŝ over that graph.
+type consSet struct {
+	cons  []Constraint
+	at    []int32
+	known []KnownEdge
+	pos   []int32
+}
+
+// checkPlan is the solver-independent state of one check, shared by every
+// portfolio racer: the known graph's adjacency, the timestamp choices, and
+// the full-set resolution a failed timestamp pass falls back to (computed
+// once, by whichever racer needs it first).
+type checkPlan struct {
+	pg       *Polygraph
+	opts     Options
+	out      [][]int32 // known graph adjacency; resolution extends it in place
+	deadline time.Time
+	start    time.Time
+
+	ts     bool    // the first pass asserts the timestamp-chosen sides
+	all    consSet // every constraint, before any resolution (timestamp pass only)
+	chosen []Edge  // the timestamp-chosen sides
+	// committed lists the committed transactions, the endpoints of stride
+	// edges. Passes read it rather than the history, which the caller may
+	// extend while portfolio losers are still draining.
+	committed []history.TxnID
+
+	fbOnce sync.Once
+	fbRep  Report  // what the fallback resolution decided or counted
+	fbSet  consSet // the constraints it left
+	fbOK   bool    // false: it rejected (fbRep carries the evidence)
+}
+
+// less orders nodes by timestamp, then id: the priority that turns the
+// known graph's topological sort into the heuristic schedule ŝ.
+func (pl *checkPlan) less(a, b int32) bool {
+	ts := pl.pg.nodeTS
+	if ts[a] != ts[b] {
+		return ts[a] < ts[b]
+	}
+	return a < b
+}
+
+// resolve runs the pre-solve resolution pass over set (unless disabled)
+// and returns the constraints it leaves, with its forced edges appended to
+// the known graph and ŝ re-sorted over the result. ok is false when it
+// rejected; rep then carries the cycle.
+func (pl *checkPlan) resolve(ctx context.Context, rep *Report, set consSet) (_ consSet, ok bool) {
+	if pl.opts.DisableResolve {
+		return set, true
+	}
+	pg := pl.pg
+	resolveStart := time.Now()
+	defer func() { rep.Phases.Resolve += time.Since(resolveStart) }()
+	order := make([]int32, len(set.pos))
+	for n, p := range set.pos {
+		order[p] = int32(n)
+	}
+	rr := resolvePolygraph(ctx, pg, set.cons, pl.out, order, pl.opts.workers())
+	if rr == nil {
+		return set, true
+	}
+	rep.ResolvedConstraints = rr.resolved
+	rep.ForcedEdges = len(set.known) - len(pg.Known) + len(rr.forced)
+	if rr.cycle != nil {
+		rep.Outcome = Reject
+		rep.KnownCycle = rr.cycle
+		return set, false
+	}
+	at := make([]int32, len(rr.keptAt))
+	for i, j := range rr.keptAt {
+		at[i] = set.at[j]
+	}
+	next := consSet{cons: rr.kept, at: at, known: set.known, pos: set.pos}
+	if len(rr.forced) > 0 {
+		// Forced edges joined the known graph (resolvePolygraph extended out
+		// in place): recompute the heuristic order over the extended graph —
+		// still a DAG, the resolver checked every forced edge against the
+		// closure.
+		next.known = append(append(make([]KnownEdge, 0, len(set.known)+len(rr.forced)), set.known...), rr.forced...)
+		order, ok := acyclic.TopoPriority(int(pg.NumNodes), pl.out, pl.less)
+		if !ok {
+			rep.Outcome = Reject
+			rep.KnownCycle = pg.knownCycle(pl.out)
+			return set, false
+		}
+		next.pos = positionsOf(order)
+	}
+	return next, true
+}
+
+// fallback is the full-set resolution that follows a failed timestamp
+// pass: every constraint, against the known graph as the residue's
+// resolution left it. It runs once per check and racers share the result:
+// the constraints it leaves, and a report holding its resolve time, its
+// counters (rep's, if it declined to run) and, on rejection, its cycle.
+func (pl *checkPlan) fallback(ctx context.Context, rep *Report, residue consSet) (consSet, *Report, bool) {
+	pl.fbOnce.Do(func() {
+		all := pl.all
+		all.known, all.pos = residue.known, residue.pos
+		pl.fbRep.ResolvedConstraints, pl.fbRep.ForcedEdges = rep.ResolvedConstraints, rep.ForcedEdges
+		pl.fbSet, pl.fbOK = pl.resolve(ctx, &pl.fbRep, all)
+	})
+	return pl.fbSet, &pl.fbRep, pl.fbOK
+}
+
+// solve runs the solver passes over set: one solveRun, or with
+// Options.Portfolio > 1 that many differently-seeded runs racing, where
+// the first definitive verdict wins and the losers are interrupted.
+func (pl *checkPlan) solve(ctx context.Context, rep *Report, set consSet) *Report {
+	if h := pl.pg.H; h != nil {
+		for _, t := range h.Txns[1:] {
+			if t.Committed() {
+				pl.committed = append(pl.committed, t.ID)
 			}
 		}
+	}
+	n := pl.opts.Portfolio
+	if n <= 1 {
+		r := &solveRun{pl: pl, rep: rep, tracer: pl.opts.Tracer}
+		r.run(ctx, set)
+		return rep
+	}
+	// The channel is buffered so interrupted losers can always deliver
+	// their result and exit; a detached goroutine drains them.
+	results := make(chan *solveRun, n)
+	race := &portfolioRace{}
+	for i := 0; i < n; i++ {
+		own := *rep
+		r := &solveRun{pl: pl, rep: &own, seed: int64(i), race: race} // seed 0 = deterministic VSIDS
+		go func() {
+			r.run(ctx, set)
+			results <- r
+		}()
+	}
+	var win *solveRun
+	for done := 0; done < n; done++ {
+		win = <-results
+		if win.rep.Outcome == Timeout {
+			continue // every run timing out books the last finisher
+		}
+		race.decide()
+		remaining := n - done - 1
+		go func() {
+			for i := 0; i < remaining; i++ {
+				<-results
+			}
+		}()
+		break
+	}
+	// Only the winner's passes are traced: racers cannot share the tracer's
+	// span stack, and losers' encode/solve time would misattribute the
+	// Figure 10 decomposition.
+	for _, p := range win.passes {
+		reg := pl.opts.Tracer.Start("attempt")
+		reg.SetAttr("k", int64(p.k))
+		if p.solved {
+			reg.Child("encode", p.encode)
+			reg.Child("solve", p.solve)
+		}
+		reg.End()
+	}
+	return win.rep
+}
+
+// solveRun is one check's solver passes: a single sat.Solver and
+// acyclic.EdgeTheory that every pass extends. Known and resolve-forced
+// edges are theory constants, inserted once. A constraint gets its clauses
+// the first pass that cannot force it, and keeps them. Everything a pass
+// asserts for itself alone — the timestamp-chosen sides, the sides §3.5
+// pruning forces, the stride edges — is one guarded batch that the pass's
+// SolveAssuming call assumes and that is retired when the pass fails.
+// Conflicts through batch edges carry ¬guard, so an Unsat with Okay()
+// still true failed only the pass, while one with Okay() false refuted the
+// polygraph outright.
+type solveRun struct {
+	pl     *checkPlan
+	rep    *Report
+	seed   int64
+	race   *portfolioRace // nil outside a portfolio
+	tracer *obs.Tracer    // nil inside a portfolio (passes are recorded instead)
+	passes []passRecord
+
+	s       *sat.Solver
+	th      *acyclic.EdgeTheory
+	release func()
+	nconst  int    // constants inserted: a prefix of the current consSet.known
+	encoded []bool // by Polygraph.Cons index: the constraint has its clauses
+}
+
+// passRecord is one pass's trace entry, kept for portfolio racers.
+type passRecord struct {
+	k             int
+	solved        bool // the pass reached the solver
+	encode, solve time.Duration
+}
+
+// run drives the passes in order: the timestamp pass (when the check has
+// one), then each §3.5 radius k = InitialK, 2k, … and finally k = 0
+// (exact), stopping at the first verdict.
+func (r *solveRun) run(ctx context.Context, set consSet) {
+	defer func() {
+		if r.release != nil {
+			r.release()
+		}
+	}()
+	rep, pg := r.rep, r.pl.pg
+	if r.pl.ts {
+		if r.stopped(ctx) {
+			return
+		}
+		res := r.pass(ctx, set, 0, r.pl.chosen)
+		if res != sat.Unsat {
+			r.verdict(res)
+			return
+		}
+		// An Unsat that used the chosen sides only says the timestamps may
+		// be wrong about this history: drop them and resolve the full
+		// constraint set. One that used none refuted the residue; the
+		// full-set resolution still runs, for the known-edge cycle it may
+		// find as evidence.
+		refuted := !r.s.Okay()
+		if !refuted {
+			rep.Retries++
+			r.th.Retire(r.s)
+		}
+		fbSet, fbRep, ok := r.pl.fallback(ctx, rep, set)
+		rep.Phases.Resolve += fbRep.Phases.Resolve
+		rep.ResolvedConstraints, rep.ForcedEdges = fbRep.ResolvedConstraints, fbRep.ForcedEdges
+		if !ok || refuted {
+			rep.Outcome, rep.KnownCycle = Reject, fbRep.KnownCycle
+			return
+		}
+		if len(fbSet.cons) == 0 {
+			rep.Outcome, rep.WitnessPositions = Accept, fbSet.pos
+			return
+		}
+		set = fbSet
 	}
 
-	k := opts.initialK()
-	useHeuristic := !opts.DisablePruning
-	if !useHeuristic {
+	k := r.pl.opts.initialK()
+	if r.pl.opts.DisablePruning {
 		k = 0
 	}
-	for {
-		if ctx.Err() != nil {
-			rep.Outcome = Timeout
-			return rep
+	for !r.stopped(ctx) {
+		res := r.pass(ctx, set, k, nil)
+		if r.verdict(res) {
+			return
 		}
-		res := pg.attempt(ctx, opts, rep, cons, known, pos, k, deadline, checkStart, nil)
-		switch res {
-		case sat.Sat:
-			rep.Outcome = Accept
-			rep.FinalK = k
-			rep.selfCheck(pg, opts)
-			return rep
-		case sat.Unknown:
-			rep.Outcome = Timeout
-			return rep
-		}
-		// Unsat: exact if no heuristic was in force.
 		if k == 0 {
-			rep.Outcome = Reject
-			return rep
+			panic("core: exact pass Unsat under assumptions") // it assumes nothing
 		}
+		// Unsat under this radius's batch only: widen the radius.
 		rep.Retries++
+		r.th.Retire(r.s)
 		k *= 2
 		if k >= int(pg.NumNodes) {
-			k = 0 // final, exact attempt
+			k = 0 // final, exact pass
 		}
 	}
 }
 
-// attempt runs one encode+solve round. k > 0 applies heuristic pruning at
-// stride k; k == 0 is exact. assume holds constraint-side edges asserted
-// as theory constants beyond the known graph (the timestamp fast path's
-// chosen sides); with a non-empty assume, Unsat is only exact relative to
-// those assumptions. Canceling ctx interrupts the attempt's solver(s);
-// the attempt then reports Unknown.
-func (pg *Polygraph) attempt(ctx context.Context, opts Options, rep *Report, cons []Constraint, known []KnownEdge, pos []int32, k int, deadline time.Time, checkStart time.Time, assume []Edge) sat.Result {
-	attReg := opts.Tracer.Start("attempt")
+// stopped reports (and records as a timeout) a context that expired or a
+// race that was decided before the next pass.
+func (r *solveRun) stopped(ctx context.Context) bool {
+	if ctx.Err() != nil || r.race.over() {
+		r.rep.Outcome = Timeout
+		return true
+	}
+	return false
+}
+
+// verdict records a pass result that decides the check — Sat accepts,
+// Unknown times out, and Unsat with Okay() false rejects — and reports
+// whether it did. An Unsat that only refuted the pass's batch decides
+// nothing.
+func (r *solveRun) verdict(res sat.Result) bool {
+	switch {
+	case res == sat.Sat:
+		r.rep.Outcome = Accept
+	case res == sat.Unknown:
+		r.rep.Outcome = Timeout
+	case !r.s.Okay():
+		r.rep.Outcome = Reject
+	default:
+		return false
+	}
+	return true
+}
+
+// pass runs one encode+solve round over set. k > 0 applies heuristic
+// pruning at stride k: a not-yet-encoded constraint with one side running
+// k or more positions backward in ŝ is forced to its other side, and the
+// stride edges are asserted. k == 0 encodes every remaining constraint.
+// extra holds further edges asserted for this pass (the timestamp-chosen
+// sides). A pass that prunes both sides of some constraint cannot succeed;
+// it returns Unsat without solving. Canceling ctx interrupts the solver;
+// the pass then reports Unknown.
+func (r *solveRun) pass(ctx context.Context, set consSet, k int, extra []Edge) sat.Result {
+	attReg := r.tracer.Start("attempt")
 	attReg.SetAttr("k", int64(k))
 	defer attReg.End()
+	rep, pg := r.rep, r.pl.pg
 	encodeStart := time.Now()
+	rec := passRecord{k: k}
+	rep.FinalK = k
+	defer func() {
+		if r.race != nil {
+			r.passes = append(r.passes, rec)
+		}
+	}()
 
-	var forced []Edge    // constraint sides resolved by pruning
-	var heuristic []Edge // stride edges
+	if r.s == nil {
+		r.start(ctx, set.pos)
+	}
+	// Constants: the known graph plus every resolve-forced edge, each
+	// inserted once. They are exact, so a cycle among them refutes the
+	// polygraph (the empty clause).
+	for _, ke := range set.known[r.nconst:] {
+		if !r.th.InsertConstant(ke.From, ke.To) {
+			r.s.AddClause()
+		}
+	}
+	r.nconst = len(set.known)
+
+	var batch []acyclic.Edge
+	assert := func(edges []Edge) {
+		for _, e := range edges {
+			batch = append(batch, acyclic.Edge(e))
+		}
+	}
+	assert(extra)
+	var encode []int // positions in set.cons to encode now
+	pruned := 0
+	rep.HeuristicEdges = 0
 	if k > 0 {
-		var keep []Constraint
-		violates := func(side []Edge) bool {
-			for _, e := range side {
-				if int(pos[e.From])-int(pos[e.To]) >= k {
+		violates := func(edges []Edge) bool {
+			for _, e := range edges {
+				if int(set.pos[e.From])-int(set.pos[e.To]) >= k {
 					return true
 				}
 			}
 			return false
 		}
-		for i, c := range cons {
+		for i, c := range set.cons {
+			if r.encoded[set.at[i]] {
+				continue // the solver owns it already
+			}
 			fBad, sBad := violates(c.First), violates(c.Second)
 			switch {
 			case fBad && sBad:
-				// Both sides contradict the heuristic order: this attempt
+				// Both sides contradict the heuristic order: this pass
 				// cannot succeed; skip the solver and retry with larger k.
-				// Stamp what this attempt actually did before bailing —
-				// otherwise the counters of a previous, smaller-k attempt
-				// leak into the final report.
-				rep.PrunedConstraints = i + 1 - len(keep)
-				rep.HeuristicEdges = 0
+				rep.PrunedConstraints = pruned + 1
 				rep.Phases.Encode += time.Since(encodeStart)
 				return sat.Unsat
 			case fBad:
-				forced = append(forced, c.Second...)
+				assert(c.Second)
+				pruned++
 			case sBad:
-				forced = append(forced, c.First...)
+				assert(c.First)
+				pruned++
 			default:
-				keep = append(keep, c)
+				encode = append(encode, i)
 			}
 		}
-		rep.PrunedConstraints = len(cons) - len(keep)
-		cons = keep
-		heuristic = pg.heuristicEdges(pos, k)
-		rep.HeuristicEdges = len(heuristic)
+		stride := pg.heuristicEdges(set.pos, k, r.pl.committed)
+		assert(stride)
+		rep.HeuristicEdges = len(stride)
 	} else {
-		rep.PrunedConstraints = 0
-		rep.HeuristicEdges = 0
-	}
-
-	n := opts.Portfolio
-	if n < 1 {
-		n = 1
-	}
-	type solveOut struct {
-		res      sat.Result
-		witness  []int32
-		stats    sat.Stats
-		vars     int
-		reorders int64
-		moved    int64
-		encode   time.Duration
-		solve    time.Duration
-	}
-	runOne := func(seed int64, race *portfolioRace) solveOut {
-		encStart := time.Now()
-		s := sat.New()
-		defer watchCancel(ctx, s)()
-		if !deadline.IsZero() {
-			s.SetDeadline(deadline)
-		}
-		if seed > 0 {
-			s.SetRandomSeed(seed)
-		}
-		if race != nil {
-			race.register(s)
-		}
-
-		var alloc interface {
-			EdgeVar(*sat.Solver, int32, int32) sat.Var
-			InsertConstant(u, v int32) bool
-		}
-		var eager *acyclic.EdgeTheory
-		var lazyTh *acyclic.LazyEdgeTheory
-		if opts.LazyTheory {
-			th := acyclic.NewLazyEdgeTheory(int(pg.NumNodes))
-			s.SetTheory(th)
-			alloc = th
-			lazyTh = th
-		} else {
-			eager = acyclic.NewEdgeTheory(int(pg.NumNodes))
-			// Warm-start the incremental topological order with the
-			// heuristic schedule: the known graph's edges (the bulk of all
-			// insertions) then land in already-consistent positions.
-			eager.SeedOrder(pos)
-			s.SetTheory(eager)
-			alloc = eager
-		}
-		// Solve-time progress sampling. Installed only outside a portfolio
-		// race: racing solvers' counters are not individually meaningful,
-		// and losers may outlive the attempt (their callbacks would fire
-		// after the winner's report is final). The hook runs synchronously
-		// on this solver's goroutine, so reading s.Stats and the theory's
-		// counters is race-free; everything else it reads was fixed before
-		// the solve began.
-		if opts.Progress != nil && race == nil {
-			pruned := rep.PrunedConstraints
-			s.SetProgress(opts.progressInterval(), func() {
-				snap := obs.Snapshot{
-					Phase:               "solve",
-					ElapsedNS:           int64(time.Since(checkStart)),
-					Nodes:               int(pg.NumNodes),
-					KnownEdges:          len(known),
-					Constraints:         len(pg.Cons),
-					PrunedConstraints:   pruned,
-					ResolvedConstraints: rep.ResolvedConstraints,
-					ForcedEdges:         rep.ForcedEdges,
-					EdgeVars:            s.NumVars(),
-					Conflicts:           s.Stats.Conflicts,
-					Decisions:           s.Stats.Decisions,
-					Propagations:        s.Stats.Propagations,
-					Learnts:             int64(s.Stats.Learnts),
-					Restarts:            s.Stats.Restarts,
-					TheoryConfl:         s.Stats.TheoryConfl,
-					HeapInUse:           obs.HeapInUse(),
-				}
-				if eager != nil {
-					snap.Reorders, snap.ReorderedNodes = eager.Reorders()
-				}
-				opts.Progress(snap)
-			})
-		}
-
-		// Edge variables start biased toward their schedule-consistent
-		// polarity: an edge running forward in ŝ is probably present, a
-		// backward one probably absent. Decisions then reproduce ŝ unless
-		// conflicts force otherwise, keeping the search near-linear on
-		// healthy histories and localized on violations.
-		edgeLit := func(e Edge) sat.Lit {
-			v := alloc.EdgeVar(s, e.From, e.To)
-			if !opts.DisablePhaseBias {
-				s.SetPhase(v, pos[e.From] < pos[e.To])
-			}
-			return sat.PosLit(v)
-		}
-
-		// Known, pruning-forced, and heuristic edges are unconditionally
-		// present: they go straight into the theory graph as constants —
-		// no SAT variables, no clauses — so the boolean search ranges only
-		// over the genuinely unknown constraint edges.
-		okSoFar := true
-		for _, ke := range known {
-			okSoFar = alloc.InsertConstant(ke.From, ke.To) && okSoFar
-		}
-		for _, e := range forced {
-			okSoFar = alloc.InsertConstant(e.From, e.To) && okSoFar
-		}
-		for _, e := range assume {
-			okSoFar = alloc.InsertConstant(e.From, e.To) && okSoFar
-		}
-		for _, e := range heuristic {
-			okSoFar = alloc.InsertConstant(e.From, e.To) && okSoFar
-		}
-		for _, c := range cons {
-			if len(c.First) == 1 && len(c.Second) == 1 {
-				// The paper's XOR encoding (Figure 4 line 22).
-				okSoFar = s.AddXOR(edgeLit(c.First[0]), edgeLit(c.Second[0])) && okSoFar
-			} else {
-				// Coalesced: one selector implying each side; the selector
-				// is biased toward the side whose edges follow ŝ.
-				sel := s.NewVar()
-				if !opts.DisablePhaseBias {
-					s.SetPhase(sel, sideForward(c.First, pos))
-				}
-				for _, e := range c.First {
-					okSoFar = s.AddClause(sat.NegLit(sel), edgeLit(e)) && okSoFar
-				}
-				for _, e := range c.Second {
-					okSoFar = s.AddClause(sat.PosLit(sel), edgeLit(e)) && okSoFar
-				}
+		for i := range set.cons {
+			if !r.encoded[set.at[i]] {
+				encode = append(encode, i)
 			}
 		}
-
-		encDur := time.Since(encStart)
-		var res sat.Result
-		if !okSoFar {
-			res = sat.Unsat
-		} else {
-			res = s.Solve()
-		}
-		out := solveOut{res: res, stats: s.Stats, vars: s.NumVars(), encode: encDur}
-		if eager != nil {
-			out.reorders, out.moved = eager.Reorders()
-		}
-		if res == sat.Sat {
-			if eager != nil {
-				w := make([]int32, pg.NumNodes)
-				for n := int32(0); n < pg.NumNodes; n++ {
-					w[n] = eager.Order(n)
-				}
-				out.witness = w
-			} else if lazyTh != nil {
-				// Reconstruct a topological order of the selected graph.
-				adj := make([][]int32, pg.NumNodes)
-				for _, e := range lazyTh.ActiveEdges() {
-					adj[e.From] = append(adj[e.From], e.To)
-				}
-				if order, ok := acyclic.TopoBFS(int(pg.NumNodes), adj, nil); ok {
-					out.witness = positionsOf(order)
-				}
-			}
-		}
-		// Everything after encoding — solving plus witness extraction — is
-		// this solver's solve time.
-		out.solve = time.Since(encStart) - encDur
-		return out
 	}
+	rep.PrunedConstraints = pruned
 
-	rep.Phases.Encode += time.Since(encodeStart) // pruning + setup
-
-	var win solveOut
-	if n == 1 {
-		win = runOne(0, nil)
-	} else {
-		// Portfolio: differently-seeded solvers race; the first definitive
-		// verdict wins and returns immediately. The channel is buffered so
-		// interrupted losers can always deliver their result and exit; a
-		// detached goroutine drains them.
-		results := make(chan solveOut, n)
-		race := &portfolioRace{}
-		for i := 0; i < n; i++ {
-			seed := int64(i) // seed 0 = deterministic VSIDS, others random
-			go func() { results <- runOne(seed, race) }()
+	// Edge variables start biased toward their schedule-consistent
+	// polarity: an edge running forward in ŝ is probably present, a
+	// backward one probably absent. Decisions then reproduce ŝ unless
+	// conflicts force otherwise, keeping the search near-linear on healthy
+	// histories and localized on violations.
+	s, noBias := r.s, r.pl.opts.DisablePhaseBias
+	edgeLit := func(e Edge) sat.Lit {
+		v := r.th.EdgeVar(s, e.From, e.To)
+		if !noBias {
+			s.SetPhase(v, set.pos[e.From] < set.pos[e.To])
 		}
-		win = solveOut{res: sat.Unknown}
-		for done := 0; done < n; done++ {
-			out := <-results
-			if out.res == sat.Unknown {
-				if done == n-1 {
-					// Every solver timed out: book the last finisher so
-					// the decomposition still accounts for the attempt.
-					win.encode, win.solve = out.encode, out.solve
-					win.stats, win.vars = out.stats, out.vars
-				}
-				continue
-			}
-			win = out
-			race.decide()
-			remaining := n - done - 1
-			go func() {
-				for i := 0; i < remaining; i++ {
-					<-results
-				}
-			}()
-			break
+		return sat.PosLit(v)
+	}
+	for _, i := range encode {
+		c := set.cons[i]
+		r.encoded[set.at[i]] = true
+		if len(c.First) == 1 && len(c.Second) == 1 {
+			// The paper's XOR encoding (Figure 4 line 22).
+			s.AddXOR(edgeLit(c.First[0]), edgeLit(c.Second[0]))
+			continue
+		}
+		// Coalesced: one selector implying each side; the selector is
+		// biased toward the side whose edges follow ŝ.
+		sel := s.NewVar()
+		if !noBias {
+			s.SetPhase(sel, sideForward(c.First, set.pos))
+		}
+		for _, e := range c.First {
+			s.AddClause(sat.NegLit(sel), edgeLit(e))
+		}
+		for _, e := range c.Second {
+			s.AddClause(sat.PosLit(sel), edgeLit(e))
 		}
 	}
-
-	// Attribute encode/solve to the winner only: losing portfolio members'
-	// time must not inflate (or, via subtraction, turn negative) the
-	// Figure 10 phase decomposition.
-	rep.Phases.Encode += win.encode
-	rep.Phases.Solve += win.solve
-	rep.Solver = win.stats
-	rep.EdgeVars = win.vars
-	rep.Reorders = win.reorders
-	rep.ReorderedNodes = win.moved
-	if win.witness != nil {
-		rep.WitnessPositions = win.witness
+	var assume []sat.Lit
+	if len(batch) > 0 {
+		assume = append(assume, sat.PosLit(r.th.AddBatch(s, batch)))
 	}
-	attReg.Child("encode", win.encode)
-	attReg.Child("solve", win.solve)
-	return win.res
+
+	rec.solved, rec.encode = true, time.Since(encodeStart)
+	solveStart := time.Now()
+	res := s.SolveAssuming(assume...)
+	if res == sat.Sat {
+		w := make([]int32, pg.NumNodes)
+		for n := int32(0); n < pg.NumNodes; n++ {
+			w[n] = r.th.Order(n)
+		}
+		rep.WitnessPositions = w
+	}
+	// Everything after encoding — solving plus witness extraction — is
+	// this pass's solve time.
+	rec.solve = time.Since(solveStart)
+	rep.Phases.Encode += rec.encode
+	rep.Phases.Solve += rec.solve
+	attReg.Child("encode", rec.encode)
+	attReg.Child("solve", rec.solve)
+	rep.Solver = s.Stats
+	rep.EdgeVars = s.NumVars()
+	rep.Reorders, rep.ReorderedNodes = r.th.Reorders()
+	return res
+}
+
+// start builds the run's solver and theory. The theory's topological
+// order is warm-started with ŝ: the known graph's edges (the bulk of all
+// insertions) then land in already-consistent positions.
+func (r *solveRun) start(ctx context.Context, pos []int32) {
+	pl := r.pl
+	r.s = sat.New()
+	r.release = watchCancel(ctx, r.s)
+	if !pl.deadline.IsZero() {
+		r.s.SetDeadline(pl.deadline)
+	}
+	if r.seed > 0 {
+		r.s.SetRandomSeed(r.seed)
+	}
+	r.race.register(r.s)
+	r.th = acyclic.NewEdgeTheory(int(pl.pg.NumNodes))
+	r.th.SeedOrder(pos)
+	r.s.SetTheory(r.th)
+	r.encoded = make([]bool, len(pl.pg.Cons))
+
+	// Solve-time progress sampling, outside a portfolio race only: racing
+	// solvers' counters are not individually meaningful, and losers may
+	// outlive the check. The hook runs synchronously on this run's
+	// goroutine, so reading the solver, theory and report is race-free.
+	if pl.opts.Progress == nil || r.race != nil {
+		return
+	}
+	s, th, rep := r.s, r.th, r.rep
+	s.SetProgress(pl.opts.progressInterval(), func() {
+		snap := obs.Snapshot{
+			Phase:               "solve",
+			ElapsedNS:           int64(time.Since(pl.start)),
+			Nodes:               int(pl.pg.NumNodes),
+			KnownEdges:          r.nconst,
+			Constraints:         len(pl.pg.Cons),
+			PrunedConstraints:   rep.PrunedConstraints,
+			ResolvedConstraints: rep.ResolvedConstraints,
+			ForcedEdges:         rep.ForcedEdges,
+			EdgeVars:            s.NumVars(),
+			Conflicts:           s.Stats.Conflicts,
+			Decisions:           s.Stats.Decisions,
+			Propagations:        s.Stats.Propagations,
+			Learnts:             int64(s.Stats.Learnts),
+			Restarts:            s.Stats.Restarts,
+			TheoryConfl:         s.Stats.TheoryConfl,
+			HeapInUse:           obs.HeapInUse(),
+		}
+		snap.Reorders, snap.ReorderedNodes = th.Reorders()
+		pl.opts.Progress(snap)
+	})
 }
 
 // sideForward reports whether every edge of a constraint side runs
@@ -733,29 +919,23 @@ func sideForward(side []Edge, pos []int32) bool {
 	return true
 }
 
-// heuristicEdges returns the §3.5 stride edges: each commit node is
-// assumed to precede the first begin node at least k positions later in
-// the heuristic order ŝ.
-func (pg *Polygraph) heuristicEdges(pos []int32, k int) []Edge {
+// heuristicEdges returns the §3.5 stride edges over the committed
+// transactions: each commit node is assumed to precede the first begin
+// node at least k positions later in the heuristic order ŝ.
+func (pg *Polygraph) heuristicEdges(pos []int32, k int, committed []history.TxnID) []Edge {
 	type pb struct {
 		pos  int32
 		node int32
 	}
-	var begins []pb
-	for _, t := range pg.H.Txns[1:] {
-		if !t.Committed() {
-			continue
-		}
-		b := pg.Begin(t.ID)
+	begins := make([]pb, 0, len(committed))
+	for _, t := range committed {
+		b := pg.Begin(t)
 		begins = append(begins, pb{pos[b], b})
 	}
 	sort.Slice(begins, func(i, j int) bool { return begins[i].pos < begins[j].pos })
 	var edges []Edge
-	for _, t := range pg.H.Txns[1:] {
-		if !t.Committed() {
-			continue
-		}
-		c := pg.Commit(t.ID)
+	for _, t := range committed {
+		c := pg.Commit(t)
 		target := pos[c] + int32(k)
 		i := sort.Search(len(begins), func(i int) bool { return begins[i].pos >= target })
 		if i < len(begins) {

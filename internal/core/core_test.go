@@ -8,23 +8,20 @@ import (
 	"viper/internal/history"
 )
 
-// allOptionCombos returns every combination of the three optimizations
-// plus the lazy-theory ablation, for verdict-consistency testing.
+// allOptionCombos returns every combination of the three optimizations,
+// for verdict-consistency testing.
 func allOptionCombos(level Level) []Options {
 	var out []Options
 	for _, combine := range []bool{false, true} {
 		for _, coalesce := range []bool{false, true} {
 			for _, prune := range []bool{false, true} {
-				for _, lazy := range []bool{false, true} {
-					out = append(out, Options{
-						Level:                level,
-						DisableCombineWrites: !combine,
-						DisableCoalesce:      !coalesce,
-						DisablePruning:       !prune,
-						InitialK:             4, // small K exercises retries
-						LazyTheory:           lazy,
-					})
-				}
+				out = append(out, Options{
+					Level:                level,
+					DisableCombineWrites: !combine,
+					DisableCoalesce:      !coalesce,
+					DisablePruning:       !prune,
+					InitialK:             4, // small K exercises retries
+				})
 			}
 		}
 	}
@@ -461,18 +458,25 @@ func TestEdgeKindStrings(t *testing.T) {
 
 func TestPortfolioAgreesWithSingleSolver(t *testing.T) {
 	// Portfolio solving must give the same verdicts, on both SI and
-	// non-SI histories, and still produce a valid witness.
+	// non-SI histories, and still produce a valid witness. The last rows
+	// fail their timestamp pass, so every racer reaches the shared
+	// full-set resolution (or, without it, the pruned passes).
 	cases := []struct {
-		h    *history.History
-		want Outcome
+		h         *history.History
+		want      Outcome
+		noResolve bool
 	}{
-		{figure2(t), Accept},
-		{longFork(t), Reject},
-		{lostUpdate(t), Reject},
-		{writeSkew(t), Accept},
+		{figure2(t), Accept, false},
+		{longFork(t), Reject, false},
+		{lostUpdate(t), Reject, false},
+		{writeSkew(t), Accept, false},
+		{misleadingStamps(t), Accept, false},
+		{misleadingStamps(t), Accept, true},
+		{blindWLostUpdate(t), Reject, false},
+		{blindWLostUpdate(t), Reject, true},
 	}
 	for i, tc := range cases {
-		rep := CheckHistory(tc.h, Options{Level: AdyaSI, Portfolio: 4, SelfCheck: true})
+		rep := CheckHistory(tc.h, Options{Level: AdyaSI, Portfolio: 4, SelfCheck: true, DisableResolve: tc.noResolve})
 		if rep.Outcome != tc.want {
 			t.Fatalf("case %d: portfolio got %v, want %v", i, rep.Outcome, tc.want)
 		}
@@ -495,17 +499,15 @@ func TestSelfCheckVerifiesAcrossLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	h := randomSerialHistory(rng, 60, 4, 3)
 	for _, level := range []Level{AdyaSI, GSI, StrongSessionSI, StrongSI, Serializability} {
-		for _, lazy := range []bool{false, true} {
-			rep := CheckHistory(h, Options{Level: level, SelfCheck: true, LazyTheory: lazy})
-			if rep.Outcome != Accept {
-				t.Fatalf("level %v lazy=%v: %v", level, lazy, rep.Outcome)
-			}
-			if rep.SelfCheckErr != nil {
-				t.Fatalf("level %v lazy=%v: self-check: %v", level, lazy, rep.SelfCheckErr)
-			}
-			if !rep.WitnessVerified {
-				t.Fatalf("level %v lazy=%v: witness not verified", level, lazy)
-			}
+		rep := CheckHistory(h, Options{Level: level, SelfCheck: true})
+		if rep.Outcome != Accept {
+			t.Fatalf("level %v: %v", level, rep.Outcome)
+		}
+		if rep.SelfCheckErr != nil {
+			t.Fatalf("level %v: self-check: %v", level, rep.SelfCheckErr)
+		}
+		if !rep.WitnessVerified {
+			t.Fatalf("level %v: witness not verified", level)
 		}
 	}
 }

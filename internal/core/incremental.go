@@ -328,11 +328,11 @@ func (inc *Incremental) numNodes() int32 {
 
 // warmCapable reports whether the configured options admit the persistent
 // solver at all: levels with real-time obligations restructure their
-// auxiliary suffix-chain edges on every append (not monotone), and the
-// lazy-theory and portfolio ablations build per-attempt solvers by design.
+// auxiliary suffix-chain edges on every append (not monotone), and a
+// portfolio races several solvers per check by design.
 func (inc *Incremental) warmCapable() bool {
 	return (inc.opts.Level == AdyaSI || inc.opts.Level == Serializability) &&
-		!inc.opts.LazyTheory && inc.opts.Portfolio <= 1
+		inc.opts.Portfolio <= 1
 }
 
 // Audit checks the full current history, reusing state from prior audits.
@@ -408,7 +408,7 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 	}
 	if rep == nil {
 		// Cold path: assemble the record store into a Polygraph and run the
-		// ordinary batch solve (pruning, portfolio, lazy theory all apply).
+		// ordinary batch solve (pruning and portfolio apply).
 		pg := inc.assemble()
 		construct := time.Since(constructStart)
 		conReg.End()

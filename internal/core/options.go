@@ -211,23 +211,20 @@ type Options struct {
 	// drift relation of realtime.go) and solving only the residue. The
 	// path is on by default and engages automatically when every
 	// committed transaction carries usable timestamps; it never changes
-	// verdicts — an accept requires a genuine order witness and an
-	// assumption failure falls back to the full pipeline — so this is an
-	// escape hatch and ablation knob.
+	// verdicts — an accept requires a genuine order witness, and a solver
+	// pass that fails under the timestamp choices drops them and goes on
+	// without — so this is an escape hatch and ablation knob.
 	DisableTSFastPath bool
 
 	// InitialK is the initial heuristic-pruning distance; 0 means the
-	// default (128 nodes). On rejection the checker doubles K and retries
-	// until K exceeds the node count (at which point no heuristic is
-	// applied and the answer is exact).
+	// default (128 nodes). When a pass fails only because of what pruning
+	// asserted, the checker doubles K and retries on the same solver until
+	// K exceeds the node count (at which point no heuristic is applied and
+	// the answer is exact).
 	InitialK int
 
 	// Timeout bounds total checking time; zero means no limit.
 	Timeout time.Duration
-
-	// LazyTheory switches the acyclicity theory to lazy (full-assignment)
-	// checking instead of eager per-edge cycle detection; an ablation knob.
-	LazyTheory bool
 
 	// DisablePhaseBias turns off schedule-consistent phase initialization
 	// (edge variables start biased toward the polarity the heuristic order
@@ -243,8 +240,8 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); 1 runs the exact legacy serial path.
 	Parallelism int
 
-	// Portfolio, when > 1, runs that many differently-seeded solver
-	// instances in parallel for each attempt and takes the first definitive
+	// Portfolio, when > 1, runs that many differently-seeded copies of a
+	// check's solver passes in parallel and takes the first definitive
 	// verdict — the paper's suggested mitigation for the high solver
 	// variance it observes on non-SI histories (§7.3).
 	Portfolio int

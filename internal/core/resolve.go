@@ -361,6 +361,7 @@ func (c *closure) path(u, v int32) []int32 {
 // resolveResult is the outcome of the batch pre-solve pass.
 type resolveResult struct {
 	kept     []Constraint // constraints the solver still has to decide
+	keptAt   []int32      // each kept constraint's index in the input
 	resolved int          // constraints discharged without the solver
 	forced   []KnownEdge  // edges appended to the known graph by forcing
 	cycle    []KnownEdge  // non-nil: must-hold edges close a cycle (reject)
@@ -568,14 +569,12 @@ func resolvePolygraph(ctx context.Context, pg *Polygraph, consIn []Constraint, o
 		stagedSrcs = stagedSrcs[:0]
 	}
 
-	if res.resolved == 0 && len(res.forced) == 0 {
-		res.kept = pg.Cons
-		return res
-	}
 	res.kept = make([]Constraint, 0, len(cons)-res.resolved)
+	res.keptAt = make([]int32, 0, len(cons)-res.resolved)
 	for i := range cons {
 		if alive[i] {
 			res.kept = append(res.kept, cons[i])
+			res.keptAt = append(res.keptAt, int32(i))
 		}
 	}
 	return res

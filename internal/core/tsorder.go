@@ -18,11 +18,13 @@
 //     compatible graph outright (Theorem 5), so the accept is exact even
 //     when the timestamps are garbage — inconsistent timestamps can only
 //     fail the check, never falsify it.
-//   - When a residue remains, the decided sides enter one exact attempt
-//     as theory constants and only the residue is encoded. Sat is a
-//     genuine accept (a model is a model); Unsat is NOT a refutation —
-//     the constants were assumptions — so the checker falls back to a
-//     full check with the fast path disabled. Rejections therefore never
+//   - When a residue remains, only the residue is encoded, and the first
+//     solver pass asserts the decided sides as a guarded batch (see
+//     check.go). Sat is a genuine accept (a model is a model). Unsat is a
+//     refutation only if it used no batch edge (the solver's Okay() turns
+//     false); otherwise the pass merely failed, the guard is dropped, and
+//     the check continues without timestamps — full-set resolution, then
+//     the §3.5 passes — on the same solver. Rejections therefore never
 //     rest on timestamps.
 //
 // The incremental Checker threads the same classification through its
@@ -32,14 +34,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"time"
 
-	"viper/internal/acyclic"
 	"viper/internal/history"
-	"viper/internal/sat"
 )
 
 // tsUsable reports whether the history's timestamps can drive the fast
@@ -69,13 +67,14 @@ func tsUsable(h *history.History) (ok bool, reason string) {
 
 // tsClassify is one near-linear pass over the constraints: decided
 // constraints' chosen-side edges accumulate in chosen, the rest in
-// residual. A side with every edge strictly drift-implied is settled;
-// exactly one settled side decides the constraint. Both-sides-settled —
-// possible only with inconsistent cross-transaction timestamps — is
-// deliberately residual: the solver, not the clock, owns contradictions.
+// residual (cons and at only). A side with every edge strictly
+// drift-implied is settled; exactly one settled side decides the
+// constraint. Both-sides-settled — possible only with inconsistent
+// cross-transaction timestamps — is deliberately residual: the solver,
+// not the clock, owns contradictions.
 type tsClassified struct {
 	decided  int
-	residual []Constraint
+	residual consSet
 	chosen   []Edge
 }
 
@@ -89,7 +88,7 @@ func (pg *Polygraph) tsClassify(drift int64) tsClassified {
 		return true
 	}
 	var out tsClassified
-	for _, c := range pg.Cons {
+	for i, c := range pg.Cons {
 		f, s := settled(c.First), settled(c.Second)
 		if f != s {
 			out.decided++
@@ -99,7 +98,8 @@ func (pg *Polygraph) tsClassify(drift int64) tsClassified {
 				out.chosen = append(out.chosen, c.Second...)
 			}
 		} else {
-			out.residual = append(out.residual, c)
+			out.residual.cons = append(out.residual.cons, c)
+			out.residual.at = append(out.residual.at, int32(i))
 		}
 	}
 	return out
@@ -113,78 +113,6 @@ func edgesForward(edges []Edge, pos []int32) bool {
 		}
 	}
 	return true
-}
-
-// checkTSResidue finishes a check whose constraints the timestamps mostly
-// decided: resolve the residue against the known-graph closure (skipped
-// when the residue is too small to pay for a closure build), then run one
-// exact attempt with the chosen sides as theory constants. Unsat under
-// those constants is not a refutation — re-check with the fast path
-// disabled and carry the timestamp counters into the fallback's report.
-func (pg *Polygraph) checkTSResidue(ctx context.Context, opts Options, rep *Report, tc tsClassified, out [][]int32, order []int32, less func(a, b int32) bool, deadline time.Time, checkStart time.Time) *Report {
-	cons, known := tc.residual, pg.Known
-	pos := positionsOf(order)
-	if !opts.DisableResolve && len(cons) > resolveCheapBatch {
-		resolveStart := time.Now()
-		rr := resolvePolygraph(ctx, pg, cons, out, order, opts.workers())
-		rep.Phases.Resolve = time.Since(resolveStart)
-		if rr != nil {
-			rep.ResolvedConstraints = rr.resolved
-			rep.ForcedEdges = len(rr.forced)
-			if rr.cycle != nil {
-				rep.Outcome = Reject
-				rep.KnownCycle = rr.cycle
-				return rep
-			}
-			cons = rr.kept
-			if len(rr.forced) > 0 {
-				known = make([]KnownEdge, 0, len(pg.Known)+len(rr.forced))
-				known = append(append(known, pg.Known...), rr.forced...)
-				var ok bool
-				if order, ok = acyclic.TopoPriority(int(pg.NumNodes), out, less); !ok {
-					rep.Outcome = Reject
-					rep.KnownCycle = pg.knownCycle(out)
-					return rep
-				}
-				pos = positionsOf(order)
-			}
-		}
-	}
-	if len(cons) == 0 && edgesForward(tc.chosen, pos) {
-		// The residue resolved away and the chosen sides still follow the
-		// (possibly re-sorted) topological order: witness in hand.
-		rep.Outcome = Accept
-		rep.WitnessPositions = pos
-		rep.selfCheck(pg, opts)
-		return rep
-	}
-	if ctx.Err() != nil {
-		rep.Outcome = Timeout
-		return rep
-	}
-	res := pg.attempt(ctx, opts, rep, cons, known, pos, 0, deadline, checkStart, tc.chosen)
-	switch res {
-	case sat.Sat:
-		rep.Outcome = Accept
-		rep.FinalK = 0
-		rep.selfCheck(pg, opts)
-		return rep
-	case sat.Unknown:
-		rep.Outcome = Timeout
-		return rep
-	}
-	// Unsat with the chosen sides asserted. Timestamps may simply be
-	// wrong about this history; only a check without them can tell.
-	fallbackOpts := opts
-	fallbackOpts.DisableTSFastPath = true
-	fb := CheckPolygraphContext(ctx, pg, fallbackOpts)
-	fb.TSDecided, fb.TSResidual = rep.TSDecided, rep.TSResidual
-	fb.Phases.TSOrder += rep.Phases.TSOrder
-	fb.Phases.Resolve += rep.Phases.Resolve
-	fb.Phases.Encode += rep.Phases.Encode
-	fb.Phases.Solve += rep.Phases.Solve
-	fb.Retries += rep.Retries + 1
-	return fb
 }
 
 // ---- Warm-path helpers (incremental.go) ----------------------------------

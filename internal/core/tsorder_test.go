@@ -9,33 +9,63 @@ import (
 	"viper/internal/histgen"
 	"viper/internal/history"
 	"viper/internal/oracle"
+	"viper/internal/runner"
+	"viper/internal/workload"
 )
 
+// retryKs are the initial pruning radii every checkTSBoth row runs at:
+// the default, and radii small enough that §3.5 pruning forces most
+// constraints, so passes fail under their batch and retry at double k.
+var retryKs = []int{0, 4, 32}
+
 // checkTSBoth runs the same history with the timestamp fast path enabled
-// and disabled and fails unless both verdicts match want (the fast path
-// is sound: it may never flip a verdict). Accepts additionally replay
-// their witness.
+// and disabled, at every retryKs radius, and fails unless every verdict
+// matches want (neither the fast path nor the radius may flip a verdict).
+// Accepts additionally replay their witness. It returns the default
+// radius's reports.
 func checkTSBoth(t *testing.T, h *history.History, level Level, want Outcome, label string) (on, off *Report) {
 	t.Helper()
-	on = CheckHistory(h, Options{Level: level, SelfCheck: true})
-	off = CheckHistory(h, Options{Level: level, DisableTSFastPath: true, SelfCheck: true})
-	if on.Outcome != off.Outcome {
-		t.Fatalf("%s: ts-on %v != ts-off %v", label, on.Outcome, off.Outcome)
-	}
-	if on.Outcome != want {
-		t.Fatalf("%s: got %v, want %v", label, on.Outcome, want)
-	}
-	if off.TSDecided != 0 || off.TSResidual != 0 {
-		t.Fatalf("%s: DisableTSFastPath reported fast-path work (%d decided, %d residual)",
-			label, off.TSDecided, off.TSResidual)
-	}
-	if on.Outcome == Accept && !on.WitnessVerified {
-		t.Fatalf("%s: ts-on accept witness failed self-check", label)
-	}
-	if off.Outcome == Accept && !off.WitnessVerified {
-		t.Fatalf("%s: ts-off accept witness failed self-check", label)
+	for i, k := range retryKs {
+		kOn := CheckHistory(h, Options{Level: level, InitialK: k, SelfCheck: true})
+		kOff := CheckHistory(h, Options{Level: level, InitialK: k, DisableTSFastPath: true, SelfCheck: true})
+		if kOn.Outcome != kOff.Outcome {
+			t.Fatalf("%s k=%d: ts-on %v != ts-off %v", label, k, kOn.Outcome, kOff.Outcome)
+		}
+		if kOn.Outcome != want {
+			t.Fatalf("%s k=%d: got %v, want %v", label, k, kOn.Outcome, want)
+		}
+		if kOff.TSDecided != 0 || kOff.TSResidual != 0 {
+			t.Fatalf("%s k=%d: DisableTSFastPath reported fast-path work (%d decided, %d residual)",
+				label, k, kOff.TSDecided, kOff.TSResidual)
+		}
+		if kOn.Outcome == Accept && !kOn.WitnessVerified {
+			t.Fatalf("%s k=%d: ts-on accept witness failed self-check", label, k)
+		}
+		if kOff.Outcome == Accept && !kOff.WitnessVerified {
+			t.Fatalf("%s k=%d: ts-off accept witness failed self-check", label, k)
+		}
+		if i == 0 {
+			on, off = kOn, kOff
+		}
 	}
 	return on, off
+}
+
+// blindW records a BlindW-RW run through the concurrent runner; without
+// stamps its begin/commit timestamps are zeroed, so no timestamp pass
+// runs and resolution and the §3.5 passes carry the check alone.
+func blindW(t *testing.T, seed int64, stamps bool) *history.History {
+	t.Helper()
+	h, _, err := runner.Run(workload.NewBlindWRW(), runner.Config{Clients: 8, Txns: 300, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stamps {
+		for _, tx := range h.Txns[1:] {
+			tx.BeginAt, tx.CommitAt = 0, 0
+		}
+	}
+	return h
 }
 
 // TestTSFastPathDifferentialGenerated cross-checks the fast path on
@@ -58,10 +88,22 @@ func TestTSFastPathDifferentialGenerated(t *testing.T) {
 			t.Fatalf("seed %d: serializability ts-on %v != ts-off %v", seed, onSer.Outcome, offSer.Outcome)
 		}
 	}
+	// BlindW from a real engine, with and without its collector stamps.
+	// Read-only and blind-write transactions on a correct SI engine are
+	// serializable too.
+	for seed := int64(1); seed <= 2; seed++ {
+		for _, stamps := range []bool{true, false} {
+			h := blindW(t, seed, stamps)
+			for _, level := range []Level{AdyaSI, Serializability, StrongSessionSI} {
+				checkTSBoth(t, h, level, Accept, "blindw")
+			}
+		}
+	}
 }
 
 // TestTSFastPathDifferentialAnomalies injects every polygraph-level
-// anomaly and checks both configurations reject: the timestamps of a
+// anomaly and checks both configurations reject, at Adya SI and at the
+// two levels above it on either lattice branch: the timestamps of a
 // violating history must never talk the checker into an accept, and an
 // Unsat under timestamp assumptions must fall back rather than reject.
 func TestTSFastPathDifferentialAnomalies(t *testing.T) {
@@ -74,7 +116,90 @@ func TestTSFastPathDifferentialAnomalies(t *testing.T) {
 			if err := h.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			checkTSBoth(t, h, AdyaSI, Reject, kind.String())
+			for _, level := range []Level{AdyaSI, Serializability, StrongSessionSI} {
+				checkTSBoth(t, h, level, Reject, kind.String())
+			}
+		}
+		h := anomaly.Inject(blindW(t, 3, true), kind)
+		if err := h.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		checkTSBoth(t, h, AdyaSI, Reject, "blindw "+kind.String())
+	}
+}
+
+// blindWLostUpdate is a timestamped BlindW history with one lost update
+// appended: a violation the timestamp pass cannot see.
+func blindWLostUpdate(t *testing.T) *history.History {
+	t.Helper()
+	h := anomaly.Inject(blindW(t, 4, true), anomaly.LostUpdate)
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// misleadingStamps is an SI history whose stamps choose the impossible
+// side of its one constraint. T2 reads T1's y, so it begins after T1
+// commits, and T1's x must precede T2's: the other order closes
+// B1→C1→B2→C2→B1. The stamps put T2 entirely before T1 and so choose that
+// order. T3 reads T1's x, which keeps the constraint from being trivially
+// decided.
+func misleadingStamps(t *testing.T) *history.History {
+	t.Helper()
+	b := history.NewBuilder()
+	t1 := b.Session().Txn().At(10).Write("x").Write("y").CommitAt(11)
+	b.Session().Txn().At(1).ReadObserved("y", t1.WriteIDOf("y")).Write("x").CommitAt(2)
+	b.Session().Txn().At(20).ReadObserved("x", t1.WriteIDOf("x")).CommitAt(21)
+	return b.MustHistory()
+}
+
+// TestTSFastPathLostUpdateRetries pins the pass sequence on a violation
+// the timestamps hide: the timestamp pass fails under its chosen sides,
+// and then the check rejects at once. With resolution on, full-set
+// resolution finds the cycle. With it off — as when the closure exceeds
+// its memory budget on large histories — the first §3.5 pass refutes the
+// polygraph without using its batch, so the check rejects after one
+// retry with pruning still in force instead of doubling k to exact.
+func TestTSFastPathLostUpdateRetries(t *testing.T) {
+	h := blindWLostUpdate(t)
+	for _, noResolve := range []bool{false, true} {
+		rep := CheckHistory(h, Options{Level: AdyaSI, DisableResolve: noResolve})
+		if rep.Outcome != Reject {
+			t.Fatalf("resolve off=%v: lost update %v", noResolve, rep.Outcome)
+		}
+		if rep.TSDecided == 0 {
+			t.Fatalf("resolve off=%v: timestamps decided nothing, so no timestamp pass ran", noResolve)
+		}
+		if rep.Retries > 1 {
+			t.Fatalf("resolve off=%v: rejected after %d retries, want at most 1", noResolve, rep.Retries)
+		}
+		if noResolve && rep.FinalK == 0 {
+			t.Fatal("resolve off: rejected by the exact pass, want the first pruned pass")
+		}
+		if !noResolve && rep.KnownCycle == nil {
+			t.Fatal("resolve on: rejected without the resolution cycle")
+		}
+	}
+}
+
+// TestTSFastPathMisleadingStampsAccept: stamps that choose the wrong side
+// of a constraint fail the timestamp pass, which must then fall back and
+// accept — through resolution, or (with resolution off) through the §3.5
+// passes on the same solver.
+func TestTSFastPathMisleadingStampsAccept(t *testing.T) {
+	h := misleadingStamps(t)
+	for _, opts := range []Options{
+		{Level: AdyaSI, SelfCheck: true},
+		{Level: AdyaSI, DisableResolve: true, SelfCheck: true},
+	} {
+		rep := CheckHistory(h, opts)
+		if rep.Outcome != Accept || !rep.WitnessVerified {
+			t.Fatalf("resolve off=%v: %v (verified %v)", opts.DisableResolve, rep.Outcome, rep.WitnessVerified)
+		}
+		if rep.TSDecided != 1 || rep.Retries != 1 {
+			t.Fatalf("resolve off=%v: %d decided, %d retries; want the timestamp pass to decide 1 and fail once",
+				opts.DisableResolve, rep.TSDecided, rep.Retries)
 		}
 	}
 }

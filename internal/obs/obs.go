@@ -178,8 +178,8 @@ func (r Region) SetAttr(name string, v int64) {
 
 // Child attaches an already-measured child span of the given duration,
 // ending now. The checker uses this for sub-phases it times itself — e.g.
-// a portfolio attempt's encode/solve are the *winning* solver's durations,
-// which are only known after the race is decided.
+// under a portfolio, a pass's encode/solve are the *winning* run's
+// durations, which are only known after the race is decided.
 func (r Region) Child(name string, d time.Duration) {
 	if r.t == nil {
 		return

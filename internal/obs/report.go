@@ -40,7 +40,7 @@ type HistoryInfo struct {
 	Sessions int    `json:"sessions"`
 }
 
-// GraphInfo carries the polygraph and final-attempt counters of the
+// GraphInfo carries the polygraph and solver-pass counters of the
 // report (core.Report's graph-side fields, flattened for a stable JSON
 // shape independent of internal struct layout).
 type GraphInfo struct {

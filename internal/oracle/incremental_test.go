@@ -158,7 +158,6 @@ func incrementalCombos() []core.Options {
 		{Level: core.AdyaSI, SelfCheck: true, DisableCombineWrites: true},
 		{Level: core.AdyaSI, SelfCheck: true, DisableCoalesce: true},
 		{Level: core.AdyaSI, SelfCheck: true, DisablePruning: true},
-		{Level: core.AdyaSI, SelfCheck: true, LazyTheory: true},
 		{Level: core.AdyaSI, SelfCheck: true, Parallelism: 4},
 		{Level: core.AdyaSI, SelfCheck: true, Portfolio: 4},
 		{Level: core.Serializability, SelfCheck: true},

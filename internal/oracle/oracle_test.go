@@ -163,7 +163,6 @@ func TestDifferentialOracleVsViper(t *testing.T) {
 		{Level: core.AdyaSI, DisableCombineWrites: true},
 		{Level: core.AdyaSI, DisableCoalesce: true},
 		{Level: core.AdyaSI, DisablePruning: true},
-		{Level: core.AdyaSI, LazyTheory: true},
 		{Level: core.AdyaSI, InitialK: 1},
 		{Level: core.AdyaSI, DisableCombineWrites: true, DisableCoalesce: true, DisablePruning: true},
 	}
@@ -293,7 +292,7 @@ func FuzzDifferential(f *testing.F) {
 		want := IsSI(h)
 		for _, opts := range []core.Options{
 			{Level: core.AdyaSI, SelfCheck: true},
-			{Level: core.AdyaSI, DisableCombineWrites: true, DisableCoalesce: true, LazyTheory: true},
+			{Level: core.AdyaSI, DisableCombineWrites: true, DisableCoalesce: true},
 		} {
 			rep := core.CheckHistory(h, opts)
 			if (rep.Outcome == core.Accept) != want {

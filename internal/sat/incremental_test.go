@@ -66,6 +66,25 @@ func TestSolveAssuming(t *testing.T) {
 	if res := s.SolveAssuming(); res != Sat {
 		t.Fatalf("no assumptions: %v", res)
 	}
+	// Retiring an assumption by asserting its negation as a unit clause
+	// (what a failed guarded pass does with its guard) keeps the solver
+	// usable: a fresh guard forcing b alone is satisfiable.
+	g := s.NewVar()
+	s.Relax()
+	s.AddClause(NegLit(g), NegLit(a))
+	s.AddClause(NegLit(g), NegLit(b))
+	if res := s.SolveAssuming(PosLit(g)); res != Unsat || !s.Okay() {
+		t.Fatalf("under guard g: %v, okay %v", res, s.Okay())
+	}
+	s.Relax()
+	if !s.AddClause(NegLit(g)) {
+		t.Fatal("retiring g refuted the formula")
+	}
+	g2 := s.NewVar()
+	s.AddClause(NegLit(g2), NegLit(a))
+	if res := s.SolveAssuming(PosLit(g2)); res != Sat || s.Value(a) || !s.Value(b) {
+		t.Fatalf("under guard g2: %v (a=%v b=%v)", res, s.Value(a), s.Value(b))
+	}
 	// A real refutation is permanent regardless of how it was reached.
 	s.Relax()
 	s.AddClause(NegLit(a))
