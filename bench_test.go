@@ -333,6 +333,21 @@ func BenchmarkPolygraphBuildAllocs(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckHistoryAllocs tracks the allocation profile of the
+// one-shot check on the path the CLI, viperd's first audit and perfbench
+// take: per-key records, the counted replay, the timestamp pass and the
+// verdict. BenchmarkPolygraphBuildAllocs times serial core.Build, which
+// none of them take.
+func BenchmarkCheckHistoryAllocs(b *testing.B) {
+	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 5000, 24)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep := core.CheckHistory(h, core.Options{Level: core.AdyaSI})
+		mustOutcome(b, rep.Outcome, core.Accept)
+	}
+}
+
 // BenchmarkResolveAblation isolates pre-solve constraint resolution on the
 // constraint-heaviest workload: "resolve" is the default pipeline, "solver"
 // pushes every constraint to the SAT search (DisableResolve). The custom

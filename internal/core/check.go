@@ -365,7 +365,7 @@ func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
 			tc := pg.tsClassify(opts.ClockDrift.Nanoseconds())
 			rep.TSDecided, rep.TSResidual = tc.decided, len(tc.residual.cons)
 			rep.Phases.TSOrder = time.Since(tsStart)
-			if len(tc.residual.cons) == 0 && edgesForward(tc.chosen, all.pos) {
+			if len(tc.residual.cons) == 0 && chosenForward(pg.Cons, tc.chosen, all.pos) {
 				rep.Outcome = Accept
 				rep.WitnessPositions = all.pos
 				return rep
@@ -378,7 +378,7 @@ func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
 						return rep
 					}
 				}
-				if len(residue.cons) == 0 && edgesForward(tc.chosen, residue.pos) {
+				if len(residue.cons) == 0 && chosenForward(pg.Cons, tc.chosen, residue.pos) {
 					// The residue resolved away and the chosen sides still
 					// follow the (possibly re-sorted) topological order:
 					// witness in hand.
@@ -438,7 +438,7 @@ type checkPlan struct {
 
 	ts     bool    // the first pass asserts the timestamp-chosen sides
 	all    consSet // every constraint, before any resolution (timestamp pass only)
-	chosen []Edge  // the timestamp-chosen sides
+	chosen []int32 // the timestamp-chosen sides, as tsClassify lists them
 	// committed lists the committed transactions, the endpoints of stride
 	// edges. Passes read it rather than the history, which the caller may
 	// extend while portfolio losers are still draining.
@@ -711,11 +711,12 @@ func (r *solveRun) verdict(res sat.Result) bool {
 // pruning at stride k: a not-yet-encoded constraint with one side running
 // k or more positions backward in ŝ is forced to its other side, and the
 // stride edges are asserted. k == 0 encodes every remaining constraint.
-// extra holds further edges asserted for this pass (the timestamp-chosen
-// sides). A pass that prunes both sides of some constraint cannot succeed;
+// chosen lists further sides asserted for this pass (the timestamp-chosen
+// sides, as tsClassify lists them), expanded into the batch only here.
+// A pass that prunes both sides of some constraint cannot succeed;
 // it returns Unsat without solving. Canceling ctx interrupts the solver;
 // the pass then reports Unknown.
-func (r *solveRun) pass(ctx context.Context, set consSet, k int, extra []Edge) sat.Result {
+func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32) sat.Result {
 	attReg := r.tracer.Start("attempt")
 	attReg.SetAttr("k", int64(k))
 	defer attReg.End()
@@ -748,7 +749,9 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, extra []Edge) s
 			batch = append(batch, acyclic.Edge(e))
 		}
 	}
-	assert(extra)
+	for _, ch := range chosen {
+		assert(chosenSide(pg.Cons, ch))
+	}
 	var encode []int // positions in set.cons to encode now
 	pruned := 0
 	rep.HeuristicEdges = 0

@@ -534,8 +534,7 @@ func (inc *Incremental) regenKey(lite *Polygraph, key history.Key, combine, coal
 	byWriter := inc.readers[key]
 	rec := &keyRecord{}
 	recordReadDeps(lite, byWriter, rec)
-	lite.buildKeyConstraints(key, writers, byWriter, combine, coalesce, keyRecorder{pg: lite, rec: rec})
-	chains := lite.writerChains(writers, byWriter, combine)
+	chains := lite.buildKeyConstraints(key, writers, byWriter, combine, coalesce, keyRecorder{pg: lite, rec: rec})
 	sig := make([][]history.TxnID, len(chains))
 	for i, c := range chains {
 		sig[i] = c.members
@@ -640,40 +639,15 @@ func chainsPreserved(old, cur [][]history.TxnID) bool {
 // sharded batch build uses, so the result is byte-identical to Build for
 // the same history).
 func (inc *Incremental) assemble() *Polygraph {
-	h := inc.h
-	pg := &Polygraph{
-		H:        h,
-		Level:    inc.opts.Level,
-		ser:      inc.ser(),
-		knownSet: make(map[Edge]bool),
-	}
-	pg.NumNodes = inc.numNodes()
-	pg.auxBase = pg.NumNodes
+	pg := newPolygraph(inc.h, inc.opts.Level)
 	pg.initNodeTS()
 	pg.buildWorkers = 1
-
-	if !pg.ser {
-		for _, t := range h.Txns {
-			if t.Committed() {
-				pg.addKnown(Edge{pg.Begin(t.ID), pg.Commit(t.ID)}, EdgeIntra, "")
-			}
-		}
+	keys := inc.h.Keys()
+	recs := make([]*keyRecord, len(keys))
+	for i, key := range keys {
+		recs[i] = inc.records[key]
 	}
-	keys := h.Keys()
-	for _, key := range keys {
-		if rec := inc.records[key]; rec != nil {
-			for _, e := range rec.wr {
-				pg.addKnown(e, EdgeWR, key)
-			}
-		}
-	}
-	for _, key := range keys {
-		if rec := inc.records[key]; rec != nil {
-			for j := range rec.ops {
-				pg.applyOp(&rec.ops[j], key)
-			}
-		}
-	}
+	pg.replay(keys, recs)
 	if inc.opts.Level == StrongSessionSI {
 		pg.addSessionEdges()
 	}

@@ -154,8 +154,8 @@ func TestIncrementalValidationRejectNotSticky(t *testing.T) {
 }
 
 // TestIncrementalFirstAuditMatchesBatchPolygraph: the record-store
-// assembly must reproduce Build byte-for-byte, so the one-shot wrappers
-// stay byte-compatible with the historical pipeline.
+// assembly must reproduce the serial Build byte-for-byte, so the one-shot
+// wrappers stay byte-compatible with the historical pipeline.
 func TestIncrementalFirstAuditMatchesBatchPolygraph(t *testing.T) {
 	h, _, err := runner.Run(workload.NewRangeB(), runner.Config{Clients: 3, Txns: 50, Seed: 11})
 	if err != nil {
@@ -163,7 +163,7 @@ func TestIncrementalFirstAuditMatchesBatchPolygraph(t *testing.T) {
 	}
 	for _, level := range []Level{AdyaSI, Serializability, StrongSessionSI} {
 		opts := Options{Level: level}
-		want := Build(h, opts)
+		want := Build(h, Options{Level: level, Parallelism: 1})
 		inc := NewIncremental(opts)
 		for _, tx := range h.Txns[1:] {
 			t2 := *tx
@@ -174,22 +174,6 @@ func TestIncrementalFirstAuditMatchesBatchPolygraph(t *testing.T) {
 		}
 		inc.update()
 		inc.regen()
-		got := inc.assemble()
-		if len(got.Known) != len(want.Known) || len(got.Cons) != len(want.Cons) {
-			t.Fatalf("%v: assembled %d known/%d cons, batch %d/%d",
-				level, len(got.Known), len(got.Cons), len(want.Known), len(want.Cons))
-		}
-		for i := range want.Known {
-			if got.Known[i] != want.Known[i] {
-				t.Fatalf("%v: known edge %d differs: %+v vs %+v", level, i, got.Known[i], want.Known[i])
-			}
-		}
-		for i := range want.Cons {
-			if len(got.Cons[i].First) != len(want.Cons[i].First) ||
-				len(got.Cons[i].Second) != len(want.Cons[i].Second) ||
-				got.Cons[i].Key != want.Cons[i].Key {
-				t.Fatalf("%v: constraint %d differs", level, i)
-			}
-		}
+		comparePolygraphs(t, want, inc.assemble(), "assemble/"+level.String())
 	}
 }

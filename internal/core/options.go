@@ -234,10 +234,13 @@ type Options struct {
 
 	// Parallelism is the worker count for BC-polygraph construction: the
 	// read-collection pass shards over transaction ranges and the per-key
-	// constraint pass shards over keys, with per-worker buffers merged
+	// constraint pass shards over keys, with per-key records replayed
 	// deterministically so the polygraph is identical to a serial build
 	// regardless of worker count. 0 (the default) means
-	// runtime.GOMAXPROCS(0); 1 runs the exact legacy serial path.
+	// runtime.GOMAXPROCS(0). CheckHistory, the incremental Checker and
+	// viperd always record per-key emissions and replay them; one worker
+	// only serializes the record pass. Build alone has a direct serial
+	// path, which it takes at one worker.
 	Parallelism int
 
 	// Portfolio, when > 1, runs that many differently-seeded copies of a

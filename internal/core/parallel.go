@@ -65,6 +65,10 @@ type keyOp struct {
 type keyRecord struct {
 	wr  []Edge  // read-dependency edges, in serial emission order
 	ops []keyOp // constraint-pass emissions, in serial emission order
+	// sides is the slab behind every constraint side in ops: each side is
+	// a read-only, capacity-capped view sides[a:b:b], so no append through
+	// a side can reach its neighbour.
+	sides []Edge
 }
 
 // keyRecorder is the constraintSink that records emissions instead of
@@ -74,6 +78,13 @@ type keyRecorder struct {
 	rec *keyRecord
 }
 
+// reserve allocates the key's ops and side slab once, at their final
+// size (buildKeyConstraints counts them before emitting).
+func (kr keyRecorder) reserve(ops, edges int) {
+	kr.rec.ops = make([]keyOp, 0, ops)
+	kr.rec.sides = make([]Edge, 0, edges)
+}
+
 func (kr keyRecorder) knownEvent(fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool, kind EdgeKind, key history.Key) {
 	if e, cls := kr.pg.classify(fromT, fromCommit, toT, toCommit); cls == edgeNormal {
 		kr.rec.ops = append(kr.rec.ops, keyOp{edge: e, kind: kind})
@@ -81,21 +92,8 @@ func (kr keyRecorder) knownEvent(fromT history.TxnID, fromCommit bool, toT histo
 }
 
 func (kr keyRecorder) constraint(first, second []eventEdge, kind1, kind2 EdgeKind, key history.Key) {
-	resolve := func(side []eventEdge) (edges []Edge, invalid bool) {
-		for _, ee := range side {
-			e, cls := kr.pg.classify(ee.fromT, ee.fromCommit, ee.toT, ee.toCommit)
-			switch cls {
-			case edgeFalse:
-				return nil, true
-			case edgeTrue:
-				continue
-			}
-			edges = append(edges, e)
-		}
-		return edges, false
-	}
-	f, fBad := resolve(first)
-	s, sBad := resolve(second)
+	f, fBad := kr.side(first)
+	s, sBad := kr.side(second)
 	op := keyOp{
 		cons: true, first: f, second: s, fBad: fBad, sBad: sBad,
 		kind: kind1, kind2: kind2,
@@ -109,6 +107,30 @@ func (kr keyRecorder) constraint(first, second []eventEdge, kind1, kind2 EdgeKin
 		}
 	}
 	kr.rec.ops = append(kr.rec.ops, op)
+}
+
+// side resolves one constraint side through classify into the key's slab
+// and returns its view: nil when the side is empty (every edge trivially
+// true) or impossible (bad; its edges are taken back off the slab).
+func (kr keyRecorder) side(side []eventEdge) (edges []Edge, bad bool) {
+	rec := kr.rec
+	a := len(rec.sides)
+	for _, ee := range side {
+		e, cls := kr.pg.classify(ee.fromT, ee.fromCommit, ee.toT, ee.toCommit)
+		switch cls {
+		case edgeFalse:
+			rec.sides = rec.sides[:a]
+			return nil, true
+		case edgeTrue:
+			continue
+		}
+		rec.sides = append(rec.sides, e)
+	}
+	b := len(rec.sides)
+	if b == a {
+		return nil, false
+	}
+	return rec.sides[a:b:b], false
 }
 
 // buildSharded is the parallel counterpart of Build's read-dependency and
@@ -137,22 +159,28 @@ func (pg *Polygraph) buildSharded(opts Options, workers int) {
 		}
 	})
 
-	// Deterministic replay, in serial emission order.
-	for i, key := range keys {
-		for _, e := range outs[i].wr {
-			pg.addKnown(e, EdgeWR, key)
-		}
+	recs := make([]*keyRecord, len(keys))
+	for i := range outs {
+		recs[i] = &outs[i]
 	}
-	for i, key := range keys {
-		for j := range outs[i].ops {
-			pg.applyOp(&outs[i].ops[j], key)
-		}
-	}
+	pg.replay(keys, recs)
 }
 
 // recordReadDeps records one key's read-dependency edges in the order the
-// serial pass emits them (addReadDeps' inner loops).
+// serial pass emits them (addReadDeps' inner loops). Readers never equal
+// their writer (collectReadsInto drops self-reads), so every edge
+// classifies as normal and the count is exact.
 func recordReadDeps(pg *Polygraph, byWriter map[history.TxnID][]history.TxnID, rec *keyRecord) {
+	n := 0
+	for w, rs := range byWriter {
+		if w != history.GenesisID {
+			n += len(rs)
+		}
+	}
+	if n == 0 {
+		return
+	}
+	rec.wr = make([]Edge, 0, n)
 	for _, w := range sortedTxns(byWriter) {
 		if w == history.GenesisID {
 			continue
@@ -162,6 +190,80 @@ func recordReadDeps(pg *Polygraph, byWriter map[history.TxnID][]history.TxnID, r
 				rec.wr = append(rec.wr, e)
 			}
 		}
+	}
+}
+
+// replay folds per-key records (indexed like keys; nil contributes
+// nothing) into a fresh polygraph shell in the serial build's emission
+// order: intra-transaction edges, every key's read-dependency edges in
+// key order, then every key's constraint-pass emissions in key order. It
+// counts over the records first, so Known, Cons and knownSet are each
+// allocated once.
+func (pg *Polygraph) replay(keys []history.Key, recs []*keyRecord) {
+	known, cons := 0, 0
+	if !pg.ser {
+		known = len(pg.H.Txns)
+	}
+	for _, rec := range recs {
+		if rec == nil {
+			continue
+		}
+		known += len(rec.wr)
+		for j := range rec.ops {
+			op := &rec.ops[j]
+			k, c := replaySize(op.cons, op.fBad, op.sBad, len(op.first), len(op.second))
+			known += k
+			cons += c
+		}
+	}
+	pg.Known = make([]KnownEdge, 0, known)
+	pg.Cons = make([]Constraint, 0, cons)
+	pg.knownSet = make(map[Edge]bool, known)
+
+	pg.addIntraEdges()
+	for i, rec := range recs {
+		if rec != nil {
+			for _, e := range rec.wr {
+				pg.addKnown(e, EdgeWR, keys[i])
+			}
+		}
+	}
+	for i, rec := range recs {
+		if rec != nil {
+			for j := range rec.ops {
+				pg.applyOp(&rec.ops[j], keys[i])
+			}
+		}
+	}
+	pg.nilIfEmpty()
+}
+
+// replaySize bounds what applyOp adds for one recorded emission (given
+// its flags and side lengths): known edges, and whether it may append a
+// constraint.
+func replaySize(cons, fBad, sBad bool, first, second int) (known, nCons int) {
+	switch {
+	case !cons:
+		return 1, 0
+	case fBad && sBad:
+		return 0, 0
+	case fBad:
+		return second, 0
+	case sBad:
+		return first, 0
+	}
+	return 0, 1
+}
+
+// nilIfEmpty resets Known and Cons that a replay presized but left empty
+// (the counts are bounds: duplicates and trivially-held constraints drop
+// out) to nil, as the serial build leaves them.
+func (pg *Polygraph) nilIfEmpty() {
+	if len(pg.Known) == 0 {
+		pg.Known = nil
+	}
+	if len(pg.Cons) == 0 {
+		pg.Cons = nil
 	}
 }
 
@@ -189,7 +291,8 @@ func (pg *Polygraph) applyOp(op *keyOp, key history.Key) {
 		// ops across audits (and a prior audit's portfolio losers may still
 		// be reading constraint sides that alias them), so in-place
 		// compaction would corrupt shared state. The no-known-edge common
-		// case stays allocation-free by aliasing the record's slice.
+		// case stays allocation-free by aliasing the record's slab view;
+		// a filtered side is a copy, capped like the views.
 		filter := func(side []Edge) []Edge {
 			for i, e := range side {
 				if pg.knownSet[e] {
@@ -200,7 +303,7 @@ func (pg *Polygraph) applyOp(op *keyOp, key history.Key) {
 							kept = append(kept, rest)
 						}
 					}
-					return kept
+					return kept[:len(kept):len(kept)]
 				}
 			}
 			return side

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"viper/internal/histgen"
 	"viper/internal/history"
 	"viper/internal/runner"
 	"viper/internal/sat"
@@ -14,9 +16,17 @@ import (
 
 // comparePolygraphs fails unless the two builds are byte-identical:
 // same nodes, same known-edge list (content and order), same constraint
-// list, same contradiction flag, same stats.
+// list, same contradiction flag, same stats. sharded is a replayed build,
+// so every constraint side must also be a capacity-capped view (no append
+// through one can reach a neighbouring side of the record's slab).
 func comparePolygraphs(t *testing.T, serial, sharded *Polygraph, label string) {
 	t.Helper()
+	for i, c := range sharded.Cons {
+		if cap(c.First) != len(c.First) || cap(c.Second) != len(c.Second) {
+			t.Fatalf("%s: constraint %d sides len/cap %d/%d and %d/%d, want capped",
+				label, i, len(c.First), cap(c.First), len(c.Second), cap(c.Second))
+		}
+	}
 	if serial.NumNodes != sharded.NumNodes {
 		t.Fatalf("%s: nodes %d vs %d", label, serial.NumNodes, sharded.NumNodes)
 	}
@@ -95,6 +105,109 @@ func TestShardedBuildOnGeneratedWorkload(t *testing.T) {
 				p, rep.KnownEdges, rep.Constraints, want.KnownEdges, want.Constraints)
 		}
 	}
+}
+
+// checkRecordSizing fails unless one key's record was allocated at its
+// final size: ops and read-dependency edges exactly, and every
+// constraint side a capacity-capped view of the key's one slab, the
+// views tiling the slab in emission order.
+func checkRecordSizing(t *testing.T, rec *keyRecord, label string) {
+	t.Helper()
+	if len(rec.ops) != cap(rec.ops) {
+		t.Fatalf("%s: %d ops in capacity %d", label, len(rec.ops), cap(rec.ops))
+	}
+	if len(rec.wr) != cap(rec.wr) {
+		t.Fatalf("%s: %d read-dependency edges in capacity %d", label, len(rec.wr), cap(rec.wr))
+	}
+	slab := rec.sides[:cap(rec.sides)]
+	next := 0
+	for j := range rec.ops {
+		for _, side := range [][]Edge{rec.ops[j].first, rec.ops[j].second} {
+			if side == nil {
+				continue
+			}
+			if cap(side) != len(side) {
+				t.Fatalf("%s: op %d side len %d cap %d, want capped", label, j, len(side), cap(side))
+			}
+			if next+len(side) > len(slab) || &slab[next] != &side[0] {
+				t.Fatalf("%s: op %d side is not the next view of the key's slab", label, j)
+			}
+			next += len(side)
+		}
+	}
+	if next != len(rec.sides) {
+		t.Fatalf("%s: views cover %d slab edges, slab holds %d", label, next, len(rec.sides))
+	}
+}
+
+// TestRecordSizing: over the matrix corpus (every graph-level anomaly in
+// an SI carrier, histgen SI histories) plus SI histories with few and
+// many keys, at AdyaSI and Serializability with combining and coalescing
+// each on and off, the record pass sizes every key's record before
+// emitting it, and each replay built on the records — assemble, the
+// sharded Build, and ShardMerger.Finish — reproduces the serial build
+// with capped sides.
+func TestRecordSizing(t *testing.T) {
+	corpus := matrixCorpus(t)
+	for _, keys := range []int{2, 40} {
+		spec := histgen.Spec{Txns: 80, Keys: keys, MaxConcurrency: 5, AbortEvery: 9, Seed: 3}
+		corpus[fmt.Sprintf("si-gen/keys=%d", keys)] = histgen.SI(spec)
+	}
+	for name, h := range corpus {
+		for _, level := range []Level{AdyaSI, Serializability} {
+			for _, combine := range []bool{true, false} {
+				for _, coalesce := range []bool{true, false} {
+					opts := Options{Level: level, DisableCombineWrites: !combine, DisableCoalesce: !coalesce, Parallelism: 2}
+					label := fmt.Sprintf("%s/%v/combine=%v/coalesce=%v", name, level, combine, coalesce)
+					inc := NewIncremental(opts)
+					inc.h = h
+					inc.update()
+					inc.regen()
+					for key, rec := range inc.records {
+						checkRecordSizing(t, rec, label+"/"+string(key))
+					}
+					serialOpts := opts
+					serialOpts.Parallelism = 1
+					serial := Build(h, serialOpts)
+					comparePolygraphs(t, serial, inc.assemble(), label+"/assemble")
+					comparePolygraphs(t, serial, Build(h, opts), label+"/build")
+					comparePolygraphs(t, serial, mergeViaShards(t, h, opts, 3), label+"/merge")
+				}
+			}
+		}
+	}
+}
+
+// TestRecordKeyAllocs: recording a key allocates per key and per writer
+// chain, not per constraint. The key has 40 blind writers (41 chains with
+// genesis, 780 coalesced chain-pair constraints), each version read by
+// two other transactions.
+func TestRecordKeyAllocs(t *testing.T) {
+	const writers = 40
+	b := history.NewBuilder()
+	for i := 0; i < writers; i++ {
+		w := b.Session().Txn().Write("x").Commit()
+		for r := 0; r < 2; r++ {
+			b.Session().Txn().ReadObserved("x", w.WriteIDOf("x")).Commit()
+		}
+	}
+	h := b.MustHistory()
+	pg := newPolygraph(h, AdyaSI)
+	byWriter := pg.collectReads()["x"]
+	ws := writersByKey(h)["x"]
+	var rec keyRecord
+	allocs := testing.AllocsPerRun(20, func() {
+		rec = keyRecord{}
+		recordReadDeps(pg, byWriter, &rec)
+		pg.buildKeyConstraints("x", ws, byWriter, true, true, keyRecorder{pg: pg, rec: &rec})
+	})
+	if pairs := writers * (writers - 1) / 2; len(rec.ops) < pairs {
+		t.Fatalf("recorded %d ops, want at least the %d chain pairs", len(rec.ops), pairs)
+	}
+	if limit := 4.0 * writers; allocs > limit {
+		t.Fatalf("recording one key with %d writer chains made %.0f allocations, want at most %.0f", writers, allocs, limit)
+	}
+	t.Logf("%.0f allocations for %d ops", allocs, len(rec.ops))
 }
 
 // TestBuildTimingsPopulated checks the construction wall/CPU breakdown:

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"viper/internal/history"
@@ -282,34 +282,15 @@ func (c *chain) tail() history.TxnID { return c.members[len(c.members)-1] }
 // (parallel.go); the resulting polygraph is identical to the serial build.
 func Build(h *history.History, opts Options) *Polygraph {
 	start := time.Now()
-	pg := &Polygraph{
-		H:        h,
-		Level:    opts.Level,
-		ser:      opts.Level == Serializability,
-		knownSet: make(map[Edge]bool),
-	}
-	if pg.ser {
-		pg.NumNodes = int32(len(h.Txns))
-	} else {
-		pg.NumNodes = int32(len(h.Txns)) * 2
-	}
-	pg.auxBase = pg.NumNodes
+	pg := newPolygraph(h, opts.Level)
 	pg.initNodeTS()
-
-	// Intra-transaction dependency edges (begin → commit); no-ops under
-	// the Serializability mapping.
-	if !pg.ser {
-		for _, t := range h.Txns {
-			if t.Committed() {
-				pg.addKnown(Edge{pg.Begin(t.ID), pg.Commit(t.ID)}, EdgeIntra, "")
-			}
-		}
-	}
 
 	if w := opts.workers(); w > 1 && len(h.Keys()) > 0 && h.Len() > 1 {
 		pg.buildSharded(opts, w)
 	} else {
 		pg.buildWorkers = 1
+		pg.knownSet = make(map[Edge]bool)
+		pg.addIntraEdges()
 		readers := pg.collectReads()
 		writersByKey := writersByKey(h)
 		pg.addReadDeps(readers)
@@ -329,6 +310,32 @@ func Build(h *history.History, opts Options) *Polygraph {
 	pg.buildWall = time.Since(start)
 	pg.buildCPU = pg.buildWall - pg.parWall + pg.parCPU
 	return pg
+}
+
+// newPolygraph returns the empty shell of h's polygraph at level: the
+// node layout, with no edges, constraints or known set yet.
+func newPolygraph(h *history.History, level Level) *Polygraph {
+	pg := &Polygraph{H: h, Level: level, ser: level == Serializability}
+	if pg.ser {
+		pg.NumNodes = int32(len(h.Txns))
+	} else {
+		pg.NumNodes = int32(len(h.Txns)) * 2
+	}
+	pg.auxBase = pg.NumNodes
+	return pg
+}
+
+// addIntraEdges adds the intra-transaction dependency edges (begin →
+// commit); no-ops under the Serializability mapping.
+func (pg *Polygraph) addIntraEdges() {
+	if pg.ser {
+		return
+	}
+	for _, t := range pg.H.Txns {
+		if t.Committed() {
+			pg.addKnown(Edge{pg.Begin(t.ID), pg.Commit(t.ID)}, EdgeIntra, "")
+		}
+	}
 }
 
 // addReadDeps emits the read-dependency edges: commit of writer → begin of
@@ -432,12 +439,21 @@ func (pg *Polygraph) collectReadsInto(readers map[history.Key]map[history.TxnID]
 // immediately; the sharded build records them per key and replays them in
 // serial order (parallel.go).
 type constraintSink interface {
+	// reserve announces a key's emissions before the first of them: ops
+	// is exactly the number of knownEvent emissions that classify as
+	// normal plus constraint emissions, edges bounds the constraint-side
+	// edges they resolve to.
+	reserve(ops, edges int)
 	// knownEvent emits a certain event-level edge (elided when classify
 	// resolves it as trivially true or impossible).
 	knownEvent(fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool, kind EdgeKind, key history.Key)
 	// constraint emits an either/or constraint over event-level edge sets.
+	// The sides are scratch the caller reuses: a sink copies what it keeps.
 	constraint(first, second []eventEdge, kind1, kind2 EdgeKind, key history.Key)
 }
+
+// reserve is a no-op: the serial build applies emissions as they come.
+func (pg *Polygraph) reserve(ops, edges int) {}
 
 func (pg *Polygraph) knownEvent(fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool, kind EdgeKind, key history.Key) {
 	if e, cls := pg.classify(fromT, fromCommit, toT, toCommit); cls == edgeNormal {
@@ -450,19 +466,26 @@ func (pg *Polygraph) constraint(first, second []eventEdge, kind1, kind2 EdgeKind
 }
 
 // buildKeyConstraints emits the known edges and constraints for one key
-// (Figure 4 lines 37–50, at writer-chain granularity) into the sink.
-func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnID, byWriter map[history.TxnID][]history.TxnID, combine, coalesce bool, sink constraintSink) {
+// (Figure 4 lines 37–50, at writer-chain granularity) into the sink, and
+// returns the key's writer chains.
+func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnID, byWriter map[history.TxnID][]history.TxnID, combine, coalesce bool, sink constraintSink) []*chain {
 	chains := pg.writerChains(writers, byWriter, combine)
 	if len(chains) == 0 {
-		return
+		return nil
 	}
-
-	// In-chain known edges.
 	var gchain *chain
+	real := make([]*chain, 0, len(chains))
 	for _, ch := range chains {
 		if ch.genesis {
 			gchain = ch
+		} else {
+			real = append(real, ch)
 		}
+	}
+	sink.reserve(recordSize(chains, gchain, real, byWriter, coalesce))
+
+	// In-chain known edges.
+	for _, ch := range chains {
 		for i := 0; i+1 < len(ch.members); i++ {
 			cur, next := ch.members[i], ch.members[i+1]
 			sink.knownEvent(cur, true, next, false, EdgeWW, key)
@@ -481,10 +504,7 @@ func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnI
 	// before other heads begin, and readers of its tail begin before
 	// other heads commit.
 	if gchain != nil {
-		for _, ch := range chains {
-			if ch == gchain {
-				continue
-			}
+		for _, ch := range real {
 			if gchain.tail() != history.GenesisID {
 				sink.knownEvent(gchain.tail(), true, ch.head(), false, EdgeWW, key)
 			}
@@ -495,33 +515,83 @@ func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnI
 	}
 
 	// Pairwise constraints between non-genesis chains.
-	var real []*chain
-	for _, ch := range chains {
-		if !ch.genesis {
-			real = append(real, ch)
-		}
-	}
+	var scratch pairScratch
 	for i := 0; i < len(real); i++ {
 		for j := i + 1; j < len(real); j++ {
-			pg.chainPairConstraints(key, real[i], real[j], byWriter, coalesce, sink)
+			pg.chainPairConstraints(key, real[i], real[j], byWriter, coalesce, sink, &scratch)
 		}
 	}
+	return chains
+}
+
+// recordSize sizes buildKeyConstraints' output for one key's chains: ops
+// is exact, by the emission's own skip rules (an in-chain reader that is
+// the next writer, a genesis-tail reader that is the chain head), and
+// edges bounds the constraint-side edges. A coalesced pair has sides of
+// 1 + |readers of its tail| edges, so each of the r chain tails' readers
+// appears in r−1 pairs; an uncoalesced constraint has two single-edge
+// sides.
+func recordSize(chains []*chain, gchain *chain, real []*chain, byWriter map[history.TxnID][]history.TxnID, coalesce bool) (ops, edges int) {
+	for _, ch := range chains {
+		for i := 0; i+1 < len(ch.members); i++ {
+			next := ch.members[i+1]
+			ops++
+			for _, r := range byWriter[ch.members[i]] {
+				if r != next {
+					ops++
+				}
+			}
+		}
+	}
+	if gchain != nil {
+		gReaders := byWriter[gchain.tail()]
+		for _, ch := range real {
+			if gchain.tail() != history.GenesisID {
+				ops++
+			}
+			for _, r := range gReaders {
+				if r != ch.head() {
+					ops++
+				}
+			}
+		}
+	}
+	r := len(real)
+	pairs := r * (r - 1) / 2
+	tailReaders := 0
+	for _, ch := range real {
+		tailReaders += len(byWriter[ch.tail()])
+	}
+	if coalesce {
+		return ops + pairs, 2*pairs + (r-1)*tailReaders
+	}
+	cons := pairs + (r-1)*tailReaders
+	return ops + cons, 2 * cons
+}
+
+// pairScratch holds the two side lists chainPairConstraints rebuilds for
+// every chain pair of a key. Reusing them across pairs is safe because
+// both sinks resolve sides into fresh storage (addConstraint,
+// keyRecorder.constraint).
+type pairScratch struct {
+	fwd, rev []eventEdge
 }
 
 // chainPairConstraints emits the constraints between two chains: either
 // ch1 is entirely before ch2 in the key's version order or vice versa.
-func (pg *Polygraph) chainPairConstraints(key history.Key, ch1, ch2 *chain, byWriter map[history.TxnID][]history.TxnID, coalesce bool, sink constraintSink) {
+func (pg *Polygraph) chainPairConstraints(key history.Key, ch1, ch2 *chain, byWriter map[history.TxnID][]history.TxnID, coalesce bool, sink constraintSink, scratch *pairScratch) {
 	// "ch1 before ch2" edges: tail1 commits before head2 begins, and every
 	// reader of tail1's version begins before head2 commits.
-	sideEdges := func(first, second *chain) []eventEdge {
-		edges := []eventEdge{{first.tail(), true, second.head(), false}}
+	sideEdges := func(buf []eventEdge, first, second *chain) []eventEdge {
+		buf = append(buf[:0], eventEdge{first.tail(), true, second.head(), false})
 		for _, r := range byWriter[first.tail()] {
-			edges = append(edges, eventEdge{r, false, second.head(), true})
+			buf = append(buf, eventEdge{r, false, second.head(), true})
 		}
-		return edges
+		return buf
 	}
-	fwd := sideEdges(ch1, ch2)
-	rev := sideEdges(ch2, ch1)
+	scratch.fwd = sideEdges(scratch.fwd, ch1, ch2)
+	scratch.rev = sideEdges(scratch.rev, ch2, ch1)
+	fwd, rev := scratch.fwd, scratch.rev
 
 	if coalesce {
 		sink.constraint(fwd, rev, EdgeWW, EdgeWW, key)
@@ -530,11 +600,11 @@ func (pg *Polygraph) chainPairConstraints(key history.Key, ch1, ch2 *chain, byWr
 	// Uncoalesced: the paper's per-edge XOR constraints (Figure 4 lines 46
 	// and 50), all sharing the "other order" ww edge.
 	sink.constraint(fwd[:1], rev[:1], EdgeWW, EdgeWW, key)
-	for _, e := range fwd[1:] {
-		sink.constraint([]eventEdge{e}, rev[:1], EdgeRW, EdgeWW, key)
+	for i := 1; i < len(fwd); i++ {
+		sink.constraint(fwd[i:i+1], rev[:1], EdgeRW, EdgeWW, key)
 	}
-	for _, e := range rev[1:] {
-		sink.constraint([]eventEdge{e}, fwd[:1], EdgeRW, EdgeWW, key)
+	for i := 1; i < len(rev); i++ {
+		sink.constraint(rev[i:i+1], fwd[:1], EdgeRW, EdgeWW, key)
 	}
 }
 
@@ -687,7 +757,7 @@ func sortedKeys[V any](m map[history.Key]V) []history.Key {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 
@@ -696,7 +766,7 @@ func sortedTxns[V any](m map[history.TxnID]V) []history.TxnID {
 	for id := range m {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

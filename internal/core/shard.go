@@ -75,45 +75,51 @@ type KeyShardRecord struct {
 	Ops []ShardOp `json:"ops,omitempty"`
 }
 
-func flattenEdges(es []Edge) []int32 {
+// flattenInto appends es to the slab as from,to pairs and returns their
+// capacity-capped view (nil when es is empty).
+func flattenInto(slab *[]int32, es ...Edge) []int32 {
 	if len(es) == 0 {
 		return nil
 	}
-	out := make([]int32, 0, 2*len(es))
+	a := len(*slab)
 	for _, e := range es {
-		out = append(out, e.From, e.To)
+		*slab = append(*slab, e.From, e.To)
 	}
-	return out
+	b := len(*slab)
+	return (*slab)[a:b:b]
 }
 
-func unflattenEdges(fs []int32) []Edge {
-	if len(fs) == 0 {
+// unflattenInto appends the from,to pairs of fs to the slab and returns
+// their capacity-capped view (nil when fs is empty).
+func unflattenInto(slab *[]Edge, fs []int32) []Edge {
+	if len(fs) < 2 {
 		return nil
 	}
-	out := make([]Edge, 0, len(fs)/2)
+	a := len(*slab)
 	for i := 0; i+1 < len(fs); i += 2 {
-		out = append(out, Edge{From: fs[i], To: fs[i+1]})
+		*slab = append(*slab, Edge{From: fs[i], To: fs[i+1]})
 	}
-	return out
+	b := len(*slab)
+	return (*slab)[a:b:b]
 }
 
-func toShardOp(op *keyOp) ShardOp {
+func toShardOp(op *keyOp, slab *[]int32) ShardOp {
 	so := ShardOp{Cons: op.cons, Kind: uint8(op.kind)}
 	if !op.cons {
-		so.Edge = []int32{op.edge.From, op.edge.To}
+		so.Edge = flattenInto(slab, op.edge)
 		return so
 	}
-	so.First = flattenEdges(op.first)
-	so.Second = flattenEdges(op.second)
+	so.First = flattenInto(slab, op.first...)
+	so.Second = flattenInto(slab, op.second...)
 	so.FBad, so.SBad = op.fBad, op.sBad
 	so.Kind2 = uint8(op.kind2)
 	if op.hasID {
-		so.ID = []int32{op.id[0].From, op.id[0].To, op.id[1].From, op.id[1].To}
+		so.ID = flattenInto(slab, op.id[0], op.id[1])
 	}
 	return so
 }
 
-func fromShardOp(so *ShardOp) keyOp {
+func fromShardOp(so *ShardOp, slab *[]Edge) keyOp {
 	op := keyOp{cons: so.Cons, kind: EdgeKind(so.Kind)}
 	if !so.Cons {
 		if len(so.Edge) == 2 {
@@ -121,8 +127,8 @@ func fromShardOp(so *ShardOp) keyOp {
 		}
 		return op
 	}
-	op.first = unflattenEdges(so.First)
-	op.second = unflattenEdges(so.Second)
+	op.first = unflattenInto(slab, so.First)
+	op.second = unflattenInto(slab, so.Second)
 	op.fBad, op.sBad = so.FBad, so.SBad
 	op.kind2 = EdgeKind(so.Kind2)
 	if len(so.ID) == 4 {
@@ -132,27 +138,27 @@ func fromShardOp(so *ShardOp) keyOp {
 	return op
 }
 
-// shardSkeleton is the read-only polygraph shell the recording pass
-// needs: classify() and the readers index depend only on the history,
-// the level's node mapping, and the node-count layout — never on the
-// evolving known set.
-func shardSkeleton(h *history.History, opts Options) *Polygraph {
-	pg := &Polygraph{H: h, Level: opts.Level, ser: opts.Level == Serializability}
-	if pg.ser {
-		pg.NumNodes = int32(len(h.Txns))
-	} else {
-		pg.NumNodes = int32(len(h.Txns)) * 2
-	}
-	pg.auxBase = pg.NumNodes
-	return pg
-}
-
+// toWireRecord converts one key's record to wire form, with every edge
+// run a capacity-capped view of one int32 slab for the key.
 func toWireRecord(key history.Key, out *keyRecord) KeyShardRecord {
-	rec := KeyShardRecord{Key: string(key), WR: flattenEdges(out.wr)}
+	n := 2 * len(out.wr)
+	for j := range out.ops {
+		op := &out.ops[j]
+		if !op.cons {
+			n += 2
+			continue
+		}
+		n += 2 * (len(op.first) + len(op.second))
+		if op.hasID {
+			n += 4
+		}
+	}
+	slab := make([]int32, 0, n)
+	rec := KeyShardRecord{Key: string(key), WR: flattenInto(&slab, out.wr...)}
 	if n := len(out.ops); n > 0 {
 		rec.Ops = make([]ShardOp, n)
 		for j := range out.ops {
-			rec.Ops[j] = toShardOp(&out.ops[j])
+			rec.Ops[j] = toShardOp(&out.ops[j], &slab)
 		}
 	}
 	return rec
@@ -170,7 +176,9 @@ func BuildShardRecordsOrdered(h *history.History, opts Options, keys []history.K
 	if len(keys) == 0 {
 		return nil
 	}
-	pg := shardSkeleton(h, opts)
+	// The recording pass reads only the node layout (classify), never
+	// the evolving known set.
+	pg := newPolygraph(h, opts.Level)
 	workers := opts.workers()
 	if workers > len(keys) {
 		workers = len(keys)
@@ -268,26 +276,10 @@ type ShardMerger struct {
 // NewShardMerger prepares the global polygraph skeleton (node layout,
 // intra-transaction edges) and an empty record table over h.Keys().
 func NewShardMerger(h *history.History, opts Options) *ShardMerger {
-	pg := &Polygraph{
-		H:        h,
-		Level:    opts.Level,
-		ser:      opts.Level == Serializability,
-		knownSet: make(map[Edge]bool),
-	}
-	if pg.ser {
-		pg.NumNodes = int32(len(h.Txns))
-	} else {
-		pg.NumNodes = int32(len(h.Txns)) * 2
-	}
-	pg.auxBase = pg.NumNodes
+	pg := newPolygraph(h, opts.Level)
+	pg.knownSet = make(map[Edge]bool)
 	pg.initNodeTS()
-	if !pg.ser {
-		for _, t := range h.Txns {
-			if t.Committed() {
-				pg.addKnown(Edge{pg.Begin(t.ID), pg.Commit(t.ID)}, EdgeIntra, "")
-			}
-		}
-	}
+	pg.addIntraEdges()
 	return &ShardMerger{
 		h:    h,
 		opts: opts,
@@ -320,9 +312,9 @@ func (m *ShardMerger) Add(i int, rec KeyShardRecord) error {
 	m.recs[i] = rec
 	m.have[i] = true
 	for m.frontier < len(keys) && m.have[m.frontier] {
-		key := keys[m.frontier]
-		for _, e := range unflattenEdges(m.recs[m.frontier].WR) {
-			m.pg.addKnown(e, EdgeWR, key)
+		key, wr := keys[m.frontier], m.recs[m.frontier].WR
+		for k := 0; k+1 < len(wr); k += 2 {
+			m.pg.addKnown(Edge{From: wr[k], To: wr[k+1]}, EdgeWR, key)
 		}
 		m.frontier++
 	}
@@ -373,12 +365,29 @@ func (m *ShardMerger) Finish() (*Polygraph, error) {
 	}
 	m.finished = true
 	start := time.Now()
+	// Count first: Known grows once, and Cons and one slab behind every
+	// decoded constraint side are allocated once. The known set already
+	// holds the intra-transaction and read-dependency edges Add replayed.
+	known, cons, edges := 0, 0, 0
+	for i := range m.recs {
+		for j := range m.recs[i].Ops {
+			so := &m.recs[i].Ops[j]
+			k, c := replaySize(so.Cons, so.FBad, so.SBad, len(so.First)/2, len(so.Second)/2)
+			known += k
+			cons += c
+			edges += (len(so.First) + len(so.Second)) / 2
+		}
+	}
+	m.pg.Known = append(make([]KnownEdge, 0, len(m.pg.Known)+known), m.pg.Known...)
+	m.pg.Cons = make([]Constraint, 0, cons)
+	slab := make([]Edge, 0, edges)
 	for i, key := range keys {
 		for j := range m.recs[i].Ops {
-			op := fromShardOp(&m.recs[i].Ops[j])
+			op := fromShardOp(&m.recs[i].Ops[j], &slab)
 			m.pg.applyOp(&op, key)
 		}
 	}
+	m.pg.nilIfEmpty()
 	if m.opts.Level == StrongSessionSI {
 		m.pg.addSessionEdges()
 	}

@@ -66,16 +66,16 @@ func tsUsable(h *history.History) (ok bool, reason string) {
 }
 
 // tsClassify is one near-linear pass over the constraints: decided
-// constraints' chosen-side edges accumulate in chosen, the rest in
-// residual (cons and at only). A side with every edge strictly
-// drift-implied is settled; exactly one settled side decides the
-// constraint. Both-sides-settled — possible only with inconsistent
-// cross-transaction timestamps — is deliberately residual: the solver,
-// not the clock, owns contradictions.
+// constraints go to chosen as indices (2·index + side, side 1 for the
+// second), the rest to residual (cons and at only). A side with every
+// edge strictly drift-implied is settled; exactly one settled side
+// decides the constraint. Both-sides-settled — possible only with
+// inconsistent cross-transaction timestamps — is deliberately residual:
+// the solver, not the clock, owns contradictions.
 type tsClassified struct {
 	decided  int
 	residual consSet
-	chosen   []Edge
+	chosen   []int32
 }
 
 func (pg *Polygraph) tsClassify(drift int64) tsClassified {
@@ -87,15 +87,15 @@ func (pg *Polygraph) tsClassify(drift int64) tsClassified {
 		}
 		return true
 	}
-	var out tsClassified
+	out := tsClassified{chosen: make([]int32, 0, len(pg.Cons))}
 	for i, c := range pg.Cons {
 		f, s := settled(c.First), settled(c.Second)
 		if f != s {
 			out.decided++
 			if f {
-				out.chosen = append(out.chosen, c.First...)
+				out.chosen = append(out.chosen, 2*int32(i))
 			} else {
-				out.chosen = append(out.chosen, c.Second...)
+				out.chosen = append(out.chosen, 2*int32(i)+1)
 			}
 		} else {
 			out.residual.cons = append(out.residual.cons, c)
@@ -105,11 +105,21 @@ func (pg *Polygraph) tsClassify(drift int64) tsClassified {
 	return out
 }
 
-// edgesForward reports whether every edge runs forward in pos.
-func edgesForward(edges []Edge, pos []int32) bool {
-	for _, e := range edges {
-		if pos[e.From] >= pos[e.To] {
-			return false
+// chosenSide returns the side a chosen-list entry names.
+func chosenSide(cons []Constraint, ch int32) []Edge {
+	if ch&1 == 0 {
+		return cons[ch>>1].First
+	}
+	return cons[ch>>1].Second
+}
+
+// chosenForward reports whether every chosen side runs forward in pos.
+func chosenForward(cons []Constraint, chosen []int32, pos []int32) bool {
+	for _, ch := range chosen {
+		for _, e := range chosenSide(cons, ch) {
+			if pos[e.From] >= pos[e.To] {
+				return false
+			}
 		}
 	}
 	return true
