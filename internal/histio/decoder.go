@@ -48,20 +48,31 @@ func (e *DecodeError) Unwrap() error { return e.Err }
 // mode the stream is assumed complete: a final unterminated line is
 // decoded as-is and the header's declared transaction count is enforced
 // at EOF.
+//
+// Each record line goes first to a reflection-free scanner that decodes
+// the spellings Encode writes; any line it declines, including every
+// malformed one, is decoded by encoding/json, which alone reports record
+// errors. The two agree on every line the scanner takes, so the input
+// alone picks the path.
 type Decoder struct {
 	br        *bufio.Reader
+	sc        scanner
 	line      int // lines fully consumed
 	rec       int // txn records successfully decoded
 	declared  int // header's txn count
 	gotHeader bool
 	tail      bool
-	partial   []byte // buffered unterminated final line (tail mode)
+	partial   []byte // the start of a line that spans reads (see nextLine)
 	sticky    error  // terminal decode error, returned forever after
 }
 
+// readBufSize is the decoder's read buffer: lines up to this long are
+// decoded in place, longer ones are gathered into a copy.
+const readBufSize = 1 << 20
+
 // NewDecoder returns a streaming decoder over r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{br: bufio.NewReaderSize(r, 1<<20), declared: -1}
+	return &Decoder{br: bufio.NewReaderSize(r, readBufSize)}
 }
 
 // SetTail toggles tail mode (see type docs); set it before the first Next.
@@ -83,16 +94,21 @@ func (d *Decoder) Declared() int {
 }
 
 // nextLine returns the next non-blank line, not including the newline.
-// It returns io.EOF when the stream is exhausted; in tail mode an
-// unterminated final line is buffered for a later retry instead of being
-// returned.
+// The line aliases the read buffer (or d.partial) and is valid until the
+// next call. It returns io.EOF when the stream is exhausted; in tail mode
+// an unterminated final line is buffered for a later retry instead of
+// being returned.
 func (d *Decoder) nextLine() ([]byte, error) {
 	for {
-		chunk, err := d.br.ReadBytes('\n')
-		if len(chunk) > 0 {
-			d.partial = append(d.partial, chunk...)
-		}
+		chunk, err := d.br.ReadSlice('\n')
 		if err != nil {
+			// The line spans the read buffer, or its end has not been
+			// read yet: keep what we have, since the next read reuses
+			// the buffer.
+			d.partial = append(d.partial, chunk...)
+			if err == bufio.ErrBufferFull {
+				continue
+			}
 			if err == io.EOF && len(d.partial) > 0 && !d.tail {
 				// Complete stream with no final newline: take the tail line.
 				line := d.partial
@@ -102,8 +118,11 @@ func (d *Decoder) nextLine() ([]byte, error) {
 			}
 			return nil, err // io.EOF (possibly with a buffered partial) or a read error
 		}
-		line := bytes.TrimSuffix(d.partial, []byte{'\n'})
-		d.partial = nil
+		line := chunk[:len(chunk)-1]
+		if d.partial != nil {
+			line = append(d.partial, line...)
+			d.partial = nil
+		}
 		d.line++
 		if len(bytes.TrimSpace(line)) > 0 {
 			return line, nil
@@ -138,21 +157,15 @@ func (d *Decoder) next() (*history.Txn, error) {
 		if err != nil {
 			return nil, err
 		}
-		var hd header
-		if err := json.Unmarshal(line, &hd); err != nil {
-			return nil, &DecodeError{Line: d.line, Record: HeaderRecord, Op: -1, Err: err}
+		if d.declared, err = decodeHeader(line, d.line); err != nil {
+			return nil, err
 		}
-		if hd.Viper != "history" || hd.Version != FormatVersion {
-			return nil, &DecodeError{Line: d.line, Record: HeaderRecord, Op: -1,
-				Err: fmt.Errorf("unsupported log format (viper=%q version=%d)", hd.Viper, hd.Version)}
-		}
-		d.declared = hd.Txns
 		d.gotHeader = true
 	}
 
 	line, err := d.nextLine()
 	if err == io.EOF {
-		if !d.tail && d.declared >= 0 && d.rec != d.declared {
+		if !d.tail && d.rec != d.declared {
 			return nil, &DecodeError{Line: d.line, Record: d.rec, Op: -1,
 				Err: fmt.Errorf("header declares %d txns, log has %d", d.declared, d.rec)}
 		}
@@ -161,10 +174,42 @@ func (d *Decoder) next() (*history.Txn, error) {
 	if err != nil {
 		return nil, err
 	}
+	t, ok := d.sc.txn(line)
+	if !ok {
+		if t, err = unmarshalTxn(line, d.line, d.rec); err != nil {
+			return nil, err
+		}
+	}
+	d.rec++
+	return t, nil
+}
 
+// decodeHeader parses the header line (stream line lineNo) and returns
+// its declared transaction count.
+func decodeHeader(line []byte, lineNo int) (int, error) {
+	var hd header
+	if err := json.Unmarshal(line, &hd); err != nil {
+		return 0, &DecodeError{Line: lineNo, Record: HeaderRecord, Op: -1, Err: err}
+	}
+	if hd.Viper != "history" || hd.Version != FormatVersion {
+		return 0, &DecodeError{Line: lineNo, Record: HeaderRecord, Op: -1,
+			Err: fmt.Errorf("unsupported log format (viper=%q version=%d)", hd.Viper, hd.Version)}
+	}
+	if hd.Txns < 0 {
+		return 0, &DecodeError{Line: lineNo, Record: HeaderRecord, Op: -1,
+			Err: fmt.Errorf("negative txn count %d", hd.Txns)}
+	}
+	return hd.Txns, nil
+}
+
+// unmarshalTxn decodes record recNo (stream line lineNo) with
+// encoding/json. It runs on every line the scanner declines, so it alone
+// accepts the spellings outside the scanner's subset and it alone
+// reports record DecodeErrors.
+func unmarshalTxn(line []byte, lineNo, recNo int) (*history.Txn, error) {
 	var rec txnRec
 	if err := json.Unmarshal(line, &rec); err != nil {
-		return nil, &DecodeError{Line: d.line, Record: d.rec, Op: -1, Err: err}
+		return nil, &DecodeError{Line: lineNo, Record: recNo, Op: -1, Err: err}
 	}
 	t := &history.Txn{
 		Session:      rec.Session,
@@ -200,11 +245,10 @@ func (d *Decoder) next() (*history.Txn, error) {
 				})
 			}
 		default:
-			return nil, &DecodeError{Line: d.line, Record: d.rec, Op: i, Kind: r.Kind,
+			return nil, &DecodeError{Line: lineNo, Record: recNo, Op: i, Kind: r.Kind,
 				Err: fmt.Errorf("unknown op kind")}
 		}
 		t.Ops = append(t.Ops, op)
 	}
-	d.rec++
 	return t, nil
 }

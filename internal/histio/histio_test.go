@@ -11,16 +11,18 @@ import (
 	"viper/internal/history"
 )
 
-func sampleHistory(t *testing.T) *history.History {
+func sampleHistory(t testing.TB) *history.History {
 	t.Helper()
 	b := history.NewBuilder()
 	s1, s2 := b.Session(), b.Session()
 	w := s1.Txn().Write("x").Insert("k1").Commit()
 	d := s2.Txn().ReadObserved("k1", w.WriteIDOf("k1")).Delete("k1").Commit()
-	s1.Txn().
+	r := s1.Txn().
 		ReadObserved("x", w.WriteIDOf("x")).
+		ReadObserved("k1", d.WriteIDOf("k1")).
 		Range("a", "z", history.Version{Key: "k1", WriteID: d.WriteIDOf("k1"), Tombstone: true}).
 		Commit()
+	r.Txn().Ops[1].ObservedTombstone = true // the read saw k1's delete
 	s2.Txn().Write("y").Abort()
 	return b.MustHistory()
 }
@@ -74,6 +76,15 @@ func TestDecodeRejectsBadHeader(t *testing.T) {
 	}
 	if _, err := Decode(strings.NewReader("not json\n")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+	// A negative count must not pass for "no header yet" and switch the
+	// end-of-stream record count check off.
+	d := NewDecoder(strings.NewReader(`{"viper":"history","version":1,"txns":-1}` + "\n" +
+		`{"s":0,"n":0,"ops":[]}` + "\n" + `{"s":0,"n":1,"ops":[]}` + "\n"))
+	_, err := d.Next()
+	var de *DecodeError
+	if !errors.As(err, &de) || de.Record != HeaderRecord || de.Line != 1 || d.Declared() != -1 {
+		t.Fatalf("negative txn count: err=%v declared=%d", err, d.Declared())
 	}
 }
 
