@@ -13,9 +13,8 @@
 // number of workers joined to it.
 //
 //	viperd -coordinator [-node-name c1] [-vnodes 64] [-heartbeat 1s]
-//	       [-cluster-wire binary|json] [-min-shard-ops N] ...
-//	viperd -join http://coordinator:7457 [-advertise http://me:7458]
-//	       [-cluster-wire binary|json] ...
+//	       [-min-shard-ops N] ...
+//	viperd -join http://coordinator:7457 [-advertise http://me:7458] ...
 //
 // The coordinator routes sessions across the fleet and serves POST
 // /cluster/check (distributed single-history checking); workers answer
@@ -76,7 +75,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		vnodes      = fs.Int("vnodes", 0, "consistent-hash virtual nodes per member (default 64)")
 		heartbeat   = fs.Duration("heartbeat", 0, "cluster heartbeat interval (default 1s)")
 		hbMisses    = fs.Int("heartbeat-misses", 0, "missed heartbeats before a node is unhealthy (default 3)")
-		clusterWire = fs.String("cluster-wire", "binary", "shard wire format: binary (negotiated, falls back to json) or json (forces the legacy codec)")
 		minShardOps = fs.Int("min-shard-ops", 0, "coordinator: min operations per shard before cutting another (default 40000, <0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -88,10 +86,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *coordinator && *join != "" {
 		fmt.Fprintf(stderr, "viperd: -coordinator and -join are mutually exclusive\n")
-		return 2
-	}
-	if *clusterWire != "binary" && *clusterWire != "json" {
-		fmt.Fprintf(stderr, "viperd: -cluster-wire must be binary or json, got %q\n", *clusterWire)
 		return 2
 	}
 
@@ -133,7 +127,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		HeartbeatInterval: *heartbeat,
 		HeartbeatMisses:   *hbMisses,
 		MinShardOps:       *minShardOps,
-		DisableBinaryWire: *clusterWire == "json",
 		Logger:            cfg.Logger,
 	}
 	if ccfg.NodeName == "" {

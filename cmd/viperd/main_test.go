@@ -169,51 +169,6 @@ func TestClusterFlagsMutuallyExclusive(t *testing.T) {
 	}
 }
 
-func TestClusterWireFlagValidation(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run(context.Background(), []string{"-cluster-wire", "protobuf"}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(errb.String(), "-cluster-wire") {
-		t.Fatalf("stderr %q", errb.String())
-	}
-}
-
-// TestClusterWireJSONWorker: a worker started with -cluster-wire json
-// announces no binary capability, and the fleet still agrees with
-// single-node checking through the legacy codec.
-func TestClusterWireJSONWorker(t *testing.T) {
-	coordURL, coordDone, coordErr, stopCoord := bootNode(t, "-coordinator", "-node-name", "c1", "-heartbeat", "50ms")
-	defer stopCoord()
-	_, wkDone, wkErr, stopWorker := bootNode(t, "-join", coordURL, "-node-name", "wJ", "-heartbeat", "50ms", "-cluster-wire", "json")
-	defer stopWorker()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	cl := server.NewClient(coordURL)
-	nodes, err := cl.ClusterNodes(ctx)
-	if err != nil || len(nodes.Nodes) != 1 || nodes.Nodes[0].Wire != "json" {
-		t.Fatalf("cluster nodes = %+v, %v (want one json-wire worker)", nodes, err)
-	}
-
-	var raw bytes.Buffer
-	if err := histio.Encode(&raw, histgen.SI(histgen.Spec{Txns: 60, Keys: 5, Seed: 9})); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := cl.ClusterCheck(ctx, bytes.NewReader(raw.Bytes()), server.SessionConfig{Level: "si"})
-	if err != nil || doc.Outcome != "accept" {
-		t.Fatalf("cluster check = %+v, %v", doc, err)
-	}
-	if doc.Cluster == nil || doc.Cluster.Wire != "json" {
-		t.Fatalf("cluster section = %+v, want json wire", doc.Cluster)
-	}
-
-	stopWorker()
-	waitExit(t, "worker", wkDone, wkErr)
-	stopCoord()
-	waitExit(t, "coordinator", coordDone, coordErr)
-}
-
 func TestWorkerRefusesDeadCoordinator(t *testing.T) {
 	var out bytes.Buffer
 	errb := &syncWriter{}
@@ -242,7 +197,7 @@ func TestClusterBootAndJoin(t *testing.T) {
 	}
 	nodes, err := cl.ClusterNodes(ctx)
 	if err != nil || nodes.Coordinator != "c1" || len(nodes.Nodes) != 1 ||
-		nodes.Nodes[0].Name != "wA" || !nodes.Nodes[0].Healthy || nodes.Nodes[0].Wire != "binary" {
+		nodes.Nodes[0].Name != "wA" || !nodes.Nodes[0].Healthy {
 		t.Fatalf("cluster nodes = %+v, %v", nodes, err)
 	}
 

@@ -17,6 +17,8 @@
 //     uses, ships back a compact digest, and the coordinator replays
 //     the merged digests into the polygraph a single node would have
 //     built — byte-identical, so the verdict is too — and solves once.
+//     Jobs and digests travel in one binary codec (wire.go); a shard
+//     no worker records is recorded on the coordinator itself.
 //
 // Membership is push-join (workers announce themselves and re-announce
 // periodically) plus pull-health (the coordinator heartbeats every
@@ -36,7 +38,6 @@ import (
 	"regexp"
 	"time"
 
-	"viper/internal/core"
 	"viper/internal/histio"
 	"viper/internal/server"
 )
@@ -68,11 +69,6 @@ type Config struct {
 	// validation, digest framing) for no recording work. Default 40000;
 	// negative disables the floor (always one shard per worker).
 	MinShardOps int
-	// DisableBinaryWire forces the JSON wire format for shard dispatch.
-	// On a coordinator it stops binary job encoding; on a worker it stops
-	// advertising (and accepting) the binary codec. The escape hatch for
-	// rolling upgrades and wire-level debugging; see wire.go.
-	DisableBinaryWire bool
 	// Logger receives membership and dispatch events; nil discards them.
 	Logger *log.Logger
 }
@@ -120,10 +116,6 @@ type JoinRequest struct {
 	Name    string `json:"name"`
 	URL     string `json:"url"`
 	Version string `json:"version"`
-	// Wire lists the binary wire-format versions the worker speaks (see
-	// wire.go). Absent from old workers, which therefore get JSON shard
-	// jobs — the rolling-upgrade story in one field.
-	Wire []string `json:"wire,omitempty"`
 }
 
 // JoinResponse acknowledges a join.
@@ -133,53 +125,6 @@ type JoinResponse struct {
 	// HeartbeatNS tells the worker the coordinator's probe period, so its
 	// re-announce loop can pace itself accordingly.
 	HeartbeatNS int64 `json:"heartbeat_ns"`
-}
-
-// shardHeader is the first line of a POST /cluster/shard body; the rest
-// of the body is a histio stream of the key-sliced history. Only the
-// options that shape recording travel: level and the construction
-// toggles (solver-side options never reach workers).
-type shardHeader struct {
-	Level                string `json:"level"`
-	DisableCombineWrites bool   `json:"disable_combine_writes,omitempty"`
-	DisableCoalesce      bool   `json:"disable_coalesce,omitempty"`
-	Parallelism          int    `json:"parallelism,omitempty"`
-	// Keys is the shard's expected key count; the worker refuses a slice
-	// whose written-key set disagrees (a framing error caught before it
-	// could corrupt the merge).
-	Keys int `json:"keys"`
-}
-
-// shardResponse is the worker's digest: the per-key records whose
-// replay reproduces the worker's share of the polygraph.
-type shardResponse struct {
-	Node    string                `json:"node"`
-	Records []core.KeyShardRecord `json:"records"`
-}
-
-// recordOptions reduces opts to the fields that shape shard recording.
-func (h shardHeader) options() (core.Options, error) {
-	opts := core.Options{
-		DisableCombineWrites: h.DisableCombineWrites,
-		DisableCoalesce:      h.DisableCoalesce,
-		Parallelism:          h.Parallelism,
-	}
-	lvl, ok := core.ParseLevel(h.Level)
-	if !ok {
-		return opts, fmt.Errorf("unknown isolation level %q", h.Level)
-	}
-	opts.Level = lvl
-	return opts, nil
-}
-
-func headerFor(opts core.Options, keys int) shardHeader {
-	return shardHeader{
-		Level:                opts.Level.String(),
-		DisableCombineWrites: opts.DisableCombineWrites,
-		DisableCoalesce:      opts.DisableCoalesce,
-		Parallelism:          opts.Parallelism,
-		Keys:                 keys,
-	}
 }
 
 // ---- shared HTTP plumbing ----

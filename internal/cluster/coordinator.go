@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,13 +26,10 @@ import (
 // member is one worker as the coordinator tracks it.
 type member struct {
 	name, url, version string
-	// wire records whether the worker advertised the binary wire format
-	// on join (see wire.go); without it the worker gets JSON shard jobs.
-	wire     bool
-	healthy  bool
-	misses   int
-	sessions int
-	lastSeen time.Time
+	healthy            bool
+	misses             int
+	sessions           int
+	lastSeen           time.Time
 }
 
 // Coordinator runs the fleet: membership and health, session routing
@@ -126,12 +122,6 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, req *http.Request) {
 	rejoined := !known || !m.healthy || m.url != jr.URL
 	m.url = jr.URL
 	m.version = jr.Version
-	m.wire = false
-	for _, v := range jr.Wire {
-		if v == wireV1 {
-			m.wire = true
-		}
-	}
 	m.healthy = true
 	m.misses = 0
 	m.lastSeen = time.Now()
@@ -156,17 +146,12 @@ func (c *Coordinator) handleNodes(w http.ResponseWriter, req *http.Request) {
 	c.mu.Lock()
 	nodes := make([]server.ClusterNode, 0, len(c.members))
 	for _, m := range c.members {
-		wire := "json"
-		if m.wire {
-			wire = "binary"
-		}
 		nodes = append(nodes, server.ClusterNode{
 			Name:       m.name,
 			URL:        m.url,
 			Version:    m.version,
 			Healthy:    m.healthy,
 			Sessions:   m.sessions,
-			Wire:       wire,
 			LastSeenNS: int64(now.Sub(m.lastSeen)),
 		})
 	}
@@ -404,7 +389,7 @@ func (c *Coordinator) handleCheck(w http.ResponseWriter, req *http.Request) {
 	var rep *core.Report
 	if merger == nil {
 		// Polynomial levels never build a polygraph; nothing was dispersed.
-		rep, err = core.CheckShardedContext(req.Context(), h, opts, nil)
+		rep = core.CheckHistoryContext(req.Context(), h, opts)
 	} else {
 		rep, err = core.CheckMergedContext(req.Context(), merger)
 	}
@@ -430,14 +415,6 @@ func (c *Coordinator) handleCheck(w http.ResponseWriter, req *http.Request) {
 		mx.Add("viperd_cluster_wire_bytes_total", info.WireBytesOut+info.WireBytesIn)
 		mx.Add("viperd_cluster_wire_bytes_out_total", info.WireBytesOut)
 		mx.Add("viperd_cluster_wire_bytes_in_total", info.WireBytesIn)
-		for _, s := range info.Shards {
-			switch s.Wire {
-			case "binary":
-				mx.Add("viperd_cluster_shards_binary_total", 1)
-			case "json":
-				mx.Add("viperd_cluster_shards_json_total", 1)
-			}
-		}
 	}
 
 	if rep.Outcome == core.Timeout && req.Context().Err() != nil {
@@ -452,7 +429,6 @@ func (c *Coordinator) handleCheck(w http.ResponseWriter, req *http.Request) {
 type shardOutcome struct {
 	node               string
 	local              bool
-	wire               string // "binary" or "json" for remote shards
 	bytesOut, bytesIn  int64
 	encodeNS, decodeNS int64
 }
@@ -475,21 +451,12 @@ func (c *Coordinator) disperse(ctx context.Context, h *history.History, opts cor
 	info := &obs.ClusterInfo{Coordinator: c.cfg.NodeName, Workers: len(workers)}
 	merger := core.NewShardMerger(h, opts)
 
-	if len(workers) == 0 {
-		kr := keyRange{lo: 0, hi: len(h.Keys())}
-		recs := core.BuildShardRecords(h, opts, h.Keys())
-		for i := range recs {
-			if err := merger.Add(i, recs[i]); err != nil {
-				c.cfg.logf("cluster: local record merge: %v", err)
-			}
-		}
-		si, _, _ := shardInfo(h, opts, kr, recs, c.cfg.NodeName, true)
-		info.Shards = []obs.ClusterShard{si}
-		info.MergeNS = int64(time.Since(start))
-		return info, merger
+	// With no healthy worker the whole key space is one range, and
+	// recordShard, having no one to try, records it locally.
+	ranges := []keyRange{{lo: 0, hi: len(h.Keys())}}
+	if len(workers) > 0 {
+		ranges = partitionKeys(h, len(workers), c.cfg.MinShardOps)
 	}
-
-	ranges := partitionKeys(h, len(workers), c.cfg.MinShardOps)
 	type stat struct {
 		si                    obs.ClusterShard
 		crossEdges, crossCons int
@@ -506,7 +473,6 @@ func (c *Coordinator) disperse(ctx context.Context, h *history.History, opts cor
 			// The shard's records are all in the merger now; summarize them
 			// here so the stats pass overlaps other shards' dispatches.
 			si, crossEdges, crossCons := shardInfo(h, opts, kr, merger.Records(kr.lo, kr.hi), out.node, out.local)
-			si.Wire = out.wire
 			si.WireBytesOut, si.WireBytesIn = out.bytesOut, out.bytesIn
 			si.EncodeNS, si.DecodeNS = out.encodeNS, out.decodeNS
 			stats[i] = stat{si: si, crossEdges: crossEdges, crossCons: crossCons}
@@ -520,19 +486,17 @@ func (c *Coordinator) disperse(ctx context.Context, h *history.History, opts cor
 		info.CrossShardConstraints += stats[i].crossCons
 		out := &outcomes[i]
 		if out.local {
-			info.LocalFallbacks++
+			// A fallback is a local recording after failed dispatches; with
+			// no worker there was nothing to fail.
+			if len(workers) > 0 {
+				info.LocalFallbacks++
+			}
 			continue
 		}
 		info.WireBytesOut += out.bytesOut
 		info.WireBytesIn += out.bytesIn
 		info.EncodeNS += out.encodeNS
 		info.DecodeNS += out.decodeNS
-		switch {
-		case info.Wire == "":
-			info.Wire = out.wire
-		case info.Wire != out.wire:
-			info.Wire = "mixed"
-		}
 	}
 	info.MergeNS = int64(time.Since(start))
 	return info, merger
@@ -569,25 +533,6 @@ func (c *Coordinator) recordShard(ctx context.Context, workers []member, i int, 
 	return shardOutcome{node: c.cfg.NodeName, local: true}
 }
 
-// sendShard records one key range on wk, negotiating the codec: binary
-// when the worker advertised it (and this coordinator allows it), with
-// a one-shot JSON downgrade if the worker refuses the binary body —
-// covering a worker that advertised the codec and was then rolled back.
-func (c *Coordinator) sendShard(ctx context.Context, wk member, h *history.History, kr keyRange, opts core.Options, merger *core.ShardMerger) (shardOutcome, error) {
-	if wk.wire && !c.cfg.DisableBinaryWire {
-		out, err := c.sendShardBinary(ctx, wk, h, kr, opts, merger)
-		if err == nil {
-			return out, nil
-		}
-		ae, isAPI := err.(*server.APIError)
-		if !isAPI || (ae.Status != http.StatusUnsupportedMediaType && ae.Status != http.StatusBadRequest) {
-			return out, err
-		}
-		c.cfg.logf("cluster: %q refused the binary shard job (%v); retrying as JSON", wk.name, err)
-	}
-	return c.sendShardJSON(ctx, wk, h, kr, opts, merger)
-}
-
 // retryShard runs one round-trip attempt function under the default
 // retry policy (429/503 with backoff), mirroring postJSON for bodies
 // that are regenerated per attempt rather than seeked.
@@ -614,16 +559,18 @@ func retryShard(ctx context.Context, attempt func() (shardOutcome, error)) (shar
 	}
 }
 
-// sendShardBinary streams the binary shard job and replays the streamed
-// digest into the merger as records arrive. The job encodes straight
-// from the full history into the request body (no slice History, no
-// buffered copy), so encode, upload, remote recording, download, and
-// replay all overlap.
-func (c *Coordinator) sendShardBinary(ctx context.Context, wk member, h *history.History, kr keyRange, opts core.Options, merger *core.ShardMerger) (shardOutcome, error) {
+// sendShard records one key range on wk: it streams the binary shard
+// job and replays the streamed digest into the merger as records
+// arrive. The job encodes straight from the full history into the
+// request body (no slice History, no buffered copy), so encode, upload,
+// remote recording, download, and replay all overlap. A refused job or
+// a digest in any other format is an error like a dead worker: the
+// caller moves the shard on.
+func (c *Coordinator) sendShard(ctx context.Context, wk member, h *history.History, kr keyRange, opts core.Options, merger *core.ShardMerger) (shardOutcome, error) {
 	// Named results: the deferred decode-stats collection below must land
 	// in the values the caller sees.
 	return retryShard(ctx, func() (out shardOutcome, err error) {
-		out = shardOutcome{node: wk.name, wire: "binary"}
+		out = shardOutcome{node: wk.name}
 		pr, pw := io.Pipe()
 		cw := &countingWriter{w: pw}
 		encCh := make(chan int64, 1)
@@ -647,7 +594,6 @@ func (c *Coordinator) sendShardBinary(ctx context.Context, wk member, h *history
 			return out, err
 		}
 		req.Header.Set("Content-Type", shardContentTypeV1)
-		req.Header.Set("Accept", digestContentTypeV1)
 		resp, err := c.httpc.Do(req)
 		collectEnc()
 		if err != nil {
@@ -657,85 +603,20 @@ func (c *Coordinator) sendShardBinary(ctx context.Context, wk member, h *history
 		if resp.StatusCode < 200 || resp.StatusCode > 299 {
 			return out, apiErrorFrom(resp)
 		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, digestContentTypeV1) {
+			return out, fmt.Errorf("digest Content-Type %q, want %s", ct, digestContentTypeV1)
+		}
 
 		decStart := time.Now()
 		cr := &countingReader{r: resp.Body}
 		defer func() {
 			out.decodeNS, out.bytesIn = int64(time.Since(decStart)), cr.n
 		}()
-		if !strings.HasPrefix(resp.Header.Get("Content-Type"), digestContentTypeV1) {
-			// The worker downgraded the digest to JSON (it shouldn't, since
-			// we only send binary jobs to workers that advertised the codec,
-			// but a decoder must not trust the peer's symmetry).
-			return out, decodeJSONDigest(cr, wk.name, kr, merger)
-		}
 		_, err = decodeDigest(bufio.NewReaderSize(cr, 64<<10), h.Keys()[kr.lo:kr.hi], func(j int, rec core.KeyShardRecord) error {
 			return merger.Add(kr.lo+j, rec)
 		})
 		return out, err
 	})
-}
-
-// sendShardJSON is the legacy dispatch: slice, buffer the JSON body,
-// post, decode the JSON digest. Kept wire-compatible with PR-9 peers in
-// both directions.
-func (c *Coordinator) sendShardJSON(ctx context.Context, wk member, h *history.History, kr keyRange, opts core.Options, merger *core.ShardMerger) (shardOutcome, error) {
-	slice, _, err := sliceHistory(h, kr)
-	if err != nil {
-		return shardOutcome{node: wk.name, wire: "json"}, err
-	}
-	encStart := time.Now()
-	var buf bytes.Buffer
-	hdr, err := json.Marshal(headerFor(opts, kr.size()))
-	if err != nil {
-		return shardOutcome{node: wk.name, wire: "json"}, err
-	}
-	buf.Write(hdr)
-	buf.WriteByte('\n')
-	if err := histio.Encode(&buf, slice); err != nil {
-		return shardOutcome{node: wk.name, wire: "json"}, err
-	}
-	encodeNS := int64(time.Since(encStart))
-
-	return retryShard(ctx, func() (shardOutcome, error) {
-		out := shardOutcome{node: wk.name, wire: "json", encodeNS: encodeNS, bytesOut: int64(buf.Len())}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, wk.url+"/cluster/shard", bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return out, err
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := c.httpc.Do(req)
-		if err != nil {
-			return out, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode < 200 || resp.StatusCode > 299 {
-			return out, apiErrorFrom(resp)
-		}
-		decStart := time.Now()
-		cr := &countingReader{r: resp.Body}
-		err = decodeJSONDigest(cr, wk.name, kr, merger)
-		out.decodeNS, out.bytesIn = int64(time.Since(decStart)), cr.n
-		return out, err
-	})
-}
-
-// decodeJSONDigest decodes a legacy JSON shardResponse and merges its
-// records.
-func decodeJSONDigest(r io.Reader, worker string, kr keyRange, merger *core.ShardMerger) error {
-	var sr shardResponse
-	if err := json.NewDecoder(r).Decode(&sr); err != nil {
-		return fmt.Errorf("decoding digest from %q: %v", worker, err)
-	}
-	if len(sr.Records) != kr.size() {
-		return fmt.Errorf("worker %q returned %d records for %d keys", worker, len(sr.Records), kr.size())
-	}
-	for j := range sr.Records {
-		if err := merger.Add(kr.lo+j, sr.Records[j]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // shardInfo summarizes one shard's digest for the report's cluster

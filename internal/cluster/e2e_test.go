@@ -18,6 +18,7 @@ import (
 	"viper/internal/histgen"
 	"viper/internal/histio"
 	"viper/internal/history"
+	"viper/internal/obs"
 	"viper/internal/oracle"
 	"viper/internal/server"
 	"viper/internal/workload"
@@ -82,10 +83,12 @@ func startCoordinator(t *testing.T) (*Coordinator, *testNode) {
 
 func startWorker(t *testing.T, name, coordURL string) (*Worker, *testNode) {
 	t.Helper()
-	return startWorkerCfg(t, name, coordURL, func(*Config) {})
+	return startWorkerWrapped(t, name, coordURL, func(h http.Handler) http.Handler { return h })
 }
 
-func startWorkerCfg(t *testing.T, name, coordURL string, tweak func(*Config)) (*Worker, *testNode) {
+// startWorkerWrapped starts a worker whose HTTP surface is wrap(its
+// handler), so a test can make one fleet member misbehave.
+func startWorkerWrapped(t *testing.T, name, coordURL string, wrap func(http.Handler) http.Handler) (*Worker, *testNode) {
 	t.Helper()
 	srv := server.New(server.Config{Role: "worker", IdleTTL: -1})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -94,12 +97,11 @@ func startWorkerCfg(t *testing.T, name, coordURL string, tweak func(*Config)) (*
 	}
 	cfg := fastCfg(name)
 	cfg.AdvertiseURL = "http://" + l.Addr().String()
-	tweak(&cfg)
 	wk, err := NewWorker(srv, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.ServeWith(l, wk.Handler(srv.Handler()))
+	go srv.ServeWith(l, wrap(wk.Handler(srv.Handler())))
 	n := &testNode{srv: srv, url: cfg.AdvertiseURL}
 	stopped := false
 	n.stop = func() {
@@ -148,6 +150,20 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// sameGraph fails the test unless the distributed check's outcome and
+// polygraph counts are the single-node ones.
+func sameGraph(t *testing.T, label string, doc *obs.ReportDoc, want *core.Report) {
+	t.Helper()
+	if doc.Outcome != want.Outcome.String() {
+		t.Fatalf("%s: cluster outcome %q, single-node %q", label, doc.Outcome, want.Outcome)
+	}
+	if doc.Graph.Nodes != want.Nodes || doc.Graph.KnownEdges != want.KnownEdges || doc.Graph.Constraints != want.Constraints {
+		t.Fatalf("%s: cluster polygraph (n=%d e=%d c=%d) differs from single-node (n=%d e=%d c=%d)", label,
+			doc.Graph.Nodes, doc.Graph.KnownEdges, doc.Graph.Constraints,
+			want.Nodes, want.KnownEdges, want.Constraints)
+	}
+}
+
 // ---- tests ----
 
 // TestClusterCheckParity: a 3-node fleet checking one history through
@@ -172,14 +188,7 @@ func TestClusterCheckParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Outcome != want.Outcome.String() {
-		t.Fatalf("cluster outcome %q, single-node %q", doc.Outcome, want.Outcome)
-	}
-	if doc.Graph.Nodes != want.Nodes || doc.Graph.KnownEdges != want.KnownEdges || doc.Graph.Constraints != want.Constraints {
-		t.Fatalf("cluster polygraph (n=%d e=%d c=%d) differs from single-node (n=%d e=%d c=%d)",
-			doc.Graph.Nodes, doc.Graph.KnownEdges, doc.Graph.Constraints,
-			want.Nodes, want.KnownEdges, want.Constraints)
-	}
+	sameGraph(t, "parity", doc, want)
 
 	if doc.Cluster == nil {
 		t.Fatal("report has no cluster section")
@@ -203,114 +212,161 @@ func TestClusterCheckParity(t *testing.T) {
 	if len(doc.Cluster.Shards) != 2 {
 		t.Fatalf("got %d shards for 2 workers", len(doc.Cluster.Shards))
 	}
-	if doc.Cluster.Wire != "binary" {
-		t.Fatalf("homogeneous fleet negotiated wire %q, want binary", doc.Cluster.Wire)
-	}
 	if doc.Cluster.WireBytesOut == 0 || doc.Cluster.WireBytesIn == 0 {
 		t.Fatalf("wire byte accounting empty: out=%d in=%d", doc.Cluster.WireBytesOut, doc.Cluster.WireBytesIn)
 	}
 	for _, sh := range doc.Cluster.Shards {
-		if sh.Wire != "binary" || sh.WireBytesOut == 0 || sh.WireBytesIn == 0 {
-			t.Fatalf("shard %+v missing binary wire accounting", sh)
-		}
-	}
-}
-
-// TestClusterMixedWire: a fleet where one worker predates (or has
-// disabled) the binary wire format still produces the single-node
-// verdict — the coordinator speaks binary to capable workers and JSON
-// to the rest, and reports the mix.
-func TestClusterMixedWire(t *testing.T) {
-	coord, cn := startCoordinator(t)
-	startWorker(t, "w1", cn.url)
-	startWorkerCfg(t, "w2", cn.url, func(c *Config) { c.DisableBinaryWire = true })
-	if got := len(coord.healthyMembers()); got != 2 {
-		t.Fatalf("coordinator sees %d healthy members, want 2", got)
-	}
-
-	h := generated(t, workload.NewBlindWRW(), 1500, 29)
-	want := localDoc(h, core.Options{Level: core.AdyaSI})
-
-	cl := server.NewClient(cn.url)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	nodes, err := cl.ClusterNodes(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wires := map[string]string{}
-	for _, n := range nodes.Nodes {
-		wires[n.Name] = n.Wire
-	}
-	if wires["w1"] != "binary" || wires["w2"] != "json" {
-		t.Fatalf("/cluster/nodes wire capabilities %v, want w1=binary w2=json", wires)
-	}
-
-	doc, err := cl.ClusterCheck(ctx, bytes.NewReader(encode(t, h)), server.SessionConfig{Level: "si"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Outcome != want.Outcome.String() {
-		t.Fatalf("mixed-wire outcome %q, single-node %q", doc.Outcome, want.Outcome)
-	}
-	if doc.Graph.Nodes != want.Nodes || doc.Graph.KnownEdges != want.KnownEdges || doc.Graph.Constraints != want.Constraints {
-		t.Fatalf("mixed-wire polygraph (n=%d e=%d c=%d) differs from single-node (n=%d e=%d c=%d)",
-			doc.Graph.Nodes, doc.Graph.KnownEdges, doc.Graph.Constraints,
-			want.Nodes, want.KnownEdges, want.Constraints)
-	}
-	if doc.Cluster == nil || doc.Cluster.LocalFallbacks != 0 {
-		t.Fatalf("mixed-wire cluster section %+v: want no local fallbacks", doc.Cluster)
-	}
-	if doc.Cluster.Wire != "mixed" {
-		t.Fatalf("cluster wire %q, want mixed", doc.Cluster.Wire)
-	}
-	shardWires := map[string]string{}
-	for _, sh := range doc.Cluster.Shards {
-		shardWires[sh.Node] = sh.Wire
 		if sh.WireBytesOut == 0 || sh.WireBytesIn == 0 {
-			t.Fatalf("shard %+v missing wire byte accounting", sh)
+			t.Fatalf("shard %+v missing wire accounting", sh)
 		}
-	}
-	if shardWires["w1"] != "binary" || shardWires["w2"] != "json" {
-		t.Fatalf("per-shard wires %v, want w1=binary w2=json", shardWires)
 	}
 }
 
-// TestClusterBinaryWireDisabledCoordinator: turning the codec off on
-// the coordinator side downgrades the whole fleet to JSON with no
-// verdict change — the rolling-upgrade escape hatch.
-func TestClusterBinaryWireDisabledCoordinator(t *testing.T) {
-	srv := server.New(server.Config{Role: "coordinator", IdleTTL: -1})
-	ccfg := fastCfg("coord")
-	ccfg.DisableBinaryWire = true
-	coord, err := NewCoordinator(srv, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cn := serveNode(t, srv, coord.Handler(srv.Handler()), coord.Close)
-	startWorker(t, "w1", cn.url)
-	startWorker(t, "w2", cn.url)
-
-	h := generated(t, workload.NewBlindWRW(), 1200, 31)
-	want := localDoc(h, core.Options{Level: core.AdyaSI})
+// TestClusterCheckNoWorkers: a coordinator with no workers records the
+// whole history itself as one local shard. That is not a fallback, since
+// no dispatch failed. A polynomial level builds no polygraph, so its
+// report has no cluster section at all.
+func TestClusterCheckNoWorkers(t *testing.T) {
+	_, cn := startCoordinator(t)
+	h := generated(t, workload.NewBlindWRW(), 600, 37)
 	cl := server.NewClient(cn.url)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+
 	doc, err := cl.ClusterCheck(ctx, bytes.NewReader(encode(t, h)), server.SessionConfig{Level: "si"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Outcome != want.Outcome.String() {
-		t.Fatalf("json-only outcome %q, single-node %q", doc.Outcome, want.Outcome)
+	sameGraph(t, "no workers", doc, localDoc(h, core.Options{Level: core.AdyaSI}))
+	ci := doc.Cluster
+	if ci == nil || ci.Workers != 0 || ci.LocalFallbacks != 0 || len(ci.Shards) != 1 {
+		t.Fatalf("cluster section %+v: want 0 workers, 0 fallbacks, 1 shard", ci)
 	}
-	if doc.Cluster == nil || doc.Cluster.Wire != "json" {
-		t.Fatalf("cluster wire %+v, want json across the board", doc.Cluster)
+	if sh := ci.Shards[0]; !sh.Local || sh.Node != "coord" || sh.Keys != len(h.Keys()) || sh.Constraints != doc.Graph.Constraints {
+		t.Fatalf("shard %+v: want one local shard on coord over all %d keys and %d constraints",
+			sh, len(h.Keys()), doc.Graph.Constraints)
 	}
-	for _, sh := range doc.Cluster.Shards {
-		if sh.Wire != "json" {
-			t.Fatalf("shard %+v negotiated %q with binary disabled", sh, sh.Wire)
+	if got := cn.srv.Metrics().Get("viperd_cluster_local_fallbacks_total"); got != 0 {
+		t.Fatalf("viperd_cluster_local_fallbacks_total = %d, want 0", got)
+	}
+
+	doc, err = cl.ClusterCheck(ctx, bytes.NewReader(encode(t, h)), server.SessionConfig{Level: "causal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := localDoc(h, core.Options{Level: core.Causal}); doc.Outcome != want.Outcome.String() || doc.Cluster != nil {
+		t.Fatalf("causal: outcome %q cluster %+v, want %q and no cluster section", doc.Outcome, doc.Cluster, want.Outcome)
+	}
+}
+
+// TestClusterDegradedDispatch: a worker that refuses shard jobs (415, as
+// a build without the binary codec would) or answers with a digest in
+// another format costs no verdict. Its shard moves to the next worker,
+// or, with no other worker, is recorded on the coordinator, and only
+// the latter counts as a local fallback.
+func TestClusterDegradedDispatch(t *testing.T) {
+	misbehave := []struct {
+		name string
+		bad  http.HandlerFunc
+	}{
+		{"refuse", func(w http.ResponseWriter, _ *http.Request) {
+			writeError(w, http.StatusUnsupportedMediaType, errors.New("unsupported shard job"))
+		}},
+		{"json-digest", func(w http.ResponseWriter, _ *http.Request) {
+			writeJSON(w, http.StatusOK, map[string]any{"node": "bad", "records": []any{}})
+		}},
+	}
+	h := generated(t, workload.NewBlindWRW(), 1200, 41)
+	want := localDoc(h, core.Options{Level: core.AdyaSI})
+	for _, mb := range misbehave {
+		wrap := func(next http.Handler) http.Handler {
+			mux := http.NewServeMux()
+			mux.Handle("POST /cluster/shard", mb.bad)
+			mux.Handle("/", next)
+			return mux
 		}
+		for _, healthy := range []bool{true, false} {
+			label := fmt.Sprintf("%s/healthy=%v", mb.name, healthy)
+			t.Run(label, func(t *testing.T) {
+				coord, cn := startCoordinator(t)
+				members := 1
+				if healthy {
+					startWorker(t, "w1", cn.url)
+					members++
+				}
+				startWorkerWrapped(t, "w2", cn.url, wrap)
+				if got := len(coord.healthyMembers()); got != members {
+					t.Fatalf("coordinator sees %d healthy members, want %d", got, members)
+				}
+
+				cl := server.NewClient(cn.url)
+				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+				defer cancel()
+				doc, err := cl.ClusterCheck(ctx, bytes.NewReader(encode(t, h)), server.SessionConfig{Level: "si"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameGraph(t, label, doc, want)
+				// One shard per worker, and shard i goes to worker i first, so
+				// w2 got a shard to mishandle.
+				if len(doc.Cluster.Shards) != members {
+					t.Fatalf("%d shards for %d workers", len(doc.Cluster.Shards), members)
+				}
+
+				local := 0
+				for _, sh := range doc.Cluster.Shards {
+					switch {
+					case sh.Local && sh.Node == "coord":
+						local++
+					case sh.Local || sh.Node != "w1":
+						t.Fatalf("shard %+v recorded on neither w1 nor the coordinator", sh)
+					}
+				}
+				wantLocal := 0
+				if !healthy {
+					wantLocal = len(doc.Cluster.Shards)
+				}
+				if local != wantLocal || doc.Cluster.LocalFallbacks != wantLocal {
+					t.Fatalf("%d local shards, %d fallbacks reported; want %d of each", local, doc.Cluster.LocalFallbacks, wantLocal)
+				}
+				if got := cn.srv.Metrics().Get("viperd_cluster_local_fallbacks_total"); got != int64(wantLocal) {
+					t.Fatalf("viperd_cluster_local_fallbacks_total = %d, want %d", got, wantLocal)
+				}
+			})
+		}
+	}
+}
+
+// TestWorkerRefusesNonBinaryJob: a shard job without the binary codec's
+// Content-Type, here a JSON-era body (a header line, then a histio
+// stream), gets 415 and the daemon's JSON error body.
+func TestWorkerRefusesNonBinaryJob(t *testing.T) {
+	_, cn := startCoordinator(t)
+	_, wn := startWorker(t, "w1", cn.url)
+	h := histgen.SI(histgen.Spec{Txns: 40, Keys: 4, Seed: 5})
+	body := append([]byte(`{"level":"adya-si","keys":4}`+"\n"), encode(t, h)...)
+	hc := &http.Client{}
+	defer hc.CloseIdleConnections()
+	for _, ct := range []string{"application/octet-stream", "application/json", ""} {
+		req, err := http.NewRequest(http.MethodPost, wn.url+"/cluster/shard", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct != "" {
+			req.Header.Set("Content-Type", ct)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ae := apiErrorFrom(resp)
+		resp.Body.Close()
+		if ae.Status != http.StatusUnsupportedMediaType || !strings.Contains(ae.Message, shardContentTypeV1) {
+			t.Fatalf("Content-Type %q: got %d %q, want 415 naming %s", ct, ae.Status, ae.Message, shardContentTypeV1)
+		}
+	}
+	if got := wn.srv.Metrics().Get("viperd_cluster_shards_recorded_total"); got != 0 {
+		t.Fatalf("refused jobs recorded %d shards", got)
 	}
 }
 

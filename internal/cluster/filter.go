@@ -1,4 +1,4 @@
-// Key-range history slicing: the coordinator's half of sharded
+// Key-range partitioning: the coordinator's half of sharded
 // single-history checking.
 //
 // A shard job ships a worker the smallest history that still lets it
@@ -10,12 +10,12 @@
 // filtered to shard keys — the absent-key genesis derivation then sees
 // exactly the shard's written keys (h.Keys() of the slice equals the
 // shard key set), so each range-implied genesis read is derived on the
-// one shard that owns its key. Per-key record equality between a slice
-// and the full history is pinned by TestSliceRecordsEqualFull.
+// one shard that owns its key. encodeShardJob (wire.go) filters the
+// history that way as it encodes; per-key record equality between the
+// decoded job and the full history is pinned by TestSliceRecordsEqualFull.
 package cluster
 
 import (
-	"fmt"
 	"sort"
 
 	"viper/internal/history"
@@ -90,68 +90,6 @@ func partitionKeys(h *history.History, shards int, minOps int) []keyRange {
 	return out
 }
 
-// sliceHistory filters h to the shard keys h.Keys()[kr.lo:kr.hi]: all
-// transaction skeletons, only the ops touching shard keys (range ops
-// when their window intersects the shard, results filtered). The
-// returned history is validated; touches[t] reports whether transaction
-// t kept any op (the coordinator uses it to classify digest edges as
-// cross-shard).
-func sliceHistory(h *history.History, kr keyRange) (slice *history.History, touches []bool, err error) {
-	keys := h.Keys()[kr.lo:kr.hi]
-	if len(keys) == 0 {
-		return nil, nil, fmt.Errorf("slice: empty key range")
-	}
-	inShard := func(k history.Key) bool {
-		i := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
-		return i < len(keys) && keys[i] == k
-	}
-	intersects := func(lo, hi history.Key) bool {
-		i := sort.Search(len(keys), func(i int) bool { return keys[i] >= lo })
-		return i < len(keys) && keys[i] <= hi
-	}
-
-	slice = history.New()
-	touches = make([]bool, len(h.Txns))
-	for _, t := range h.Txns[1:] {
-		nt := &history.Txn{
-			Session:      t.Session,
-			SeqInSession: t.SeqInSession,
-			BeginAt:      t.BeginAt,
-			CommitAt:     t.CommitAt,
-			Status:       t.Status,
-		}
-		for i := range t.Ops {
-			op := t.Ops[i]
-			switch op.Kind {
-			case history.OpRange:
-				if !intersects(op.Lo, op.Hi) {
-					continue
-				}
-				var kept []history.Version
-				for _, v := range op.Result {
-					if inShard(v.Key) {
-						kept = append(kept, v)
-					}
-				}
-				op.Result = kept
-			default:
-				if !inShard(op.Key) {
-					continue
-				}
-			}
-			nt.Ops = append(nt.Ops, op)
-		}
-		touches[t.ID] = len(nt.Ops) > 0
-		if id := slice.Append(nt); id != t.ID {
-			return nil, nil, fmt.Errorf("slice: txn %d appended as %d", t.ID, id)
-		}
-	}
-	if err := slice.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("slice failed validation (coordinator bug): %w", err)
-	}
-	return slice, touches, nil
-}
-
 // spansByRange reports, per transaction, whether it operates on a
 // committed-written key outside the shard [kr.lo, kr.hi) — the
 // transactions whose polygraph nodes couple this shard's emissions to
@@ -192,8 +130,8 @@ func spansByRange(h *history.History, kr keyRange) []bool {
 	return spans
 }
 
-// touchesByRange computes sliceHistory's touches vector without
-// building the slice, for shards the coordinator computes locally.
+// touchesByRange reports, per transaction, whether it keeps any
+// operation in the shard's slice (for the report's per-shard counts).
 func touchesByRange(h *history.History, kr keyRange) []bool {
 	keys := h.Keys()[kr.lo:kr.hi]
 	inShard := func(k history.Key) bool {

@@ -3,7 +3,9 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"viper/internal/core"
@@ -20,6 +22,68 @@ func generated(t *testing.T, w workload.Generator, txns int, seed int64) *histor
 		t.Fatal(err)
 	}
 	return h
+}
+
+// sliceHistory is the reference slicer: it filters h to the shard keys
+// h.Keys()[kr.lo:kr.hi] as a History — all transaction skeletons, only
+// the ops touching shard keys (range ops when their window intersects
+// the shard, results filtered). The returned history is validated;
+// touches[t] reports whether transaction t kept any op. A decoded
+// binary shard job must reproduce it exactly.
+func sliceHistory(h *history.History, kr keyRange) (slice *history.History, touches []bool, err error) {
+	keys := h.Keys()[kr.lo:kr.hi]
+	if len(keys) == 0 {
+		return nil, nil, fmt.Errorf("slice: empty key range")
+	}
+	inShard := func(k history.Key) bool {
+		i := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
+		return i < len(keys) && keys[i] == k
+	}
+	intersects := func(lo, hi history.Key) bool {
+		i := sort.Search(len(keys), func(i int) bool { return keys[i] >= lo })
+		return i < len(keys) && keys[i] <= hi
+	}
+
+	slice = history.New()
+	touches = make([]bool, len(h.Txns))
+	for _, t := range h.Txns[1:] {
+		nt := &history.Txn{
+			Session:      t.Session,
+			SeqInSession: t.SeqInSession,
+			BeginAt:      t.BeginAt,
+			CommitAt:     t.CommitAt,
+			Status:       t.Status,
+		}
+		for i := range t.Ops {
+			op := t.Ops[i]
+			switch op.Kind {
+			case history.OpRange:
+				if !intersects(op.Lo, op.Hi) {
+					continue
+				}
+				var kept []history.Version
+				for _, v := range op.Result {
+					if inShard(v.Key) {
+						kept = append(kept, v)
+					}
+				}
+				op.Result = kept
+			default:
+				if !inShard(op.Key) {
+					continue
+				}
+			}
+			nt.Ops = append(nt.Ops, op)
+		}
+		touches[t.ID] = len(nt.Ops) > 0
+		if id := slice.Append(nt); id != t.ID {
+			return nil, nil, fmt.Errorf("slice: txn %d appended as %d", t.ID, id)
+		}
+	}
+	if err := slice.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("slice failed validation (coordinator bug): %w", err)
+	}
+	return slice, touches, nil
 }
 
 func TestPartitionKeysCoversContiguously(t *testing.T) {
@@ -47,10 +111,10 @@ func TestPartitionKeysCoversContiguously(t *testing.T) {
 // worker receives produces exactly the records a single node would
 // compute for those keys against the full history — including
 // workloads with range queries (whose absent-key genesis reads are
-// derived per shard) and read-modify-write chains. Both wire paths are
-// pinned: the JSON slice and the binary shard job must put the same
-// history in front of the worker, and the binary digest must round-trip
-// the records bit-for-bit.
+// derived per shard) and read-modify-write chains. The reference slice
+// and the decoded binary shard job must put the same history in front
+// of the worker, and the digest must round-trip the records
+// bit-for-bit.
 func TestSliceRecordsEqualFull(t *testing.T) {
 	histories := map[string]*history.History{
 		"histgen-si": histgen.SI(histgen.Spec{Txns: 200, Keys: 9, MaxConcurrency: 6, AbortEvery: 7, Seed: 5}),

@@ -1,5 +1,5 @@
 // Binary wire format for sharded checking: the length-prefixed varint
-// codec that replaces JSON on the POST /cluster/shard hot path.
+// codec of the POST /cluster/shard round trip, the only shard wire.
 //
 // Two message types travel between coordinator and worker:
 //
@@ -20,11 +20,11 @@
 //     order, so consecutive ids are near each other and most deltas fit
 //     one byte.
 //
-// Negotiation (see coordinator.go/worker.go): workers advertise the
-// codec in their join request, the coordinator labels job bodies with
-// Content-Type and asks for binary digests via Accept, and either side
-// can fall back to JSON — a mixed-version fleet degrades per-worker,
-// never per-check.
+// There is no negotiation: the coordinator labels every job with
+// shardContentTypeV1, and a worker answers any other Content-Type with
+// 415. A refused job, or a digest that is not digestContentTypeV1, is a
+// failed dispatch like any other: the shard moves to the next worker,
+// then to local recording on the coordinator.
 package cluster
 
 import (
@@ -39,14 +39,11 @@ import (
 	"viper/internal/history"
 )
 
+// shardContentTypeV1 / digestContentTypeV1 label the job and digest
+// bodies.
 const (
-	// shardContentTypeV1 / digestContentTypeV1 label binary bodies; JSON
-	// peers keep the legacy types and are detected by their absence.
 	shardContentTypeV1  = "application/x-viper-shard-v1"
 	digestContentTypeV1 = "application/x-viper-digest-v1"
-
-	// wireV1 is the capability string workers advertise on join.
-	wireV1 = "v1"
 )
 
 var (
@@ -238,8 +235,8 @@ func (d *wireDec) magic(want [4]byte) {
 // straight from the full history — no intermediate slice History is
 // built; filtering happens as the ops stream out, so encode overlaps
 // with whatever is consuming w (an HTTP request body in flight).
-// The decoded job is identical to sliceHistory(h, kr) shipped through
-// histio (pinned by TestWireShardJobMatchesSlice).
+// The decoded job is identical to the reference slice of filter_test.go
+// (pinned by TestSliceRecordsEqualFull).
 func encodeShardJob(w io.Writer, h *history.History, kr keyRange, opts core.Options) error {
 	keys := h.Keys()[kr.lo:kr.hi]
 	if len(keys) == 0 {

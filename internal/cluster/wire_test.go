@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -157,6 +158,14 @@ func FuzzShardJobDecode(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Add([]byte("VWS1"))
+	// A job body of the retired JSON wire: a shard header line, then a
+	// histio stream of the slice.
+	var legacy bytes.Buffer
+	fmt.Fprintf(&legacy, "{\"level\":%q,\"keys\":%d}\n", core.AdyaSI.String(), len(h.Keys()))
+	if err := histio.Encode(&legacy, h); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _, _, _ = decodeShardJob(bufio.NewReader(bytes.NewReader(data)))
 	})
@@ -236,7 +245,11 @@ func TestWireSmallerThanJSON(t *testing.T) {
 	if err := enc.close(); err != nil {
 		t.Fatal(err)
 	}
-	jsonDig, err := json.Marshal(shardResponse{Node: "w", Records: recs})
+	// The JSON reference is the digest shape of the retired JSON wire.
+	jsonDig, err := json.Marshal(struct {
+		Node    string                `json:"node"`
+		Records []core.KeyShardRecord `json:"records"`
+	}{Node: "w", Records: recs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,16 +6,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"viper/internal/core"
-	"viper/internal/histio"
-	"viper/internal/history"
 	"viper/internal/server"
 	"viper/internal/version"
 )
@@ -91,11 +89,7 @@ func (w *Worker) Close() {
 }
 
 func (w *Worker) announce(ctx context.Context, coordinatorURL string) error {
-	jr := JoinRequest{Name: w.cfg.NodeName, URL: w.cfg.AdvertiseURL, Version: version.Version}
-	if !w.cfg.DisableBinaryWire {
-		jr.Wire = []string{wireV1}
-	}
-	buf, err := json.Marshal(jr)
+	buf, err := json.Marshal(JoinRequest{Name: w.cfg.NodeName, URL: w.cfg.AdvertiseURL, Version: version.Version})
 	if err != nil {
 		return err
 	}
@@ -125,16 +119,18 @@ func (w *Worker) announceLoop(coordinatorURL string) {
 	}
 }
 
-// handleShard records one key-sliced history and returns the digest.
-// Two request encodings are accepted, keyed on Content-Type: the binary
-// shard job (wire.go) and the legacy JSON header line + histio stream.
-// The digest goes back binary (streamed record by record, so the
-// coordinator replays early records while later keys still record) when
-// the request was binary and Accept asks for it; JSON otherwise. The
-// work runs through the server's admission gate exactly like a session
-// audit, so shard jobs respect the node's capacity and are drained by
-// Shutdown.
+// handleShard records one key-sliced history and streams the digest
+// back record by record, so the coordinator replays early records while
+// later keys still record. The job must be a binary shard job
+// (wire.go); any other Content-Type gets 415. The work runs through the
+// server's admission gate exactly like a session audit, so shard jobs
+// respect the node's capacity and are drained by Shutdown.
 func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
+	if ct := req.Header.Get("Content-Type"); !strings.HasPrefix(ct, shardContentTypeV1) {
+		writeError(rw, http.StatusUnsupportedMediaType,
+			fmt.Errorf("shard job Content-Type %q, want %s", ct, shardContentTypeV1))
+		return
+	}
 	release, err := w.srv.AdmitAudit(req.Context())
 	if err != nil {
 		w.srv.Metrics().Add("viperd_cluster_shard_rejects_total", 1)
@@ -143,67 +139,21 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 	}
 	defer release()
 
-	binaryJob := strings.HasPrefix(req.Header.Get("Content-Type"), shardContentTypeV1)
-	if binaryJob && w.cfg.DisableBinaryWire {
-		// 415 tells a capable coordinator to retry this job as JSON.
-		writeError(rw, http.StatusUnsupportedMediaType, fmt.Errorf("binary wire format disabled on this node"))
+	cr := &countingReader{r: req.Body}
+	opts, h, keys, err := decodeShardJob(bufio.NewReaderSize(cr, 64<<10))
+	if err != nil {
+		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-
-	var (
-		opts core.Options
-		h    *history.History
-	)
-	cr := &countingReader{r: req.Body}
-	if binaryJob {
-		var keys []history.Key
-		opts, h, keys, err = decodeShardJob(bufio.NewReaderSize(cr, 64<<10))
-		if err != nil {
-			writeError(rw, http.StatusBadRequest, err)
-			return
-		}
-		if !slicesEqualKeys(h.Keys(), keys) {
-			writeError(rw, http.StatusBadRequest,
-				fmt.Errorf("shard slice's written keys disagree with the job's key table (%d vs %d keys)", len(h.Keys()), len(keys)))
-			return
-		}
-	} else {
-		var hdr shardHeader
-		var body io.Reader
-		hdr, body, err = splitHeader(cr)
-		if err != nil {
-			writeError(rw, http.StatusBadRequest, fmt.Errorf("reading shard header: %v", err))
-			return
-		}
-		opts, err = hdr.options()
-		if err != nil {
-			writeError(rw, http.StatusBadRequest, err)
-			return
-		}
-		h, err = histio.Decode(body)
-		if err != nil {
-			writeError(rw, http.StatusBadRequest, err)
-			return
-		}
-		if got := len(h.Keys()); got != hdr.Keys {
-			writeError(rw, http.StatusBadRequest,
-				fmt.Errorf("shard slice has %d written keys, header declares %d", got, hdr.Keys))
-			return
-		}
+	if !slices.Equal(h.Keys(), keys) {
+		writeError(rw, http.StatusBadRequest,
+			fmt.Errorf("shard slice's written keys disagree with the job's key table (%d vs %d keys)", len(h.Keys()), len(keys)))
+		return
 	}
 
 	mx := w.srv.Metrics()
 	mx.Add("viperd_cluster_wire_bytes_total", cr.n)
 	mx.Add("viperd_cluster_wire_bytes_in_total", cr.n)
-
-	binaryDigest := binaryJob && strings.Contains(req.Header.Get("Accept"), digestContentTypeV1)
-	if !binaryDigest {
-		recs := core.BuildShardRecords(h, opts, h.Keys())
-		mx.Add("viperd_cluster_shards_recorded_total", 1)
-		mx.Add("viperd_cluster_shard_keys_total", int64(len(recs)))
-		writeJSON(rw, http.StatusOK, shardResponse{Node: w.cfg.NodeName, Records: recs})
-		return
-	}
 
 	// Stream the digest: each record goes on the wire as soon as the
 	// recording pass completes its key (and every key before it), with
@@ -241,31 +191,4 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 	mx.Add("viperd_cluster_shard_keys_total", int64(len(h.Keys())))
 	mx.Add("viperd_cluster_wire_bytes_total", cw.n)
 	mx.Add("viperd_cluster_wire_bytes_out_total", cw.n)
-}
-
-func slicesEqualKeys(a, b []history.Key) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// splitHeader reads the body's first line as a shardHeader and returns
-// the remaining (buffered) stream.
-func splitHeader(r io.Reader) (shardHeader, io.Reader, error) {
-	br := bufio.NewReader(r)
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		return shardHeader{}, nil, fmt.Errorf("unexpected end of stream in header: %v", err)
-	}
-	var hdr shardHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		return shardHeader{}, nil, fmt.Errorf("decoding shard header: %v", err)
-	}
-	return hdr, br, nil
 }

@@ -20,6 +20,11 @@ import (
 // error after an Accept would mean a checker bug, so this is viper's
 // built-in self-check (Options.SelfCheck).
 //
+// Below Serializability the schedule must also satisfy SI's NoConflict
+// rule: committed writers of one key never overlap. The replay alone
+// cannot see an overlap, since two read-modify-writes that both read the
+// same version replay every read in either commit order.
+//
 // Only the logical-time semantics are replayed; real-time and session
 // obligations are edges in the polygraph and are already honoured by any
 // topological witness.
@@ -59,6 +64,11 @@ func VerifyWitness(h *history.History, positions []int32, level Level) error {
 		events = append(events, event{positions[b], t.ID, false}, event{positions[c], t.ID, true})
 	}
 	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
+	if !ser {
+		if err := verifyNoConflict(h, positions); err != nil {
+			return err
+		}
+	}
 
 	// Replay: current holds each key's latest committed write id. A
 	// compacted history starts from the fence, not from nothing: the
@@ -124,6 +134,40 @@ func VerifyWitness(h *history.History, positions []int32, level Level) error {
 			writeAt(t)
 		} else if err := readAt(t); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// verifyNoConflict checks that the schedule runs the committed writers
+// of each key one after another: sorted by begin, each commits before
+// the next begins. Begin and commit of transaction t are nodes 2t and
+// 2t+1, whose positions the caller has bounds-checked.
+func verifyNoConflict(h *history.History, positions []int32) error {
+	writers := make(map[history.Key][]history.TxnID)
+	for _, t := range h.Txns[1:] {
+		if !t.Committed() {
+			continue
+		}
+		for key := range t.LastWritePerKey() {
+			writers[key] = append(writers[key], t.ID)
+		}
+	}
+	keys := make([]history.Key, 0, len(writers))
+	for key := range writers {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	begin := func(t history.TxnID) int32 { return positions[2*t] }
+	commit := func(t history.TxnID) int32 { return positions[2*t+1] }
+	for _, key := range keys {
+		ws := writers[key]
+		sort.Slice(ws, func(i, j int) bool { return begin(ws[i]) < begin(ws[j]) })
+		for i := 1; i < len(ws); i++ {
+			if prev, next := ws[i-1], ws[i]; commit(prev) > begin(next) {
+				return fmt.Errorf("witness: txns %d and %d both write %q but overlap in the schedule (T%d commits at %d, after T%d begins at %d)",
+					prev, next, key, prev, commit(prev), next, begin(next))
+			}
 		}
 	}
 	return nil

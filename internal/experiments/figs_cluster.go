@@ -101,7 +101,7 @@ func Cluster(cfg Config) (*Table, error) {
 	t := &Table{
 		Name:   "cluster",
 		Title:  "distributed sharded checking (seconds end-to-end; BlindW-RW)",
-		Header: []string{"history", "#txns", "workers", "wall(s)", "single-node(s)", "shards", "wire", "wire(MB)", "cross-edges", "cross-cons", "verdict"},
+		Header: []string{"history", "#txns", "workers", "wall(s)", "single-node(s)", "shards", "wire(MB)", "cross-edges", "cross-cons", "verdict"},
 	}
 	for _, size := range cfg.sizes([]int{2000, 10000, 20000}) {
 		h, err := genHistory(workload.NewBlindWRW(), size, cfg, int64(size))
@@ -142,15 +142,10 @@ func Cluster(cfg Config) (*Table, error) {
 			if doc.Cluster == nil {
 				return nil, fmt.Errorf("no cluster section at %d txns, %d workers", size, workers)
 			}
-			wire := doc.Cluster.Wire
-			if wire == "" {
-				wire = "local"
-			}
 			t.Rows = append(t.Rows, []string{
 				"blindw-rw", fmt.Sprint(size), fmt.Sprint(workers),
 				secs(wall), secs(solo),
 				fmt.Sprint(len(doc.Cluster.Shards)),
-				wire,
 				fmt.Sprintf("%.1f", float64(doc.Cluster.WireBytesOut+doc.Cluster.WireBytesIn)/(1<<20)),
 				fmt.Sprint(doc.Cluster.CrossShardEdges),
 				fmt.Sprint(doc.Cluster.CrossShardConstraints),

@@ -12,6 +12,7 @@ package histgen
 
 import (
 	"math/rand"
+	"strconv"
 
 	"viper/internal/history"
 )
@@ -56,14 +57,8 @@ func (s Spec) withDefaults() Spec {
 
 // key formats key i.
 func key(i int) history.Key {
-	buf := [8]byte{'g', 'k'}
-	n := 2
-	if i >= 10 {
-		buf[n] = byte('0' + i/10%10)
-		n++
-	}
-	buf[n] = byte('0' + i%10)
-	return history.Key(buf[:n+1])
+	var buf [24]byte
+	return history.Key(strconv.AppendInt(append(buf[:0], "gk"...), int64(i), 10))
 }
 
 // active is one in-flight transaction during schedule execution.

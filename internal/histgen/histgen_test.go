@@ -185,3 +185,15 @@ func TestDeterministicBySeed(t *testing.T) {
 		}
 	}
 }
+
+// TestKeysBeyondHundred: a key space past 99 yields distinct keys, not
+// the 110 that printing only the last two digits allowed.
+func TestKeysBeyondHundred(t *testing.T) {
+	if key(123) == key(23) || key(100) != "gk100" {
+		t.Fatalf("key(123)=%q key(23)=%q key(100)=%q", key(123), key(23), key(100))
+	}
+	h := SI(Spec{Txns: 2000, Keys: 500, Seed: 1})
+	if got := len(h.Keys()); got <= 110 {
+		t.Fatalf("Spec{Keys: 500} wrote %d distinct keys, want more than 110", got)
+	}
+}

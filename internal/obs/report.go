@@ -119,9 +119,6 @@ type ClusterShard struct {
 	// Local marks a shard the coordinator computed itself (no workers, or
 	// every dispatch attempt failed).
 	Local bool `json:"local,omitempty"`
-	// Wire names the codec the dispatch negotiated for a remotely
-	// recorded shard ("binary" or "json"); empty for local shards.
-	Wire string `json:"wire,omitempty"`
 	// WireBytesOut/WireBytesIn are the bytes the shard put on the wire:
 	// the encoded job shipped to the worker and the digest shipped back.
 	WireBytesOut int64 `json:"wire_bytes_out,omitempty"`
@@ -150,9 +147,6 @@ type ClusterInfo struct {
 	// recording after dispatch failures.
 	LocalFallbacks int   `json:"local_fallbacks,omitempty"`
 	MergeNS        int64 `json:"merge_ns"`
-	// Wire summarizes the codecs the check's remote shards negotiated:
-	// "binary", "json", or "mixed"; empty when every shard was local.
-	Wire string `json:"wire,omitempty"`
 	// WireBytesOut/WireBytesIn total the shards' bytes on the wire.
 	WireBytesOut int64 `json:"wire_bytes_out,omitempty"`
 	WireBytesIn  int64 `json:"wire_bytes_in,omitempty"`

@@ -381,10 +381,6 @@ type ClusterNode struct {
 	Healthy bool   `json:"healthy"`
 	// Sessions is the node's live session count at its last heartbeat.
 	Sessions int `json:"sessions"`
-	// Wire is the shard-dispatch codec the node negotiated at join:
-	// "binary" for workers that advertised the binary wire format,
-	// "json" otherwise (old workers, or -cluster-wire=json).
-	Wire string `json:"wire,omitempty"`
 	// LastSeenNS is nanoseconds since the coordinator last saw the node
 	// ready (heartbeat or join).
 	LastSeenNS int64 `json:"last_seen_ns"`
