@@ -445,26 +445,6 @@ func cloneHistory(b *testing.B, h *history.History) *history.History {
 	return c
 }
 
-// BenchmarkPortfolioNonSI measures the §7.3 variance mitigation: portfolio
-// solving vs a single solver on a constraint-heavy non-SI history (the
-// blind-fork G-SIb, the paper's slowest rejection class).
-func BenchmarkPortfolioNonSI(b *testing.B) {
-	base := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 400, 24)
-	h := cloneHistory(b, base)
-	anomaly.Inject(h, anomaly.GSIb)
-	if err := h.Validate(); err != nil {
-		b.Fatal(err)
-	}
-	for _, portfolio := range []int{1, 4} {
-		b.Run(fmt.Sprintf("portfolio=%d", portfolio), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep := core.CheckHistory(h, core.Options{Level: core.AdyaSI, Portfolio: portfolio})
-				mustOutcome(b, rep.Outcome, core.Reject)
-			}
-		})
-	}
-}
-
 // BenchmarkSelfCheck measures the witness-replay overhead.
 func BenchmarkSelfCheck(b *testing.B) {
 	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 1000, 24)

@@ -76,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		noCoalesce  = fs.Bool("no-coalesce", false, "disable coalescing constraints")
 		initialK    = fs.Int("k", 0, "initial heuristic pruning distance (0 = default)")
 		parallel    = fs.Int("parallel", 0, "polygraph construction workers (0 = GOMAXPROCS, 1 = serial)")
-		portfolio   = fs.Int("portfolio", 0, "differently-seeded solver instances raced per check (<= 1 = single solver)")
 		verbose     = fs.Bool("v", false, "print detailed statistics")
 		dotPath     = fs.String("dot", "", "write the BC-polygraph (with any counterexample cycle highlighted) as Graphviz DOT to this path")
 		follow      = fs.Bool("follow", false, "tail the log as it grows, re-auditing incrementally and streaming verdicts")
@@ -129,7 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DisableCoalesce:      *noCoalesce,
 		InitialK:             *initialK,
 		Parallelism:          *parallel,
-		Portfolio:            *portfolio,
 	}
 	if *reportJSON != "" || *traceOut != "" {
 		opts.Tracer = obs.NewTracer()
@@ -466,26 +464,7 @@ func drainComplete(dec *histio.Decoder, c *viper.Checker) error {
 // and follow paths).
 func printCounterexample(stdout io.Writer, h *history.History, rep *core.Report, opts core.Options) {
 	if rep.KnownCycle != nil {
-		// Polynomial levels' cycle nodes are transaction ids of the forced
-		// commit order; the solver levels' are polygraph event nodes.
-		name := func(n int32) string {
-			if f := h.Fence(); f != nil {
-				return fmt.Sprintf("T%d", f.ExternalID(history.TxnID(n)))
-			}
-			return fmt.Sprintf("T%d", n)
-		}
-		if !opts.Level.Polynomial() {
-			pg := core.Build(h, opts)
-			name = pg.NodeName
-		}
-		fmt.Fprintln(stdout, "counterexample cycle in the known dependency graph:")
-		for _, ke := range rep.KnownCycle {
-			label := ke.Kind.String()
-			if ke.Key != "" {
-				label += fmt.Sprintf("(%s)", ke.Key)
-			}
-			fmt.Fprintf(stdout, "  %s --%s--> %s\n", name(ke.From), label, name(ke.To))
-		}
+		printCycle(stdout, core.RenderCycle(h, rep.KnownCycle, opts))
 		return
 	}
 	vo := ssg.InferFromTimestamps(h)
@@ -494,6 +473,19 @@ func printCounterexample(stdout io.Writer, h *history.History, rep *core.Report,
 		fmt.Fprintf(stdout, "  %s\n", cyc)
 	} else {
 		fmt.Fprintln(stdout, "no acyclic compatible graph exists (every write order fails)")
+	}
+}
+
+// printCycle prints a counterexample cycle in the known dependency graph,
+// rendered locally or received in a remote report alike.
+func printCycle(stdout io.Writer, cycle []obs.CycleEdge) {
+	fmt.Fprintln(stdout, "counterexample cycle in the known dependency graph:")
+	for _, e := range cycle {
+		label := e.Kind
+		if e.Key != "" {
+			label += fmt.Sprintf("(%s)", e.Key)
+		}
+		fmt.Fprintf(stdout, "  %s --%s--> %s\n", e.From, label, e.To)
 	}
 }
 

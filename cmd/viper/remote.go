@@ -70,7 +70,6 @@ func runRemote(serverURL, path string, opts core.Options, levelName, reportJSON 
 		Level:          levelName,
 		ClockDriftNS:   int64(opts.ClockDrift),
 		Parallelism:    opts.Parallelism,
-		Portfolio:      opts.Portfolio,
 		InitialK:       opts.InitialK,
 		DisablePruning: opts.DisablePruning,
 		DisableResolve: opts.DisableResolve,
@@ -115,15 +114,8 @@ func runRemote(serverURL, path string, opts core.Options, levelName, reportJSON 
 		} else {
 			fmt.Fprintf(stdout, "verdict: %s\n", doc.Outcome)
 		}
-		for i, e := range doc.KnownCycle {
-			if i == 0 {
-				fmt.Fprintln(stdout, "counterexample cycle in the known dependency graph:")
-			}
-			label := e.Kind
-			if e.Key != "" {
-				label += fmt.Sprintf("(%s)", e.Key)
-			}
-			fmt.Fprintf(stdout, "  %s --%s--> %s\n", e.From, label, e.To)
+		if len(doc.KnownCycle) > 0 {
+			printCycle(stdout, doc.KnownCycle)
 		}
 	}
 	if reportJSON != "" {

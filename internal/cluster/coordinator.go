@@ -309,9 +309,17 @@ func (c *Coordinator) healthyMembers() []member {
 
 // optionsFromQuery parses the checking knobs /cluster/check accepts —
 // the same names SessionConfig uses, as query parameters (the body is
-// the history stream).
+// the history stream). Any other parameter is refused: a typo or a
+// retired knob must not run the check with defaults.
 func optionsFromQuery(q url.Values) (core.Options, error) {
 	var opts core.Options
+	for name := range q {
+		switch name {
+		case "level", "parallelism", "initial_k", "clock_drift_ns", "disable_pruning", "disable_resolve":
+		default:
+			return opts, fmt.Errorf("unknown query parameter %q", name)
+		}
+	}
 	if lvl := q.Get("level"); lvl != "" {
 		l, ok := core.ParseLevel(lvl)
 		if !ok {
@@ -324,7 +332,6 @@ func optionsFromQuery(q url.Values) (core.Options, error) {
 		dst  *int
 	}{
 		{"parallelism", &opts.Parallelism},
-		{"portfolio", &opts.Portfolio},
 		{"initial_k", &opts.InitialK},
 	} {
 		if v := q.Get(f.name); v != "" {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -257,6 +258,43 @@ func TestClusterCheckNoWorkers(t *testing.T) {
 	if want := localDoc(h, core.Options{Level: core.Causal}); doc.Outcome != want.Outcome.String() || doc.Cluster != nil {
 		t.Fatalf("causal: outcome %q cluster %+v, want %q and no cluster section", doc.Outcome, doc.Cluster, want.Outcome)
 	}
+}
+
+// TestClusterCheckRejectsUnknownParameter: a query parameter outside the
+// checking knobs, such as a retired option or a typo, is a 400 that names
+// it, never a check run with defaults. Every parameter the client sends
+// is accepted.
+func TestClusterCheckRejectsUnknownParameter(t *testing.T) {
+	_, cn := startCoordinator(t)
+	h := generated(t, workload.NewBlindWRW(), 200, 41)
+	stream := encode(t, h)
+	for _, param := range []string{"solver_seed", "disable_prunning"} {
+		resp, err := http.Post(cn.url+"/cluster/check?level=si&"+param+"=1", "application/octet-stream", bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), param) {
+			t.Fatalf("%s: HTTP %d %s, want a 400 naming it", param, resp.StatusCode, body)
+		}
+	}
+
+	cfg := server.SessionConfig{
+		Level: "si", ClockDriftNS: 1, Parallelism: 1, InitialK: 8,
+		DisablePruning: true, DisableResolve: true,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	doc, err := server.NewClient(cn.url).ClusterCheck(ctx, bytes.NewReader(stream), cfg)
+	if err != nil {
+		t.Fatalf("every client parameter set: %v", err)
+	}
+	want := localDoc(h, core.Options{
+		Level: core.AdyaSI, ClockDrift: 1, Parallelism: 1, InitialK: 8,
+		DisablePruning: true, DisableResolve: true,
+	})
+	sameGraph(t, "every parameter", doc, want)
 }
 
 // TestClusterDegradedDispatch: a worker that refuses shard jobs (415, as

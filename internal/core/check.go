@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sort"
-	"sync"
 	"time"
 
 	"viper/internal/acyclic"
@@ -11,48 +10,6 @@ import (
 	"viper/internal/obs"
 	"viper/internal/sat"
 )
-
-// portfolioRace coordinates the racing solver runs of one portfolio check.
-// Registered solvers are interrupted the moment a winner is decided, and a
-// solver that registers after the decision interrupts itself immediately —
-// a straggler that was still being constructed when the race ended must
-// not run to completion unobserved.
-type portfolioRace struct {
-	mu      sync.Mutex
-	decided bool
-	solvers []*sat.Solver
-}
-
-func (pr *portfolioRace) register(s *sat.Solver) {
-	if pr == nil {
-		return
-	}
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if pr.decided {
-		s.Interrupt()
-	}
-	pr.solvers = append(pr.solvers, s)
-}
-
-// over reports whether the race was decided; false outside a race.
-func (pr *portfolioRace) over() bool {
-	if pr == nil {
-		return false
-	}
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	return pr.decided
-}
-
-func (pr *portfolioRace) decide() {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	pr.decided = true
-	for _, s := range pr.solvers {
-		s.Interrupt()
-	}
-}
 
 // Outcome is a checking verdict.
 type Outcome uint8
@@ -97,11 +54,7 @@ type PhaseTimings struct {
 	// it. Zero when the path was disabled or the timestamps unusable.
 	TSOrder time.Duration
 	Encode  time.Duration // emitting SMT clauses (summed over solver passes)
-	// Solve is SAT+theory solving summed over solver passes. Under a
-	// portfolio it is the winning run's time only; losers' encode/solve
-	// time is never booked (it would misattribute the Figure 10
-	// decomposition).
-	Solve time.Duration
+	Solve   time.Duration // SAT+theory solving (summed over solver passes)
 }
 
 // Report is the result of a check.
@@ -153,9 +106,8 @@ type Report struct {
 	Solver sat.Stats
 
 	// Reorders/ReorderedNodes count the Pearce–Kelly order repairs the
-	// acyclicity theory performed and the nodes they moved (the winning
-	// solver's, under a portfolio; cumulative across audits on a warm
-	// incremental session, like Solver).
+	// acyclicity theory performed and the nodes they moved (cumulative
+	// across audits on a warm incremental session, like Solver).
 	Reorders       int64
 	ReorderedNodes int64
 
@@ -326,8 +278,8 @@ func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
 	for _, ke := range pg.Known {
 		out[ke.From] = append(out[ke.From], ke.To)
 	}
-	pl := &checkPlan{pg: pg, opts: opts, out: out, deadline: solveDeadline(ctx, opts), start: checkStart}
-	order, ok := acyclic.TopoPriority(int(pg.NumNodes), out, pl.less)
+	r := &solveRun{pg: pg, opts: opts, rep: rep, out: out, deadline: solveDeadline(ctx, opts), checkStart: checkStart}
+	order, ok := acyclic.TopoPriority(int(pg.NumNodes), out, r.less)
 	if !ok {
 		rep.Outcome = Reject
 		rep.KnownCycle = pg.knownCycle(out)
@@ -374,7 +326,7 @@ func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
 				residue := tc.residual
 				residue.known, residue.pos = all.known, all.pos
 				if len(residue.cons) > resolveCheapBatch {
-					if residue, ok = pl.resolve(ctx, rep, residue); !ok {
+					if residue, ok = r.resolve(ctx, residue); !ok {
 						return rep
 					}
 				}
@@ -386,8 +338,9 @@ func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
 					rep.WitnessPositions = residue.pos
 					return rep
 				}
-				pl.ts, pl.all, pl.chosen = true, all, tc.chosen
-				return pl.solve(ctx, rep, residue)
+				r.ts, r.all, r.chosen = true, all, tc.chosen
+				r.run(ctx, residue)
+				return rep
 			}
 			// Timestamps decide too little to carry a pass — run the
 			// standard pipeline; the counters still report what they knew.
@@ -400,7 +353,7 @@ func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
 	// pass forces is exact, so a cycle among forced edges is an immediate
 	// rejection with known-edge evidence, and a fully-resolved constraint
 	// set accepts without ever encoding a clause.
-	set, ok := pl.resolve(ctx, rep, all)
+	set, ok := r.resolve(ctx, all)
 	if !ok {
 		return rep
 	}
@@ -411,7 +364,8 @@ func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
 		rep.WitnessPositions = set.pos
 		return rep
 	}
-	return pl.solve(ctx, rep, set)
+	r.run(ctx, set)
+	return rep
 }
 
 // consSet is what a run of solver passes works on: the constraints still
@@ -425,35 +379,42 @@ type consSet struct {
 	pos   []int32
 }
 
-// checkPlan is the solver-independent state of one check, shared by every
-// portfolio racer: the known graph's adjacency, the timestamp choices, and
-// the full-set resolution a failed timestamp pass falls back to (computed
-// once, by whichever racer needs it first).
-type checkPlan struct {
-	pg       *Polygraph
-	opts     Options
-	out      [][]int32 // known graph adjacency; resolution extends it in place
-	deadline time.Time
-	start    time.Time
+// solveRun is one check's solver passes: a single sat.Solver and
+// acyclic.EdgeTheory that every pass extends. Known and resolve-forced
+// edges are theory constants, inserted once. A constraint gets its clauses
+// the first pass that cannot force it, and keeps them. Everything a pass
+// asserts for itself alone — the timestamp-chosen sides, the sides §3.5
+// pruning forces, the stride edges — is one guarded batch that the pass's
+// SolveAssuming call assumes and that is retired when the pass fails.
+// Conflicts through batch edges carry ¬guard, so an Unsat with Okay()
+// still true failed only the pass, while one with Okay() false refuted the
+// polygraph outright.
+type solveRun struct {
+	pg         *Polygraph
+	opts       Options
+	rep        *Report
+	out        [][]int32 // known graph adjacency; resolution extends it in place
+	deadline   time.Time
+	checkStart time.Time
 
 	ts     bool    // the first pass asserts the timestamp-chosen sides
 	all    consSet // every constraint, before any resolution (timestamp pass only)
 	chosen []int32 // the timestamp-chosen sides, as tsClassify lists them
 	// committed lists the committed transactions, the endpoints of stride
-	// edges. Passes read it rather than the history, which the caller may
-	// extend while portfolio losers are still draining.
+	// edges, collected once for every pass.
 	committed []history.TxnID
 
-	fbOnce sync.Once
-	fbRep  Report  // what the fallback resolution decided or counted
-	fbSet  consSet // the constraints it left
-	fbOK   bool    // false: it rejected (fbRep carries the evidence)
+	s       *sat.Solver
+	th      *acyclic.EdgeTheory
+	release func()
+	nconst  int    // constants inserted: a prefix of the current consSet.known
+	encoded []bool // by Polygraph.Cons index: the constraint has its clauses
 }
 
 // less orders nodes by timestamp, then id: the priority that turns the
 // known graph's topological sort into the heuristic schedule ŝ.
-func (pl *checkPlan) less(a, b int32) bool {
-	ts := pl.pg.nodeTS
+func (r *solveRun) less(a, b int32) bool {
+	ts := r.pg.nodeTS
 	if ts[a] != ts[b] {
 		return ts[a] < ts[b]
 	}
@@ -463,19 +424,19 @@ func (pl *checkPlan) less(a, b int32) bool {
 // resolve runs the pre-solve resolution pass over set (unless disabled)
 // and returns the constraints it leaves, with its forced edges appended to
 // the known graph and ŝ re-sorted over the result. ok is false when it
-// rejected; rep then carries the cycle.
-func (pl *checkPlan) resolve(ctx context.Context, rep *Report, set consSet) (_ consSet, ok bool) {
-	if pl.opts.DisableResolve {
+// rejected; the report then carries the cycle.
+func (r *solveRun) resolve(ctx context.Context, set consSet) (_ consSet, ok bool) {
+	if r.opts.DisableResolve {
 		return set, true
 	}
-	pg := pl.pg
+	rep, pg := r.rep, r.pg
 	resolveStart := time.Now()
 	defer func() { rep.Phases.Resolve += time.Since(resolveStart) }()
 	order := make([]int32, len(set.pos))
 	for n, p := range set.pos {
 		order[p] = int32(n)
 	}
-	rr := resolvePolygraph(ctx, pg, set.cons, pl.out, order, pl.opts.workers())
+	rr := resolvePolygraph(ctx, pg, set.cons, r.out, order, r.opts.workers())
 	if rr == nil {
 		return set, true
 	}
@@ -497,10 +458,10 @@ func (pl *checkPlan) resolve(ctx context.Context, rep *Report, set consSet) (_ c
 		// still a DAG, the resolver checked every forced edge against the
 		// closure.
 		next.known = append(append(make([]KnownEdge, 0, len(set.known)+len(rr.forced)), set.known...), rr.forced...)
-		order, ok := acyclic.TopoPriority(int(pg.NumNodes), pl.out, pl.less)
+		order, ok := acyclic.TopoPriority(int(pg.NumNodes), r.out, r.less)
 		if !ok {
 			rep.Outcome = Reject
-			rep.KnownCycle = pg.knownCycle(pl.out)
+			rep.KnownCycle = pg.knownCycle(r.out)
 			return set, false
 		}
 		next.pos = positionsOf(order)
@@ -508,134 +469,36 @@ func (pl *checkPlan) resolve(ctx context.Context, rep *Report, set consSet) (_ c
 	return next, true
 }
 
-// fallback is the full-set resolution that follows a failed timestamp
-// pass: every constraint, against the known graph as the residue's
-// resolution left it. It runs once per check and racers share the result:
-// the constraints it leaves, and a report holding its resolve time, its
-// counters (rep's, if it declined to run) and, on rejection, its cycle.
-func (pl *checkPlan) fallback(ctx context.Context, rep *Report, residue consSet) (consSet, *Report, bool) {
-	pl.fbOnce.Do(func() {
-		all := pl.all
-		all.known, all.pos = residue.known, residue.pos
-		pl.fbRep.ResolvedConstraints, pl.fbRep.ForcedEdges = rep.ResolvedConstraints, rep.ForcedEdges
-		pl.fbSet, pl.fbOK = pl.resolve(ctx, &pl.fbRep, all)
-	})
-	return pl.fbSet, &pl.fbRep, pl.fbOK
-}
-
-// solve runs the solver passes over set: one solveRun, or with
-// Options.Portfolio > 1 that many differently-seeded runs racing, where
-// the first definitive verdict wins and the losers are interrupted.
-func (pl *checkPlan) solve(ctx context.Context, rep *Report, set consSet) *Report {
-	if h := pl.pg.H; h != nil {
-		for _, t := range h.Txns[1:] {
-			if t.Committed() {
-				pl.committed = append(pl.committed, t.ID)
-			}
-		}
-	}
-	n := pl.opts.Portfolio
-	if n <= 1 {
-		r := &solveRun{pl: pl, rep: rep, tracer: pl.opts.Tracer}
-		r.run(ctx, set)
-		return rep
-	}
-	// The channel is buffered so interrupted losers can always deliver
-	// their result and exit; a detached goroutine drains them.
-	results := make(chan *solveRun, n)
-	race := &portfolioRace{}
-	for i := 0; i < n; i++ {
-		own := *rep
-		r := &solveRun{pl: pl, rep: &own, seed: int64(i), race: race} // seed 0 = deterministic VSIDS
-		go func() {
-			r.run(ctx, set)
-			results <- r
-		}()
-	}
-	var win *solveRun
-	for done := 0; done < n; done++ {
-		win = <-results
-		if win.rep.Outcome == Timeout {
-			continue // every run timing out books the last finisher
-		}
-		race.decide()
-		remaining := n - done - 1
-		go func() {
-			for i := 0; i < remaining; i++ {
-				<-results
-			}
-		}()
-		break
-	}
-	// Only the winner's passes are traced: racers cannot share the tracer's
-	// span stack, and losers' encode/solve time would misattribute the
-	// Figure 10 decomposition.
-	for _, p := range win.passes {
-		reg := pl.opts.Tracer.Start("attempt")
-		reg.SetAttr("k", int64(p.k))
-		if p.solved {
-			reg.Child("encode", p.encode)
-			reg.Child("solve", p.solve)
-		}
-		reg.End()
-	}
-	return win.rep
-}
-
-// solveRun is one check's solver passes: a single sat.Solver and
-// acyclic.EdgeTheory that every pass extends. Known and resolve-forced
-// edges are theory constants, inserted once. A constraint gets its clauses
-// the first pass that cannot force it, and keeps them. Everything a pass
-// asserts for itself alone — the timestamp-chosen sides, the sides §3.5
-// pruning forces, the stride edges — is one guarded batch that the pass's
-// SolveAssuming call assumes and that is retired when the pass fails.
-// Conflicts through batch edges carry ¬guard, so an Unsat with Okay()
-// still true failed only the pass, while one with Okay() false refuted the
-// polygraph outright.
-type solveRun struct {
-	pl     *checkPlan
-	rep    *Report
-	seed   int64
-	race   *portfolioRace // nil outside a portfolio
-	tracer *obs.Tracer    // nil inside a portfolio (passes are recorded instead)
-	passes []passRecord
-
-	s       *sat.Solver
-	th      *acyclic.EdgeTheory
-	release func()
-	nconst  int    // constants inserted: a prefix of the current consSet.known
-	encoded []bool // by Polygraph.Cons index: the constraint has its clauses
-}
-
-// passRecord is one pass's trace entry, kept for portfolio racers.
-type passRecord struct {
-	k             int
-	solved        bool // the pass reached the solver
-	encode, solve time.Duration
-}
-
-// run drives the passes in order: the timestamp pass (when the check has
-// one), then each §3.5 radius k = InitialK, 2k, … and finally k = 0
-// (exact), stopping at the first verdict.
+// run drives the passes over set in order: the timestamp pass (when the
+// check has one), then each §3.5 radius k = InitialK, 2k, … and finally
+// k = 0 (exact), stopping at the first verdict.
 func (r *solveRun) run(ctx context.Context, set consSet) {
 	defer func() {
 		if r.release != nil {
 			r.release()
 		}
 	}()
-	rep, pg := r.rep, r.pl.pg
-	if r.pl.ts {
+	rep, pg := r.rep, r.pg
+	if h := pg.H; h != nil {
+		for _, t := range h.Txns[1:] {
+			if t.Committed() {
+				r.committed = append(r.committed, t.ID)
+			}
+		}
+	}
+	if r.ts {
 		if r.stopped(ctx) {
 			return
 		}
-		res := r.pass(ctx, set, 0, r.pl.chosen)
+		res := r.pass(ctx, set, 0, r.chosen)
 		if res != sat.Unsat {
 			r.verdict(res)
 			return
 		}
 		// An Unsat that used the chosen sides only says the timestamps may
 		// be wrong about this history: drop them and resolve the full
-		// constraint set. One that used none refuted the residue; the
+		// constraint set, against the known graph as the residue's
+		// resolution left it. One that used none refuted the residue; the
 		// full-set resolution still runs, for the known-edge cycle it may
 		// find as evidence.
 		refuted := !r.s.Okay()
@@ -643,22 +506,21 @@ func (r *solveRun) run(ctx context.Context, set consSet) {
 			rep.Retries++
 			r.th.Retire(r.s)
 		}
-		fbSet, fbRep, ok := r.pl.fallback(ctx, rep, set)
-		rep.Phases.Resolve += fbRep.Phases.Resolve
-		rep.ResolvedConstraints, rep.ForcedEdges = fbRep.ResolvedConstraints, fbRep.ForcedEdges
-		if !ok || refuted {
-			rep.Outcome, rep.KnownCycle = Reject, fbRep.KnownCycle
+		all := r.all
+		all.known, all.pos = set.known, set.pos
+		var ok bool
+		if set, ok = r.resolve(ctx, all); !ok || refuted {
+			rep.Outcome = Reject
 			return
 		}
-		if len(fbSet.cons) == 0 {
-			rep.Outcome, rep.WitnessPositions = Accept, fbSet.pos
+		if len(set.cons) == 0 {
+			rep.Outcome, rep.WitnessPositions = Accept, set.pos
 			return
 		}
-		set = fbSet
 	}
 
-	k := r.pl.opts.initialK()
-	if r.pl.opts.DisablePruning {
+	k := r.opts.initialK()
+	if r.opts.DisablePruning {
 		k = 0
 	}
 	for !r.stopped(ctx) {
@@ -679,10 +541,10 @@ func (r *solveRun) run(ctx context.Context, set consSet) {
 	}
 }
 
-// stopped reports (and records as a timeout) a context that expired or a
-// race that was decided before the next pass.
+// stopped reports (and records as a timeout) a context that expired
+// before the next pass.
 func (r *solveRun) stopped(ctx context.Context) bool {
-	if ctx.Err() != nil || r.race.over() {
+	if ctx.Err() != nil {
 		r.rep.Outcome = Timeout
 		return true
 	}
@@ -717,18 +579,12 @@ func (r *solveRun) verdict(res sat.Result) bool {
 // it returns Unsat without solving. Canceling ctx interrupts the solver;
 // the pass then reports Unknown.
 func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32) sat.Result {
-	attReg := r.tracer.Start("attempt")
+	attReg := r.opts.Tracer.Start("attempt")
 	attReg.SetAttr("k", int64(k))
 	defer attReg.End()
-	rep, pg := r.rep, r.pl.pg
+	rep, pg := r.rep, r.pg
 	encodeStart := time.Now()
-	rec := passRecord{k: k}
 	rep.FinalK = k
-	defer func() {
-		if r.race != nil {
-			r.passes = append(r.passes, rec)
-		}
-	}()
 
 	if r.s == nil {
 		r.start(ctx, set.pos)
@@ -786,7 +642,7 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 				encode = append(encode, i)
 			}
 		}
-		stride := pg.heuristicEdges(set.pos, k, r.pl.committed)
+		stride := pg.heuristicEdges(set.pos, k, r.committed)
 		assert(stride)
 		rep.HeuristicEdges = len(stride)
 	} else {
@@ -803,7 +659,7 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 	// backward one probably absent. Decisions then reproduce ŝ unless
 	// conflicts force otherwise, keeping the search near-linear on healthy
 	// histories and localized on violations.
-	s, noBias := r.s, r.pl.opts.DisablePhaseBias
+	s, noBias := r.s, r.opts.DisablePhaseBias
 	edgeLit := func(e Edge) sat.Lit {
 		v := r.th.EdgeVar(s, e.From, e.To)
 		if !noBias {
@@ -837,7 +693,7 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 		assume = append(assume, sat.PosLit(r.th.AddBatch(s, batch)))
 	}
 
-	rec.solved, rec.encode = true, time.Since(encodeStart)
+	encoded := time.Since(encodeStart)
 	solveStart := time.Now()
 	res := s.SolveAssuming(assume...)
 	if res == sat.Sat {
@@ -849,11 +705,11 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 	}
 	// Everything after encoding — solving plus witness extraction — is
 	// this pass's solve time.
-	rec.solve = time.Since(solveStart)
-	rep.Phases.Encode += rec.encode
-	rep.Phases.Solve += rec.solve
-	attReg.Child("encode", rec.encode)
-	attReg.Child("solve", rec.solve)
+	solved := time.Since(solveStart)
+	rep.Phases.Encode += encoded
+	rep.Phases.Solve += solved
+	attReg.Child("encode", encoded)
+	attReg.Child("solve", solved)
 	rep.Solver = s.Stats
 	rep.EdgeVars = s.NumVars()
 	rep.Reorders, rep.ReorderedNodes = r.th.Reorders()
@@ -864,36 +720,30 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 // order is warm-started with ŝ: the known graph's edges (the bulk of all
 // insertions) then land in already-consistent positions.
 func (r *solveRun) start(ctx context.Context, pos []int32) {
-	pl := r.pl
 	r.s = sat.New()
 	r.release = watchCancel(ctx, r.s)
-	if !pl.deadline.IsZero() {
-		r.s.SetDeadline(pl.deadline)
+	if !r.deadline.IsZero() {
+		r.s.SetDeadline(r.deadline)
 	}
-	if r.seed > 0 {
-		r.s.SetRandomSeed(r.seed)
-	}
-	r.race.register(r.s)
-	r.th = acyclic.NewEdgeTheory(int(pl.pg.NumNodes))
+	r.th = acyclic.NewEdgeTheory(int(r.pg.NumNodes))
 	r.th.SeedOrder(pos)
 	r.s.SetTheory(r.th)
-	r.encoded = make([]bool, len(pl.pg.Cons))
+	r.encoded = make([]bool, len(r.pg.Cons))
 
-	// Solve-time progress sampling, outside a portfolio race only: racing
-	// solvers' counters are not individually meaningful, and losers may
-	// outlive the check. The hook runs synchronously on this run's
-	// goroutine, so reading the solver, theory and report is race-free.
-	if pl.opts.Progress == nil || r.race != nil {
+	// Solve-time progress sampling. The hook runs synchronously on the
+	// solving goroutine, so reading the solver, theory and report is
+	// race-free.
+	if r.opts.Progress == nil {
 		return
 	}
 	s, th, rep := r.s, r.th, r.rep
-	s.SetProgress(pl.opts.progressInterval(), func() {
+	s.SetProgress(r.opts.progressInterval(), func() {
 		snap := obs.Snapshot{
 			Phase:               "solve",
-			ElapsedNS:           int64(time.Since(pl.start)),
-			Nodes:               int(pl.pg.NumNodes),
+			ElapsedNS:           int64(time.Since(r.checkStart)),
+			Nodes:               int(r.pg.NumNodes),
 			KnownEdges:          r.nconst,
-			Constraints:         len(pl.pg.Cons),
+			Constraints:         len(r.pg.Cons),
 			PrunedConstraints:   rep.PrunedConstraints,
 			ResolvedConstraints: rep.ResolvedConstraints,
 			ForcedEdges:         rep.ForcedEdges,
@@ -907,7 +757,7 @@ func (r *solveRun) start(ctx context.Context, pos []int32) {
 			HeapInUse:           obs.HeapInUse(),
 		}
 		snap.Reorders, snap.ReorderedNodes = th.Reorders()
-		pl.opts.Progress(snap)
+		r.opts.Progress(snap)
 	})
 }
 

@@ -60,13 +60,19 @@ func TestFigure2Accepted(t *testing.T) {
 func longFork(t *testing.T) *history.History {
 	t.Helper()
 	b := history.NewBuilder()
+	addLongFork(b)
+	return b.MustHistory()
+}
+
+// addLongFork appends longFork's five transactions, on five new
+// sessions, to b.
+func addLongFork(b *history.Builder) {
 	ss := []*history.SessionBuilder{b.Session(), b.Session(), b.Session(), b.Session(), b.Session()}
 	t1 := ss[0].Txn().Write("x").Write("y").Commit()
 	t2 := ss[1].Txn().ReadObserved("x", t1.WriteIDOf("x")).Write("x").Commit()
 	t3 := ss[2].Txn().ReadObserved("y", t1.WriteIDOf("y")).Write("y").Commit()
 	ss[3].Txn().ReadObserved("x", t2.WriteIDOf("x")).ReadObserved("y", t1.WriteIDOf("y")).Commit()
 	ss[4].Txn().ReadObserved("x", t1.WriteIDOf("x")).ReadObserved("y", t3.WriteIDOf("y")).Commit()
-	return b.MustHistory()
 }
 
 func TestLongForkRejected(t *testing.T) {
@@ -453,45 +459,6 @@ func TestEdgeKindStrings(t *testing.T) {
 		if k.String() != s {
 			t.Errorf("kind %d = %q, want %q", k, k.String(), s)
 		}
-	}
-}
-
-func TestPortfolioAgreesWithSingleSolver(t *testing.T) {
-	// Portfolio solving must give the same verdicts, on both SI and
-	// non-SI histories, and still produce a valid witness. The last rows
-	// fail their timestamp pass, so every racer reaches the shared
-	// full-set resolution (or, without it, the pruned passes).
-	cases := []struct {
-		h         *history.History
-		want      Outcome
-		noResolve bool
-	}{
-		{figure2(t), Accept, false},
-		{longFork(t), Reject, false},
-		{lostUpdate(t), Reject, false},
-		{writeSkew(t), Accept, false},
-		{misleadingStamps(t), Accept, false},
-		{misleadingStamps(t), Accept, true},
-		{blindWLostUpdate(t), Reject, false},
-		{blindWLostUpdate(t), Reject, true},
-	}
-	for i, tc := range cases {
-		rep := CheckHistory(tc.h, Options{Level: AdyaSI, Portfolio: 4, SelfCheck: true, DisableResolve: tc.noResolve})
-		if rep.Outcome != tc.want {
-			t.Fatalf("case %d: portfolio got %v, want %v", i, rep.Outcome, tc.want)
-		}
-		if rep.Outcome == Accept && rep.SelfCheckErr != nil {
-			t.Fatalf("case %d: witness self-check failed: %v", i, rep.SelfCheckErr)
-		}
-	}
-}
-
-func TestPortfolioOnGeneratedHistory(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	h := randomSerialHistory(rng, 120, 6, 4)
-	rep := CheckHistory(h, Options{Level: AdyaSI, Portfolio: 3, SelfCheck: true})
-	if rep.Outcome != Accept || !rep.WitnessVerified {
-		t.Fatalf("outcome=%v verified=%v err=%v", rep.Outcome, rep.WitnessVerified, rep.SelfCheckErr)
 	}
 }
 

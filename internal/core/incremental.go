@@ -11,9 +11,10 @@
 // dominant construction cost — reruns only where the history actually
 // changed. Each audit then either assembles the records into a Polygraph
 // and runs the ordinary batch solve (the cold path, used for levels with
-// real-time edges, for ablation options, and for the first audit so the
-// one-shot wrappers stay byte-compatible with the historical batch
-// pipeline), or feeds the deltas to a persistent solver (the warm path).
+// real-time edges, for the first audit so the one-shot wrappers stay
+// byte-compatible with the historical batch pipeline, and when a warm
+// audit bails out), or feeds the deltas to a persistent solver (the warm
+// path).
 //
 // The warm path keeps one SAT solver and one acyclicity theory alive for
 // the whole session: learned clauses, VSIDS activities, saved phases, and
@@ -328,11 +329,9 @@ func (inc *Incremental) numNodes() int32 {
 
 // warmCapable reports whether the configured options admit the persistent
 // solver at all: levels with real-time obligations restructure their
-// auxiliary suffix-chain edges on every append (not monotone), and a
-// portfolio races several solvers per check by design.
+// auxiliary suffix-chain edges on every append (not monotone).
 func (inc *Incremental) warmCapable() bool {
-	return (inc.opts.Level == AdyaSI || inc.opts.Level == Serializability) &&
-		inc.opts.Portfolio <= 1
+	return inc.opts.Level == AdyaSI || inc.opts.Level == Serializability
 }
 
 // Audit checks the full current history, reusing state from prior audits.
@@ -408,7 +407,7 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 	}
 	if rep == nil {
 		// Cold path: assemble the record store into a Polygraph and run the
-		// ordinary batch solve (pruning and portfolio apply).
+		// ordinary batch solve.
 		pg := inc.assemble()
 		construct := time.Since(constructStart)
 		conReg.End()
@@ -1034,9 +1033,7 @@ encode:
 	// Solve-time progress sampling against the persistent solver. The hook
 	// runs synchronously on this goroutine from inside SolveAssuming, so
 	// reading the solver, theory, and rep is race-free; it is reinstalled
-	// each audit to capture the current audit's epoch. (warmCapable already
-	// excludes portfolios, so unlike the batch path there is no race to
-	// suppress it for.)
+	// each audit to capture the current audit's epoch.
 	if opts.Progress != nil {
 		w.s.SetProgress(opts.progressInterval(), func() {
 			snap := obs.Snapshot{

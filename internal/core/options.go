@@ -243,12 +243,6 @@ type Options struct {
 	// path, which it takes at one worker.
 	Parallelism int
 
-	// Portfolio, when > 1, runs that many differently-seeded copies of a
-	// check's solver passes in parallel and takes the first definitive
-	// verdict — the paper's suggested mitigation for the high solver
-	// variance it observes on non-SI histories (§7.3).
-	Portfolio int
-
 	// SelfCheck replays the witness schedule after every Accept
 	// (VerifyWitness, the operational reading of Theorem 4) and records the
 	// outcome in the report. A failed self-check would indicate a checker
@@ -258,10 +252,8 @@ type Options struct {
 	// Progress, when non-nil, receives point-in-time counter snapshots: at
 	// phase boundaries and, during solving, roughly every ProgressInterval
 	// (sampled synchronously on the solving goroutine, so the callback must
-	// be fast and must not call back into the checker). During a portfolio
-	// race (Portfolio > 1) solve-time sampling is suppressed — the racing
-	// solvers' counters are not meaningful individually — but boundary
-	// snapshots still arrive. Nil (the default) costs one pointer check.
+	// be fast and must not call back into the checker). Nil (the default)
+	// costs one pointer check.
 	Progress func(obs.Snapshot)
 
 	// ProgressInterval is the solve-time sampling cadence for Progress;

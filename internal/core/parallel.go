@@ -288,9 +288,8 @@ func (pg *Polygraph) applyOp(op *keyOp, key history.Key) {
 		}
 	default:
 		// Filter without mutating the record: a session replays the same
-		// ops across audits (and a prior audit's portfolio losers may still
-		// be reading constraint sides that alias them), so in-place
-		// compaction would corrupt shared state. The no-known-edge common
+		// ops across audits, so in-place compaction would corrupt shared
+		// state. The no-known-edge common
 		// case stays allocation-free by aliasing the record's slab view;
 		// a filtered side is a copy, capped like the views.
 		filter := func(side []Edge) []Edge {

@@ -101,7 +101,7 @@ func BuildReportDoc(tool, path string, h *history.History, parse time.Duration, 
 	doc.WitnessVerified = rep.WitnessVerified
 	doc.Anomaly = rep.Anomaly
 	if rep.KnownCycle != nil && h != nil {
-		doc.KnownCycle = renderCycle(h, rep.KnownCycle, opts)
+		doc.KnownCycle = RenderCycle(h, rep.KnownCycle, opts)
 	}
 	final := rep.Snapshot()
 	final.Txns = doc.History.Txns
@@ -109,16 +109,16 @@ func BuildReportDoc(tool, path string, h *history.History, parse time.Duration, 
 	return doc
 }
 
-// renderCycle maps a counterexample cycle onto named edges. The
+// RenderCycle maps a counterexample cycle onto named edges. The
 // polynomial levels' nodes are transaction ids of the forced commit-order
 // relation; the solver levels' nodes are polygraph event nodes, named by
-// a polygraph built at the report's level (real-time levels put auxiliary
-// nodes in cycles, so the mapping must match).
-func renderCycle(h *history.History, cycle []KnownEdge, opts Options) []obs.CycleEdge {
+// the node layout at the report's level. The layout alone fixes every
+// name: event nodes come from transaction ids and the fence, and the
+// real-time levels' auxiliary nodes all sit above them.
+func RenderCycle(h *history.History, cycle []KnownEdge, opts Options) []obs.CycleEdge {
 	name := func(n int32) string { return txnNodeName(h, n) }
 	if !opts.Level.Polynomial() {
-		pg := Build(h, opts)
-		name = pg.NodeName
+		name = newPolygraph(h, opts.Level).NodeName
 	}
 	out := make([]obs.CycleEdge, 0, len(cycle))
 	for _, ke := range cycle {
@@ -194,7 +194,7 @@ func BuildMatrixDoc(tool, path string, h *history.History, parse time.Duration, 
 			if rep.KnownCycle != nil && h != nil {
 				lvlOpts := opts
 				lvlOpts.Level = v.Level
-				row.KnownCycle = renderCycle(h, rep.KnownCycle, lvlOpts)
+				row.KnownCycle = RenderCycle(h, rep.KnownCycle, lvlOpts)
 			}
 		}
 		mi.Rows = append(mi.Rows, row)

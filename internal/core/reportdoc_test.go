@@ -52,25 +52,21 @@ func TestBuildReportDocMirrorsReport(t *testing.T) {
 	}
 }
 
-// TestReportDocCycleNamesBehindFence: after a checkpoint, the rendered
-// counterexample names the external transaction ids the client streamed,
-// and the checkpoint section describes the fence.
-func TestReportDocCycleNamesBehindFence(t *testing.T) {
+// fencedLongFork streams four accepted transactions into an AdyaSI
+// session, checkpoints all of them, then streams a long fork. It returns
+// the session's live history, behind a fence with a nonzero base, and the
+// rejecting report, which carries a known cycle.
+func fencedLongFork(t *testing.T) (*history.History, *Report) {
+	t.Helper()
 	b := history.NewBuilder()
 	pre := b.Session()
 	for i := 0; i < 4; i++ {
 		pre.Txn().Write("a").Commit()
 	}
-	ss := []*history.SessionBuilder{b.Session(), b.Session(), b.Session(), b.Session(), b.Session()}
-	t1 := ss[0].Txn().Write("x").Write("y").Commit()
-	t2 := ss[1].Txn().ReadObserved("x", t1.WriteIDOf("x")).Write("x").Commit()
-	t3 := ss[2].Txn().ReadObserved("y", t1.WriteIDOf("y")).Write("y").Commit()
-	ss[3].Txn().ReadObserved("x", t2.WriteIDOf("x")).ReadObserved("y", t1.WriteIDOf("y")).Commit()
-	ss[4].Txn().ReadObserved("x", t1.WriteIDOf("x")).ReadObserved("y", t3.WriteIDOf("y")).Commit()
+	addLongFork(b)
 	h := b.MustHistory()
 
-	opts := Options{Level: AdyaSI}
-	inc := NewIncremental(opts)
+	inc := NewIncremental(Options{Level: AdyaSI})
 	if rep := inc.mustAudit(t, h.Txns[1:5]...); rep.Outcome != Accept {
 		t.Fatalf("prefix audit: %v", rep.Outcome)
 	}
@@ -82,11 +78,19 @@ func TestReportDocCycleNamesBehindFence(t *testing.T) {
 		t.Fatalf("long fork behind a fence: outcome %v, cycle %v", rep.Outcome, rep.KnownCycle)
 	}
 	live := inc.History()
-	f := live.Fence()
-	if f == nil || f.Base == 0 {
+	if f := live.Fence(); f == nil || f.Base == 0 {
 		t.Fatalf("expected a fence with a nonzero base, got %+v", f)
 	}
+	return live, rep
+}
 
+// TestReportDocCycleNamesBehindFence: after a checkpoint, the rendered
+// counterexample names the external transaction ids the client streamed,
+// and the checkpoint section describes the fence.
+func TestReportDocCycleNamesBehindFence(t *testing.T) {
+	live, rep := fencedLongFork(t)
+	f := live.Fence()
+	opts := Options{Level: AdyaSI}
 	doc := BuildReportDoc("viper", "", live, 0, rep, nil, opts, nil)
 	if doc.Checkpoint == nil || doc.Checkpoint.FencedTxns != f.Txns || doc.Checkpoint.TxnIDBase != f.Base {
 		t.Fatalf("checkpoint section %+v, fence base %d txns %d", doc.Checkpoint, f.Base, f.Txns)
@@ -105,13 +109,64 @@ func TestReportDocCycleNamesBehindFence(t *testing.T) {
 	}
 
 	// The polynomial levels' cycles are over transaction ids.
-	poly := renderCycle(live, []KnownEdge{{Edge: Edge{From: 1, To: 2}, Kind: EdgeWR, Key: "x"}}, Options{Level: ReadCommitted})
+	poly := RenderCycle(live, []KnownEdge{{Edge: Edge{From: 1, To: 2}, Kind: EdgeWR, Key: "x"}}, Options{Level: ReadCommitted})
 	want := []string{fmt.Sprintf("T%d", f.ExternalID(1)), fmt.Sprintf("T%d", f.ExternalID(2))}
 	if len(poly) != 1 || poly[0].From != want[0] || poly[0].To != want[1] || poly[0].Kind != "wr" {
 		t.Fatalf("polynomial cycle %+v, want %v", poly, want)
 	}
-	if got := txnNodeName(h, 3); got != "T3" {
+	if got := txnNodeName(longFork(t), 3); got != "T3" {
 		t.Fatalf("unfenced txn node renders %q, want T3", got)
+	}
+}
+
+// TestRenderCycleNamesFromLayout: RenderCycle names solver-level nodes
+// from the node layout alone, and every node of the built polygraph gets
+// the polygraph's own name, auxiliary nodes and a checkpoint fence
+// included.
+func TestRenderCycleNamesFromLayout(t *testing.T) {
+	fenced, _ := fencedLongFork(t)
+	for _, h := range []*history.History{longFork(t), fenced} {
+		for _, level := range []Level{AdyaSI, Serializability, StrongSI} {
+			opts := Options{Level: level}
+			pg := Build(h, opts)
+			if level == StrongSI && pg.NumNodes == newPolygraph(h, level).NumNodes {
+				t.Fatalf("%v: no auxiliary nodes to name", level)
+			}
+			cycle := make([]KnownEdge, pg.NumNodes)
+			for n := range cycle {
+				cycle[n].Edge = Edge{From: int32(n), To: (int32(n) + 1) % pg.NumNodes}
+			}
+			for n, ce := range RenderCycle(h, cycle, opts) {
+				if want := pg.NodeName(int32(n)); ce.From != want || ce.To != pg.NodeName(cycle[n].To) {
+					t.Fatalf("%v fenced=%v: node %d rendered %s->%s, want %s->%s",
+						level, h.Fence() != nil, n, ce.From, ce.To, want, pg.NodeName(cycle[n].To))
+				}
+			}
+		}
+	}
+}
+
+// TestBuildReportDocCycleAllocs: naming a reject's cycle nodes needs the
+// node layout only, not the polygraph, so rendering the document of a
+// 2k-transaction reject allocates no more than that of a small one.
+func TestBuildReportDocCycleAllocs(t *testing.T) {
+	b := history.NewBuilder()
+	s := b.Session()
+	for i := 0; i < 2000; i++ {
+		s.Txn().Write(history.Key(fmt.Sprintf("k%d", i%50))).Commit()
+	}
+	addLongFork(b)
+	h := b.MustHistory()
+	opts := Options{Level: AdyaSI}
+	rep := CheckHistory(h, opts)
+	if rep.Outcome != Reject || len(rep.KnownCycle) == 0 {
+		t.Fatalf("outcome %v, cycle %v", rep.Outcome, rep.KnownCycle)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		BuildReportDoc("viperd", "", h, 0, rep, nil, opts, nil)
+	})
+	if allocs > 100 {
+		t.Fatalf("BuildReportDoc allocated %.0f times per run, want at most 100", allocs)
 	}
 }
 

@@ -401,32 +401,12 @@ func (m *ShardMerger) Finish() (*Polygraph, error) {
 	return m.pg, nil
 }
 
-// BuildPolygraphFromShards replays shard records into a polygraph. recs
-// must cover h.Keys() exactly — every key once, in ascending order
-// (shards covering contiguous key ranges, concatenated in range order,
-// satisfy this). The replay mirrors buildSharded: all read-dependency
-// edges in key order, then every key's constraint-pass emissions in key
-// order, with the knownSet-dependent steps (duplicate suppression,
-// dropping already-certain constraint sides) performed here against the
-// evolving known set. The result is byte-identical to Build(h, opts).
-func BuildPolygraphFromShards(h *history.History, opts Options, recs []KeyShardRecord) (*Polygraph, error) {
-	keys := h.Keys()
-	if len(recs) != len(keys) {
-		return nil, fmt.Errorf("shard merge: %d records for %d keys", len(recs), len(keys))
-	}
-	m := NewShardMerger(h, opts)
-	for i := range recs {
-		if err := m.Add(i, recs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return m.Finish()
-}
-
 // CheckMergedContext finishes an incremental merge and checks the
 // result: the same polynomial-level dispatch and G1b screen as
-// CheckShardedContext, with replay time attributed to the construct
+// CheckHistoryContext, with replay time attributed to the construct
 // phase. The merger must hold a record for every key of its history.
+// The verdict and its evidence (anomaly string, known cycle, constraint
+// set) are those of CheckHistoryContext on the same history.
 func CheckMergedContext(ctx context.Context, m *ShardMerger) (*Report, error) {
 	if m.opts.Level.Polynomial() {
 		return checkPolynomial(m.h, m.opts), nil
@@ -452,27 +432,4 @@ func CheckMergedContext(ctx context.Context, m *ShardMerger) (*Report, error) {
 	rep.Phases.Construct += replay
 	rep.Phases.ConstructCPU += replay
 	return rep, nil
-}
-
-// CheckShardedContext is CheckHistoryContext with construction replaced
-// by a shard-record merge: the same polynomial-level dispatch, the same
-// G1b screen, then a record replay + CheckPolygraphContext. Given
-// records covering h.Keys(), the verdict (and violation evidence:
-// anomaly string, known cycle, constraint set) is identical to
-// single-node CheckHistoryContext.
-func CheckShardedContext(ctx context.Context, h *history.History, opts Options, recs []KeyShardRecord) (*Report, error) {
-	if opts.Level.Polynomial() {
-		return checkPolynomial(h, opts), nil
-	}
-	keys := h.Keys()
-	if len(recs) != len(keys) {
-		return nil, fmt.Errorf("shard merge: %d records for %d keys", len(recs), len(keys))
-	}
-	m := NewShardMerger(h, opts)
-	for i := range recs {
-		if err := m.Add(i, recs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return CheckMergedContext(ctx, m)
 }

@@ -27,15 +27,27 @@ func splitKeys(keys []history.Key, n int) [][]history.Key {
 	return out
 }
 
-// mergeViaShards records each key chunk independently (as cluster
-// workers would) and replays the concatenated records.
+// mergerViaShards records each key chunk independently (as cluster
+// workers would) and adds the records to a ShardMerger in key order.
+func mergerViaShards(t *testing.T, h *history.History, opts Options, shards int) *ShardMerger {
+	t.Helper()
+	m := NewShardMerger(h, opts)
+	i := 0
+	for _, chunk := range splitKeys(h.Keys(), shards) {
+		for _, rec := range BuildShardRecords(h, opts, chunk) {
+			if err := m.Add(i, rec); err != nil {
+				t.Fatalf("merge (%d shards): %v", shards, err)
+			}
+			i++
+		}
+	}
+	return m
+}
+
+// mergeViaShards replays mergerViaShards' records into a polygraph.
 func mergeViaShards(t *testing.T, h *history.History, opts Options, shards int) *Polygraph {
 	t.Helper()
-	var recs []KeyShardRecord
-	for _, chunk := range splitKeys(h.Keys(), shards) {
-		recs = append(recs, BuildShardRecords(h, opts, chunk)...)
-	}
-	pg, err := BuildPolygraphFromShards(h, opts, recs)
+	pg, err := mergerViaShards(t, h, opts, shards).Finish()
 	if err != nil {
 		t.Fatalf("merge (%d shards): %v", shards, err)
 	}
@@ -80,7 +92,7 @@ func TestShardRecordsMergeIdenticalToBuild(t *testing.T) {
 
 // TestShardRecordsOnGeneratedWorkload runs the record/merge differential
 // on a constraint-heavy generated workload and checks the end-to-end
-// verdict through CheckShardedContext.
+// verdict through CheckMergedContext.
 func TestShardRecordsOnGeneratedWorkload(t *testing.T) {
 	h, _, err := runner.Run(workload.NewBlindWRW(), runner.Config{Clients: 16, Txns: 300, Seed: 11})
 	if err != nil {
@@ -93,11 +105,7 @@ func TestShardRecordsOnGeneratedWorkload(t *testing.T) {
 			comparePolygraphs(t, serial, mergeViaShards(t, h, opts, shards), "blindw-rw/"+level.String())
 		}
 		want := CheckHistory(h, opts)
-		var recs []KeyShardRecord
-		for _, chunk := range splitKeys(h.Keys(), 3) {
-			recs = append(recs, BuildShardRecords(h, opts, chunk)...)
-		}
-		rep, err := CheckShardedContext(context.Background(), h, opts, recs)
+		rep, err := CheckMergedContext(context.Background(), mergerViaShards(t, h, opts, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,26 +117,6 @@ func TestShardRecordsOnGeneratedWorkload(t *testing.T) {
 			t.Fatalf("%v: graph stats (%d known, %d cons) vs (%d, %d)",
 				level, rep.KnownEdges, rep.Constraints, want.KnownEdges, want.Constraints)
 		}
-	}
-}
-
-// TestBuildPolygraphFromShardsCoverage: records must cover h.Keys()
-// exactly, in order — anything else is a merge error, not a silent
-// wrong verdict.
-func TestBuildPolygraphFromShardsCoverage(t *testing.T) {
-	h := writeSkew(t)
-	opts := Options{Level: AdyaSI}
-	recs := BuildShardRecords(h, opts, h.Keys())
-	if len(recs) < 2 {
-		t.Fatalf("want >= 2 keys in write-skew, got %d", len(recs))
-	}
-	if _, err := BuildPolygraphFromShards(h, opts, recs[1:]); err == nil {
-		t.Fatal("missing key accepted")
-	}
-	swapped := append([]KeyShardRecord(nil), recs...)
-	swapped[0], swapped[1] = swapped[1], swapped[0]
-	if _, err := BuildPolygraphFromShards(h, opts, swapped); err == nil {
-		t.Fatal("out-of-order records accepted")
 	}
 }
 

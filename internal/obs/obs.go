@@ -177,9 +177,8 @@ func (r Region) SetAttr(name string, v int64) {
 }
 
 // Child attaches an already-measured child span of the given duration,
-// ending now. The checker uses this for sub-phases it times itself — e.g.
-// under a portfolio, a pass's encode/solve are the *winning* run's
-// durations, which are only known after the race is decided.
+// ending now. The checker uses this for sub-phases it times itself, such
+// as a solver pass's encode and solve.
 func (r Region) Child(name string, d time.Duration) {
 	if r.t == nil {
 		return

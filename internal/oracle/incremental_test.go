@@ -130,11 +130,10 @@ func auditPrefixes(t *testing.T, h *history.History, opts core.Options, batch in
 				ctx, at, got.Outcome, want.Outcome, dump(prefix))
 		}
 		// Counter parity. Skipped for ReadCommitted (no polygraph, no
-		// counters), portfolios (the racing winner's counters are timing-
-		// dependent), and audits after a rejection (the session returns the
+		// counters) and audits after a rejection (the session returns the
 		// cached rejecting report, whose counters describe the rejecting
 		// prefix, not the current one).
-		if opts.Level != core.ReadCommitted && opts.Portfolio <= 1 && !rejected {
+		if opts.Level != core.ReadCommitted && !rejected {
 			compareCounters(t, got, want, firstAudit, ctx, at)
 		}
 		firstAudit = false
@@ -159,7 +158,6 @@ func incrementalCombos() []core.Options {
 		{Level: core.AdyaSI, SelfCheck: true, DisableCoalesce: true},
 		{Level: core.AdyaSI, SelfCheck: true, DisablePruning: true},
 		{Level: core.AdyaSI, SelfCheck: true, Parallelism: 4},
-		{Level: core.AdyaSI, SelfCheck: true, Portfolio: 4},
 		{Level: core.Serializability, SelfCheck: true},
 		{Level: core.GSI, SelfCheck: true},
 		{Level: core.StrongSessionSI, SelfCheck: true},

@@ -14,7 +14,6 @@ package sat
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -177,9 +176,6 @@ type Solver struct {
 	progressNext time.Time
 	progressCnt  uint32
 
-	rng      *rand.Rand
-	randFreq float64
-
 	// Stats accumulates counters across Solve calls.
 	Stats Stats
 }
@@ -229,16 +225,6 @@ func (s *Solver) progressTick() {
 	}
 	s.progressNext = now.Add(s.progressGap)
 	s.progressFn()
-}
-
-// SetRandomSeed enables randomized search: a small fraction of decisions
-// pick a random variable instead of the VSIDS best. Portfolio solving runs
-// several differently-seeded solvers in parallel and takes the first
-// verdict — the paper's suggested mitigation for the solver-variance it
-// observes on non-SI histories (§7.3).
-func (s *Solver) SetRandomSeed(seed int64) {
-	s.rng = rand.New(rand.NewSource(seed))
-	s.randFreq = 0.02
 }
 
 // Interrupt makes a concurrently running Solve return Unknown at its next
@@ -628,16 +614,6 @@ func (s *Solver) detach(c *clause) {
 }
 
 func (s *Solver) pickBranchLit() Lit {
-	if s.rng != nil && s.rng.Float64() < s.randFreq {
-		// Random decision: try a few random variables.
-		for tries := 0; tries < 4; tries++ {
-			v := Var(s.rng.Intn(len(s.assigns)))
-			if s.assigns[v] == lUndef {
-				s.Stats.Decisions++
-				return MkLit(v, s.polarity[v])
-			}
-		}
-	}
 	for {
 		v, ok := s.order.removeMin(s.activity)
 		if !ok {

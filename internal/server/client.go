@@ -408,7 +408,7 @@ func (c *Client) ClusterNodes(ctx context.Context) (ClusterNodesResponse, error)
 // single-node check of the identical history would produce (plus a
 // "cluster" section describing the distribution). cfg supplies the
 // checking knobs a session creation would (level, drift, parallelism,
-// portfolio, ...); Name/checkpoint fields are ignored.
+// initial k, pruning, resolution); Name/checkpoint fields are ignored.
 func (c *Client) ClusterCheck(ctx context.Context, history io.Reader, cfg SessionConfig) (*obs.ReportDoc, error) {
 	q := url.Values{}
 	if cfg.Level != "" {
@@ -419,9 +419,6 @@ func (c *Client) ClusterCheck(ctx context.Context, history io.Reader, cfg Sessio
 	}
 	if cfg.Parallelism != 0 {
 		q.Set("parallelism", strconv.Itoa(cfg.Parallelism))
-	}
-	if cfg.Portfolio != 0 {
-		q.Set("portfolio", strconv.Itoa(cfg.Portfolio))
 	}
 	if cfg.InitialK != 0 {
 		q.Set("initial_k", strconv.Itoa(cfg.InitialK))

@@ -416,7 +416,7 @@ func (s *Server) logged(next http.Handler) http.Handler {
 
 // SessionConfig is the session-creation request body. Level accepts the
 // same names the CLI's -level flag does; unset fields take the checker's
-// defaults.
+// defaults, and a field not defined here is refused with 400.
 type SessionConfig struct {
 	// Name is an optional client-chosen prefix for the session id (ids are
 	// always server-assigned and unique).
@@ -430,8 +430,6 @@ type SessionConfig struct {
 	ClockDriftNS int64 `json:"clock_drift_ns,omitempty"`
 	// Parallelism caps polygraph-construction workers (0 = all cores).
 	Parallelism int `json:"parallelism,omitempty"`
-	// Portfolio races N differently-seeded solvers (0/1 = single solver).
-	Portfolio int `json:"portfolio,omitempty"`
 	// InitialK overrides the pruning heuristic's starting k.
 	InitialK int `json:"initial_k,omitempty"`
 	// DisablePruning turns off §3.5 heuristic pruning.
@@ -483,7 +481,11 @@ func (sess *session) info() SessionInfo {
 func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 	var cfg SessionConfig
 	if req.Body != nil {
-		if err := json.NewDecoder(io.LimitReader(req.Body, 1<<20)).Decode(&cfg); err != nil && err != io.EOF {
+		// An unknown field is a typo or a retired option: refuse it rather
+		// than run the session with defaults.
+		dec := json.NewDecoder(io.LimitReader(req.Body, 1<<20))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&cfg); err != nil && err != io.EOF {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding session config: %v", err))
 			return
 		}
@@ -491,7 +493,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 	opts := core.Options{
 		ClockDrift:     time.Duration(cfg.ClockDriftNS),
 		Parallelism:    cfg.Parallelism,
-		Portfolio:      cfg.Portfolio,
 		InitialK:       cfg.InitialK,
 		DisablePruning: cfg.DisablePruning,
 		DisableResolve: cfg.DisableResolve,

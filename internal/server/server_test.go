@@ -96,6 +96,36 @@ func TestCreateSessionRejectsUnknownLevel(t *testing.T) {
 	}
 }
 
+// TestCreateSessionRejectsUnknownFields: a config field the daemon does
+// not know, such as a retired option or a typo, is a 400 that names it,
+// never a session running with defaults. Every field the client sends is
+// known.
+func TestCreateSessionRejectsUnknownFields(t *testing.T) {
+	_, cl := start(t, Config{})
+	ctx := context.Background()
+	for field, body := range map[string]string{
+		"solver_seed":      `{"level":"si","solver_seed":4}`,
+		"disable_prunning": `{"disable_prunning":true}`,
+	} {
+		err := cl.do(ctx, http.MethodPost, "/v1/sessions", strings.NewReader(body), nil)
+		ae, ok := err.(*APIError)
+		if !ok || ae.Status != http.StatusBadRequest || !strings.Contains(ae.Message, field) {
+			t.Fatalf("%s: err = %v, want a 400 naming %q", body, err, field)
+		}
+	}
+	if list, _ := cl.Sessions(ctx); len(list) != 0 {
+		t.Fatalf("refused configs created sessions: %+v", list)
+	}
+	full := SessionConfig{
+		Name: "full", Level: "si", ClockDriftNS: 1, Parallelism: 1, InitialK: 8,
+		DisablePruning: true, DisableResolve: true,
+		CheckpointEvery: 100, MaxLiveOps: 1000, CheckpointKeep: 10,
+	}
+	if _, err := cl.CreateSession(ctx, full); err != nil {
+		t.Fatalf("every client field set: %v", err)
+	}
+}
+
 func TestMaxSessionsReturns429(t *testing.T) {
 	_, cl := start(t, Config{MaxSessions: 2})
 	ctx := context.Background()
