@@ -123,6 +123,16 @@ func (c *Checker) History() *History {
 	return h
 }
 
+// ReportDoc assembles the report document for res, the result of this
+// session's latest audit, as tool (the emitting surface) reports it. It
+// reads the live window that audit validated (or that its automatic
+// checkpoint compacted and validated), so call it before the next
+// Append; the document equals core.BuildReportDoc's over a validated
+// History snapshot, without the copy.
+func (c *Checker) ReportDoc(tool string, res *Result) *ReportDoc {
+	return core.BuildReportDoc(tool, "", c.inc.History(), res.ParseTime, res.Report, res.Violation, c.opts, nil)
+}
+
 // Progress returns the session's most recent progress snapshot: the final
 // counters of the last audit, or — while an audit with Options.Progress
 // configured runs — the latest solver sampling tick. Unlike every other

@@ -1,6 +1,7 @@
 package viper
 
 import (
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -69,6 +70,45 @@ func TestCheckerAutoCheckpointPolicy(t *testing.T) {
 	if res2.Outcome != Accept {
 		t.Fatalf("batch check of compacted snapshot: %v (violation %v)", res2.Outcome, res2.Violation)
 	}
+}
+
+// TestCheckerReportDocMatchesSnapshot pins Checker.ReportDoc, which reads
+// the live window, to the document a validated History snapshot gives:
+// after plain audits, after automatic checkpoints, and after an audit
+// that fails validation.
+func TestCheckerReportDocMatchesSnapshot(t *testing.T) {
+	h := histgen.SI(histgen.Spec{Txns: 300, Keys: 16, MaxConcurrency: 4, Seed: 5})
+	c := NewChecker(Options{Level: AdyaSI})
+	c.SetCheckpointPolicy(CheckpointPolicy{EveryTxns: 100, Keep: 25})
+	same := func(res *Result) {
+		t.Helper()
+		snap := c.History()
+		_ = snap.Validate() // a failure is already in res.Violation
+		want := core.BuildReportDoc("viperd", "", snap, res.ParseTime, res.Report, res.Violation, c.opts, nil)
+		a, errA := json.Marshal(c.ReportDoc("viperd", res))
+		b, errB := json.Marshal(want)
+		if errA != nil || errB != nil || string(a) != string(b) {
+			t.Fatalf("ReportDoc differs from the snapshot's document (%v, %v):\n%s\n%s", errA, errB, a, b)
+		}
+	}
+	for lo := 1; lo < len(h.Txns); lo += 40 {
+		hi := min(lo+40, len(h.Txns))
+		c.Append(h.Txns[lo:hi]...)
+		same(c.Audit())
+	}
+	if c.Certificate().Checkpoints == 0 {
+		t.Fatal("policy never triggered")
+	}
+	// A read of a write id nobody wrote fails validation before the
+	// session index is rebuilt.
+	last := h.Txns[len(h.Txns)-1]
+	c.Append(&Txn{Session: last.Session, SeqInSession: last.SeqInSession + 1, Status: history.StatusCommitted,
+		Ops: []Op{{Kind: history.OpRead, Key: "k0", Observed: 1 << 40}}})
+	res := c.Audit()
+	if res.Violation == nil {
+		t.Fatal("audit of an unknown write id passed validation")
+	}
+	same(res)
 }
 
 func TestCheckerMaxLiveOpsTrigger(t *testing.T) {

@@ -13,12 +13,12 @@ import "viper/internal/sat"
 // variable is true. A caller assumes the guard for one SolveAssuming call
 // to assert the batch for that call only, then retires it (Retire).
 type EdgeTheory struct {
-	g        *Graph
-	edgeOf   []Edge // dense, indexed by sat.Var; From == -1 marks non-edge vars
-	on       []bool // dense, indexed by sat.Var: the variable's edge is inserted
-	varOf    map[Edge]sat.Var
-	constSet map[Edge]bool // unconditionally present edges
-	trail    []sat.Var     // vars whose edges are currently inserted (a guard stands for its batch)
+	g      *Graph
+	edgeOf []Edge    // dense, indexed by sat.Var; From == -1 marks non-edge vars
+	on     []bool    // dense, indexed by sat.Var: the variable's edge is inserted
+	varOf  EdgeIndex // edge → its sat.Var
+	consts EdgeSet   // unconditionally present edges
+	trail  []sat.Var // vars whose edges are currently inserted (a guard stands for its batch)
 
 	guard   sat.Var // guard of the live batch; -1 when there is none
 	batch   []Edge  // the live batch's edges
@@ -33,12 +33,7 @@ var noEdge = Edge{From: -1, To: -1}
 
 // NewEdgeTheory returns a theory over a graph with n nodes.
 func NewEdgeTheory(n int) *EdgeTheory {
-	return &EdgeTheory{
-		g:        NewGraph(n),
-		varOf:    make(map[Edge]sat.Var),
-		constSet: make(map[Edge]bool),
-		guard:    -1,
-	}
+	return &EdgeTheory{g: NewGraph(n), guard: -1}
 }
 
 // edgeForVar returns the edge bound to v, if any.
@@ -65,16 +60,20 @@ func (t *EdgeTheory) InsertConstant(u, v int32) bool {
 // session checker turns it into counterexample evidence). On success or
 // duplicate insertion it returns (nil, true).
 func (t *EdgeTheory) InsertConstantPath(u, v int32) ([]int32, bool) {
-	e := Edge{u, v}
-	if t.constSet[e] {
+	if t.consts.Has(u, v) {
 		return nil, true
 	}
 	if path := t.g.AddEdge(u, v); path != nil {
 		return path, false
 	}
-	t.constSet[e] = true
+	t.consts.Add(u, v)
 	return nil, true
 }
+
+// ReserveConstants presizes the constant set for n distinct constants in
+// total, so a caller about to insert a known graph of n edges pays for
+// no rehashing.
+func (t *EdgeTheory) ReserveConstants(n int) { t.consts.Reserve(n) }
 
 // Grow extends the theory graph to at least n nodes, for incremental use
 // between Solve rounds: new nodes take the largest order indices, which is
@@ -89,33 +88,33 @@ func (t *EdgeTheory) SeedOrder(pos []int32) { t.g.SetOrder(pos) }
 
 // EdgeVar returns the boolean variable bound to edge u→v, allocating one
 // from s if needed. All occurrences of the same directed edge share a
-// variable, so the theory never sees duplicate insertions.
+// variable, so the theory never sees duplicate insertions. The edge must
+// not be a self-loop.
 func (t *EdgeTheory) EdgeVar(s *sat.Solver, u, v int32) sat.Var {
-	e := Edge{u, v}
-	if w, ok := t.varOf[e]; ok {
-		return w
+	if w, ok := t.varOf.Get(u, v); ok {
+		return sat.Var(w)
 	}
 	w := s.NewVar()
-	t.varOf[e] = w
+	t.varOf.Add(u, v, int32(w))
 	for int(w) >= len(t.edgeOf) {
 		t.edgeOf = append(t.edgeOf, noEdge)
 		t.on = append(t.on, false)
 	}
-	t.edgeOf[w] = e
+	t.edgeOf[w] = Edge{u, v}
 	return w
 }
 
 // Lookup returns the variable for edge u→v if one was allocated.
 func (t *EdgeTheory) Lookup(u, v int32) (sat.Var, bool) {
-	w, ok := t.varOf[Edge{u, v}]
-	return w, ok
+	w, ok := t.varOf.Get(u, v)
+	return sat.Var(w), ok
 }
 
 // NumEdgeVars returns the number of distinct symbolic edges.
-func (t *EdgeTheory) NumEdgeVars() int { return len(t.varOf) }
+func (t *EdgeTheory) NumEdgeVars() int { return t.varOf.Len() }
 
 // NumConstants returns the number of distinct constant edges inserted.
-func (t *EdgeTheory) NumConstants() int { return len(t.constSet) }
+func (t *EdgeTheory) NumConstants() int { return t.consts.Len() }
 
 // Reorders reports the underlying graph's order-maintenance work (see
 // Graph.Reorders).
@@ -212,12 +211,12 @@ func (t *EdgeTheory) explain(closing sat.Lit, cyclePath []int32) []sat.Lit {
 	confl = append(confl, closing)
 	guarded := closing == sat.NegLit(t.guard)
 	for i := 0; i+1 < len(cyclePath); i++ {
-		e := Edge{cyclePath[i], cyclePath[i+1]}
-		if t.constSet[e] {
+		u, v := cyclePath[i], cyclePath[i+1]
+		if t.consts.Has(u, v) {
 			continue // a constant justifies this step regardless of any var
 		}
-		if ev, ok := t.varOf[e]; ok && t.on[ev] {
-			confl = append(confl, sat.NegLit(ev))
+		if ev, ok := t.varOf.Get(u, v); ok && t.on[ev] {
+			confl = append(confl, sat.NegLit(sat.Var(ev)))
 			continue
 		}
 		if !t.batchOn {

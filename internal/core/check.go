@@ -592,6 +592,7 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 	// Constants: the known graph plus every resolve-forced edge, each
 	// inserted once. They are exact, so a cycle among them refutes the
 	// polygraph (the empty clause).
+	r.th.ReserveConstants(len(set.known))
 	for _, ke := range set.known[r.nconst:] {
 		if !r.th.InsertConstant(ke.From, ke.To) {
 			r.s.AddClause()
@@ -804,18 +805,10 @@ func (pg *Polygraph) knownCycle(out [][]int32) []KnownEdge {
 	if cyc == nil {
 		return nil
 	}
-	kinds := make(map[Edge]KnownEdge, len(pg.Known))
-	for _, ke := range pg.Known {
-		kinds[ke.Edge] = ke
-	}
+	known := indexKnown(pg.Known)
 	edges := make([]KnownEdge, 0, len(cyc))
 	for i := range cyc {
-		e := Edge{cyc[i], cyc[(i+1)%len(cyc)]}
-		if ke, ok := kinds[e]; ok {
-			edges = append(edges, ke)
-		} else {
-			edges = append(edges, KnownEdge{Edge: e})
-		}
+		edges = append(edges, known.provenance(Edge{cyc[i], cyc[(i+1)%len(cyc)]}))
 	}
 	return edges
 }

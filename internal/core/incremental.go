@@ -121,9 +121,9 @@ type warmState struct {
 	// pruning pass iterates it instead of the map so assumption order is
 	// deterministic without sorting.
 	consList []*consState
-	// kinds records the provenance of inserted constant edges, for
-	// counterexample cycles.
-	kinds map[Edge]KnownEdge
+	// known lists the theory's constants in insertion order with their
+	// provenance, for counterexample cycles and closure rebuilds.
+	known knownIndex
 	// intraHigh is the h.Txns index up to which intra edges are inserted.
 	intraHigh int
 	// assumpBuf is reused across audits for the assumption literals.
@@ -131,7 +131,7 @@ type warmState struct {
 
 	// cl is the bitset transitive closure of the constant edges, kept
 	// across audits for sound pre-solve resolution (resolve.go). clDirty
-	// requests a full rebuild from kinds under the Pearce–Kelly order
+	// requests a full rebuild from known under the Pearce–Kelly order
 	// (fresh sessions and closures grown past capacity). cl stays nil
 	// when resolution is disabled or the closure is over budget.
 	cl      *closure
@@ -469,18 +469,27 @@ func (inc *Incremental) update() {
 	inc.updateTS(newTxns)
 
 	// New committed writers first: they define which keys are new, which
-	// older range queries must retroactively observe.
+	// older range queries must retroactively observe. A transaction's
+	// repeated writes of a key deduplicate against the writer list's tail,
+	// as in writersByKey.
 	var newKeys []history.Key
 	for _, t := range newTxns {
 		if !t.Committed() {
 			continue
 		}
-		for key := range t.LastWritePerKey() {
-			inc.writers[key] = append(inc.writers[key], t.ID)
-			inc.dirty[key] = true
-			if !inc.knownKeys[key] {
-				inc.knownKeys[key] = true
-				newKeys = append(newKeys, key)
+		for i := range t.Ops {
+			switch t.Ops[i].Kind {
+			case history.OpWrite, history.OpInsert, history.OpDelete:
+				key := t.Ops[i].Key
+				if ws := inc.writers[key]; len(ws) > 0 && ws[len(ws)-1] == t.ID {
+					continue
+				}
+				inc.writers[key] = append(inc.writers[key], t.ID)
+				inc.dirty[key] = true
+				if !inc.knownKeys[key] {
+					inc.knownKeys[key] = true
+					newKeys = append(newKeys, key)
+				}
 			}
 		}
 	}
@@ -656,17 +665,57 @@ func (inc *Incremental) assemble() *Polygraph {
 	return pg
 }
 
+// knownIndex is an append-only list of known edges with their provenance,
+// indexed by edge: the lookup behind counterexample cycles, and the warm
+// session's record of its theory constants.
+type knownIndex struct {
+	at    acyclic.EdgeIndex // edge → position in edges
+	edges []KnownEdge
+}
+
+// indexKnown indexes edges in place (an edge listed twice keeps its first
+// position). The index shares edges read-only: a later add appends to a
+// copy.
+func indexKnown(edges []KnownEdge) *knownIndex {
+	x := &knownIndex{edges: edges[:len(edges):len(edges)]}
+	x.at.Reserve(len(edges))
+	for i, ke := range edges {
+		x.at.Add(ke.From, ke.To, int32(i))
+	}
+	return x
+}
+
+// add appends ke unless its edge is already present, and reports whether
+// it did.
+func (x *knownIndex) add(ke KnownEdge) bool {
+	if !x.at.Add(ke.From, ke.To, int32(len(x.edges))) {
+		return false
+	}
+	x.edges = append(x.edges, ke)
+	return true
+}
+
+// has reports whether e is present.
+func (x *knownIndex) has(e Edge) bool {
+	_, ok := x.at.Get(e.From, e.To)
+	return ok
+}
+
+// provenance returns e with its recorded kind and key, or bare when the
+// index does not hold it.
+func (x *knownIndex) provenance(e Edge) KnownEdge {
+	if i, ok := x.at.Get(e.From, e.To); ok {
+		return x.edges[i]
+	}
+	return KnownEdge{Edge: e}
+}
+
 // cycleEvidence renders a constant cycle — node path v..u plus the closing
 // edge u→v that failed to insert — with each edge's provenance.
-func cycleEvidence(path []int32, closing KnownEdge, kinds map[Edge]KnownEdge) []KnownEdge {
+func cycleEvidence(path []int32, closing KnownEdge, known *knownIndex) []KnownEdge {
 	out := make([]KnownEdge, 0, len(path))
 	for i := 0; i+1 < len(path); i++ {
-		e := Edge{path[i], path[i+1]}
-		if ke, ok := kinds[e]; ok {
-			out = append(out, ke)
-		} else {
-			out = append(out, KnownEdge{Edge: e})
-		}
+		out = append(out, known.provenance(Edge{path[i], path[i+1]}))
 	}
 	return append(out, closing)
 }
@@ -686,7 +735,6 @@ func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time,
 			s:       sat.New(),
 			th:      acyclic.NewEdgeTheory(0),
 			cons:    make(map[history.Key]map[[2]Edge]*consState),
-			kinds:   make(map[Edge]KnownEdge),
 			clDirty: true,
 		}
 		w.s.SetTheory(w.th)
@@ -703,7 +751,7 @@ func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time,
 	// Closure maintenance happens before the encode loop so constants
 	// inserted below can fold in incrementally. A closure that cannot admit
 	// the new nodes in place, or whose incremental patching has exceeded
-	// what a rebuild costs, is dropped and rebuilt from kinds after the
+	// what a rebuild costs, is dropped and rebuilt from known after the
 	// encode loop (under the Pearce–Kelly order the theory maintains).
 	if w.cl != nil && !w.cl.grow(int(n)) {
 		w.cl, w.clDirty = nil, true
@@ -720,18 +768,15 @@ func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time,
 	// incrementally while cheap, via rebuild past the density threshold.
 	var cyc []KnownEdge
 	insert := func(e Edge, kind EdgeKind, key history.Key) bool {
-		if e.From == e.To {
-			return true
-		}
-		if _, seen := w.kinds[e]; seen {
+		if e.From == e.To || w.known.has(e) {
 			return true // already a constant; re-insertion is a no-op
 		}
 		path, ok := w.th.InsertConstantPath(e.From, e.To)
 		if !ok {
-			cyc = cycleEvidence(path, KnownEdge{Edge: e, Kind: kind, Key: key}, w.kinds)
+			cyc = cycleEvidence(path, KnownEdge{Edge: e, Kind: kind, Key: key}, &w.known)
 			return false
 		}
-		w.kinds[e] = KnownEdge{Edge: e, Kind: kind, Key: key}
+		w.known.add(KnownEdge{Edge: e, Kind: kind, Key: key})
 		if w.cl != nil {
 			w.clStaged = append(w.clStaged, e)
 		}
@@ -892,7 +937,7 @@ encode:
 			capN := int(n) + int(n)/2 + 64
 			if closureFeasible(int(n), capN) {
 				cl := newClosure(int(n), capN)
-				for _, e := range sortedEdgeList(w.kinds) {
+				for _, e := range sortedEdgeList(w.known.edges) {
 					cl.addArc(e.From, e.To)
 				}
 				// The theory's Pearce–Kelly order is a topological order of
@@ -962,7 +1007,7 @@ encode:
 			w.tsDecided += decided
 			w.tsResidual += live - decided
 			rep.TSDecided, rep.TSResidual = w.tsDecided, w.tsResidual
-			if decided == live && constantsForward(w.kinds, inc.tsOrderPositions(n)) {
+			if decided == live && constantsForward(w.known.edges, inc.tsOrderPositions(n)) {
 				rep.Phases.TSOrder = time.Since(tsStart)
 				rep.Outcome = Accept
 				rep.WitnessPositions = inc.tsWitness(n)

@@ -218,7 +218,7 @@ func (pg *Polygraph) replay(keys []history.Key, recs []*keyRecord) {
 	}
 	pg.Known = make([]KnownEdge, 0, known)
 	pg.Cons = make([]Constraint, 0, cons)
-	pg.knownSet = make(map[Edge]bool, known)
+	pg.knownSet.Reserve(known)
 
 	pg.addIntraEdges()
 	for i, rec := range recs {
@@ -294,11 +294,11 @@ func (pg *Polygraph) applyOp(op *keyOp, key history.Key) {
 		// a filtered side is a copy, capped like the views.
 		filter := func(side []Edge) []Edge {
 			for i, e := range side {
-				if pg.knownSet[e] {
+				if pg.knownSet.Has(e.From, e.To) {
 					kept := make([]Edge, i, len(side)-1)
 					copy(kept, side[:i])
 					for _, rest := range side[i+1:] {
-						if !pg.knownSet[rest] {
+						if !pg.knownSet.Has(rest.From, rest.To) {
 							kept = append(kept, rest)
 						}
 					}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"viper/internal/acyclic"
 	"viper/internal/history"
 )
 
@@ -107,7 +108,7 @@ type Polygraph struct {
 
 	ser      bool
 	auxBase  int32
-	knownSet map[Edge]bool
+	knownSet acyclic.EdgeSet
 
 	// Construction timing: buildWall is wall-clock time, buildCPU the same
 	// work summed across workers (equal for a serial build), buildWorkers
@@ -203,13 +204,9 @@ func (pg *Polygraph) classify(fromT history.TxnID, fromCommit bool, toT history.
 }
 
 func (pg *Polygraph) addKnown(e Edge, kind EdgeKind, key history.Key) {
-	if e.From == e.To {
+	if e.From == e.To || !pg.knownSet.Add(e.From, e.To) {
 		return
 	}
-	if pg.knownSet[e] {
-		return
-	}
-	pg.knownSet[e] = true
 	pg.Known = append(pg.Known, KnownEdge{Edge: e, Kind: kind, Key: key})
 }
 
@@ -234,7 +231,7 @@ func (pg *Polygraph) addConstraint(first, second []eventEdge, kind1, kind2 EdgeK
 			case edgeTrue:
 				continue
 			}
-			if pg.knownSet[e] {
+			if pg.knownSet.Has(e.From, e.To) {
 				continue // already certain
 			}
 			edges = append(edges, e)
@@ -289,7 +286,6 @@ func Build(h *history.History, opts Options) *Polygraph {
 		pg.buildSharded(opts, w)
 	} else {
 		pg.buildWorkers = 1
-		pg.knownSet = make(map[Edge]bool)
 		pg.addIntraEdges()
 		readers := pg.collectReads()
 		writersByKey := writersByKey(h)

@@ -62,7 +62,7 @@ func findG1b(h *history.History, from int) *g1bEvidence {
 				return
 			}
 			writer := h.Txns[ref.Txn]
-			if last, wrote := writer.LastWritePerKey()[key]; wrote && last != ref.Op {
+			if last, wrote := writer.LastWriteOf(key); wrote && last != ref.Op {
 				found = &g1bEvidence{Reader: t.ID, Writer: ref.Txn, Key: key}
 			}
 		})

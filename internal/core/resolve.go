@@ -420,15 +420,9 @@ func resolvePolygraph(ctx context.Context, pg *Polygraph, consIn []Constraint, o
 
 	// edgeKinds lazily indexes edge provenance for witness rendering —
 	// only the rejection paths pay for it, never a clean accept.
-	edgeKinds := func() map[Edge]KnownEdge {
-		kinds := make(map[Edge]KnownEdge, len(pg.Known)+len(res.forced))
-		for _, ke := range pg.Known {
-			kinds[ke.Edge] = ke
-		}
-		for _, ke := range res.forced {
-			kinds[ke.Edge] = ke
-		}
-		return kinds
+	edgeKinds := func() *knownIndex {
+		all := make([]KnownEdge, 0, len(pg.Known)+len(res.forced))
+		return indexKnown(append(append(all, pg.Known...), res.forced...))
 	}
 
 	// conflict renders the rejection witness: the shortest known path
@@ -555,11 +549,7 @@ func resolvePolygraph(ctx context.Context, pg *Polygraph, consIn []Constraint, o
 			cyc := cl.findCycle()
 			closing := Edge{From: cyc[len(cyc)-1], To: cyc[0]}
 			kinds := edgeKinds()
-			ke, known := kinds[closing]
-			if !known {
-				ke = KnownEdge{Edge: closing}
-			}
-			res.cycle = cycleEvidence(cyc, ke, kinds)
+			res.cycle = cycleEvidence(cyc, kinds.provenance(closing), kinds)
 			return res
 		}
 		if !cl.refresh(order, stagedSrcs) {
@@ -654,15 +644,15 @@ func resolveWarm(w *warmState, workers int) []KnownEdge {
 		return true
 	}
 	conflict := func(e Edge, kind EdgeKind, key history.Key) {
-		witness = cycleEvidence(cl.path(e.To, e.From), KnownEdge{Edge: e, Kind: kind, Key: key}, w.kinds)
+		witness = cycleEvidence(cl.path(e.To, e.From), KnownEdge{Edge: e, Kind: kind, Key: key}, &w.known)
 	}
 	// forceSide turns a side's not-yet-implied edges into theory constants,
 	// staging each into the closure adjacency. Safe to re-run on a grown
-	// side: already-constant edges are skipped via kinds.
+	// side: already-constant edges are skipped via known.
 	forceSide := func(side []sideEdge, kind EdgeKind, key history.Key) bool {
 		for i := range side {
 			e := side[i].e
-			if _, seen := w.kinds[e]; seen || e.From == e.To {
+			if e.From == e.To || w.known.has(e) {
 				continue
 			}
 			if cl.reaches(e.From, e.To) {
@@ -674,10 +664,10 @@ func resolveWarm(w *warmState, workers int) []KnownEdge {
 			}
 			path, ok := w.th.InsertConstantPath(e.From, e.To)
 			if !ok {
-				witness = cycleEvidence(path, KnownEdge{Edge: e, Kind: kind, Key: key}, w.kinds)
+				witness = cycleEvidence(path, KnownEdge{Edge: e, Kind: kind, Key: key}, &w.known)
 				return false
 			}
-			w.kinds[e] = KnownEdge{Edge: e, Kind: kind, Key: key}
+			w.known.add(KnownEdge{Edge: e, Kind: kind, Key: key})
 			cl.addArc(e.From, e.To)
 			stagedSrcs = append(stagedSrcs, e.From)
 			staged++
@@ -776,12 +766,12 @@ func resolveWarm(w *warmState, workers int) []KnownEdge {
 	return nil // pass cap: the deferred clDirty has the next audit rebuild
 }
 
-// sortedEdgeList returns the kinds map's edges sorted by (From, To) — a
-// deterministic edge enumeration for warm closure rebuilds.
-func sortedEdgeList(kinds map[Edge]KnownEdge) []Edge {
-	edges := make([]Edge, 0, len(kinds))
-	for e := range kinds {
-		edges = append(edges, e)
+// sortedEdgeList returns the known edges sorted by (From, To), the order
+// in which warm closure rebuilds add their arcs.
+func sortedEdgeList(known []KnownEdge) []Edge {
+	edges := make([]Edge, len(known))
+	for i, ke := range known {
+		edges[i] = ke.Edge
 	}
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].From != edges[j].From {

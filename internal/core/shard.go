@@ -277,7 +277,6 @@ type ShardMerger struct {
 // intra-transaction edges) and an empty record table over h.Keys().
 func NewShardMerger(h *history.History, opts Options) *ShardMerger {
 	pg := newPolygraph(h, opts.Level)
-	pg.knownSet = make(map[Edge]bool)
 	pg.initNodeTS()
 	pg.addIntraEdges()
 	return &ShardMerger{
@@ -379,6 +378,7 @@ func (m *ShardMerger) Finish() (*Polygraph, error) {
 		}
 	}
 	m.pg.Known = append(make([]KnownEdge, 0, len(m.pg.Known)+known), m.pg.Known...)
+	m.pg.knownSet.Reserve(len(m.pg.Known) + known)
 	m.pg.Cons = make([]Constraint, 0, cons)
 	slab := make([]Edge, 0, edges)
 	for i, key := range keys {

@@ -236,8 +236,8 @@ func (inc *Incremental) updateTS(newTxns []*history.Txn) {
 // fails the check. With every constant forward, every closure path over
 // constants is forward too, so resolution-implied constraint sides need
 // no separate check.
-func constantsForward(kinds map[Edge]KnownEdge, pos []int32) bool {
-	for e := range kinds {
+func constantsForward(known []KnownEdge, pos []int32) bool {
+	for _, e := range known {
 		if pos[e.From] < 0 || pos[e.From] >= pos[e.To] {
 			return false
 		}

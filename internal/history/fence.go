@@ -64,18 +64,28 @@ type Fence struct {
 	// session s start at SessBase[s].
 	SessBase []int32
 
-	keys []Key // sorted keys with a committed fenced write (= Latest keys)
+	keys  []Key // sorted keys with a committed fenced write (= Latest keys)
+	bytes int64 // Bytes' estimate, computed with keys
 }
 
-// FreezeKeys (re)builds the sorted key index from Latest. Checkpoint calls
-// it once after assembling the maps; histories decoded without it see an
-// empty key index and must not carry a fence.
+// FreezeKeys (re)builds the sorted key index from Latest and the
+// footprint estimate Bytes reports, both of which the fence's
+// immutability lets every later reader share. Checkpoint calls it once
+// after assembling the maps; histories decoded without it see an empty
+// key index and must not carry a fence.
 func (f *Fence) FreezeKeys() {
 	f.keys = make([]Key, 0, len(f.Latest))
 	for k := range f.Latest {
 		f.keys = append(f.keys, k)
 	}
 	sort.Slice(f.keys, func(a, b int) bool { return f.keys[a] < f.keys[b] })
+	f.bytes = int64(len(f.SessBase))*4 + 96
+	for _, fw := range f.Writes {
+		f.bytes += fencedWriteBytes + int64(len(fw.Key))
+	}
+	for _, k := range f.keys {
+		f.bytes += fencedKeyBytes + 2*int64(len(k))
+	}
 }
 
 // Written reports whether the key was written (and committed) behind the
@@ -113,19 +123,13 @@ const (
 	fencedKeyBytes   = 64
 )
 
-// Bytes estimates the certificate's in-memory footprint. The dictionary
-// dominates: the fence is O(total fenced write ids), the deliberate
-// trade-off that buys O(window) everything-else (see DESIGN.md).
+// Bytes estimates the certificate's in-memory footprint, as FreezeKeys
+// computed it. The dictionary dominates: the fence is O(total fenced
+// write ids), the deliberate trade-off that buys O(window)
+// everything-else (see DESIGN.md).
 func (f *Fence) Bytes() int64 {
 	if f == nil {
 		return 0
 	}
-	n := int64(len(f.SessBase))*4 + 96
-	for _, fw := range f.Writes {
-		n += fencedWriteBytes + int64(len(fw.Key))
-	}
-	for k := range f.Latest {
-		n += fencedKeyBytes + 2*int64(len(k))
-	}
-	return n
+	return f.bytes
 }

@@ -233,8 +233,17 @@ func TestFenceBytesAndEstimateBytes(t *testing.T) {
 		1: {Key: "b", State: FencedLatest},
 		2: {Key: "b", State: FencedStale},
 	})
-	if f.Bytes() <= 0 {
-		t.Fatal("fence bytes should be positive")
+	// Bytes is computed once, at FreezeKeys; it must match the per-entry
+	// sum over the certificate's maps.
+	want := int64(len(f.SessBase))*4 + 96
+	for _, fw := range f.Writes {
+		want += fencedWriteBytes + int64(len(fw.Key))
+	}
+	for k := range f.Latest {
+		want += fencedKeyBytes + 2*int64(len(k))
+	}
+	if got := f.Bytes(); got != want || got <= 0 {
+		t.Fatalf("fence bytes = %d, want %d (positive)", got, want)
 	}
 	var nilf *Fence
 	if nilf.Bytes() != 0 {

@@ -381,6 +381,7 @@ func (h *History) Validate() error {
 	h.writerOf = make(map[WriteID]WriterRef, len(h.Txns)*4)
 	h.keyIdx = nil
 	h.keys = h.keys[:0]
+	h.Sessions = nil
 
 	if len(h.Txns) == 0 || !h.Txns[0].IsGenesis() || !h.Txns[0].Committed() {
 		return h.errf(ErrMalformed, 0, -1, "missing or invalid genesis transaction")
@@ -564,6 +565,21 @@ func (t *Txn) LastWritePerKey() map[Key]int {
 		}
 	}
 	return m
+}
+
+// LastWriteOf returns the op index of the transaction's last write to key,
+// the entry LastWritePerKey would hold for it, by scanning the ops
+// instead of building the whole map.
+func (t *Txn) LastWriteOf(key Key) (int, bool) {
+	for i := len(t.Ops) - 1; i >= 0; i-- {
+		switch op := &t.Ops[i]; op.Kind {
+		case OpWrite, OpInsert, OpDelete:
+			if op.Key == key {
+				return i, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // ExternalReads calls fn for every observation the transaction makes of

@@ -201,6 +201,12 @@ func TestLastWritePerKey(t *testing.T) {
 	if lw["x"] != 2 || lw["y"] != 1 {
 		t.Fatalf("LastWritePerKey = %v", lw)
 	}
+	for _, key := range []Key{"x", "y", "z"} {
+		want, wrote := lw[key]
+		if got, ok := h.Txn(1).LastWriteOf(key); got != want || ok != wrote {
+			t.Fatalf("LastWriteOf(%q) = %d, %v, want %d, %v", key, got, ok, want, wrote)
+		}
+	}
 }
 
 func TestExternalReadsSkipsOwnWrites(t *testing.T) {

@@ -190,12 +190,7 @@ func (sess *session) drain(appended *int) error {
 // with appends) and the admission gate.
 func (sess *session) audit(ctx context.Context) (*viper.Result, *obs.ReportDoc) {
 	res := sess.checker.AuditContext(ctx)
-	h := sess.checker.History()
-	// Validate populates the snapshot's session/key indexes, which the
-	// document's history-stats section reads; a validation failure is
-	// already in res.Violation.
-	_ = h.Validate()
-	doc := core.BuildReportDoc("viperd", "", h, res.ParseTime, res.Report, res.Violation, sess.opts, nil)
+	doc := sess.checker.ReportDoc("viperd", res)
 	// An accepting audit may have auto-checkpointed, shrinking the live
 	// window; refresh the mirrors so listings and /metrics see it.
 	sess.syncMirrors()
