@@ -307,6 +307,8 @@ func BenchmarkAblationCoalesce(b *testing.B) {
 
 // --- Substrate microbenchmarks --------------------------------------------
 
+// BenchmarkPolygraphBuild times core.Build at the default worker count:
+// the session indexer, the per-key record pass and the counted replay.
 func BenchmarkPolygraphBuild(b *testing.B) {
 	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 1000, 24)
 	b.ResetTimer()
@@ -319,8 +321,9 @@ func BenchmarkPolygraphBuild(b *testing.B) {
 }
 
 // BenchmarkPolygraphBuildAllocs tracks construction's allocation profile
-// (the writersByKey / collectReads index-building paths); regressions here
-// show up as allocs/op long before they move wall time.
+// at one recording worker (the session's read/writer indexes, per-key
+// records and the counted replay); regressions here show up as allocs/op
+// long before they move wall time.
 func BenchmarkPolygraphBuildAllocs(b *testing.B) {
 	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 1000, 24)
 	b.ReportAllocs()
@@ -334,10 +337,9 @@ func BenchmarkPolygraphBuildAllocs(b *testing.B) {
 }
 
 // BenchmarkCheckHistoryAllocs tracks the allocation profile of the
-// one-shot check on the path the CLI, viperd's first audit and perfbench
-// take: per-key records, the counted replay, the timestamp pass and the
-// verdict. BenchmarkPolygraphBuildAllocs times serial core.Build, which
-// none of them take.
+// one-shot check the CLI, viperd's first audit and perfbench run: the
+// construction BenchmarkPolygraphBuildAllocs times, plus the timestamp
+// pass and the verdict.
 func BenchmarkCheckHistoryAllocs(b *testing.B) {
 	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 5000, 24)
 	b.ReportAllocs()
@@ -376,9 +378,10 @@ func BenchmarkResolveAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkPolygraphBuildParallel measures sharded construction on the
-// constraint-heaviest workload at paper scale (BlindW-RW, 5000 txns);
-// workers=1 is the serial baseline the speedup is read against.
+// BenchmarkPolygraphBuildParallel measures construction's worker pool on
+// the constraint-heaviest workload at paper scale (BlindW-RW, 5000 txns);
+// workers=1 records every key on the calling goroutine and is the
+// baseline the speedup is read against.
 func BenchmarkPolygraphBuildParallel(b *testing.B) {
 	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 5000, 24)
 	for _, workers := range []int{1, 2, 4, 8} {

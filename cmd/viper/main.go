@@ -75,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		noCombine   = fs.Bool("no-combine", false, "disable combining writes")
 		noCoalesce  = fs.Bool("no-coalesce", false, "disable coalescing constraints")
 		initialK    = fs.Int("k", 0, "initial heuristic pruning distance (0 = default)")
-		parallel    = fs.Int("parallel", 0, "polygraph construction workers (0 = GOMAXPROCS, 1 = serial)")
+		parallel    = fs.Int("parallel", 0, "polygraph construction workers (0 = GOMAXPROCS, 1 = record every key on one goroutine)")
 		verbose     = fs.Bool("v", false, "print detailed statistics")
 		dotPath     = fs.String("dot", "", "write the BC-polygraph (with any counterexample cycle highlighted) as Graphviz DOT to this path")
 		follow      = fs.Bool("follow", false, "tail the log as it grows, re-auditing incrementally and streaming verdicts")
@@ -128,6 +128,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DisableCoalesce:      *noCoalesce,
 		InitialK:             *initialK,
 		Parallelism:          *parallel,
+	}
+	if err := opts.CheckKnobs("-parallel", "-k", "-drift"); err != nil {
+		fmt.Fprintf(stderr, "viper: %v\n", err)
+		return exitUsage
 	}
 	if *reportJSON != "" || *traceOut != "" {
 		opts.Tracer = obs.NewTracer()

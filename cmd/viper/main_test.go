@@ -103,6 +103,28 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
+// TestRunRefusesNegativeKnobs: a negative -parallel, -k or -drift is a
+// usage error naming the flag; zero still selects the default.
+func TestRunRefusesNegativeKnobs(t *testing.T) {
+	path := writeSample(t, nil)
+	for _, f := range []struct{ flag, neg, zero string }{
+		{"-parallel", "-1", "0"},
+		{"-k", "-1", "0"},
+		{"-drift", "-10ns", "0s"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run([]string{f.flag, f.neg, path}, &out, &errb); code != exitUsage ||
+			!strings.Contains(errb.String(), f.flag+" must not be negative") {
+			t.Fatalf("%s %s: exit %d, stderr %q", f.flag, f.neg, code, errb.String())
+		}
+		out.Reset()
+		errb.Reset()
+		if code := run([]string{f.flag, f.zero, path}, &out, &errb); code != exitAccept {
+			t.Fatalf("%s %s: exit %d, stderr %q", f.flag, f.zero, code, errb.String())
+		}
+	}
+}
+
 func TestRunFollowCompleteLogAccepts(t *testing.T) {
 	path := writeSample(t, nil)
 	var out, errb bytes.Buffer

@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeout     = fs.Duration("timeout", 10*time.Second, "per-check time budget")
 		seed        = fs.Int64("seed", 1, "history generation seed")
 		trials      = fs.Int("trials", 3, "trials for experiments the paper repeats (fig13)")
-		par         = fs.Int("parallel", 0, "polygraph construction workers for viper (0 = GOMAXPROCS, 1 = serial)")
+		par         = fs.Int("parallel", 0, "polygraph construction workers for viper (0 = GOMAXPROCS, 1 = record every key on one goroutine)")
 		tsFastPath  = fs.String("ts-fastpath", "auto", "timestamp-assisted fast path for viper invocations: auto (on when usable timestamps are present) | on | off")
 		cpuProf     = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProf     = fs.String("memprofile", "", "write a pprof heap profile (taken at exit) to this path")

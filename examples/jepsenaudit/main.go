@@ -58,10 +58,9 @@ func audit(label, edn string) {
 	if res.Report != nil {
 		fmt.Printf(" (%d txns, %d constraints", h.Len(), res.Report.Constraints)
 		if res.Outcome == viper.Reject && res.Report.KnownCycle != nil {
-			pg := core.Build(h, core.Options{Level: core.AdyaSI})
 			fmt.Printf("; cycle:")
-			for _, ke := range res.Report.KnownCycle {
-				fmt.Printf(" %s→%s", pg.NodeName(ke.From), pg.NodeName(ke.To))
+			for _, e := range core.RenderCycle(h, res.Report.KnownCycle, core.Options{Level: core.AdyaSI}) {
+				fmt.Printf(" %s→%s", e.From, e.To)
 			}
 		}
 		fmt.Printf(")")

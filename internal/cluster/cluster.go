@@ -12,9 +12,9 @@
 //
 //   - Sharded single-history checking (coordinator.go, worker.go): POST
 //     /cluster/check splits one huge history by key range across the
-//     fleet; each worker records its shard's polygraph emissions using
-//     the same record-and-replay seam the process-local sharded build
-//     uses, ships back a compact digest, and the coordinator replays
+//     fleet; each worker records its shard's polygraph emissions with
+//     the same session indexer and per-key record pass every single-node
+//     check uses, ships back a compact digest, and the coordinator replays
 //     the merged digests into the polygraph a single node would have
 //     built — byte-identical, so the verdict is too — and solves once.
 //     Jobs and digests travel in one binary codec (wire.go); a shard

@@ -291,6 +291,17 @@ func (c *Coordinator) probeAll() {
 	c.mu.Unlock()
 }
 
+// memberLocked returns a copy of the named member, and whether there is
+// one. The caller holds c.mu; heartbeats and rejoins update members in
+// place, so a pointer read after unlocking would race with them.
+func (c *Coordinator) memberLocked(name string) (member, bool) {
+	m, ok := c.members[name]
+	if !ok {
+		return member{}, false
+	}
+	return *m, true
+}
+
 // healthyMembers snapshots the healthy members, sorted by name.
 func (c *Coordinator) healthyMembers() []member {
 	c.mu.Lock()
@@ -310,7 +321,9 @@ func (c *Coordinator) healthyMembers() []member {
 // optionsFromQuery parses the checking knobs /cluster/check accepts —
 // the same names SessionConfig uses, as query parameters (the body is
 // the history stream). Any other parameter is refused: a typo or a
-// retired knob must not run the check with defaults.
+// retired knob must not run the check with defaults. So is a negative
+// parallelism, initial_k or clock_drift_ns, as session creation refuses
+// them.
 func optionsFromQuery(q url.Values) (core.Options, error) {
 	var opts core.Options
 	for name := range q {
@@ -351,14 +364,15 @@ func optionsFromQuery(q url.Values) (core.Options, error) {
 	}
 	opts.DisablePruning = q.Get("disable_pruning") == "1" || q.Get("disable_pruning") == "true"
 	opts.DisableResolve = q.Get("disable_resolve") == "1" || q.Get("disable_resolve") == "true"
-	return opts, nil
+	return opts, opts.CheckKnobs("parallelism", "initial_k", "clock_drift_ns")
 }
 
 // handleCheck is the coordinator's distributed single-history check:
 // decode and validate the streamed history, split it by key range
 // across the healthy workers, record each shard remotely (each worker
-// runs the same recording pass the process-local sharded build uses),
-// replay the merged digests into the global polygraph, and solve once.
+// records its keys through the same session indexer and per-key pass a
+// single-node check uses), replay the merged digests into the global
+// polygraph, and solve once.
 // The verdict — and the whole report document, modulo the cluster
 // section — is identical to a single-node check of the same stream.
 func (c *Coordinator) handleCheck(w http.ResponseWriter, req *http.Request) {

@@ -297,6 +297,30 @@ func TestClusterCheckRejectsUnknownParameter(t *testing.T) {
 	sameGraph(t, "every parameter", doc, want)
 }
 
+// TestClusterCheckRejectsNegativeKnobs: a negative parallelism,
+// initial_k or clock_drift_ns is a 400 that names the parameter, and
+// zero still checks with the default.
+func TestClusterCheckRejectsNegativeKnobs(t *testing.T) {
+	_, cn := startCoordinator(t)
+	stream := encode(t, generated(t, workload.NewBlindWRW(), 100, 43))
+	for _, param := range []string{"parallelism", "initial_k", "clock_drift_ns"} {
+		for _, v := range []string{"-1", "0"} {
+			resp, err := http.Post(cn.url+"/cluster/check?level=si&"+param+"="+v, "application/octet-stream", bytes.NewReader(stream))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if v == "-1" && (resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), param)) {
+				t.Fatalf("%s=-1: HTTP %d %s, want a 400 naming it", param, resp.StatusCode, body)
+			}
+			if v == "0" && resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s=0: HTTP %d %s", param, resp.StatusCode, body)
+			}
+		}
+	}
+}
+
 // TestClusterDegradedDispatch: a worker that refuses shard jobs (415, as
 // a build without the binary codec would) or answers with a digest in
 // another format costs no verdict. Its shard moves to the next worker,

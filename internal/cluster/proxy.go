@@ -80,10 +80,10 @@ func (c *Coordinator) routeCreate(w http.ResponseWriter, req *http.Request, next
 		key = fmt.Sprintf("%s/%d", c.cfg.NodeName, c.placeSeq)
 	}
 	node := c.ring.Lookup(key)
-	m := c.members[node]
+	m, known := c.memberLocked(node)
 	c.mu.Unlock()
 
-	if node == "" || m == nil {
+	if node == "" || !known {
 		req.Body = io.NopCloser(bytes.NewReader(body))
 		next.ServeHTTP(w, req)
 		return
@@ -128,13 +128,13 @@ func (c *Coordinator) routeCreate(w http.ResponseWriter, req *http.Request, next
 func (c *Coordinator) routeSession(w http.ResponseWriter, req *http.Request, next http.Handler, id string) {
 	c.mu.Lock()
 	node, placed := c.affinity[id]
-	m := c.members[node]
+	m, known := c.memberLocked(node)
 	c.mu.Unlock()
 	if !placed {
 		next.ServeHTTP(w, req)
 		return
 	}
-	if m == nil || !m.healthy {
+	if !known || !m.healthy {
 		writeError(w, http.StatusBadGateway,
 			fmt.Errorf("session %q lives on node %q, which is unavailable; recreate the session", id, node))
 		return

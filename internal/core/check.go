@@ -42,7 +42,7 @@ type PhaseTimings struct {
 	Construct time.Duration // building the BC-polygraph (wall clock)
 	// ConstructCPU is the construction work summed across workers: equal
 	// to Construct when Options.Parallelism resolves to one worker, and up
-	// to ConstructWorkers× larger when sharded construction overlaps work
+	// to ConstructWorkers× larger when the record pool overlaps work
 	// (ConstructCPU / Construct is the effective construction speedup).
 	ConstructCPU time.Duration
 	// Resolve is the sound pre-solve resolution pass (resolve.go): closure
@@ -67,8 +67,9 @@ type Report struct {
 	KnownEdges  int
 	Constraints int // constraints in the polygraph (before pruning)
 
-	// ConstructWorkers is the worker count used for polygraph
-	// construction (see Options.Parallelism).
+	// ConstructWorkers is the resolved worker count for polygraph
+	// construction (see Options.Parallelism); the record pool starts at
+	// most one goroutine per key it records.
 	ConstructWorkers int
 
 	// ResolvedConstraints counts constraints the sound pre-solve resolution
@@ -205,9 +206,7 @@ func CheckHistoryContext(ctx context.Context, h *history.History, opts Options) 
 	// audit always assembles the full polygraph and runs the batch solve,
 	// so the verdict, report, and witness are those of the historical
 	// monolithic pipeline.
-	inc := NewIncremental(opts)
-	inc.h = h
-	return inc.AuditContext(ctx)
+	return sessionOver(h, opts).AuditContext(ctx)
 }
 
 // solveDeadline merges the Options.Timeout budget with ctx's deadline:

@@ -5,7 +5,7 @@
 //
 // The construction side is always incremental: the readers index, the
 // per-key writer lists, and the per-key emission records (known edges and
-// constraints, in the serial build's order) persist across audits. An
+// constraints, in emission order; parallel.go) persist across audits. An
 // appended batch only dirties the keys it writes or reads; clean keys keep
 // their records verbatim, so the O(chains²)-per-key constraint pass — the
 // dominant construction cost — reruns only where the history actually
@@ -14,7 +14,7 @@
 // real-time edges, for the first audit so the one-shot wrappers stay
 // byte-compatible with the historical batch pipeline, and when a warm
 // audit bails out), or feeds the deltas to a persistent solver (the warm
-// path).
+// path). Build and CheckHistory are one-audit sessions.
 //
 // The warm path keeps one SAT solver and one acyclicity theory alive for
 // the whole session: learned clauses, VSIDS activities, saved phases, and
@@ -55,7 +55,6 @@ package core
 import (
 	"context"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -230,6 +229,14 @@ func NewIncremental(opts Options) *Incremental {
 		chainSigs:   make(map[history.Key][][]history.TxnID),
 		pendingWarm: make(map[history.Key]bool),
 	}
+}
+
+// sessionOver returns a session whose history is h, for one-shot use:
+// its first update indexes all of h.
+func sessionOver(h *history.History, opts Options) *Incremental {
+	inc := NewIncremental(opts)
+	inc.h = h
+	return inc
 }
 
 // Progress returns the most recently published progress snapshot: the
@@ -470,8 +477,8 @@ func (inc *Incremental) update() {
 
 	// New committed writers first: they define which keys are new, which
 	// older range queries must retroactively observe. A transaction's
-	// repeated writes of a key deduplicate against the writer list's tail,
-	// as in writersByKey.
+	// repeated writes of a key deduplicate against the writer list's
+	// tail: no later transaction can have appended in between.
 	var newKeys []history.Key
 	for _, t := range newTxns {
 		if !t.Committed() {
@@ -515,6 +522,11 @@ func (inc *Incremental) update() {
 			}
 			inc.addReader(key, ref.Txn, t.ID)
 		})
+		// A range query's returned versions are reads (ExternalReads
+		// above). Thanks to the tombstone discipline (§4), so is every
+		// written key inside its bounds that the result omits: a correct
+		// collector setup never truly deletes keys, so absence can only
+		// mean "never inserted", i.e. the query read the initial version.
 		for i := range t.Ops {
 			op := &t.Ops[i]
 			if op.Kind != history.OpRange {
@@ -550,12 +562,12 @@ func (inc *Incremental) regenKey(lite *Polygraph, key history.Key, combine, coal
 	return rec, sig
 }
 
-// regen rebuilds the emission records of every dirty written key (under a
-// work-stealing pool when Options.Parallelism admits one — per-key records
-// are independent, and per-key costs vary wildly) and flags any chain
-// partition that was not preserved verbatim. It returns the pass's wall
-// time, summed per-worker busy time, and worker count for the report's
-// construction accounting.
+// regen rebuilds the emission records of every dirty written key under
+// the work-stealing pool (per-key records are independent, and per-key
+// costs vary wildly) and flags any chain partition that was not preserved
+// verbatim. It returns the pass's wall time, summed per-goroutine busy
+// time, and the resolved worker count for the report's construction
+// accounting.
 func (inc *Incremental) regen() (wall, cpu time.Duration, workers int) {
 	keys := make([]history.Key, 0, len(inc.dirty))
 	for k := range inc.dirty {
@@ -573,40 +585,10 @@ func (inc *Incremental) regen() (wall, cpu time.Duration, workers int) {
 	lite := &Polygraph{ser: inc.ser()}
 	recs := make([]*keyRecord, len(keys))
 	sigs := make([][][]history.TxnID, len(keys))
-
-	n := inc.opts.workers()
-	start := time.Now()
-	if n <= 1 {
-		workers = 1
-		for i, key := range keys {
-			recs[i], sigs[i] = inc.regenKey(lite, key, combine, coalesce)
-		}
-		wall = time.Since(start)
-		cpu = wall
-	} else {
-		workers = n
-		var busy atomic.Int64
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				t0 := time.Now()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= len(keys) {
-						break
-					}
-					recs[i], sigs[i] = inc.regenKey(lite, keys[i], combine, coalesce)
-				}
-				busy.Add(int64(time.Since(t0)))
-			}()
-		}
-		wg.Wait()
-		wall = time.Since(start)
-		cpu = time.Duration(busy.Load())
-	}
+	workers = inc.opts.workers()
+	wall, cpu = forEachKey(len(keys), workers, func(i int) {
+		recs[i], sigs[i] = inc.regenKey(lite, keys[i], combine, coalesce)
+	})
 
 	for i, key := range keys {
 		inc.records[key] = recs[i]
@@ -642,14 +624,12 @@ func chainsPreserved(old, cur [][]history.TxnID) bool {
 	return true
 }
 
-// assemble materializes the record store as a Polygraph, replaying per-key
-// records in the serial build's emission order (the same replay the
-// sharded batch build uses, so the result is byte-identical to Build for
-// the same history).
+// assemble materializes the record store as a Polygraph: the counted
+// replay of every key's record in key order, then the level's session and
+// real-time edges.
 func (inc *Incremental) assemble() *Polygraph {
 	pg := newPolygraph(inc.h, inc.opts.Level)
 	pg.initNodeTS()
-	pg.buildWorkers = 1
 	keys := inc.h.Keys()
 	recs := make([]*keyRecord, len(keys))
 	for i, key := range keys {

@@ -153,9 +153,10 @@ func TestIncrementalValidationRejectNotSticky(t *testing.T) {
 	}
 }
 
-// TestIncrementalFirstAuditMatchesBatchPolygraph: the record-store
-// assembly must reproduce the serial Build byte-for-byte, so the one-shot
-// wrappers stay byte-compatible with the historical pipeline.
+// TestIncrementalFirstAuditMatchesBatchPolygraph: the assembly of a
+// session grown by Append must reproduce Build at one worker byte for
+// byte, so the one-shot wrappers stay byte-compatible with a session's
+// first audit.
 func TestIncrementalFirstAuditMatchesBatchPolygraph(t *testing.T) {
 	h, _, err := runner.Run(workload.NewRangeB(), runner.Config{Clients: 3, Txns: 50, Seed: 11})
 	if err != nil {

@@ -232,15 +232,15 @@ type Options struct {
 	// conflicts; an ablation knob.
 	DisablePhaseBias bool
 
-	// Parallelism is the worker count for BC-polygraph construction: the
-	// read-collection pass shards over transaction ranges and the per-key
-	// constraint pass shards over keys, with per-key records replayed
-	// deterministically so the polygraph is identical to a serial build
-	// regardless of worker count. 0 (the default) means
-	// runtime.GOMAXPROCS(0). CheckHistory, the incremental Checker and
-	// viperd always record per-key emissions and replay them; one worker
-	// only serializes the record pass. Build alone has a direct serial
-	// path, which it takes at one worker.
+	// Parallelism is the worker count for BC-polygraph construction:
+	// every written key's emissions are recorded under a work-stealing
+	// pool of at most this many goroutines, and never more than there are
+	// keys to record, then replayed in key order, so the polygraph is the
+	// same for any worker count. 0 (the default) means
+	// runtime.GOMAXPROCS(0); one worker records every key on the calling
+	// goroutine. Build, CheckHistory, the incremental Checker, viperd and
+	// cluster workers all construct this way. Negative values are
+	// malformed (CheckKnobs).
 	Parallelism int
 
 	// SelfCheck replays the witness schedule after every Accept
@@ -283,6 +283,24 @@ func (o *Options) progressInterval() time.Duration {
 		return o.ProgressInterval
 	}
 	return 250 * time.Millisecond
+}
+
+// CheckKnobs refuses negative Parallelism, InitialK and ClockDrift. Zero
+// selects each knob's default; a negative value is malformed input that
+// would otherwise change behaviour without a word (a negative drift
+// orders events before earlier ones). The error names the knob by the
+// caller's name for it: a surface passes its own names for Parallelism,
+// InitialK and ClockDrift, in that order.
+func (o *Options) CheckKnobs(parallelism, initialK, clockDrift string) error {
+	switch {
+	case o.Parallelism < 0:
+		return fmt.Errorf("%s must not be negative (got %d)", parallelism, o.Parallelism)
+	case o.InitialK < 0:
+		return fmt.Errorf("%s must not be negative (got %d)", initialK, o.InitialK)
+	case o.ClockDrift < 0:
+		return fmt.Errorf("%s must not be negative (got %v)", clockDrift, o.ClockDrift)
+	}
+	return nil
 }
 
 // workers resolves Parallelism to a concrete construction worker count.

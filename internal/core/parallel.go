@@ -1,28 +1,24 @@
-// Sharded BC-polygraph construction.
+// Per-key record and replay: the one construction path.
 //
 // Constraint generation is O(n²) in the worst case (pairwise writer-chain
-// constraints per key) but independent across keys, and read collection is
-// independent across transactions. The sharded build exploits both:
+// constraints per key) but independent across keys. Every polygraph —
+// Build, CheckHistory, a session's cold audits, and the cluster's shard
+// records — is therefore built in the same three steps:
 //
-//  1. Read collection shards the transaction list into contiguous ranges,
-//     one readers index per worker, merged in shard order. Contiguity
-//     keeps each per-(key, writer) reader list in transaction order, and
-//     a (key, writer, reader) triple can only be produced by the reader's
-//     own shard, so concatenating shard lists in shard order reproduces
-//     the serial index exactly.
-//  2. The per-key pass (read-dependency edges + writer chains +
-//     constraints) runs under a work-stealing pool: workers claim key
-//     indices from an atomic cursor (per-key costs vary wildly) and write
-//     their output into a slice indexed by key position, so the schedule
-//     cannot influence the result.
-//  3. A serial replay merges the per-key records in exactly the order the
-//     serial build emits them: all read-dependency edges in ascending key
-//     order, then each key's constraint-pass emissions in ascending key
-//     order. The knownSet-dependent steps — duplicate-edge suppression
-//     and dropping constraint-side edges that are already certain — are
-//     deferred to this replay, where the evolving known set matches the
-//     serial build's state at the same point. The result is therefore
-//     byte-identical to the serial build for any worker count.
+//  1. The session indexer (Incremental.update) folds transactions into
+//     per-key writer lists and a readers index, in transaction order.
+//  2. Each written key's emissions (read-dependency edges, in-chain known
+//     edges, either/or constraints) are recorded into a keyRecord under a
+//     work-stealing pool (forEachKey): goroutines claim key indices from
+//     an atomic cursor (per-key costs vary wildly) and write their output
+//     into a slot indexed by key position, so the schedule cannot
+//     influence the result.
+//  3. replay folds the records into the polygraph in key order: all
+//     read-dependency edges, then each key's constraint-pass emissions.
+//     The known-set-dependent steps — duplicate-edge suppression and
+//     dropping constraint-side edges that are already certain — happen
+//     only here, against a known set that evolves in that fixed order.
+//     The result is therefore the same for any worker count.
 package core
 
 import (
@@ -63,34 +59,42 @@ type keyOp struct {
 
 // keyRecord is everything one key contributes to the polygraph.
 type keyRecord struct {
-	wr  []Edge  // read-dependency edges, in serial emission order
-	ops []keyOp // constraint-pass emissions, in serial emission order
+	wr  []Edge  // read-dependency edges, in emission order
+	ops []keyOp // constraint-pass emissions, in emission order
 	// sides is the slab behind every constraint side in ops: each side is
 	// a read-only, capacity-capped view sides[a:b:b], so no append through
 	// a side can reach its neighbour.
 	sides []Edge
 }
 
-// keyRecorder is the constraintSink that records emissions instead of
-// applying them; pg is only read (classify), never written.
+// keyRecorder records one key's emissions into rec; pg is only read
+// (classify), never written.
 type keyRecorder struct {
 	pg  *Polygraph
 	rec *keyRecord
 }
 
-// reserve allocates the key's ops and side slab once, at their final
-// size (buildKeyConstraints counts them before emitting).
+// reserve allocates the key's ops and side slab once, before the first
+// emission: ops is exactly the number of knownEvent emissions that
+// classify as normal plus constraint emissions, and edges bounds the
+// constraint-side edges they resolve to (buildKeyConstraints counts both
+// with recordSize).
 func (kr keyRecorder) reserve(ops, edges int) {
 	kr.rec.ops = make([]keyOp, 0, ops)
 	kr.rec.sides = make([]Edge, 0, edges)
 }
 
+// knownEvent records a certain event-level edge (elided when classify
+// resolves it as trivially true or impossible).
 func (kr keyRecorder) knownEvent(fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool, kind EdgeKind, key history.Key) {
 	if e, cls := kr.pg.classify(fromT, fromCommit, toT, toCommit); cls == edgeNormal {
 		kr.rec.ops = append(kr.rec.ops, keyOp{edge: e, kind: kind})
 	}
 }
 
+// constraint records an either/or constraint over event-level edge sets.
+// The sides are scratch the caller reuses: they are resolved into the
+// key's slab.
 func (kr keyRecorder) constraint(first, second []eventEdge, kind1, kind2 EdgeKind, key history.Key) {
 	f, fBad := kr.side(first)
 	s, sBad := kr.side(second)
@@ -133,42 +137,10 @@ func (kr keyRecorder) side(side []eventEdge) (edges []Edge, bad bool) {
 	return rec.sides[a:b:b], false
 }
 
-// buildSharded is the parallel counterpart of Build's read-dependency and
-// constraint passes.
-func (pg *Polygraph) buildSharded(opts Options, workers int) {
-	h := pg.H
-	keys := h.Keys()
-	pg.buildWorkers = workers
-
-	readers := pg.collectReadsSharded(workers)
-	wbk := writersByKey(h)
-
-	outs := make([]keyRecord, len(keys))
-	combine, coalesce := !opts.DisableCombineWrites, !opts.DisableCoalesce
-	var cursor atomic.Int64
-	pg.runShards(workers, func(int) {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(keys) {
-				return
-			}
-			key := keys[i]
-			byWriter := readers[key]
-			recordReadDeps(pg, byWriter, &outs[i])
-			pg.buildKeyConstraints(key, wbk[key], byWriter, combine, coalesce, keyRecorder{pg: pg, rec: &outs[i]})
-		}
-	})
-
-	recs := make([]*keyRecord, len(keys))
-	for i := range outs {
-		recs[i] = &outs[i]
-	}
-	pg.replay(keys, recs)
-}
-
-// recordReadDeps records one key's read-dependency edges in the order the
-// serial pass emits them (addReadDeps' inner loops). Readers never equal
-// their writer (collectReadsInto drops self-reads), so every edge
+// recordReadDeps records one key's read-dependency edges (commit of
+// writer → begin of reader), in writer order and, per writer, in reader
+// order. Reads from genesis need no edge. Readers never equal their
+// writer (Incremental.addReader drops self-reads), so every edge
 // classifies as normal and the count is exact.
 func recordReadDeps(pg *Polygraph, byWriter map[history.TxnID][]history.TxnID, rec *keyRecord) {
 	n := 0
@@ -194,11 +166,11 @@ func recordReadDeps(pg *Polygraph, byWriter map[history.TxnID][]history.TxnID, r
 }
 
 // replay folds per-key records (indexed like keys; nil contributes
-// nothing) into a fresh polygraph shell in the serial build's emission
-// order: intra-transaction edges, every key's read-dependency edges in
-// key order, then every key's constraint-pass emissions in key order. It
-// counts over the records first, so Known, Cons and knownSet are each
-// allocated once.
+// nothing) into a fresh polygraph shell: intra-transaction edges, every
+// key's read-dependency edges in key order, then every key's
+// constraint-pass emissions in key order. It counts over the records
+// first, so Known, Cons and knownSet are each allocated once. Records are
+// only read, so a session can replay the same store at every cold audit.
 func (pg *Polygraph) replay(keys []history.Key, recs []*keyRecord) {
 	known, cons := 0, 0
 	if !pg.ser {
@@ -257,7 +229,7 @@ func replaySize(cons, fBad, sBad bool, first, second int) (known, nCons int) {
 
 // nilIfEmpty resets Known and Cons that a replay presized but left empty
 // (the counts are bounds: duplicates and trivially-held constraints drop
-// out) to nil, as the serial build leaves them.
+// out) to nil.
 func (pg *Polygraph) nilIfEmpty() {
 	if len(pg.Known) == 0 {
 		pg.Known = nil
@@ -268,8 +240,11 @@ func (pg *Polygraph) nilIfEmpty() {
 }
 
 // applyOp replays one recorded emission against the live polygraph,
-// performing the knownSet-dependent steps the workers deferred. This
-// mirrors addConstraint's case analysis exactly.
+// performing the knownSet-dependent steps the recording deferred. A
+// constraint with an impossible side forces the other side into the known
+// graph (both impossible: a contradiction); edges already known drop out
+// of a side, and a side left empty holds trivially, so the constraint
+// imposes nothing.
 func (pg *Polygraph) applyOp(op *keyOp, key history.Key) {
 	if !op.cons {
 		pg.addKnown(op.edge, op.kind, key)
@@ -316,67 +291,29 @@ func (pg *Polygraph) applyOp(op *keyOp, key history.Key) {
 	}
 }
 
-// collectReadsSharded is collectReads over contiguous per-worker
-// transaction ranges, merged in shard order.
-func (pg *Polygraph) collectReadsSharded(workers int) map[history.Key]map[history.TxnID][]history.TxnID {
-	txns := pg.H.Txns[1:]
-	if workers > len(txns) {
-		workers = len(txns)
-	}
-	shards := make([]map[history.Key]map[history.TxnID][]history.TxnID, workers)
-	per := (len(txns) + workers - 1) / workers
-	pg.runShards(workers, func(w int) {
-		lo := w * per
-		hi := lo + per
-		if hi > len(txns) {
-			hi = len(txns)
-		}
-		if lo >= hi {
-			return
-		}
-		m := make(map[history.Key]map[history.TxnID][]history.TxnID)
-		pg.collectReadsInto(m, txns[lo:hi])
-		shards[w] = m
-	})
-
-	// Merge in shard order: per-(key, writer) lists concatenate in
-	// transaction order, and no (key, writer, reader) triple can appear
-	// in two shards, so no cross-shard dedup is needed.
-	merged := shards[0]
-	if merged == nil {
-		merged = make(map[history.Key]map[history.TxnID][]history.TxnID)
-	}
-	for _, m := range shards[1:] {
-		for key, byW := range m {
-			dst := merged[key]
-			if dst == nil {
-				merged[key] = byW
-				continue
-			}
-			for w, rs := range byW {
-				dst[w] = append(dst[w], rs...)
-			}
-		}
-	}
-	return merged
-}
-
-// runShards runs fn(worker) on n goroutines and folds the section's wall
-// time and summed per-worker busy time into the build timings.
-func (pg *Polygraph) runShards(n int, fn func(worker int)) {
+// forEachKey calls fn(i) for every i in [0, n) on min(workers, n)
+// goroutines, the caller's among them, which claim indices from a shared
+// cursor so that uneven per-key costs balance. It returns the pass's wall
+// time and the busy time summed over its goroutines.
+func forEachKey(n, workers int, fn func(i int)) (wall, cpu time.Duration) {
 	start := time.Now()
-	var busy atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			t0 := time.Now()
-			fn(w)
-			busy.Add(int64(time.Since(t0)))
-		}(w)
+	var cursor, busy atomic.Int64
+	run := func() {
+		t0 := time.Now()
+		for i := int(cursor.Add(1)) - 1; i < n; i = int(cursor.Add(1)) - 1 {
+			fn(i)
+		}
+		busy.Add(int64(time.Since(t0)))
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
 	wg.Wait()
-	pg.parWall += time.Since(start)
-	pg.parCPU += time.Duration(busy.Load())
+	return time.Since(start), time.Duration(busy.Load())
 }

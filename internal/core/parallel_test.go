@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,38 +18,40 @@ import (
 
 // comparePolygraphs fails unless the two builds are byte-identical:
 // same nodes, same known-edge list (content and order), same constraint
-// list, same contradiction flag, same stats. sharded is a replayed build,
-// so every constraint side must also be a capacity-capped view (no append
-// through one can reach a neighbouring side of the record's slab).
-func comparePolygraphs(t *testing.T, serial, sharded *Polygraph, label string) {
+// list, same contradiction flag, same stats. Every constraint side of got
+// must also be a capacity-capped view (no append through one can reach a
+// neighbouring side of the record's slab).
+func comparePolygraphs(t *testing.T, want, got *Polygraph, label string) {
 	t.Helper()
-	for i, c := range sharded.Cons {
+	for i, c := range got.Cons {
 		if cap(c.First) != len(c.First) || cap(c.Second) != len(c.Second) {
 			t.Fatalf("%s: constraint %d sides len/cap %d/%d and %d/%d, want capped",
 				label, i, len(c.First), cap(c.First), len(c.Second), cap(c.Second))
 		}
 	}
-	if serial.NumNodes != sharded.NumNodes {
-		t.Fatalf("%s: nodes %d vs %d", label, serial.NumNodes, sharded.NumNodes)
+	if want.NumNodes != got.NumNodes {
+		t.Fatalf("%s: nodes %d vs %d", label, want.NumNodes, got.NumNodes)
 	}
-	if serial.Contradiction != sharded.Contradiction {
-		t.Fatalf("%s: contradiction %v vs %v", label, serial.Contradiction, sharded.Contradiction)
+	if want.Contradiction != got.Contradiction {
+		t.Fatalf("%s: contradiction %v vs %v", label, want.Contradiction, got.Contradiction)
 	}
-	if !reflect.DeepEqual(serial.Known, sharded.Known) {
-		t.Fatalf("%s: known edges differ:\nserial:  %v\nsharded: %v", label, serial.Known, sharded.Known)
+	if !reflect.DeepEqual(want.Known, got.Known) {
+		t.Fatalf("%s: known edges differ:\nwant: %v\ngot:  %v", label, want.Known, got.Known)
 	}
-	if !reflect.DeepEqual(serial.Cons, sharded.Cons) {
-		t.Fatalf("%s: constraints differ:\nserial:  %v\nsharded: %v", label, serial.Cons, sharded.Cons)
+	if !reflect.DeepEqual(want.Cons, got.Cons) {
+		t.Fatalf("%s: constraints differ:\nwant: %v\ngot:  %v", label, want.Cons, got.Cons)
 	}
-	if !reflect.DeepEqual(serial.Stats(), sharded.Stats()) {
-		t.Fatalf("%s: stats differ: %+v vs %+v", label, serial.Stats(), sharded.Stats())
+	if !reflect.DeepEqual(want.Stats(), got.Stats()) {
+		t.Fatalf("%s: stats differ: %+v vs %+v", label, want.Stats(), got.Stats())
 	}
 }
 
 // TestShardedBuildIdenticalToSerial is the construction-determinism
 // differential: for every level and optimization combination, Build with
-// Parallelism 2, 3, and 8 must produce a polygraph identical to the
-// serial build.
+// Parallelism 2, 3, and 8 must produce a polygraph identical to Build
+// with one recording worker. Both run the same record-and-replay path, so
+// this pins scheduling independence; TestPolygraphDigests pins the
+// polygraph itself.
 func TestShardedBuildIdenticalToSerial(t *testing.T) {
 	histories := map[string]*history.History{
 		"figure2":     figure2(t),
@@ -81,9 +86,10 @@ func TestShardedBuildIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// TestShardedBuildOnGeneratedWorkload runs the differential on a real
-// concurrent workload (constraint-heavy blind writes) and additionally
-// checks that the verdict and graph statistics agree end to end.
+// TestShardedBuildOnGeneratedWorkload runs the worker-count differential
+// on a real concurrent workload (constraint-heavy blind writes) and
+// additionally checks that the verdict and graph statistics agree end to
+// end.
 func TestShardedBuildOnGeneratedWorkload(t *testing.T) {
 	h, _, err := runner.Run(workload.NewBlindWRW(), runner.Config{Clients: 16, Txns: 300, Seed: 7})
 	if err != nil {
@@ -143,8 +149,8 @@ func checkRecordSizing(t *testing.T, rec *keyRecord, label string) {
 // an SI carrier, histgen SI histories) plus SI histories with few and
 // many keys, at AdyaSI and Serializability with combining and coalescing
 // each on and off, the record pass sizes every key's record before
-// emitting it, and each replay built on the records — assemble, the
-// sharded Build, and ShardMerger.Finish — reproduces the serial build
+// emitting it, and each replay built on the records — assemble, Build at
+// two workers, and ShardMerger.Finish — reproduces Build at one worker
 // with capped sides.
 func TestRecordSizing(t *testing.T) {
 	corpus := matrixCorpus(t)
@@ -191,9 +197,10 @@ func TestRecordKeyAllocs(t *testing.T) {
 		}
 	}
 	h := b.MustHistory()
+	inc := sessionOver(h, Options{Level: AdyaSI})
+	inc.update()
+	byWriter, ws := inc.readers["x"], inc.writers["x"]
 	pg := newPolygraph(h, AdyaSI)
-	byWriter := pg.collectReads()["x"]
-	ws := writersByKey(h)["x"]
 	var rec keyRecord
 	allocs := testing.AllocsPerRun(20, func() {
 		rec = keyRecord{}
@@ -209,21 +216,98 @@ func TestRecordKeyAllocs(t *testing.T) {
 	t.Logf("%.0f allocations for %d ops", allocs, len(rec.ops))
 }
 
-// TestBuildTimingsPopulated checks the construction wall/CPU breakdown:
-// both non-negative, CPU == wall for a serial build, and the worker count
-// reported as resolved.
-func TestBuildTimingsPopulated(t *testing.T) {
+// TestForEachKeyBoundsGoroutines: the pool never starts more goroutines
+// than it has keys, whatever its worker count, and runs every index
+// exactly once. A goroutine the pool starts counts as alive from its go
+// statement until it finds no index left, so each callback samples the
+// count from its entry until every callback has entered.
+func TestForEachKeyBoundsGoroutines(t *testing.T) {
+	const keys = 3
+	base := runtime.NumGoroutine()
+	var peak atomic.Int64
+	var entered atomic.Int32
+	var runs [keys]atomic.Int32
+	sample := func() {
+		// The calling goroutine, counted in base, is one of the pool's.
+		alive := int64(runtime.NumGoroutine() - base + 1)
+		for p := peak.Load(); alive > p && !peak.CompareAndSwap(p, alive); p = peak.Load() {
+		}
+	}
+	forEachKey(keys, 64, func(i int) {
+		runs[i].Add(1)
+		entered.Add(1)
+		for sample(); entered.Load() < keys; sample() {
+			runtime.Gosched()
+		}
+	})
+	if p := peak.Load(); p > keys {
+		t.Fatalf("%d pool goroutines alive over %d keys", p, keys)
+	}
+	for i := range runs {
+		if n := runs[i].Load(); n != 1 {
+			t.Fatalf("key %d ran %d times", i, n)
+		}
+	}
+}
+
+// cloneRecords deep-copies a session's record store.
+func cloneRecords(recs map[history.Key]*keyRecord) map[history.Key]*keyRecord {
+	out := make(map[history.Key]*keyRecord, len(recs))
+	for key, rec := range recs {
+		c := &keyRecord{wr: slices.Clone(rec.wr), ops: slices.Clone(rec.ops), sides: slices.Clone(rec.sides)}
+		for j := range c.ops {
+			c.ops[j].first = slices.Clone(c.ops[j].first)
+			c.ops[j].second = slices.Clone(c.ops[j].second)
+		}
+		out[key] = c
+	}
+	return out
+}
+
+// TestReplayLeavesRecordsIntact: every cold audit of a real-time-level
+// session replays the same record store, so a replay must never write
+// through a record. Key "a" makes C(w1)→B(w2) known (w2 read a from w1)
+// before key "b"'s coalesced constraint "w1 before w2", whose first side
+// [C(w1)→B(w2), B(r)→C(w2)] leads with that edge; the replay drops it
+// from the constraint, and a second replay of the same store must see
+// the records unchanged and build the same polygraph.
+func TestReplayLeavesRecordsIntact(t *testing.T) {
+	b := history.NewBuilder()
+	w1 := b.Session().Txn().Write("a").Write("b").Commit()
+	b.Session().Txn().ReadObserved("a", w1.WriteIDOf("a")).Write("b").Commit()
+	b.Session().Txn().ReadObserved("b", w1.WriteIDOf("b")).Commit()
+	h := b.MustHistory()
+	inc := sessionOver(h, Options{Level: GSI})
+	inc.update()
+	inc.regen()
+	before := cloneRecords(inc.records)
+
+	first := inc.assemble()
+	var recorded, replayed []Edge
+	for _, op := range inc.records["b"].ops {
+		if op.cons {
+			recorded = op.first
+		}
+	}
+	for _, c := range first.Cons {
+		if c.Key == "b" {
+			replayed = c.First
+		}
+	}
+	if len(recorded) != 2 || !reflect.DeepEqual(replayed, recorded[1:]) {
+		t.Fatalf("constraint on b: first side recorded as %v, replayed as %v; want its known leading edge dropped", recorded, replayed)
+	}
+	comparePolygraphs(t, first, inc.assemble(), "second replay")
+	if !reflect.DeepEqual(inc.records, before) {
+		t.Fatal("replay mutated the record store")
+	}
+}
+
+// TestConstructTimingsPopulated checks the report's construction
+// wall/CPU breakdown: both non-negative, and the worker count reported as
+// resolved.
+func TestConstructTimingsPopulated(t *testing.T) {
 	h := figure2(t)
-	pg := Build(h, Options{Level: AdyaSI, Parallelism: 1})
-	wall, cpu, workers := pg.BuildTimings()
-	if wall < 0 || cpu != wall || workers != 1 {
-		t.Fatalf("serial timings: wall=%v cpu=%v workers=%d", wall, cpu, workers)
-	}
-	pg = Build(h, Options{Level: AdyaSI, Parallelism: 4})
-	wall, cpu, workers = pg.BuildTimings()
-	if wall < 0 || cpu < 0 || workers != 4 {
-		t.Fatalf("sharded timings: wall=%v cpu=%v workers=%d", wall, cpu, workers)
-	}
 	rep := CheckHistory(h, Options{Level: AdyaSI, Parallelism: 4})
 	if rep.ConstructWorkers != 4 || rep.Phases.Construct < 0 || rep.Phases.ConstructCPU < 0 {
 		t.Fatalf("report timings: %+v workers=%d", rep.Phases, rep.ConstructWorkers)

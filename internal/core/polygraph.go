@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"viper/internal/acyclic"
 	"viper/internal/history"
@@ -109,23 +108,6 @@ type Polygraph struct {
 	ser      bool
 	auxBase  int32
 	knownSet acyclic.EdgeSet
-
-	// Construction timing: buildWall is wall-clock time, buildCPU the same
-	// work summed across workers (equal for a serial build), buildWorkers
-	// the resolved worker count. parWall/parCPU account the parallel
-	// sections only (see parallel.go).
-	buildWall    time.Duration
-	buildCPU     time.Duration
-	parWall      time.Duration
-	parCPU       time.Duration
-	buildWorkers int
-}
-
-// BuildTimings reports construction wall-clock time, the equivalent CPU
-// time summed across workers (== wall for a serial build), and the worker
-// count used.
-func (pg *Polygraph) BuildTimings() (wall, cpu time.Duration, workers int) {
-	return pg.buildWall, pg.buildCPU, pg.buildWorkers
 }
 
 // Begin returns the node id of t's begin event.
@@ -218,47 +200,6 @@ type eventEdge struct {
 	toCommit   bool
 }
 
-// addConstraint normalizes and records a constraint whose sides are event
-// edges. Sides containing an impossible edge are dropped (forcing the
-// other side into the known graph); trivially-true edges are elided.
-func (pg *Polygraph) addConstraint(first, second []eventEdge, kind1, kind2 EdgeKind, key history.Key) {
-	resolve := func(side []eventEdge) (edges []Edge, invalid bool) {
-		for _, ee := range side {
-			e, cls := pg.classify(ee.fromT, ee.fromCommit, ee.toT, ee.toCommit)
-			switch cls {
-			case edgeFalse:
-				return nil, true
-			case edgeTrue:
-				continue
-			}
-			if pg.knownSet.Has(e.From, e.To) {
-				continue // already certain
-			}
-			edges = append(edges, e)
-		}
-		return edges, false
-	}
-	f, fBad := resolve(first)
-	s, sBad := resolve(second)
-	switch {
-	case fBad && sBad:
-		pg.Contradiction = true
-	case fBad:
-		for _, e := range s {
-			pg.addKnown(e, kind2, key)
-		}
-	case sBad:
-		for _, e := range f {
-			pg.addKnown(e, kind1, key)
-		}
-	case len(f) == 0 || len(s) == 0:
-		// One side holds trivially: the constraint imposes nothing (any
-		// acyclic supergraph can drop the other side's edges).
-	default:
-		pg.Cons = append(pg.Cons, Constraint{First: f, Second: s, Kind1: kind1, Kind2: kind2, Key: key})
-	}
-}
-
 // chain is a maximal run of writers of one key whose mutual write order is
 // known (read-modify-write chains; Cobra's combining writes adapted to
 // BC-polygraphs). The genesis chain, if present, is the version order's
@@ -273,39 +214,17 @@ func (c *chain) tail() history.TxnID { return c.members[len(c.members)-1] }
 
 // Build constructs the BC-polygraph of a validated history (Figure 4's
 // CreateBCPolygraph, plus range-query derivation, combining writes,
-// constraint coalescing, and the variant edges of §5). When
-// opts.Parallelism resolves to more than one worker, read collection and
-// per-key constraint generation are sharded across a worker pool
-// (parallel.go); the resulting polygraph is identical to the serial build.
+// constraint coalescing, and the variant edges of §5). It is the
+// construction half of a one-audit session (incremental.go), the path
+// every check takes: index the history's reads and writes, record each
+// written key's emissions under a pool of opts.Parallelism workers, and
+// replay the records in key order (parallel.go). The polygraph is the
+// same for any worker count.
 func Build(h *history.History, opts Options) *Polygraph {
-	start := time.Now()
-	pg := newPolygraph(h, opts.Level)
-	pg.initNodeTS()
-
-	if w := opts.workers(); w > 1 && len(h.Keys()) > 0 && h.Len() > 1 {
-		pg.buildSharded(opts, w)
-	} else {
-		pg.buildWorkers = 1
-		pg.addIntraEdges()
-		readers := pg.collectReads()
-		writersByKey := writersByKey(h)
-		pg.addReadDeps(readers)
-		// Constraints per key, over writer chains.
-		for _, key := range h.Keys() {
-			pg.buildKeyConstraints(key, writersByKey[key], readers[key], !opts.DisableCombineWrites, !opts.DisableCoalesce, pg)
-		}
-	}
-
-	// Variant edges.
-	if opts.Level == StrongSessionSI {
-		pg.addSessionEdges()
-	}
-	if opts.Level.needsRealTime() {
-		pg.addRealTimeEdges(opts)
-	}
-	pg.buildWall = time.Since(start)
-	pg.buildCPU = pg.buildWall - pg.parWall + pg.parCPU
-	return pg
+	inc := sessionOver(h, opts)
+	inc.update()
+	inc.regen()
+	return inc.assemble()
 }
 
 // newPolygraph returns the empty shell of h's polygraph at level: the
@@ -334,26 +253,6 @@ func (pg *Polygraph) addIntraEdges() {
 	}
 }
 
-// addReadDeps emits the read-dependency edges: commit of writer → begin of
-// reader. Reads from genesis need no edge (genesis trivially commits
-// first).
-func (pg *Polygraph) addReadDeps(readers map[history.Key]map[history.TxnID][]history.TxnID) {
-	for _, key := range sortedKeys(readers) {
-		byWriter := readers[key]
-		for _, w := range sortedTxns(byWriter) {
-			if w == history.GenesisID {
-				continue
-			}
-			for _, r := range byWriter[w] {
-				e, cls := pg.classify(w, true, r, false)
-				if cls == edgeNormal {
-					pg.addKnown(e, EdgeWR, key)
-				}
-			}
-		}
-	}
-}
-
 // initNodeTS fills the per-node wall-clock hints.
 func (pg *Polygraph) initNodeTS() {
 	pg.nodeTS = make([]int64, pg.NumNodes)
@@ -366,105 +265,10 @@ func (pg *Polygraph) initNodeTS() {
 	}
 }
 
-// collectReads indexes external read observations: key → writer →
-// readers (deduplicated, deterministic order). Range queries contribute
-// their returned versions as reads, and — thanks to the tombstone
-// discipline (§4) — genesis reads for every written key inside the range
-// that was absent from the result: a correct collector setup never truly
-// deletes keys, so absence can only mean "never inserted", i.e. the range
-// query read the key's initial version.
-func (pg *Polygraph) collectReads() map[history.Key]map[history.TxnID][]history.TxnID {
-	readers := make(map[history.Key]map[history.TxnID][]history.TxnID, len(pg.H.Txns))
-	pg.collectReadsInto(readers, pg.H.Txns[1:])
-	return readers
-}
-
-// collectReadsInto indexes the external reads of the given transactions
-// into readers. Sharding callers pass contiguous transaction ranges so
-// per-(key, writer) reader lists stay in transaction order (parallel.go).
-func (pg *Polygraph) collectReadsInto(readers map[history.Key]map[history.TxnID][]history.TxnID, txns []*history.Txn) {
-	h := pg.H
-	add := func(key history.Key, w, r history.TxnID) {
-		if w == r {
-			return
-		}
-		m := readers[key]
-		if m == nil {
-			m = make(map[history.TxnID][]history.TxnID, 4)
-			readers[key] = m
-		}
-		for _, prev := range m[w] {
-			if prev == r {
-				return
-			}
-		}
-		m[w] = append(m[w], r)
-	}
-	for _, t := range txns {
-		if !t.Committed() {
-			continue
-		}
-		t.ExternalReads(func(key history.Key, obs history.WriteID) {
-			ref, ok := h.WriterOf(obs)
-			if !ok {
-				return // unreachable on validated histories
-			}
-			add(key, ref.Txn, t.ID)
-		})
-		// Non-returned written keys inside range bounds ⇒ genesis reads.
-		for i := range t.Ops {
-			op := &t.Ops[i]
-			if op.Kind != history.OpRange {
-				continue
-			}
-			returned := make(map[history.Key]bool, len(op.Result))
-			for _, v := range op.Result {
-				returned[v.Key] = true
-			}
-			for _, k := range h.KeysInRange(op.Lo, op.Hi) {
-				if !returned[k] {
-					add(k, history.GenesisID, t.ID)
-				}
-			}
-		}
-	}
-}
-
-// constraintSink receives the emissions of the per-key constraint pass.
-// The serial build (the Polygraph itself) applies them to the graph
-// immediately; the sharded build records them per key and replays them in
-// serial order (parallel.go).
-type constraintSink interface {
-	// reserve announces a key's emissions before the first of them: ops
-	// is exactly the number of knownEvent emissions that classify as
-	// normal plus constraint emissions, edges bounds the constraint-side
-	// edges they resolve to.
-	reserve(ops, edges int)
-	// knownEvent emits a certain event-level edge (elided when classify
-	// resolves it as trivially true or impossible).
-	knownEvent(fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool, kind EdgeKind, key history.Key)
-	// constraint emits an either/or constraint over event-level edge sets.
-	// The sides are scratch the caller reuses: a sink copies what it keeps.
-	constraint(first, second []eventEdge, kind1, kind2 EdgeKind, key history.Key)
-}
-
-// reserve is a no-op: the serial build applies emissions as they come.
-func (pg *Polygraph) reserve(ops, edges int) {}
-
-func (pg *Polygraph) knownEvent(fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool, kind EdgeKind, key history.Key) {
-	if e, cls := pg.classify(fromT, fromCommit, toT, toCommit); cls == edgeNormal {
-		pg.addKnown(e, kind, key)
-	}
-}
-
-func (pg *Polygraph) constraint(first, second []eventEdge, kind1, kind2 EdgeKind, key history.Key) {
-	pg.addConstraint(first, second, kind1, kind2, key)
-}
-
-// buildKeyConstraints emits the known edges and constraints for one key
-// (Figure 4 lines 37–50, at writer-chain granularity) into the sink, and
+// buildKeyConstraints records the known edges and constraints for one
+// key (Figure 4 lines 37–50, at writer-chain granularity) into kr, and
 // returns the key's writer chains.
-func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnID, byWriter map[history.TxnID][]history.TxnID, combine, coalesce bool, sink constraintSink) []*chain {
+func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnID, byWriter map[history.TxnID][]history.TxnID, combine, coalesce bool, kr keyRecorder) []*chain {
 	chains := pg.writerChains(writers, byWriter, combine)
 	if len(chains) == 0 {
 		return nil
@@ -478,20 +282,20 @@ func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnI
 			real = append(real, ch)
 		}
 	}
-	sink.reserve(recordSize(chains, gchain, real, byWriter, coalesce))
+	kr.reserve(recordSize(chains, gchain, real, byWriter, coalesce))
 
 	// In-chain known edges.
 	for _, ch := range chains {
 		for i := 0; i+1 < len(ch.members); i++ {
 			cur, next := ch.members[i], ch.members[i+1]
-			sink.knownEvent(cur, true, next, false, EdgeWW, key)
+			kr.knownEvent(cur, true, next, false, EdgeWW, key)
 			// Readers of a non-tail version anti-depend on the next
 			// in-chain writer.
 			for _, r := range byWriter[cur] {
 				if r == next {
 					continue
 				}
-				sink.knownEvent(r, false, next, true, EdgeRW, key)
+				kr.knownEvent(r, false, next, true, EdgeRW, key)
 			}
 		}
 	}
@@ -502,10 +306,10 @@ func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnI
 	if gchain != nil {
 		for _, ch := range real {
 			if gchain.tail() != history.GenesisID {
-				sink.knownEvent(gchain.tail(), true, ch.head(), false, EdgeWW, key)
+				kr.knownEvent(gchain.tail(), true, ch.head(), false, EdgeWW, key)
 			}
 			for _, r := range byWriter[gchain.tail()] {
-				sink.knownEvent(r, false, ch.head(), true, EdgeRW, key)
+				kr.knownEvent(r, false, ch.head(), true, EdgeRW, key)
 			}
 		}
 	}
@@ -514,7 +318,7 @@ func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnI
 	var scratch pairScratch
 	for i := 0; i < len(real); i++ {
 		for j := i + 1; j < len(real); j++ {
-			pg.chainPairConstraints(key, real[i], real[j], byWriter, coalesce, sink, &scratch)
+			pg.chainPairConstraints(key, real[i], real[j], byWriter, coalesce, kr, &scratch)
 		}
 	}
 	return chains
@@ -567,15 +371,14 @@ func recordSize(chains []*chain, gchain *chain, real []*chain, byWriter map[hist
 
 // pairScratch holds the two side lists chainPairConstraints rebuilds for
 // every chain pair of a key. Reusing them across pairs is safe because
-// both sinks resolve sides into fresh storage (addConstraint,
-// keyRecorder.constraint).
+// keyRecorder.constraint resolves sides into the key's own slab.
 type pairScratch struct {
 	fwd, rev []eventEdge
 }
 
 // chainPairConstraints emits the constraints between two chains: either
 // ch1 is entirely before ch2 in the key's version order or vice versa.
-func (pg *Polygraph) chainPairConstraints(key history.Key, ch1, ch2 *chain, byWriter map[history.TxnID][]history.TxnID, coalesce bool, sink constraintSink, scratch *pairScratch) {
+func (pg *Polygraph) chainPairConstraints(key history.Key, ch1, ch2 *chain, byWriter map[history.TxnID][]history.TxnID, coalesce bool, kr keyRecorder, scratch *pairScratch) {
 	// "ch1 before ch2" edges: tail1 commits before head2 begins, and every
 	// reader of tail1's version begins before head2 commits.
 	sideEdges := func(buf []eventEdge, first, second *chain) []eventEdge {
@@ -590,17 +393,17 @@ func (pg *Polygraph) chainPairConstraints(key history.Key, ch1, ch2 *chain, byWr
 	fwd, rev := scratch.fwd, scratch.rev
 
 	if coalesce {
-		sink.constraint(fwd, rev, EdgeWW, EdgeWW, key)
+		kr.constraint(fwd, rev, EdgeWW, EdgeWW, key)
 		return
 	}
 	// Uncoalesced: the paper's per-edge XOR constraints (Figure 4 lines 46
 	// and 50), all sharing the "other order" ww edge.
-	sink.constraint(fwd[:1], rev[:1], EdgeWW, EdgeWW, key)
+	kr.constraint(fwd[:1], rev[:1], EdgeWW, EdgeWW, key)
 	for i := 1; i < len(fwd); i++ {
-		sink.constraint(fwd[i:i+1], rev[:1], EdgeRW, EdgeWW, key)
+		kr.constraint(fwd[i:i+1], rev[:1], EdgeRW, EdgeWW, key)
 	}
 	for i := 1; i < len(rev); i++ {
-		sink.constraint(rev[i:i+1], fwd[:1], EdgeRW, EdgeWW, key)
+		kr.constraint(rev[i:i+1], fwd[:1], EdgeRW, EdgeWW, key)
 	}
 }
 
@@ -703,32 +506,6 @@ func (pg *Polygraph) writerChains(writers []history.TxnID, byWriter map[history.
 	return chains
 }
 
-// writersByKey indexes the committed writers of each key, in txn order.
-// Write ops are scanned directly rather than through a per-transaction
-// LastWritePerKey map (one map allocation per txn); a transaction's
-// repeated writes of a key deduplicate against the slice tail, since no
-// later transaction can have appended in between. Transactions iterate in
-// ID order, so each per-key slice is born sorted — no sort pass.
-func writersByKey(h *history.History) map[history.Key][]history.TxnID {
-	out := make(map[history.Key][]history.TxnID, len(h.Txns))
-	for _, t := range h.Txns[1:] {
-		if !t.Committed() {
-			continue
-		}
-		for i := range t.Ops {
-			switch t.Ops[i].Kind {
-			case history.OpWrite, history.OpInsert, history.OpDelete:
-				key := t.Ops[i].Key
-				if ws := out[key]; len(ws) > 0 && ws[len(ws)-1] == t.ID {
-					continue
-				}
-				out[key] = append(out[key], t.ID)
-			}
-		}
-	}
-	return out
-}
-
 // addSessionEdges adds commit→begin edges between consecutive committed
 // transactions of each session (Strong Session SI, §5).
 func (pg *Polygraph) addSessionEdges() {
@@ -746,15 +523,6 @@ func (pg *Polygraph) addSessionEdges() {
 			prev = id
 		}
 	}
-}
-
-func sortedKeys[V any](m map[history.Key]V) []history.Key {
-	keys := make([]history.Key, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }
 
 func sortedTxns[V any](m map[history.TxnID]V) []history.TxnID {

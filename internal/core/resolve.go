@@ -15,8 +15,8 @@
 // worklist fixpoint over the constraints. A side is dead iff one of its
 // edges u→v has v ⇝ u in the closure; edges with u ⇝ v are implied and
 // elided (adding an implied edge can never create a cycle that was not
-// already there, the same argument addConstraint uses to drop edges the
-// knownSet already contains). A dead side forces the other: its edges are
+// already there, the same argument the construction replay's applyOp
+// uses to drop edges the knownSet already contains). A dead side forces the other: its edges are
 // appended to the known graph and staged into the closure's adjacency;
 // once per fixpoint pass the closure rebuilds (one row merge per edge,
 // parallel) and the constraints are swept again. A forced edge that is

@@ -1,19 +1,19 @@
 // Distributed shard records: the record-and-replay seam of parallel.go
 // lifted across process boundaries.
 //
-// The sharded build (parallel.go) already splits construction into two
-// halves with a clean data interface between them: a per-key recording
-// pass that needs nothing but the history and a deterministic replay
-// that folds the records into the polygraph in serial emission order.
-// Workers in a cluster run the recording pass over their key range and
-// ship the records — the "digest" of everything their shard contributes
-// to the global polygraph: read-dependency edges, writer-chain known
-// edges, and undecided either/or constraints, all referencing global
-// node ids. The coordinator replays every shard's records in ascending
-// key order, exactly as buildSharded's replay loop would have, so the
-// merged polygraph — and therefore the verdict and any violation
-// evidence — is byte-identical to a single-node Build over the full
-// history for any shard count and any assignment of keys to shards.
+// Construction already splits into two halves with a clean data
+// interface between them: a per-key recording pass that needs nothing
+// but the history, and a deterministic replay that folds the records
+// into the polygraph in key order. Workers in a cluster run the
+// recording pass over their key range and ship the records — the
+// "digest" of everything their shard contributes to the global
+// polygraph: read-dependency edges, writer-chain known edges, and
+// undecided either/or constraints, all referencing global node ids. The
+// coordinator replays every shard's records in ascending key order,
+// exactly as a single node's replay would, so the merged polygraph — and
+// therefore the verdict and any violation evidence — is byte-identical
+// to Build over the full history for any shard count and any assignment
+// of keys to shards.
 //
 // Two streaming seams let the cluster overlap this work with the
 // network: BuildShardRecordsOrdered emits each key's record as soon as
@@ -23,7 +23,7 @@
 // The constraint-pass replay is order-sensitive across keys (duplicate
 // suppression against the evolving known set), so it runs at Finish,
 // after every record has arrived; the merged polygraph is still
-// byte-identical to the batch merge and to a single-node Build.
+// byte-identical to the batch merge and to Build.
 //
 // The types here are wire-friendly (flat int32 edge arrays, short JSON
 // tags) because internal/cluster serializes them between nodes.
@@ -68,10 +68,9 @@ type ShardOp struct {
 type KeyShardRecord struct {
 	Key string `json:"key"`
 	// WR is the key's read-dependency edges, flattened from,to pairs, in
-	// serial emission order.
+	// emission order.
 	WR []int32 `json:"wr,omitempty"`
-	// Ops is the key's constraint-pass emissions, in serial emission
-	// order.
+	// Ops is the key's constraint-pass emissions, in emission order.
 	Ops []ShardOp `json:"ops,omitempty"`
 }
 
@@ -176,69 +175,57 @@ func BuildShardRecordsOrdered(h *history.History, opts Options, keys []history.K
 	if len(keys) == 0 {
 		return nil
 	}
-	// The recording pass reads only the node layout (classify), never
-	// the evolving known set.
-	pg := newPolygraph(h, opts.Level)
-	workers := opts.workers()
-	if workers > len(keys) {
-		workers = len(keys)
-	}
-	readers := pg.collectReadsSharded(workers)
-	wbk := writersByKey(h)
-
-	outs := make([]keyRecord, len(keys))
-	done := make([]atomic.Bool, len(keys))
-	ready := make(chan struct{}, len(keys))
+	// The session indexer and regenKey, exactly as a check records: the
+	// recording pass reads only the indexes and the node layout.
+	inc := sessionOver(h, opts)
+	inc.update()
+	lite := &Polygraph{ser: inc.ser()}
 	combine, coalesce := !opts.DisableCombineWrites, !opts.DisableCoalesce
+
+	outs := make([]*keyRecord, len(keys))
+	done := make([]atomic.Bool, len(keys))
+	// One send per key: a recording goroutine never blocks, even after
+	// the emitter has stopped reading.
+	ready := make(chan struct{}, len(keys))
 	var abort atomic.Bool
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !abort.Load() {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(keys) {
-					return
-				}
-				key := keys[i]
-				byWriter := readers[key]
-				recordReadDeps(pg, byWriter, &outs[i])
-				pg.buildKeyConstraints(key, wbk[key], byWriter, combine, coalesce, keyRecorder{pg: pg, rec: &outs[i]})
-				done[i].Store(true)
-				ready <- struct{}{}
+	recorded := make(chan struct{})
+	go func() {
+		defer close(recorded)
+		forEachKey(len(keys), opts.workers(), func(i int) {
+			if abort.Load() {
+				return
 			}
-		}()
-	}
+			outs[i], _ = inc.regenKey(lite, keys[i], combine, coalesce)
+			done[i].Store(true)
+			ready <- struct{}{}
+		})
+	}()
 
 	var emitErr error
-	next := 0
-	for next < len(keys) && emitErr == nil {
+	for next := 0; next < len(keys); {
 		if !done[next].Load() {
 			<-ready
 			continue
 		}
-		rec := toWireRecord(keys[next], &outs[next])
-		if err := emit(next, &rec); err != nil {
-			emitErr = err
+		rec := toWireRecord(keys[next], outs[next])
+		if emitErr = emit(next, &rec); emitErr != nil {
 			abort.Store(true)
 			break
 		}
-		outs[next] = keyRecord{} // release as we go: the shard may be large
+		outs[next] = nil // release as we go: the shard may be large
 		next++
 	}
-	wg.Wait()
+	<-recorded
 	return emitErr
 }
 
-// BuildShardRecords runs the per-key recording pass of the sharded build
-// over the given keys and returns their records in wire form, in the
-// given key order. The history must be validated; keys must be a subset
-// of h.Keys(). Node ids in the records are global: they are derived
-// from transaction ids alone, so records computed by different workers
-// over disjoint key sets compose. opts.Parallelism bounds the local
-// worker pool; the output is identical for any worker count.
+// BuildShardRecords runs the per-key recording pass over the given keys
+// and returns their records in wire form, in the given key order. The
+// history must be validated; keys must be a subset of h.Keys(). Node ids
+// in the records are global: they are derived from transaction ids
+// alone, so records computed by different workers over disjoint key sets
+// compose. opts.Parallelism bounds the local worker pool; the output is
+// identical for any worker count.
 func BuildShardRecords(h *history.History, opts Options, keys []history.Key) []KeyShardRecord {
 	recs := make([]KeyShardRecord, len(keys))
 	// The emit callback never errors, so Ordered cannot either.
@@ -321,13 +308,6 @@ func (m *ShardMerger) Add(i int, rec KeyShardRecord) error {
 	return nil
 }
 
-// Missing reports how many keys still have no record.
-func (m *ShardMerger) Missing() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.have) - m.frontier
-}
-
 // Records returns the held records for key indices [lo, hi). Only valid
 // once every key in the range has been added; the caller must not
 // mutate the result.
@@ -395,9 +375,6 @@ func (m *ShardMerger) Finish() (*Polygraph, error) {
 		m.pg.addRealTimeEdges(m.opts)
 	}
 	m.replay += time.Since(start)
-	m.pg.buildWall = m.replay
-	m.pg.buildCPU = m.replay
-	m.pg.buildWorkers = 1
 	return m.pg, nil
 }
 

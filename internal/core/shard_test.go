@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -57,7 +58,7 @@ func mergeViaShards(t *testing.T, h *history.History, opts Options, shards int) 
 // TestShardRecordsMergeIdenticalToBuild is the distributed counterpart
 // of TestShardedBuildIdenticalToSerial: recording each key range
 // separately (with varying intra-shard parallelism) and replaying the
-// concatenated records must reproduce the serial build byte for byte,
+// concatenated records must reproduce Build at one worker byte for byte,
 // for every level, optimization combination, and shard count.
 func TestShardRecordsMergeIdenticalToBuild(t *testing.T) {
 	histories := map[string]*history.History{
@@ -122,7 +123,7 @@ func TestShardRecordsOnGeneratedWorkload(t *testing.T) {
 
 // TestShardMergerIncremental drives the streaming merge exactly as the
 // coordinator does — records arriving out of index order, some
-// duplicated by retries — and demands the serial build byte for byte.
+// duplicated by retries — and demands Build at one worker byte for byte.
 func TestShardMergerIncremental(t *testing.T) {
 	h, _, err := runner.Run(workload.NewBlindWRW(), runner.Config{Clients: 8, Txns: 250, Seed: 17})
 	if err != nil {
@@ -135,9 +136,6 @@ func TestShardMergerIncremental(t *testing.T) {
 		recs := BuildShardRecords(h, opts, h.Keys())
 
 		m := NewShardMerger(h, opts)
-		if got := m.Missing(); got != len(recs) {
-			t.Fatalf("fresh merger missing %d, want %d", got, len(recs))
-		}
 		order := rng.Perm(len(recs))
 		for n, i := range order {
 			if err := m.Add(i, recs[i]); err != nil {
@@ -148,9 +146,6 @@ func TestShardMergerIncremental(t *testing.T) {
 					t.Fatalf("%v: duplicate Add(%d): %v", level, i, err)
 				}
 			}
-		}
-		if got := m.Missing(); got != 0 {
-			t.Fatalf("%v: complete merger still missing %d", level, got)
 		}
 		pg, err := m.Finish()
 		if err != nil {
@@ -184,7 +179,8 @@ func TestShardMergerRejectsBadRecords(t *testing.T) {
 
 // TestBuildShardRecordsOrderedStreams: the ordered emitter hands out
 // every record exactly once, in key order, identical to the batch
-// builder, for several parallelism settings.
+// builder, for several parallelism settings; an emit error stops the
+// emitter and is returned.
 func TestBuildShardRecordsOrderedStreams(t *testing.T) {
 	h, _, err := runner.Run(workload.NewBlindWRW(), runner.Config{Clients: 8, Txns: 200, Seed: 5})
 	if err != nil {
@@ -211,6 +207,19 @@ func TestBuildShardRecordsOrderedStreams(t *testing.T) {
 		}
 		if next != len(want) {
 			t.Fatalf("par=%d: emitted %d records, want %d", par, next, len(want))
+		}
+
+		stop := errors.New("stop")
+		calls := 0
+		err = BuildShardRecordsOrdered(h, p, h.Keys(), func(i int, rec *KeyShardRecord) error {
+			calls++
+			if i == 2 {
+				return stop
+			}
+			return nil
+		})
+		if !errors.Is(err, stop) || calls != 3 {
+			t.Fatalf("par=%d: emit error at record 2 gave %v after %d calls, want it back after 3", par, err, calls)
 		}
 	}
 }

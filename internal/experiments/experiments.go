@@ -40,7 +40,7 @@ type Config struct {
 	// Trials is the repeat count where the paper repeats (Figure 13).
 	Trials int
 	// Parallelism is the polygraph-construction worker count passed to
-	// every viper invocation (0 = GOMAXPROCS, 1 = serial).
+	// every viper invocation (0 = GOMAXPROCS, 1 = one goroutine).
 	Parallelism int
 	// DisableTSFastPath turns the timestamp-assisted fast path off for
 	// every viper invocation (the tsfastpath experiment ignores this and

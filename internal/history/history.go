@@ -587,7 +587,8 @@ func (t *Txn) LastWriteOf(key Key) (int, bool) {
 // result entries whose observed version was not produced earlier in this
 // same transaction. Range queries additionally produce synthetic
 // genesis observations for written keys inside the range that were absent
-// from the result (see core.Build for how those are derived).
+// from the result (core's session indexer, Incremental.update, derives
+// those).
 func (t *Txn) ExternalReads(fn func(key Key, observed WriteID)) {
 	written := make(map[WriteID]bool)
 	for i := range t.Ops {

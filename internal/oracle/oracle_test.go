@@ -201,10 +201,10 @@ func TestDifferentialOracleVsViper(t *testing.T) {
 	}
 }
 
-// TestParallelBuildMatchesSerialOnFuzzCorpus runs the sharded-construction
+// TestParallelBuildMatchesSerialOnFuzzCorpus runs the worker-count
 // differential over the oracle fuzz corpus: Build with Parallelism 2 and 8
-// must reproduce the serial polygraph (stats, edge sets, constraints) and
-// the same verdict on every generated history.
+// must reproduce the polygraph of one recording worker (stats, edge sets,
+// constraints) and the same verdict on every generated history.
 func TestParallelBuildMatchesSerialOnFuzzCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	checked := 0
@@ -225,7 +225,7 @@ func TestParallelBuildMatchesSerialOnFuzzCorpus(t *testing.T) {
 				if !reflect.DeepEqual(serial.Known, sharded.Known) ||
 					!reflect.DeepEqual(serial.Cons, sharded.Cons) ||
 					serial.Contradiction != sharded.Contradiction {
-					t.Fatalf("iter %d p=%d %v: polygraph differs from serial build\nhistory: %+v",
+					t.Fatalf("iter %d p=%d %v: polygraph differs from one worker's\nhistory: %+v",
 						iter, p, level, dump(h))
 				}
 			}
@@ -233,7 +233,7 @@ func TestParallelBuildMatchesSerialOnFuzzCorpus(t *testing.T) {
 			for _, p := range []int{2, 8} {
 				got := core.CheckHistory(h, core.Options{Level: level, Parallelism: p}).Outcome
 				if got != want {
-					t.Fatalf("iter %d p=%d %v: outcome %v, serial %v\nhistory: %+v",
+					t.Fatalf("iter %d p=%d %v: outcome %v, one worker %v\nhistory: %+v",
 						iter, p, level, got, want, dump(h))
 				}
 			}

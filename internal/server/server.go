@@ -416,7 +416,8 @@ func (s *Server) logged(next http.Handler) http.Handler {
 
 // SessionConfig is the session-creation request body. Level accepts the
 // same names the CLI's -level flag does; unset fields take the checker's
-// defaults, and a field not defined here is refused with 400.
+// defaults, and a field not defined here is refused with 400, as is a
+// negative clock_drift_ns, parallelism or initial_k.
 type SessionConfig struct {
 	// Name is an optional client-chosen prefix for the session id (ids are
 	// always server-assigned and unique).
@@ -428,7 +429,9 @@ type SessionConfig struct {
 	Level string `json:"level,omitempty"`
 	// ClockDriftNS is the real-time levels' drift bound in nanoseconds.
 	ClockDriftNS int64 `json:"clock_drift_ns,omitempty"`
-	// Parallelism caps polygraph-construction workers (0 = all cores).
+	// Parallelism caps the goroutines each audit's polygraph construction
+	// starts (0 = all cores); the pool never starts more than the keys it
+	// records.
 	Parallelism int `json:"parallelism,omitempty"`
 	// InitialK overrides the pruning heuristic's starting k.
 	InitialK int `json:"initial_k,omitempty"`
@@ -496,6 +499,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		InitialK:       cfg.InitialK,
 		DisablePruning: cfg.DisablePruning,
 		DisableResolve: cfg.DisableResolve,
+	}
+	if err := opts.CheckKnobs("parallelism", "initial_k", "clock_drift_ns"); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	if cfg.Level != "" {
 		lvl, ok := core.ParseLevel(cfg.Level)

@@ -126,6 +126,27 @@ func TestCreateSessionRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestCreateSessionRejectsNegativeKnobs: a negative clock_drift_ns,
+// parallelism or initial_k is malformed input, refused with a 400 that
+// names the field; zero still selects the default.
+func TestCreateSessionRejectsNegativeKnobs(t *testing.T) {
+	_, cl := start(t, Config{})
+	ctx := context.Background()
+	for _, field := range []string{"clock_drift_ns", "parallelism", "initial_k"} {
+		err := cl.do(ctx, http.MethodPost, "/v1/sessions", strings.NewReader(`{"`+field+`":-1}`), nil)
+		ae, ok := err.(*APIError)
+		if !ok || ae.Status != http.StatusBadRequest || !strings.Contains(ae.Message, field) {
+			t.Fatalf("%s -1: err = %v, want a 400 naming it", field, err)
+		}
+		if err := cl.do(ctx, http.MethodPost, "/v1/sessions", strings.NewReader(`{"`+field+`":0}`), nil); err != nil {
+			t.Fatalf("%s 0: %v", field, err)
+		}
+	}
+	if list, _ := cl.Sessions(ctx); len(list) != 3 {
+		t.Fatalf("want the three zero-valued sessions only, got %+v", list)
+	}
+}
+
 func TestMaxSessionsReturns429(t *testing.T) {
 	_, cl := start(t, Config{MaxSessions: 2})
 	ctx := context.Background()
