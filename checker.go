@@ -133,6 +133,14 @@ func (c *Checker) ReportDoc(tool string, res *Result) *ReportDoc {
 	return core.BuildReportDoc(tool, "", c.inc.History(), res.ParseTime, res.Report, res.Violation, c.opts, nil)
 }
 
+// MatrixDoc is ReportDoc's twin for res, the result of this session's
+// latest matrix audit: the document core.BuildMatrixDoc assembles over a
+// validated History snapshot, read from the live window that audit
+// validated, without the copy. Call it before the next Append.
+func (c *Checker) MatrixDoc(tool string, res *MatrixResult) *ReportDoc {
+	return core.BuildMatrixDoc(tool, "", c.inc.History(), res.ParseTime, res.Matrix, res.Violation, c.opts, nil)
+}
+
 // Progress returns the session's most recent progress snapshot: the final
 // counters of the last audit, or — while an audit with Options.Progress
 // configured runs — the latest solver sampling tick. Unlike every other

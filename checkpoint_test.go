@@ -111,6 +111,57 @@ func TestCheckerReportDocMatchesSnapshot(t *testing.T) {
 	same(res)
 }
 
+// TestCheckerMatrixDocMatchesSnapshot is the matrix twin of
+// TestCheckerReportDocMatchesSnapshot: Checker.MatrixDoc, which reads the
+// live window, equals (after Normalize) the document a validated History
+// snapshot gives, before and after a checkpoint, and after a matrix audit
+// that fails validation.
+func TestCheckerMatrixDocMatchesSnapshot(t *testing.T) {
+	h := histgen.SI(histgen.Spec{Txns: 300, Keys: 16, MaxConcurrency: 4, Seed: 5})
+	c := NewChecker(Options{Level: AdyaSI})
+	same := func(res *MatrixResult) {
+		t.Helper()
+		snap := c.History()
+		_ = snap.Validate() // a failure is already in res.Violation
+		want := core.BuildMatrixDoc("viperd", "", snap, res.ParseTime, res.Matrix, res.Violation, c.opts, nil)
+		got := c.MatrixDoc("viperd", res)
+		want.Normalize()
+		got.Normalize()
+		a, errA := json.Marshal(got)
+		b, errB := json.Marshal(want)
+		if errA != nil || errB != nil || string(a) != string(b) {
+			t.Fatalf("MatrixDoc differs from the snapshot's document (%v, %v):\n%s\n%s", errA, errB, a, b)
+		}
+	}
+	checkpointed := false
+	for lo := 1; lo < len(h.Txns); lo += 60 {
+		hi := min(lo+60, len(h.Txns))
+		c.Append(h.Txns[lo:hi]...)
+		same(c.AuditMatrix())
+		if !checkpointed && c.Len() >= 150 {
+			if res := c.Audit(); res.Outcome != Accept {
+				t.Fatalf("audit before the checkpoint: %v", res.Outcome)
+			}
+			if _, err := c.Checkpoint(40); err != nil {
+				t.Fatal(err)
+			}
+			checkpointed = c.Certificate().Checkpoints > 0
+			same(c.AuditMatrix())
+		}
+	}
+	if !checkpointed {
+		t.Fatal("no checkpoint was taken")
+	}
+	last := h.Txns[len(h.Txns)-1]
+	c.Append(&Txn{Session: last.Session, SeqInSession: last.SeqInSession + 1, Status: history.StatusCommitted,
+		Ops: []Op{{Kind: history.OpRead, Key: "k0", Observed: 1 << 40}}})
+	res := c.AuditMatrix()
+	if res.Violation == nil {
+		t.Fatal("matrix audit of an unknown write id passed validation")
+	}
+	same(res)
+}
+
 func TestCheckerMaxLiveOpsTrigger(t *testing.T) {
 	h := histgen.SI(histgen.Spec{Txns: 400, Keys: 16, Seed: 9})
 	c, res := streamWithPolicy(t, h, CheckpointPolicy{MaxLiveOps: 300}, 40)

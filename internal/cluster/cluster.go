@@ -14,9 +14,10 @@
 //     /cluster/check splits one huge history by key range across the
 //     fleet; each worker records its shard's polygraph emissions with
 //     the same session indexer and per-key record pass every single-node
-//     check uses, ships back a compact digest, and the coordinator replays
-//     the merged digests into the polygraph a single node would have
-//     built — byte-identical, so the verdict is too — and solves once.
+//     check uses and ships back a compact digest of its per-key records;
+//     the coordinator assembles all shards' records exactly as a single
+//     node assembles its own — byte-identical polygraph, so the verdict
+//     is too — and solves once.
 //     Jobs and digests travel in one binary codec (wire.go); a shard
 //     no worker records is recorded on the coordinator itself.
 //
@@ -38,7 +39,6 @@ import (
 	"regexp"
 	"time"
 
-	"viper/internal/histio"
 	"viper/internal/server"
 )
 
@@ -129,29 +129,6 @@ type JoinResponse struct {
 
 // ---- shared HTTP plumbing ----
 
-// apiError mirrors the server's JSON error body so cluster endpoints
-// are indistinguishable from the rest of the daemon's API.
-type apiError struct {
-	Error  string              `json:"error"`
-	Detail *histio.ErrorDetail `json:"detail,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	body := apiError{Error: err.Error()}
-	if d, ok := histio.Describe(err); ok {
-		body.Detail = &d
-	}
-	writeJSON(w, status, body)
-}
-
 // admissionStatus maps the server's admission errors onto the statuses
 // session audits use, so clients (and their retry policies) see one
 // uniform refusal surface.
@@ -159,11 +136,11 @@ func admissionStatus(w http.ResponseWriter, err error) {
 	switch err {
 	case server.ErrSaturated:
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err)
+		server.WriteError(w, http.StatusTooManyRequests, err)
 	case server.ErrShuttingDown:
-		writeError(w, http.StatusServiceUnavailable, err)
+		server.WriteError(w, http.StatusServiceUnavailable, err)
 	default:
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("canceled while queued: %v", err))
+		server.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("canceled while queued: %v", err))
 	}
 }
 
@@ -171,44 +148,11 @@ func admissionStatus(w http.ResponseWriter, err error) {
 // decodes a JSON response into out, retrying 429/503 under policy.
 // Non-2xx responses come back as *server.APIError.
 func postJSON(ctx context.Context, hc *http.Client, url string, body io.ReadSeeker, contentType string, out any, policy server.RetryPolicy) error {
-	for attempt := 0; ; attempt++ {
-		err := postJSONOnce(ctx, hc, url, body, contentType, out)
-		ae, isAPI := err.(*server.APIError)
-		retryable := isAPI && (ae.Status == http.StatusTooManyRequests || ae.Status == http.StatusServiceUnavailable)
-		if !retryable || policy.MaxRetries <= 0 || attempt >= policy.MaxRetries {
-			return err
-		}
-		if _, serr := body.Seek(0, io.SeekStart); serr != nil {
-			return err
-		}
-		t := time.NewTimer(policy.Delay(attempt, ae.RetryAfter))
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return err
-		}
-		t.Stop()
-	}
+	return policy.Do(ctx, body, func() error { return postJSONOnce(ctx, hc, url, body, contentType, out) })
 }
 
-// apiErrorFrom turns a non-2xx response into a *server.APIError,
-// consuming (a bounded prefix of) the body.
-func apiErrorFrom(resp *http.Response) *server.APIError {
-	ae := &server.APIError{Status: resp.StatusCode}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		if secs, err := time.ParseDuration(ra + "s"); err == nil {
-			ae.RetryAfter = secs
-		}
-	}
-	var body apiError
-	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body) == nil && body.Error != "" {
-		ae.Message, ae.Detail = body.Error, body.Detail
-	} else {
-		ae.Message = resp.Status
-	}
-	return ae
-}
+// apiErrorFrom is the daemon's one decoder of non-2xx responses.
+var apiErrorFrom = server.APIErrorFrom
 
 func postJSONOnce(ctx context.Context, hc *http.Client, url string, body io.Reader, contentType string, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, body)

@@ -97,16 +97,16 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) handleJoin(w http.ResponseWriter, req *http.Request) {
 	var jr JoinRequest
 	if err := json.NewDecoder(req.Body).Decode(&jr); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding join request: %v", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding join request: %v", err))
 		return
 	}
 	if !nodeNameRe.MatchString(jr.Name) || jr.Name == c.cfg.NodeName {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid node name %q", jr.Name))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid node name %q", jr.Name))
 		return
 	}
 	u, err := url.Parse(jr.URL)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid advertise URL %q", jr.URL))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid advertise URL %q", jr.URL))
 		return
 	}
 	if jr.Version != version.Version {
@@ -134,7 +134,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, req *http.Request) {
 	}
 	c.srv.Metrics().Add("viperd_cluster_joins_total", 1)
 
-	writeJSON(w, http.StatusOK, JoinResponse{
+	server.WriteJSON(w, http.StatusOK, JoinResponse{
 		Coordinator: c.cfg.NodeName,
 		Version:     version.Version,
 		HeartbeatNS: int64(c.cfg.HeartbeatInterval),
@@ -157,7 +157,7 @@ func (c *Coordinator) handleNodes(w http.ResponseWriter, req *http.Request) {
 	}
 	c.mu.Unlock()
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
-	writeJSON(w, http.StatusOK, server.ClusterNodesResponse{
+	server.WriteJSON(w, http.StatusOK, server.ClusterNodesResponse{
 		Coordinator: c.cfg.NodeName,
 		Version:     version.Version,
 		Nodes:       nodes,
@@ -386,7 +386,7 @@ func (c *Coordinator) handleCheck(w http.ResponseWriter, req *http.Request) {
 
 	opts, err := optionsFromQuery(req.URL.Query())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -399,10 +399,10 @@ func (c *Coordinator) handleCheck(w http.ResponseWriter, req *http.Request) {
 			// An invalid history is a verdict (reject), not a request error —
 			// the same document a single-node check would emit.
 			c.srv.Metrics().Add("viperd_cluster_checks_total", 1)
-			writeJSON(w, http.StatusOK, core.BuildReportDoc("viperd", "", nil, parse, nil, err, opts, nil))
+			server.WriteJSON(w, http.StatusOK, core.BuildReportDoc("viperd", "", nil, parse, nil, err, opts, nil))
 			return
 		}
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -415,7 +415,7 @@ func (c *Coordinator) handleCheck(w http.ResponseWriter, req *http.Request) {
 		rep, err = core.CheckMergedContext(req.Context(), merger)
 	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("shard merge: %v", err))
+		server.WriteError(w, http.StatusInternalServerError, fmt.Errorf("shard merge: %v", err))
 		return
 	}
 	if info != nil && merger != nil {
@@ -439,10 +439,10 @@ func (c *Coordinator) handleCheck(w http.ResponseWriter, req *http.Request) {
 	}
 
 	if rep.Outcome == core.Timeout && req.Context().Err() != nil {
-		writeJSON(w, http.StatusGatewayTimeout, doc)
+		server.WriteJSON(w, http.StatusGatewayTimeout, doc)
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
+	server.WriteJSON(w, http.StatusOK, doc)
 }
 
 // shardOutcome is one shard's dispatch result: where it was recorded
@@ -455,10 +455,9 @@ type shardOutcome struct {
 }
 
 // disperse partitions h by key range and records each shard (remotely
-// when healthy workers exist, locally otherwise), feeding every record
-// into the returned ShardMerger — which replays read-dependency edges
-// incrementally as records arrive, overlapping merge work with network
-// and remote recording time. Polynomial levels never build a polygraph,
+// when healthy workers exist, locally otherwise), filing every record in
+// the returned ShardMerger as it arrives; CheckMergedContext replays the
+// table once it is complete. Polynomial levels never build a polygraph,
 // so there is nothing to distribute (both returns are nil). Dispatch
 // failures degrade, never fail: a shard whose every candidate node
 // refused is recorded locally, preserving the verdict at the cost of
@@ -545,99 +544,81 @@ func (c *Coordinator) recordShard(ctx context.Context, workers []member, i int, 
 	// it holds), so a partial remote digest plus a full local pass still
 	// merges exactly once per key.
 	keys := h.Keys()[kr.lo:kr.hi]
-	recs := core.BuildShardRecords(h, opts, keys)
-	for j := range recs {
-		if err := merger.Add(kr.lo+j, recs[j]); err != nil {
+	for j, rec := range core.BuildShardRecords(h, opts, keys) {
+		if err := merger.Add(kr.lo+j, rec); err != nil {
 			c.cfg.logf("cluster: local record merge: %v", err)
 		}
 	}
 	return shardOutcome{node: c.cfg.NodeName, local: true}
 }
 
-// retryShard runs one round-trip attempt function under the default
-// retry policy (429/503 with backoff), mirroring postJSON for bodies
-// that are regenerated per attempt rather than seeked.
-func retryShard(ctx context.Context, attempt func() (shardOutcome, error)) (shardOutcome, error) {
-	policy := server.DefaultRetryPolicy()
-	for n := 0; ; n++ {
-		out, err := attempt()
-		if err == nil {
-			return out, nil
-		}
-		ae, isAPI := err.(*server.APIError)
-		retryable := isAPI && (ae.Status == http.StatusTooManyRequests || ae.Status == http.StatusServiceUnavailable)
-		if !retryable || policy.MaxRetries <= 0 || n >= policy.MaxRetries {
-			return out, err
-		}
-		t := time.NewTimer(policy.Delay(n, ae.RetryAfter))
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return out, err
-		}
-		t.Stop()
-	}
+// sendShard records one key range on wk under the default retry policy
+// (429/503 with backoff): it streams the binary shard job and files the
+// streamed digest's records in the merger as they arrive. The job
+// encodes straight from the full history into the request body (no
+// slice History, no buffered copy), so encode, upload, remote recording,
+// download and decode all overlap. A refused job, a digest in any other
+// format, or a digest that fails to decode (decodeDigest refuses what
+// recording never emits) is an error like a dead worker: the caller
+// moves the shard on.
+func (c *Coordinator) sendShard(ctx context.Context, wk member, h *history.History, kr keyRange, opts core.Options, merger *core.ShardMerger) (out shardOutcome, err error) {
+	err = server.DefaultRetryPolicy().Do(ctx, nil, func() (err error) {
+		out, err = c.sendShardOnce(ctx, wk, h, kr, opts, merger)
+		return err
+	})
+	return out, err
 }
 
-// sendShard records one key range on wk: it streams the binary shard
-// job and replays the streamed digest into the merger as records
-// arrive. The job encodes straight from the full history into the
-// request body (no slice History, no buffered copy), so encode, upload,
-// remote recording, download, and replay all overlap. A refused job or
-// a digest in any other format is an error like a dead worker: the
-// caller moves the shard on.
-func (c *Coordinator) sendShard(ctx context.Context, wk member, h *history.History, kr keyRange, opts core.Options, merger *core.ShardMerger) (shardOutcome, error) {
+// sendShardOnce is one dispatch attempt of sendShard.
+func (c *Coordinator) sendShardOnce(ctx context.Context, wk member, h *history.History, kr keyRange, opts core.Options, merger *core.ShardMerger) (out shardOutcome, err error) {
 	// Named results: the deferred decode-stats collection below must land
 	// in the values the caller sees.
-	return retryShard(ctx, func() (out shardOutcome, err error) {
-		out = shardOutcome{node: wk.name}
-		pr, pw := io.Pipe()
-		cw := &countingWriter{w: pw}
-		encCh := make(chan int64, 1)
-		go func() {
-			t0 := time.Now()
-			err := encodeShardJob(cw, h, kr, opts)
-			pw.CloseWithError(err)
-			encCh <- int64(time.Since(t0))
-		}()
-		collectEnc := func() {
-			// The transport closes the request body when the round trip
-			// ends; closing again is a harmless belt-and-braces unblock for
-			// the encoder before we collect its span.
-			pr.Close()
-			out.encodeNS, out.bytesOut = <-encCh, cw.n
-		}
+	out = shardOutcome{node: wk.name}
+	pr, pw := io.Pipe()
+	cw := &countingWriter{w: pw}
+	encCh := make(chan int64, 1)
+	go func() {
+		t0 := time.Now()
+		err := encodeShardJob(cw, h, kr, opts)
+		pw.CloseWithError(err)
+		encCh <- int64(time.Since(t0))
+	}()
+	collectEnc := func() {
+		// The transport closes the request body when the round trip
+		// ends; closing again is a harmless belt-and-braces unblock for
+		// the encoder before we collect its span.
+		pr.Close()
+		out.encodeNS, out.bytesOut = <-encCh, cw.n
+	}
 
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, wk.url+"/cluster/shard", pr)
-		if err != nil {
-			collectEnc()
-			return out, err
-		}
-		req.Header.Set("Content-Type", shardContentTypeV1)
-		resp, err := c.httpc.Do(req)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, wk.url+"/cluster/shard", pr)
+	if err != nil {
 		collectEnc()
-		if err != nil {
-			return out, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode < 200 || resp.StatusCode > 299 {
-			return out, apiErrorFrom(resp)
-		}
-		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, digestContentTypeV1) {
-			return out, fmt.Errorf("digest Content-Type %q, want %s", ct, digestContentTypeV1)
-		}
-
-		decStart := time.Now()
-		cr := &countingReader{r: resp.Body}
-		defer func() {
-			out.decodeNS, out.bytesIn = int64(time.Since(decStart)), cr.n
-		}()
-		_, err = decodeDigest(bufio.NewReaderSize(cr, 64<<10), h.Keys()[kr.lo:kr.hi], func(j int, rec core.KeyShardRecord) error {
-			return merger.Add(kr.lo+j, rec)
-		})
 		return out, err
+	}
+	req.Header.Set("Content-Type", shardContentTypeV1)
+	resp, err := c.httpc.Do(req)
+	collectEnc()
+	if err != nil {
+		return out, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return out, apiErrorFrom(resp)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, digestContentTypeV1) {
+		return out, fmt.Errorf("digest Content-Type %q, want %s", ct, digestContentTypeV1)
+	}
+
+	decStart := time.Now()
+	cr := &countingReader{r: resp.Body}
+	defer func() {
+		out.decodeNS, out.bytesIn = int64(time.Since(decStart)), cr.n
+	}()
+	_, err = decodeDigest(bufio.NewReaderSize(cr, 64<<10), h.Keys()[kr.lo:kr.hi], core.NodeCount(h, opts.Level), func(j int, rec *core.KeyRecord) error {
+		return merger.Add(kr.lo+j, rec)
 	})
+	return out, err
 }
 
 // shardInfo summarizes one shard's digest for the report's cluster
@@ -647,7 +628,7 @@ func (c *Coordinator) sendShard(ctx context.Context, wk member, h *history.Histo
 // also operates on other shards — its polygraph node ties this shard's
 // emissions to theirs, and a cycle through it spans shards. Genesis is
 // considered local everywhere.
-func shardInfo(h *history.History, opts core.Options, kr keyRange, recs []core.KeyShardRecord, node string, local bool) (si obs.ClusterShard, crossEdges, crossCons int) {
+func shardInfo(h *history.History, opts core.Options, kr keyRange, recs []*core.KeyRecord, node string, local bool) (si obs.ClusterShard, crossEdges, crossCons int) {
 	touches := touchesByRange(h, kr)
 	spans := spansByRange(h, kr)
 	ser := opts.Level == core.Serializability
@@ -658,9 +639,9 @@ func shardInfo(h *history.History, opts core.Options, kr keyRange, recs []core.K
 		}
 		return t != 0 && int(t) < len(spans) && spans[t]
 	}
-	anyForeign := func(flat []int32) bool {
-		for _, n := range flat {
-			if foreign(n) {
+	crosses := func(es ...core.Edge) bool {
+		for _, e := range es {
+			if foreign(e.From) || foreign(e.To) {
 				return true
 			}
 		}
@@ -673,11 +654,10 @@ func shardInfo(h *history.History, opts core.Options, kr keyRange, recs []core.K
 			si.Txns++
 		}
 	}
-	for i := range recs {
-		rec := &recs[i]
-		si.KnownEdges += len(rec.WR) / 2
-		for j := 0; j+1 < len(rec.WR); j += 2 {
-			if foreign(rec.WR[j]) || foreign(rec.WR[j+1]) {
+	for _, rec := range recs {
+		si.KnownEdges += len(rec.WR)
+		for _, e := range rec.WR {
+			if crosses(e) {
 				crossEdges++
 			}
 		}
@@ -685,13 +665,13 @@ func shardInfo(h *history.History, opts core.Options, kr keyRange, recs []core.K
 			op := &rec.Ops[k]
 			if !op.Cons {
 				si.KnownEdges++
-				if anyForeign(op.Edge) {
+				if crosses(op.Edge) {
 					crossEdges++
 				}
 				continue
 			}
 			si.Constraints++
-			if anyForeign(op.First) || anyForeign(op.Second) {
+			if crosses(op.First...) || crosses(op.Second...) {
 				crossCons++
 			}
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -9,8 +10,10 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -322,20 +325,32 @@ func TestClusterCheckRejectsNegativeKnobs(t *testing.T) {
 }
 
 // TestClusterDegradedDispatch: a worker that refuses shard jobs (415, as
-// a build without the binary codec would) or answers with a digest in
-// another format costs no verdict. Its shard moves to the next worker,
-// or, with no other worker, is recorded on the coordinator, and only
-// the latter counts as a local fallback.
+// a build without the binary codec would), answers with a digest in
+// another format, or answers with a digest naming a node outside the
+// history costs no verdict. Its shard moves to the next worker, or,
+// with no other worker, is recorded on the coordinator, and only the
+// latter counts as a local fallback.
 func TestClusterDegradedDispatch(t *testing.T) {
 	misbehave := []struct {
 		name string
 		bad  http.HandlerFunc
 	}{
 		{"refuse", func(w http.ResponseWriter, _ *http.Request) {
-			writeError(w, http.StatusUnsupportedMediaType, errors.New("unsupported shard job"))
+			server.WriteError(w, http.StatusUnsupportedMediaType, errors.New("unsupported shard job"))
 		}},
 		{"json-digest", func(w http.ResponseWriter, _ *http.Request) {
-			writeJSON(w, http.StatusOK, map[string]any{"node": "bad", "records": []any{}})
+			server.WriteJSON(w, http.StatusOK, map[string]any{"node": "bad", "records": []any{}})
+		}},
+		{"stray-node-digest", func(w http.ResponseWriter, r *http.Request) {
+			opts, slice, _, err := decodeShardJob(bufio.NewReader(r.Body))
+			if err != nil {
+				server.WriteError(w, http.StatusBadRequest, err)
+				return
+			}
+			recs := core.BuildShardRecords(slice, opts, slice.Keys())
+			recs[len(recs)-1] = &core.KeyRecord{WR: []core.Edge{{From: 1, To: 1 << 20}}}
+			w.Header().Set("Content-Type", digestContentTypeV1)
+			w.Write(encodeDigest("bad", recs))
 		}},
 	}
 	h := generated(t, workload.NewBlindWRW(), 1200, 41)
@@ -429,6 +444,34 @@ func TestWorkerRefusesNonBinaryJob(t *testing.T) {
 	}
 	if got := wn.srv.Metrics().Get("viperd_cluster_shards_recorded_total"); got != 0 {
 		t.Fatalf("refused jobs recorded %d shards", got)
+	}
+}
+
+// TestClusterRetryAfterHTTPDate: shard dispatch reads a 429's
+// Retry-After in either RFC 9110 form. An HTTP-date 3 s ahead (whole
+// seconds, so at least 2 s from now) holds the retry back past a 200 ms
+// deadline, and the refusal surfaces with that backoff.
+func TestClusterRetryAfterHTTPDate(t *testing.T) {
+	var hits atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Retry-After", time.Now().Add(3*time.Second).UTC().Format(http.TimeFormat))
+		server.WriteError(w, http.StatusTooManyRequests, errors.New("saturated"))
+	}))
+	defer ts.Close()
+	h := wireHistory(40, 5, 1)
+	opts := core.Options{Level: core.AdyaSI}
+	c := &Coordinator{httpc: ts.Client()}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	_, err := c.sendShard(ctx, member{name: "w", url: ts.URL}, h, keyRange{lo: 0, hi: len(h.Keys())}, opts, core.NewShardMerger(h, opts))
+	ae, ok := err.(*server.APIError)
+	if !ok || ae.Status != http.StatusTooManyRequests || ae.RetryAfter < 2*time.Second {
+		t.Fatalf("dispatch refused with an HTTP-date Retry-After returned %v (%+v), want a 429 asking for ≥ 2s", err, ae)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("worker saw %d dispatches before the asked-for backoff ended, want 1", n)
 	}
 }
 

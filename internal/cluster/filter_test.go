@@ -176,18 +176,8 @@ func TestSliceRecordsEqualFull(t *testing.T) {
 
 					// Binary digest: encode→decode must return the records
 					// bit-for-bit, in streaming order.
-					var digBuf bytes.Buffer
-					enc := newDigestEncoder(&digBuf, "w1")
-					for i := range got {
-						if err := enc.record(&got[i]); err != nil {
-							t.Fatalf("%s/%v range=%d: encoding digest: %v", name, level, ri, err)
-						}
-					}
-					if err := enc.close(); err != nil {
-						t.Fatalf("%s/%v range=%d: closing digest: %v", name, level, ri, err)
-					}
-					back := make([]core.KeyShardRecord, len(keys))
-					node, err := decodeDigest(bufio.NewReader(&digBuf), keys, func(i int, rec core.KeyShardRecord) error {
+					back := make([]*core.KeyRecord, len(keys))
+					node, err := decodeDigest(bufio.NewReader(bytes.NewReader(encodeDigest("w1", got))), keys, core.NodeCount(h, level), func(i int, rec *core.KeyRecord) error {
 						back[i] = rec
 						return nil
 					})

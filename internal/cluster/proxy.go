@@ -62,13 +62,13 @@ func (c *Coordinator) route(next http.Handler) http.Handler {
 func (c *Coordinator) routeCreate(w http.ResponseWriter, req *http.Request, next http.Handler) {
 	body, err := io.ReadAll(io.LimitReader(req.Body, 1<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading session config: %v", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading session config: %v", err))
 		return
 	}
 	var cfg server.SessionConfig
 	if len(bytes.TrimSpace(body)) > 0 {
 		if err := json.Unmarshal(body, &cfg); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding session config: %v", err))
+			server.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding session config: %v", err))
 			return
 		}
 	}
@@ -92,7 +92,7 @@ func (c *Coordinator) routeCreate(w http.ResponseWriter, req *http.Request, next
 	outReq, err := http.NewRequestWithContext(req.Context(), http.MethodPost,
 		m.url+req.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err)
+		server.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
 	outReq.Header = req.Header.Clone()
@@ -108,7 +108,7 @@ func (c *Coordinator) routeCreate(w http.ResponseWriter, req *http.Request, next
 	defer resp.Body.Close()
 	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err)
+		server.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
 	if resp.StatusCode == http.StatusCreated {
@@ -135,7 +135,7 @@ func (c *Coordinator) routeSession(w http.ResponseWriter, req *http.Request, nex
 		return
 	}
 	if !known || !m.healthy {
-		writeError(w, http.StatusBadGateway,
+		server.WriteError(w, http.StatusBadGateway,
 			fmt.Errorf("session %q lives on node %q, which is unavailable; recreate the session", id, node))
 		return
 	}
@@ -180,7 +180,7 @@ func (c *Coordinator) routeList(w http.ResponseWriter, req *http.Request, next h
 		resp.Body.Close()
 	}
 	sort.Slice(merged.Sessions, func(i, j int) bool { return merged.Sessions[i].ID < merged.Sessions[j].ID })
-	writeJSON(w, http.StatusOK, merged)
+	server.WriteJSON(w, http.StatusOK, merged)
 }
 
 // forward streams a request to base and the response back; it reports
@@ -188,13 +188,13 @@ func (c *Coordinator) routeList(w http.ResponseWriter, req *http.Request, next h
 func (c *Coordinator) forward(w http.ResponseWriter, req *http.Request, base string) bool {
 	outReq, err := http.NewRequestWithContext(req.Context(), req.Method, base+req.URL.RequestURI(), req.Body)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, err)
+		server.WriteError(w, http.StatusBadGateway, err)
 		return false
 	}
 	outReq.Header = req.Header.Clone()
 	resp, err := c.httpc.Do(outReq)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("forwarding to %s: %v", base, err))
+		server.WriteError(w, http.StatusBadGateway, fmt.Errorf("forwarding to %s: %v", base, err))
 		return false
 	}
 	defer resp.Body.Close()

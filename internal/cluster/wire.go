@@ -10,21 +10,25 @@
 //     a running previous value (collectors assign write ids roughly
 //     monotonically, so deltas are small).
 //
-//   - Shard digest (worker → coordinator, "VWD1"): the per-key records
-//     of core.BuildShardRecords. Records travel framed, one per key in
-//     shard key order with key strings omitted (the request's key table
-//     is the implicit order), so the coordinator can replay each record
-//     as it arrives. Node ids — the dense []int32 payloads of
-//     ShardOp — are zigzag-varint deltas against a per-record running
-//     previous value: emission order visits transactions roughly in id
+//   - Shard digest (worker → coordinator, "VWD1"): the core.KeyRecord
+//     of every shard key, as core.BuildShardRecordsOrdered emits them.
+//     Records travel framed, one per key in shard key order with key
+//     strings omitted (the request's key table is the implicit order),
+//     so the coordinator files each record as it arrives. An edge run
+//     is its node id count, then the ids: every edge's from and to
+//     node, as zigzag-varint deltas against a per-record running
+//     previous value (emission order visits transactions roughly in id
 //     order, so consecutive ids are near each other and most deltas fit
-//     one byte.
+//     one byte). The decoder rebuilds each record in the recording
+//     pass's own shape.
 //
 // There is no negotiation: the coordinator labels every job with
 // shardContentTypeV1, and a worker answers any other Content-Type with
-// 415. A refused job, or a digest that is not digestContentTypeV1, is a
-// failed dispatch like any other: the shard moves to the next worker,
-// then to local recording on the coordinator.
+// 415. A refused job, a digest that is not digestContentTypeV1, and a
+// digest that fails to decode (an odd node id count, a known-edge op
+// without exactly one edge, a node id outside the history, a self-loop)
+// are failed dispatches like any other: the shard moves to the next
+// worker, then to local recording on the coordinator.
 package cluster
 
 import (
@@ -466,22 +470,24 @@ func newDigestEncoder(w io.Writer, node string) *digestEncoder {
 
 // record encodes one key record frame. Node ids (every From/To and
 // constraint-id value) share a single per-record delta chain in
-// emission order.
-func (d *digestEncoder) record(rec *core.KeyShardRecord) error {
+// emission order; each edge run is prefixed with its node id count
+// (twice its edge count).
+func (d *digestEncoder) record(rec *core.KeyRecord) error {
 	e := d.e
 	e.byte1(digestFrameRecord)
 	var prev int64
-	delta := func(v int32) {
-		e.svarint(int64(v) - prev)
-		prev = int64(v)
+	edge := func(x core.Edge) {
+		e.svarint(int64(x.From) - prev)
+		e.svarint(int64(x.To) - int64(x.From))
+		prev = int64(x.To)
 	}
-	deltas := func(vs []int32) {
-		e.uvarint(uint64(len(vs)))
-		for _, v := range vs {
-			delta(v)
+	run := func(es []core.Edge) {
+		e.uvarint(uint64(2 * len(es)))
+		for _, x := range es {
+			edge(x)
 		}
 	}
-	deltas(rec.WR)
+	run(rec.WR)
 	e.uvarint(uint64(len(rec.Ops)))
 	for i := range rec.Ops {
 		op := &rec.Ops[i]
@@ -495,22 +501,22 @@ func (d *digestEncoder) record(rec *core.KeyShardRecord) error {
 		if op.SBad {
 			flags |= 4
 		}
-		if len(op.ID) == 4 {
+		if op.HasID {
 			flags |= 8
 		}
 		e.byte1(flags)
-		e.byte1(op.Kind)
+		e.byte1(byte(op.Kind))
 		if !op.Cons {
-			deltas(op.Edge)
+			e.uvarint(2)
+			edge(op.Edge)
 			continue
 		}
-		e.byte1(op.Kind2)
-		deltas(op.First)
-		deltas(op.Second)
-		if len(op.ID) == 4 {
-			for _, v := range op.ID {
-				delta(v)
-			}
+		e.byte1(byte(op.Kind2))
+		run(op.First)
+		run(op.Second)
+		if op.HasID {
+			edge(op.ID[0])
+			edge(op.ID[1])
 		}
 	}
 	d.n++
@@ -536,15 +542,17 @@ func (d *digestEncoder) flush() error {
 // buffered reports the bytes sitting in the scratch buffer.
 func (d *digestEncoder) buffered() int { return len(*d.e.buf) }
 
-// decodeDigest reads a digest stream, resolving record i to key keys[i]
-// and handing it to onRecord as soon as its frame is complete — the
-// coordinator overlaps replay with the worker still recording later
-// keys. Returns the recording node's name.
-func decodeDigest(r *bufio.Reader, keys []history.Key, onRecord func(i int, rec core.KeyShardRecord) error) (string, error) {
+// decodeDigest reads a digest stream, handing record i (of key keys[i])
+// to onRecord as soon as its frame is complete, so the coordinator files
+// records while the worker is still recording later keys. nodes is the
+// history's node layout (core.NodeCount). Returns the recording node's
+// name.
+func decodeDigest(r *bufio.Reader, keys []history.Key, nodes int32, onRecord func(i int, rec *core.KeyRecord) error) (string, error) {
 	d := &wireDec{r: r}
 	d.magic(digestMagic)
 	node := d.str("node")
 	n := 0
+	var scratch []core.Edge
 	for d.err == nil {
 		switch frame := d.byte1(); frame {
 		case digestFrameEnd:
@@ -560,7 +568,7 @@ func decodeDigest(r *bufio.Reader, keys []history.Key, onRecord func(i int, rec 
 				d.fail("wire: digest has more records than the shard's %d keys", len(keys))
 				continue
 			}
-			rec := d.readRecord(string(keys[n]))
+			rec := d.readRecord(nodes, &scratch)
 			if d.err != nil {
 				continue
 			}
@@ -575,49 +583,97 @@ func decodeDigest(r *bufio.Reader, keys []history.Key, onRecord func(i int, rec 
 	return node, d.err
 }
 
-func (d *wireDec) readRecord(key string) core.KeyShardRecord {
-	rec := core.KeyShardRecord{Key: key}
+// readRecord decodes one record frame into the shape the recording pass
+// gives it: every constraint side a capacity-capped view, in emission
+// order, of one exact slab (rec.Sides), and empty runs nil. Sides decode
+// into scratch first, since a frame does not announce their total. What
+// recording never emits is a decode error: an edge run with an odd node
+// id count, a known-edge op that does not carry exactly one edge, and an
+// edge that is a self-loop or leaves the node ids [0, nodes) — the
+// replay would index past the polygraph's nodes.
+func (d *wireDec) readRecord(nodes int32, scratch *[]core.Edge) *core.KeyRecord {
+	rec := &core.KeyRecord{}
 	var prev int64
-	delta := func() int32 {
-		prev += d.svarint()
-		return int32(prev)
+	edge := func() core.Edge {
+		from := prev + d.svarint()
+		prev = from + d.svarint()
+		if d.err == nil && (from == prev || uint64(from) >= uint64(nodes) || uint64(prev) >= uint64(nodes)) {
+			d.fail("wire: edge %d→%d is not an edge of a history with %d nodes", from, prev, nodes)
+		}
+		return core.Edge{From: int32(from), To: int32(prev)}
 	}
-	deltas := func(what string) []int32 {
+	// run reads an edge run's node id count and returns its edge count.
+	run := func(what string) int {
 		n := d.count(what)
-		if d.err != nil || n == 0 {
-			return nil
+		if d.err == nil && n%2 != 0 {
+			d.fail("wire: %s has an odd node id count %d", what, n)
 		}
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = delta()
-		}
-		return out
+		return n / 2
 	}
-	rec.WR = deltas("wr edge")
+	if n := run("wr edge"); n > 0 {
+		rec.WR = make([]core.Edge, 0, min(n, 1<<16))
+		for i := 0; i < n && d.err == nil; i++ {
+			rec.WR = append(rec.WR, edge())
+		}
+	}
 	nops := d.count("digest op")
 	if d.err != nil || nops == 0 {
 		return rec
 	}
-	rec.Ops = make([]core.ShardOp, 0, min(nops, 1<<16))
+	rec.Ops = make([]core.KeyOp, 0, min(nops, 1<<16))
+	sides := (*scratch)[:0]
+	// side appends one constraint side to scratch; its length is all the
+	// op keeps until the slab is cut.
+	side := func(what string) []core.Edge {
+		a := len(sides)
+		for n, i := run(what), 0; i < n && d.err == nil; i++ {
+			sides = append(sides, edge())
+		}
+		return sides[a:]
+	}
 	for i := 0; i < nops && d.err == nil; i++ {
 		flags := d.byte1()
-		op := core.ShardOp{
+		op := core.KeyOp{
 			Cons: flags&1 != 0,
 			FBad: flags&2 != 0,
 			SBad: flags&4 != 0,
-			Kind: d.byte1(),
+			Kind: core.EdgeKind(d.byte1()),
 		}
 		if !op.Cons {
-			op.Edge = deltas("edge")
+			if n := run("edge"); d.err == nil && n != 1 {
+				d.fail("wire: known-edge op carries %d edges, want 1", n)
+			}
+			op.Edge = edge()
 		} else {
-			op.Kind2 = d.byte1()
-			op.First = deltas("first side")
-			op.Second = deltas("second side")
-			if flags&8 != 0 {
-				op.ID = []int32{delta(), delta(), delta(), delta()}
+			op.Kind2 = core.EdgeKind(d.byte1())
+			op.First = side("first side")
+			op.Second = side("second side")
+			if op.HasID = flags&8 != 0; op.HasID {
+				op.ID = [2]core.Edge{edge(), edge()}
 			}
 		}
 		rec.Ops = append(rec.Ops, op)
+	}
+	*scratch = sides
+	if d.err != nil {
+		return rec
+	}
+	if len(sides) > 0 {
+		rec.Sides = append([]core.Edge(nil), sides...)
+	}
+	off := 0
+	view := func(n int) []core.Edge {
+		if n == 0 {
+			return nil
+		}
+		off += n
+		return rec.Sides[off-n : off : off]
+	}
+	for j := range rec.Ops {
+		if op := &rec.Ops[j]; op.Cons {
+			op.First = view(len(op.First))
+			op.Second = view(len(op.Second))
+		}
 	}
 	return rec
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 
 	"viper/internal/core"
@@ -58,17 +59,7 @@ func roundTripShards(t testing.TB, h *history.History, opts core.Options, shards
 			t.Fatalf("range %d: records recorded from the decoded job differ from single-node records", ri)
 		}
 
-		var digBuf bytes.Buffer
-		enc := newDigestEncoder(&digBuf, "w")
-		for i := range recs {
-			if err := enc.record(&recs[i]); err != nil {
-				t.Fatalf("range %d: encoding digest: %v", ri, err)
-			}
-		}
-		if err := enc.close(); err != nil {
-			t.Fatalf("range %d: closing digest: %v", ri, err)
-		}
-		_, err = decodeDigest(bufio.NewReader(&digBuf), dkeys, func(j int, rec core.KeyShardRecord) error {
+		_, err = decodeDigest(bufio.NewReader(bytes.NewReader(encodeDigest("w", recs))), dkeys, core.NodeCount(h, opts.Level), func(j int, rec *core.KeyRecord) error {
 			if !reflect.DeepEqual(rec, full[kr.lo+j]) {
 				t.Fatalf("range %d: record %d mutated by the digest round trip", ri, j)
 			}
@@ -119,27 +110,23 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 // FuzzDigestDecode throws arbitrary bytes at the digest decoder: it
 // must error or succeed, never panic or spin — the coordinator feeds it
-// network input.
+// network input. A digest that decodes and merges must check without
+// panicking, too.
 func FuzzDigestDecode(f *testing.F) {
 	h := wireHistory(40, 5, 1)
-	recs := core.BuildShardRecords(h, core.Options{Level: core.AdyaSI, Parallelism: 1}, h.Keys())
-	var buf bytes.Buffer
-	enc := newDigestEncoder(&buf, "w")
-	for i := range recs {
-		if err := enc.record(&recs[i]); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := enc.close(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	opts := core.Options{Level: core.AdyaSI, Parallelism: 1}
+	f.Add(encodeDigest("w", core.BuildShardRecords(h, opts, h.Keys())))
 	f.Add([]byte("VWD1"))
 	f.Add([]byte{})
-	keys := h.Keys()
+	keys, nodes := h.Keys(), core.NodeCount(h, opts.Level)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = decodeDigest(bufio.NewReader(bytes.NewReader(data)), keys,
-			func(int, core.KeyShardRecord) error { return nil })
+		m := core.NewShardMerger(h, opts)
+		_, err := decodeDigest(bufio.NewReader(bytes.NewReader(data)), keys, nodes, func(i int, rec *core.KeyRecord) error {
+			return m.Add(i, rec)
+		})
+		if err == nil {
+			_, _ = core.CheckMergedContext(t.Context(), m)
+		}
 	})
 }
 
@@ -174,22 +161,11 @@ func FuzzShardJobDecode(f *testing.F) {
 func TestWireDecodeTruncation(t *testing.T) {
 	h := wireHistory(60, 4, 3)
 	opts := core.Options{Level: core.AdyaSI, Parallelism: 1}
-	recs := core.BuildShardRecords(h, opts, h.Keys())
-	var buf bytes.Buffer
-	enc := newDigestEncoder(&buf, "w")
-	for i := range recs {
-		if err := enc.record(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.close(); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
+	whole := encodeDigest("w", core.BuildShardRecords(h, opts, h.Keys()))
 	for _, cut := range []int{0, 1, 4, len(whole) / 2, len(whole) - 1} {
 		n := 0
-		_, err := decodeDigest(bufio.NewReader(bytes.NewReader(whole[:cut])), h.Keys(),
-			func(int, core.KeyShardRecord) error { n++; return nil })
+		_, err := decodeDigest(bufio.NewReader(bytes.NewReader(whole[:cut])), h.Keys(), core.NodeCount(h, opts.Level),
+			func(int, *core.KeyRecord) error { n++; return nil })
 		if err == nil {
 			t.Fatalf("truncation at %d/%d bytes decoded cleanly (%d records)", cut, len(whole), n)
 		}
@@ -233,26 +209,17 @@ func TestWireSmallerThanJSON(t *testing.T) {
 	}
 
 	recs := core.BuildShardRecords(h, opts, h.Keys())
-	var dig bytes.Buffer
-	enc := newDigestEncoder(&dig, "w")
-	for i := range recs {
-		if err := enc.record(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.close(); err != nil {
-		t.Fatal(err)
-	}
+	dig := encodeDigest("w", recs)
 	// The JSON reference is the digest shape of the retired JSON wire.
 	jsonDig, err := json.Marshal(struct {
-		Node    string                `json:"node"`
-		Records []core.KeyShardRecord `json:"records"`
-	}{Node: "w", Records: recs})
+		Node    string       `json:"node"`
+		Records []flatRecord `json:"records"`
+	}{Node: "w", Records: flatRecords(h.Keys(), recs)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dig.Len()*2 > len(jsonDig) {
-		t.Fatalf("binary digest %dB not ≤ half of JSON digest %dB", dig.Len(), len(jsonDig))
+	if len(dig)*2 > len(jsonDig) {
+		t.Fatalf("binary digest %dB not ≤ half of JSON digest %dB", len(dig), len(jsonDig))
 	}
 }
 
@@ -266,12 +233,31 @@ func BenchmarkShardDigestEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		enc := newDigestEncoder(io.Discard, "w")
-		for j := range recs {
-			if err := enc.record(&recs[j]); err != nil {
+		for _, rec := range recs {
+			if err := enc.record(rec); err != nil {
 				b.Fatal(err)
 			}
 		}
 		if err := enc.close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShardDigestDecode is the coordinator's half of the codec: one
+// shard's digest decoded and every record added to a fresh merger.
+func BenchmarkShardDigestDecode(b *testing.B) {
+	h := wireHistory(300, 12, 9)
+	opts := core.Options{Level: core.AdyaSI, Parallelism: 1}
+	dig := encodeDigest("w", core.BuildShardRecords(h, opts, h.Keys()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := core.NewShardMerger(h, opts)
+		_, err := decodeDigest(bufio.NewReader(bytes.NewReader(dig)), h.Keys(), core.NodeCount(h, opts.Level), func(j int, rec *core.KeyRecord) error {
+			return m.Add(j, rec)
+		})
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -285,8 +271,8 @@ func TestDigestEncodeAllocs(t *testing.T) {
 	recs := core.BuildShardRecords(h, core.Options{Level: core.AdyaSI, Parallelism: 1}, h.Keys())
 	avg := testing.AllocsPerRun(20, func() {
 		enc := newDigestEncoder(io.Discard, "w")
-		for j := range recs {
-			if err := enc.record(&recs[j]); err != nil {
+		for _, rec := range recs {
+			if err := enc.record(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -296,5 +282,173 @@ func TestDigestEncodeAllocs(t *testing.T) {
 	})
 	if avg > 8 {
 		t.Fatalf("digest encode costs %.1f allocs per shard (want ≤ 8: pooled buffers defeated?)", avg)
+	}
+}
+
+// encodeDigest frames recs as one worker's digest. Writes to a
+// bytes.Buffer cannot fail.
+func encodeDigest(node string, recs []*core.KeyRecord) []byte {
+	var b bytes.Buffer
+	enc := newDigestEncoder(&b, node)
+	for _, rec := range recs {
+		_ = enc.record(rec)
+	}
+	_ = enc.close()
+	return b.Bytes()
+}
+
+// flatOp and flatRecord are a record in the digest shape of the retired
+// JSON wire: node ids as flat from,to runs of any length, under short
+// tags. TestWireSmallerThanJSON sizes against it, and writeFlat frames
+// it for corruptions the encoder cannot produce.
+type flatOp struct {
+	Cons   bool    `json:"c,omitempty"`
+	Edge   []int32 `json:"e,omitempty"`
+	Kind   uint8   `json:"k,omitempty"`
+	First  []int32 `json:"f,omitempty"`
+	Second []int32 `json:"s,omitempty"`
+	FBad   bool    `json:"fb,omitempty"`
+	SBad   bool    `json:"sb,omitempty"`
+	Kind2  uint8   `json:"k2,omitempty"`
+	ID     []int32 `json:"id,omitempty"`
+}
+
+type flatRecord struct {
+	Key string   `json:"key"`
+	WR  []int32  `json:"wr,omitempty"`
+	Ops []flatOp `json:"ops,omitempty"`
+}
+
+func flatten(es ...core.Edge) []int32 {
+	var out []int32
+	for _, e := range es {
+		out = append(out, e.From, e.To)
+	}
+	return out
+}
+
+// flatRecords flattens recs, the records of keys.
+func flatRecords(keys []history.Key, recs []*core.KeyRecord) []flatRecord {
+	out := make([]flatRecord, len(recs))
+	for i, rec := range recs {
+		out[i] = flatRecord{Key: string(keys[i]), WR: flatten(rec.WR...)}
+		for _, op := range rec.Ops {
+			fo := flatOp{Cons: op.Cons, Kind: uint8(op.Kind)}
+			if !op.Cons {
+				fo.Edge = flatten(op.Edge)
+			} else {
+				fo.First, fo.Second = flatten(op.First...), flatten(op.Second...)
+				fo.FBad, fo.SBad, fo.Kind2 = op.FBad, op.SBad, uint8(op.Kind2)
+				if op.HasID {
+					fo.ID = flatten(op.ID[:]...)
+				}
+			}
+			out[i].Ops = append(out[i].Ops, fo)
+		}
+	}
+	return out
+}
+
+// writeFlat frames recs as a digest, laid out as digestEncoder lays out
+// a KeyRecord but from runs of any length.
+func writeFlat(recs []flatRecord) []byte {
+	var b bytes.Buffer
+	e := newWireEnc(&b)
+	e.raw(digestMagic[:])
+	e.str("w")
+	for _, rec := range recs {
+		e.byte1(digestFrameRecord)
+		var prev int64
+		delta := func(v int32) {
+			e.svarint(int64(v) - prev)
+			prev = int64(v)
+		}
+		run := func(vs []int32) {
+			e.uvarint(uint64(len(vs)))
+			for _, v := range vs {
+				delta(v)
+			}
+		}
+		run(rec.WR)
+		e.uvarint(uint64(len(rec.Ops)))
+		for _, op := range rec.Ops {
+			var flags byte
+			for bit, set := range []bool{op.Cons, op.FBad, op.SBad, len(op.ID) > 0} {
+				if set {
+					flags |= 1 << bit
+				}
+			}
+			e.byte1(flags)
+			e.byte1(op.Kind)
+			if !op.Cons {
+				run(op.Edge)
+				continue
+			}
+			e.byte1(op.Kind2)
+			run(op.First)
+			run(op.Second)
+			for _, v := range op.ID {
+				delta(v)
+			}
+		}
+	}
+	e.byte1(digestFrameEnd)
+	e.uvarint(uint64(len(recs)))
+	_ = e.release()
+	return b.Bytes()
+}
+
+// TestDigestCorruptionRefused: a digest naming a node outside the
+// history or a self-loop, a known-edge op that does not carry exactly
+// one edge, and a constraint side with an odd node id count are decode
+// errors, so none reaches the merger or CheckMergedContext; the
+// coordinator moves such a shard on like any failed dispatch.
+func TestDigestCorruptionRefused(t *testing.T) {
+	h := wireHistory(40, 5, 1)
+	opts := core.Options{Level: core.AdyaSI, Parallelism: 1}
+	recs := core.BuildShardRecords(h, opts, h.Keys())
+	if !bytes.Equal(writeFlat(flatRecords(h.Keys(), recs)), encodeDigest("w", recs)) {
+		t.Fatal("the flat framing disagrees with digestEncoder")
+	}
+	// find returns the first op satisfying ok, as record and op indexes.
+	find := func(ok func(op *flatOp) bool) (int, int) {
+		for i, rec := range flatRecords(h.Keys(), recs) {
+			for j := range rec.Ops {
+				if ok(&rec.Ops[j]) {
+					return i, j
+				}
+			}
+		}
+		t.Fatal("no op to corrupt")
+		return 0, 0
+	}
+	ki, kj := find(func(op *flatOp) bool { return !op.Cons })
+	ci, cj := find(func(op *flatOp) bool { return op.Cons && len(op.First) > 0 })
+	wi := slices.IndexFunc(recs, func(rec *core.KeyRecord) bool { return len(rec.WR) > 0 })
+	for _, tc := range []struct {
+		name    string
+		corrupt func(fs []flatRecord)
+	}{
+		{"read dependency into node 1<<20", func(fs []flatRecord) { fs[wi].WR[1] = 1 << 20 }},
+		{"self-loop read dependency", func(fs []flatRecord) { fs[wi].WR[1] = fs[wi].WR[0] }},
+		{"known edge with two edges", func(fs []flatRecord) {
+			op := &fs[ki].Ops[kj]
+			op.Edge = append(op.Edge, op.Edge...)
+		}},
+		{"known edge with no edge", func(fs []flatRecord) { fs[ki].Ops[kj].Edge = nil }},
+		{"odd side", func(fs []flatRecord) {
+			op := &fs[ci].Ops[cj]
+			op.First = op.First[:len(op.First)-1]
+		}},
+	} {
+		fs := flatRecords(h.Keys(), recs)
+		tc.corrupt(fs)
+		m := core.NewShardMerger(h, opts)
+		_, err := decodeDigest(bufio.NewReader(bytes.NewReader(writeFlat(fs))), h.Keys(), core.NodeCount(h, opts.Level), func(i int, rec *core.KeyRecord) error {
+			return m.Add(i, rec)
+		})
+		if err == nil {
+			t.Errorf("%s: corrupted digest decoded and merged", tc.name)
+		}
 	}
 }

@@ -120,14 +120,14 @@ func (w *Worker) announceLoop(coordinatorURL string) {
 }
 
 // handleShard records one key-sliced history and streams the digest
-// back record by record, so the coordinator replays early records while
+// back record by record, so the coordinator decodes early records while
 // later keys still record. The job must be a binary shard job
 // (wire.go); any other Content-Type gets 415. The work runs through the
 // server's admission gate exactly like a session audit, so shard jobs
 // respect the node's capacity and are drained by Shutdown.
 func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 	if ct := req.Header.Get("Content-Type"); !strings.HasPrefix(ct, shardContentTypeV1) {
-		writeError(rw, http.StatusUnsupportedMediaType,
+		server.WriteError(rw, http.StatusUnsupportedMediaType,
 			fmt.Errorf("shard job Content-Type %q, want %s", ct, shardContentTypeV1))
 		return
 	}
@@ -142,11 +142,11 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 	cr := &countingReader{r: req.Body}
 	opts, h, keys, err := decodeShardJob(bufio.NewReaderSize(cr, 64<<10))
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
+		server.WriteError(rw, http.StatusBadRequest, err)
 		return
 	}
 	if !slices.Equal(h.Keys(), keys) {
-		writeError(rw, http.StatusBadRequest,
+		server.WriteError(rw, http.StatusBadRequest,
 			fmt.Errorf("shard slice's written keys disagree with the job's key table (%d vs %d keys)", len(h.Keys()), len(keys)))
 		return
 	}
@@ -157,14 +157,14 @@ func (w *Worker) handleShard(rw http.ResponseWriter, req *http.Request) {
 
 	// Stream the digest: each record goes on the wire as soon as the
 	// recording pass completes its key (and every key before it), with
-	// an explicit flush every ~64 KiB so the coordinator's replay
+	// an explicit flush every ~64 KiB so the coordinator's decode
 	// overlaps the rest of the recording.
 	rw.Header().Set("Content-Type", digestContentTypeV1)
 	rw.WriteHeader(http.StatusOK)
 	cw := &countingWriter{w: rw}
 	flusher, _ := rw.(http.Flusher)
 	enc := newDigestEncoder(cw, w.cfg.NodeName)
-	err = core.BuildShardRecordsOrdered(h, opts, h.Keys(), func(i int, rec *core.KeyShardRecord) error {
+	err = core.BuildShardRecordsOrdered(h, opts, h.Keys(), func(i int, rec *core.KeyRecord) error {
 		if err := enc.record(rec); err != nil {
 			return err
 		}

@@ -39,10 +39,12 @@
 // chain boundaries. The session detects this by comparing each dirtied
 // key's chain partition against the one it last recorded and rebuilds the
 // solver from the (still incremental) record store when any prior chain is
-// not preserved verbatim. Warm solves are always exact — no heuristic
-// pruning — because pruning's assumption edges would enter the theory as
-// irrevocable constants; the schedule-consistent phase bias keeps healthy
-// histories near-linear regardless.
+// not preserved verbatim. Warm solves prune too (§3.5), but through
+// solver assumptions, never theory constants, which would be
+// irrevocable: a constraint the maintained topological order classifies
+// as one-way at radius k has its consistent side assumed for this solve
+// only, and Unsat under those assumptions doubles k and solves again, as
+// the cold path does.
 //
 // Rejection is cached: SI (and the other checked levels) are closed under
 // history prefixes, so once a validated prefix is rejected every extension
@@ -177,7 +179,7 @@ type Incremental struct {
 	knownKeys map[history.Key]bool
 	ranges    []rangeObs
 	dirty     map[history.Key]bool
-	records   map[history.Key]*keyRecord
+	records   map[history.Key]*KeyRecord
 	chainSigs map[history.Key][][]history.TxnID
 
 	// pendingWarm holds keys regenerated since the last warm encode.
@@ -225,7 +227,7 @@ func NewIncremental(opts Options) *Incremental {
 		writers:     make(map[history.Key][]history.TxnID),
 		knownKeys:   make(map[history.Key]bool),
 		dirty:       make(map[history.Key]bool),
-		records:     make(map[history.Key]*keyRecord),
+		records:     make(map[history.Key]*KeyRecord),
 		chainSigs:   make(map[history.Key][][]history.TxnID),
 		pendingWarm: make(map[history.Key]bool),
 	}
@@ -327,12 +329,7 @@ func (inc *Incremental) LiveOps() int64 { return inc.liveOps }
 func (inc *Incremental) ser() bool { return inc.opts.Level == Serializability }
 
 // numNodes is the current event-node count (before auxiliary nodes).
-func (inc *Incremental) numNodes() int32 {
-	if inc.ser() {
-		return int32(len(inc.h.Txns))
-	}
-	return int32(len(inc.h.Txns)) * 2
-}
+func (inc *Incremental) numNodes() int32 { return NodeCount(inc.h, inc.opts.Level) }
 
 // warmCapable reports whether the configured options admit the persistent
 // solver at all: levels with real-time obligations restructure their
@@ -549,12 +546,15 @@ func (inc *Incremental) update() {
 // regenKey rebuilds one key's emission record and chain partition from the
 // current indexes. lite is only consulted for the node mapping (classify);
 // it is shared read-only across workers.
-func (inc *Incremental) regenKey(lite *Polygraph, key history.Key, combine, coalesce bool) (*keyRecord, [][]history.TxnID) {
+func (inc *Incremental) regenKey(lite *Polygraph, key history.Key, combine, coalesce bool) (*KeyRecord, [][]history.TxnID) {
 	writers := inc.writers[key]
 	byWriter := inc.readers[key]
-	rec := &keyRecord{}
+	rec := &KeyRecord{}
 	recordReadDeps(lite, byWriter, rec)
 	chains := lite.buildKeyConstraints(key, writers, byWriter, combine, coalesce, keyRecorder{pg: lite, rec: rec})
+	if len(rec.Sides) == 0 {
+		rec.Sides = nil // every side held trivially or was impossible
+	}
 	sig := make([][]history.TxnID, len(chains))
 	for i, c := range chains {
 		sig[i] = c.members
@@ -583,7 +583,7 @@ func (inc *Incremental) regen() (wall, cpu time.Duration, workers int) {
 
 	combine, coalesce := !inc.opts.DisableCombineWrites, !inc.opts.DisableCoalesce
 	lite := &Polygraph{ser: inc.ser()}
-	recs := make([]*keyRecord, len(keys))
+	recs := make([]*KeyRecord, len(keys))
 	sigs := make([][][]history.TxnID, len(keys))
 	workers = inc.opts.workers()
 	wall, cpu = forEachKey(len(keys), workers, func(i int) {
@@ -624,25 +624,15 @@ func chainsPreserved(old, cur [][]history.TxnID) bool {
 	return true
 }
 
-// assemble materializes the record store as a Polygraph: the counted
-// replay of every key's record in key order, then the level's session and
-// real-time edges.
+// assemble materializes the record store as a Polygraph
+// (assemblePolygraph over every key's record).
 func (inc *Incremental) assemble() *Polygraph {
-	pg := newPolygraph(inc.h, inc.opts.Level)
-	pg.initNodeTS()
 	keys := inc.h.Keys()
-	recs := make([]*keyRecord, len(keys))
+	recs := make([]*KeyRecord, len(keys))
 	for i, key := range keys {
 		recs[i] = inc.records[key]
 	}
-	pg.replay(keys, recs)
-	if inc.opts.Level == StrongSessionSI {
-		pg.addSessionEdges()
-	}
-	if inc.opts.Level.needsRealTime() {
-		pg.addRealTimeEdges(inc.opts)
-	}
-	return pg
+	return assemblePolygraph(inc.h, inc.opts, recs)
 }
 
 // knownIndex is an append-only list of known edges with their provenance,
@@ -807,42 +797,42 @@ encode:
 		if rec == nil {
 			continue
 		}
-		for _, e := range rec.wr {
+		for _, e := range rec.WR {
 			if !insert(e, EdgeWR, key) {
 				break encode
 			}
 		}
 		kcons := w.cons[key]
-		for j := range rec.ops {
-			op := &rec.ops[j]
-			if !op.cons {
-				if !insert(op.edge, op.kind, key) {
+		for j := range rec.Ops {
+			op := &rec.Ops[j]
+			if !op.Cons {
+				if !insert(op.Edge, op.Kind, key) {
 					break encode
 				}
 				continue
 			}
-			if op.fBad || op.sBad || (!op.hasID && len(op.first) > 0 && len(op.second) > 0) {
+			if op.FBad || op.SBad || (!op.HasID && len(op.First) > 0 && len(op.Second) > 0) {
 				// Outside the warm invariants (chain-pair constraints never
 				// carry impossible sides); rebuild cold next time.
 				inc.warm = nil
 				encReg.End()
 				return nil
 			}
-			if len(op.first) == 0 || len(op.second) == 0 {
+			if len(op.First) == 0 || len(op.Second) == 0 {
 				continue // one side holds trivially
 			}
-			st := kcons[op.id]
+			st := kcons[op.ID]
 			if st == nil {
-				st = &consState{sel: w.s.NewVar(), kind1: op.kind, kind2: op.kind2, key: key}
+				st = &consState{sel: w.s.NewVar(), kind1: op.Kind, kind2: op.Kind2, key: key}
 				if kcons == nil {
 					kcons = make(map[[2]Edge]*consState)
 					w.cons[key] = kcons
 				}
-				kcons[op.id] = st
+				kcons[op.ID] = st
 				w.consList = append(w.consList, st)
 				if !opts.DisablePhaseBias {
 					fwd := true
-					for _, e := range op.first {
+					for _, e := range op.First {
 						if w.th.Order(e.From) >= w.th.Order(e.To) {
 							fwd = false
 							break
@@ -851,7 +841,7 @@ encode:
 					w.s.SetPhase(st.sel, fwd)
 				}
 			}
-			for _, e := range op.first[len(st.first):] {
+			for _, e := range op.First[len(st.first):] {
 				se := sideEdge{e: e, lit: sat.LitUndef}
 				if st.encoded {
 					se.lit = edgeLit(e)
@@ -859,7 +849,7 @@ encode:
 				}
 				st.first = append(st.first, se)
 			}
-			for _, e := range op.second[len(st.second):] {
+			for _, e := range op.Second[len(st.second):] {
 				se := sideEdge{e: e, lit: sat.LitUndef}
 				if st.encoded {
 					se.lit = edgeLit(e)

@@ -2,23 +2,25 @@
 //
 // Constraint generation is O(n²) in the worst case (pairwise writer-chain
 // constraints per key) but independent across keys. Every polygraph —
-// Build, CheckHistory, a session's cold audits, and the cluster's shard
-// records — is therefore built in the same three steps:
+// Build, CheckHistory, a session's cold audits, and a cluster check's
+// merge — is therefore built in the same three steps:
 //
 //  1. The session indexer (Incremental.update) folds transactions into
 //     per-key writer lists and a readers index, in transaction order.
 //  2. Each written key's emissions (read-dependency edges, in-chain known
-//     edges, either/or constraints) are recorded into a keyRecord under a
+//     edges, either/or constraints) are recorded into a KeyRecord under a
 //     work-stealing pool (forEachKey): goroutines claim key indices from
 //     an atomic cursor (per-key costs vary wildly) and write their output
 //     into a slot indexed by key position, so the schedule cannot
 //     influence the result.
-//  3. replay folds the records into the polygraph in key order: all
-//     read-dependency edges, then each key's constraint-pass emissions.
-//     The known-set-dependent steps — duplicate-edge suppression and
-//     dropping constraint-side edges that are already certain — happen
-//     only here, against a known set that evolves in that fixed order.
-//     The result is therefore the same for any worker count.
+//  3. assemblePolygraph replays the records into the polygraph in key
+//     order: all read-dependency edges, then each key's constraint-pass
+//     emissions. The known-set-dependent steps — duplicate-edge
+//     suppression and dropping constraint-side edges that are already
+//     certain — happen only here, against a known set that evolves in
+//     that fixed order. The result is therefore the same for any worker
+//     count, and for any split of the keys across cluster workers, whose
+//     KeyRecords the coordinator assembles the same way (shard.go).
 package core
 
 import (
@@ -29,49 +31,54 @@ import (
 	"viper/internal/history"
 )
 
-// keyOp is one recorded emission of the per-key constraint pass.
-type keyOp struct {
-	cons bool // false: known-edge add; true: constraint
+// KeyOp is one recorded emission of the per-key constraint pass.
+type KeyOp struct {
+	Cons bool // false: known-edge add; true: constraint
 
 	// Known-edge add (classify already applied; edgeNormal only).
-	edge Edge
-	kind EdgeKind // also the first side's kind for constraints
+	Edge Edge
+	Kind EdgeKind // also the first side's kind for constraints
 
 	// Constraint: sides resolved through classify, with knownSet
-	// filtering deferred to the replay. fBad/sBad mark sides containing
+	// filtering deferred to the replay. FBad/SBad mark sides containing
 	// an impossible edge.
-	first, second []Edge
-	fBad, sBad    bool
-	kind2         EdgeKind
+	First, Second []Edge
+	FBad, SBad    bool
+	Kind2         EdgeKind
 
-	// id is a cross-audit identity for the constraint, used by the
+	// ID is a cross-audit identity for the constraint, used by the
 	// incremental checker to match a regenerated constraint with the one
 	// it encoded in an earlier audit round: the classified leading edge of
 	// each side. Each side's leading edge is the pair's ww edge (or, for
 	// uncoalesced reader constraints, the reader's rw edge), which pins
 	// down the chain pair (and reader) independently of how the remaining
-	// side members grow as new readers arrive. hasID is false when either
+	// side members grow as new readers arrive. HasID is false when either
 	// side was empty or its leading edge did not classify as a normal
 	// edge; such constraints are never warm-matched.
-	id    [2]Edge
-	hasID bool
+	ID    [2]Edge
+	HasID bool
 }
 
-// keyRecord is everything one key contributes to the polygraph.
-type keyRecord struct {
-	wr  []Edge  // read-dependency edges, in emission order
-	ops []keyOp // constraint-pass emissions, in emission order
-	// sides is the slab behind every constraint side in ops: each side is
-	// a read-only, capacity-capped view sides[a:b:b], so no append through
-	// a side can reach its neighbour.
-	sides []Edge
+// KeyRecord is everything one key contributes to the polygraph: the unit
+// a session stores per key, and the unit a cluster worker ships per key.
+// Node ids are global (derived from transaction ids alone), so records
+// made by different workers over disjoint key sets compose. Empty runs
+// are nil.
+type KeyRecord struct {
+	WR  []Edge  // read-dependency edges, in emission order
+	Ops []KeyOp // constraint-pass emissions, in emission order
+	// Sides is the slab behind every constraint side in Ops: each side is
+	// a read-only, capacity-capped view Sides[a:b:b], the views tiling the
+	// slab in emission order, so no append through a side can reach its
+	// neighbour.
+	Sides []Edge
 }
 
 // keyRecorder records one key's emissions into rec; pg is only read
 // (classify), never written.
 type keyRecorder struct {
 	pg  *Polygraph
-	rec *keyRecord
+	rec *KeyRecord
 }
 
 // reserve allocates the key's ops and side slab once, before the first
@@ -80,15 +87,19 @@ type keyRecorder struct {
 // constraint-side edges they resolve to (buildKeyConstraints counts both
 // with recordSize).
 func (kr keyRecorder) reserve(ops, edges int) {
-	kr.rec.ops = make([]keyOp, 0, ops)
-	kr.rec.sides = make([]Edge, 0, edges)
+	if ops > 0 {
+		kr.rec.Ops = make([]KeyOp, 0, ops)
+	}
+	if edges > 0 {
+		kr.rec.Sides = make([]Edge, 0, edges)
+	}
 }
 
 // knownEvent records a certain event-level edge (elided when classify
 // resolves it as trivially true or impossible).
 func (kr keyRecorder) knownEvent(fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool, kind EdgeKind, key history.Key) {
 	if e, cls := kr.pg.classify(fromT, fromCommit, toT, toCommit); cls == edgeNormal {
-		kr.rec.ops = append(kr.rec.ops, keyOp{edge: e, kind: kind})
+		kr.rec.Ops = append(kr.rec.Ops, KeyOp{Edge: e, Kind: kind})
 	}
 }
 
@@ -98,19 +109,19 @@ func (kr keyRecorder) knownEvent(fromT history.TxnID, fromCommit bool, toT histo
 func (kr keyRecorder) constraint(first, second []eventEdge, kind1, kind2 EdgeKind, key history.Key) {
 	f, fBad := kr.side(first)
 	s, sBad := kr.side(second)
-	op := keyOp{
-		cons: true, first: f, second: s, fBad: fBad, sBad: sBad,
-		kind: kind1, kind2: kind2,
+	op := KeyOp{
+		Cons: true, First: f, Second: s, FBad: fBad, SBad: sBad,
+		Kind: kind1, Kind2: kind2,
 	}
 	if len(first) > 0 && len(second) > 0 {
 		e0, cls0 := kr.pg.classify(first[0].fromT, first[0].fromCommit, first[0].toT, first[0].toCommit)
 		e1, cls1 := kr.pg.classify(second[0].fromT, second[0].fromCommit, second[0].toT, second[0].toCommit)
 		if cls0 == edgeNormal && cls1 == edgeNormal {
-			op.id = [2]Edge{e0, e1}
-			op.hasID = true
+			op.ID = [2]Edge{e0, e1}
+			op.HasID = true
 		}
 	}
-	kr.rec.ops = append(kr.rec.ops, op)
+	kr.rec.Ops = append(kr.rec.Ops, op)
 }
 
 // side resolves one constraint side through classify into the key's slab
@@ -118,23 +129,23 @@ func (kr keyRecorder) constraint(first, second []eventEdge, kind1, kind2 EdgeKin
 // true) or impossible (bad; its edges are taken back off the slab).
 func (kr keyRecorder) side(side []eventEdge) (edges []Edge, bad bool) {
 	rec := kr.rec
-	a := len(rec.sides)
+	a := len(rec.Sides)
 	for _, ee := range side {
 		e, cls := kr.pg.classify(ee.fromT, ee.fromCommit, ee.toT, ee.toCommit)
 		switch cls {
 		case edgeFalse:
-			rec.sides = rec.sides[:a]
+			rec.Sides = rec.Sides[:a]
 			return nil, true
 		case edgeTrue:
 			continue
 		}
-		rec.sides = append(rec.sides, e)
+		rec.Sides = append(rec.Sides, e)
 	}
-	b := len(rec.sides)
+	b := len(rec.Sides)
 	if b == a {
 		return nil, false
 	}
-	return rec.sides[a:b:b], false
+	return rec.Sides[a:b:b], false
 }
 
 // recordReadDeps records one key's read-dependency edges (commit of
@@ -142,7 +153,7 @@ func (kr keyRecorder) side(side []eventEdge) (edges []Edge, bad bool) {
 // order. Reads from genesis need no edge. Readers never equal their
 // writer (Incremental.addReader drops self-reads), so every edge
 // classifies as normal and the count is exact.
-func recordReadDeps(pg *Polygraph, byWriter map[history.TxnID][]history.TxnID, rec *keyRecord) {
+func recordReadDeps(pg *Polygraph, byWriter map[history.TxnID][]history.TxnID, rec *KeyRecord) {
 	n := 0
 	for w, rs := range byWriter {
 		if w != history.GenesisID {
@@ -152,14 +163,14 @@ func recordReadDeps(pg *Polygraph, byWriter map[history.TxnID][]history.TxnID, r
 	if n == 0 {
 		return
 	}
-	rec.wr = make([]Edge, 0, n)
+	rec.WR = make([]Edge, 0, n)
 	for _, w := range sortedTxns(byWriter) {
 		if w == history.GenesisID {
 			continue
 		}
 		for _, r := range byWriter[w] {
 			if e, cls := pg.classify(w, true, r, false); cls == edgeNormal {
-				rec.wr = append(rec.wr, e)
+				rec.WR = append(rec.WR, e)
 			}
 		}
 	}
@@ -171,7 +182,7 @@ func recordReadDeps(pg *Polygraph, byWriter map[history.TxnID][]history.TxnID, r
 // constraint-pass emissions in key order. It counts over the records
 // first, so Known, Cons and knownSet are each allocated once. Records are
 // only read, so a session can replay the same store at every cold audit.
-func (pg *Polygraph) replay(keys []history.Key, recs []*keyRecord) {
+func (pg *Polygraph) replay(keys []history.Key, recs []*KeyRecord) {
 	known, cons := 0, 0
 	if !pg.ser {
 		known = len(pg.H.Txns)
@@ -180,10 +191,9 @@ func (pg *Polygraph) replay(keys []history.Key, recs []*keyRecord) {
 		if rec == nil {
 			continue
 		}
-		known += len(rec.wr)
-		for j := range rec.ops {
-			op := &rec.ops[j]
-			k, c := replaySize(op.cons, op.fBad, op.sBad, len(op.first), len(op.second))
+		known += len(rec.WR)
+		for j := range rec.Ops {
+			k, c := rec.Ops[j].replaySize()
 			known += k
 			cons += c
 		}
@@ -195,36 +205,53 @@ func (pg *Polygraph) replay(keys []history.Key, recs []*keyRecord) {
 	pg.addIntraEdges()
 	for i, rec := range recs {
 		if rec != nil {
-			for _, e := range rec.wr {
+			for _, e := range rec.WR {
 				pg.addKnown(e, EdgeWR, keys[i])
 			}
 		}
 	}
 	for i, rec := range recs {
 		if rec != nil {
-			for j := range rec.ops {
-				pg.applyOp(&rec.ops[j], keys[i])
+			for j := range rec.Ops {
+				pg.applyOp(&rec.Ops[j], keys[i])
 			}
 		}
 	}
 	pg.nilIfEmpty()
 }
 
-// replaySize bounds what applyOp adds for one recorded emission (given
-// its flags and side lengths): known edges, and whether it may append a
-// constraint.
-func replaySize(cons, fBad, sBad bool, first, second int) (known, nCons int) {
+// replaySize bounds what applyOp adds for op: known edges, and whether
+// it may append a constraint.
+func (op *KeyOp) replaySize() (known, cons int) {
 	switch {
-	case !cons:
+	case !op.Cons:
 		return 1, 0
-	case fBad && sBad:
+	case op.FBad && op.SBad:
 		return 0, 0
-	case fBad:
-		return second, 0
-	case sBad:
-		return first, 0
+	case op.FBad:
+		return len(op.Second), 0
+	case op.SBad:
+		return len(op.First), 0
 	}
 	return 0, 1
+}
+
+// assemblePolygraph builds h's polygraph at opts.Level from per-key
+// records (indexed like h.Keys(); nil contributes nothing): the node
+// layout and wall-clock hints, the counted replay, then the level's
+// session and real-time edges. A session assembles its record store with
+// it, and ShardMerger the records a cluster's shards ship.
+func assemblePolygraph(h *history.History, opts Options, recs []*KeyRecord) *Polygraph {
+	pg := newPolygraph(h, opts.Level)
+	pg.initNodeTS()
+	pg.replay(h.Keys(), recs)
+	if opts.Level == StrongSessionSI {
+		pg.addSessionEdges()
+	}
+	if opts.Level.needsRealTime() {
+		pg.addRealTimeEdges(opts)
+	}
+	return pg
 }
 
 // nilIfEmpty resets Known and Cons that a replay presized but left empty
@@ -245,21 +272,21 @@ func (pg *Polygraph) nilIfEmpty() {
 // graph (both impossible: a contradiction); edges already known drop out
 // of a side, and a side left empty holds trivially, so the constraint
 // imposes nothing.
-func (pg *Polygraph) applyOp(op *keyOp, key history.Key) {
-	if !op.cons {
-		pg.addKnown(op.edge, op.kind, key)
+func (pg *Polygraph) applyOp(op *KeyOp, key history.Key) {
+	if !op.Cons {
+		pg.addKnown(op.Edge, op.Kind, key)
 		return
 	}
 	switch {
-	case op.fBad && op.sBad:
+	case op.FBad && op.SBad:
 		pg.Contradiction = true
-	case op.fBad:
-		for _, e := range op.second {
-			pg.addKnown(e, op.kind2, key)
+	case op.FBad:
+		for _, e := range op.Second {
+			pg.addKnown(e, op.Kind2, key)
 		}
-	case op.sBad:
-		for _, e := range op.first {
-			pg.addKnown(e, op.kind, key)
+	case op.SBad:
+		for _, e := range op.First {
+			pg.addKnown(e, op.Kind, key)
 		}
 	default:
 		// Filter without mutating the record: a session replays the same
@@ -282,12 +309,12 @@ func (pg *Polygraph) applyOp(op *keyOp, key history.Key) {
 			}
 			return side
 		}
-		f, s := filter(op.first), filter(op.second)
+		f, s := filter(op.First), filter(op.Second)
 		if len(f) == 0 || len(s) == 0 {
 			// One side holds trivially: the constraint imposes nothing.
 			return
 		}
-		pg.Cons = append(pg.Cons, Constraint{First: f, Second: s, Kind1: op.kind, Kind2: op.kind2, Key: key})
+		pg.Cons = append(pg.Cons, Constraint{First: f, Second: s, Kind1: op.Kind, Kind2: op.Kind2, Key: key})
 	}
 }
 

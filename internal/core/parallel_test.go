@@ -116,18 +116,18 @@ func TestShardedBuildOnGeneratedWorkload(t *testing.T) {
 // final size: ops and read-dependency edges exactly, and every
 // constraint side a capacity-capped view of the key's one slab, the
 // views tiling the slab in emission order.
-func checkRecordSizing(t *testing.T, rec *keyRecord, label string) {
+func checkRecordSizing(t *testing.T, rec *KeyRecord, label string) {
 	t.Helper()
-	if len(rec.ops) != cap(rec.ops) {
-		t.Fatalf("%s: %d ops in capacity %d", label, len(rec.ops), cap(rec.ops))
+	if len(rec.Ops) != cap(rec.Ops) {
+		t.Fatalf("%s: %d ops in capacity %d", label, len(rec.Ops), cap(rec.Ops))
 	}
-	if len(rec.wr) != cap(rec.wr) {
-		t.Fatalf("%s: %d read-dependency edges in capacity %d", label, len(rec.wr), cap(rec.wr))
+	if len(rec.WR) != cap(rec.WR) {
+		t.Fatalf("%s: %d read-dependency edges in capacity %d", label, len(rec.WR), cap(rec.WR))
 	}
-	slab := rec.sides[:cap(rec.sides)]
+	slab := rec.Sides[:cap(rec.Sides)]
 	next := 0
-	for j := range rec.ops {
-		for _, side := range [][]Edge{rec.ops[j].first, rec.ops[j].second} {
+	for j := range rec.Ops {
+		for _, side := range [][]Edge{rec.Ops[j].First, rec.Ops[j].Second} {
 			if side == nil {
 				continue
 			}
@@ -140,8 +140,8 @@ func checkRecordSizing(t *testing.T, rec *keyRecord, label string) {
 			next += len(side)
 		}
 	}
-	if next != len(rec.sides) {
-		t.Fatalf("%s: views cover %d slab edges, slab holds %d", label, next, len(rec.sides))
+	if next != len(rec.Sides) {
+		t.Fatalf("%s: views cover %d slab edges, slab holds %d", label, next, len(rec.Sides))
 	}
 }
 
@@ -201,19 +201,19 @@ func TestRecordKeyAllocs(t *testing.T) {
 	inc.update()
 	byWriter, ws := inc.readers["x"], inc.writers["x"]
 	pg := newPolygraph(h, AdyaSI)
-	var rec keyRecord
+	var rec KeyRecord
 	allocs := testing.AllocsPerRun(20, func() {
-		rec = keyRecord{}
+		rec = KeyRecord{}
 		recordReadDeps(pg, byWriter, &rec)
 		pg.buildKeyConstraints("x", ws, byWriter, true, true, keyRecorder{pg: pg, rec: &rec})
 	})
-	if pairs := writers * (writers - 1) / 2; len(rec.ops) < pairs {
-		t.Fatalf("recorded %d ops, want at least the %d chain pairs", len(rec.ops), pairs)
+	if pairs := writers * (writers - 1) / 2; len(rec.Ops) < pairs {
+		t.Fatalf("recorded %d ops, want at least the %d chain pairs", len(rec.Ops), pairs)
 	}
 	if limit := 4.0 * writers; allocs > limit {
 		t.Fatalf("recording one key with %d writer chains made %.0f allocations, want at most %.0f", writers, allocs, limit)
 	}
-	t.Logf("%.0f allocations for %d ops", allocs, len(rec.ops))
+	t.Logf("%.0f allocations for %d ops", allocs, len(rec.Ops))
 }
 
 // TestForEachKeyBoundsGoroutines: the pool never starts more goroutines
@@ -251,13 +251,13 @@ func TestForEachKeyBoundsGoroutines(t *testing.T) {
 }
 
 // cloneRecords deep-copies a session's record store.
-func cloneRecords(recs map[history.Key]*keyRecord) map[history.Key]*keyRecord {
-	out := make(map[history.Key]*keyRecord, len(recs))
+func cloneRecords(recs map[history.Key]*KeyRecord) map[history.Key]*KeyRecord {
+	out := make(map[history.Key]*KeyRecord, len(recs))
 	for key, rec := range recs {
-		c := &keyRecord{wr: slices.Clone(rec.wr), ops: slices.Clone(rec.ops), sides: slices.Clone(rec.sides)}
-		for j := range c.ops {
-			c.ops[j].first = slices.Clone(c.ops[j].first)
-			c.ops[j].second = slices.Clone(c.ops[j].second)
+		c := &KeyRecord{WR: slices.Clone(rec.WR), Ops: slices.Clone(rec.Ops), Sides: slices.Clone(rec.Sides)}
+		for j := range c.Ops {
+			c.Ops[j].First = slices.Clone(c.Ops[j].First)
+			c.Ops[j].Second = slices.Clone(c.Ops[j].Second)
 		}
 		out[key] = c
 	}
@@ -284,9 +284,9 @@ func TestReplayLeavesRecordsIntact(t *testing.T) {
 
 	first := inc.assemble()
 	var recorded, replayed []Edge
-	for _, op := range inc.records["b"].ops {
-		if op.cons {
-			recorded = op.first
+	for _, op := range inc.records["b"].Ops {
+		if op.Cons {
+			recorded = op.First
 		}
 	}
 	for _, c := range first.Cons {

@@ -230,14 +230,20 @@ func Build(h *history.History, opts Options) *Polygraph {
 // newPolygraph returns the empty shell of h's polygraph at level: the
 // node layout, with no edges, constraints or known set yet.
 func newPolygraph(h *history.History, level Level) *Polygraph {
-	pg := &Polygraph{H: h, Level: level, ser: level == Serializability}
-	if pg.ser {
-		pg.NumNodes = int32(len(h.Txns))
-	} else {
-		pg.NumNodes = int32(len(h.Txns)) * 2
-	}
+	pg := &Polygraph{H: h, Level: level, ser: level == Serializability, NumNodes: NodeCount(h, level)}
 	pg.auxBase = pg.NumNodes
 	return pg
+}
+
+// NodeCount is the size of h's node layout at level, auxiliary nodes
+// aside: one node per transaction under Serializability, a begin and a
+// commit node below it. Every node id a KeyRecord of h names lies below
+// it.
+func NodeCount(h *history.History, level Level) int32 {
+	if level == Serializability {
+		return int32(len(h.Txns))
+	}
+	return int32(len(h.Txns)) * 2
 }
 
 // addIntraEdges adds the intra-transaction dependency edges (begin →

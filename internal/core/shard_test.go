@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"viper/internal/history"
@@ -155,8 +156,8 @@ func TestShardMergerIncremental(t *testing.T) {
 	}
 }
 
-// TestShardMergerRejectsBadRecords: wrong indexes and wrong keys are
-// loud errors; finishing with gaps is too.
+// TestShardMergerRejectsBadRecords: wrong indexes are loud errors;
+// finishing with gaps is too.
 func TestShardMergerRejectsBadRecords(t *testing.T) {
 	h := writeSkew(t)
 	opts := Options{Level: AdyaSI}
@@ -165,9 +166,6 @@ func TestShardMergerRejectsBadRecords(t *testing.T) {
 	m := NewShardMerger(h, opts)
 	if err := m.Add(len(recs), recs[0]); err == nil {
 		t.Fatal("out-of-range index accepted")
-	}
-	if err := m.Add(1, recs[0]); err == nil {
-		t.Fatal("record filed under the wrong key accepted")
 	}
 	if err := m.Add(0, recs[0]); err != nil {
 		t.Fatal(err)
@@ -192,13 +190,13 @@ func TestBuildShardRecordsOrderedStreams(t *testing.T) {
 		p := opts
 		p.Parallelism = par
 		next := 0
-		err := BuildShardRecordsOrdered(h, p, h.Keys(), func(i int, rec *KeyShardRecord) error {
+		err := BuildShardRecordsOrdered(h, p, h.Keys(), func(i int, rec *KeyRecord) error {
 			if i != next {
 				t.Fatalf("par=%d: emitted record %d, want %d", par, i, next)
 			}
 			next++
-			if rec.Key != want[i].Key {
-				t.Fatalf("par=%d: record %d is key %q, want %q", par, i, rec.Key, want[i].Key)
+			if !reflect.DeepEqual(rec, want[i]) {
+				t.Fatalf("par=%d: record %d differs from the batch record", par, i)
 			}
 			return nil
 		})
@@ -211,7 +209,7 @@ func TestBuildShardRecordsOrderedStreams(t *testing.T) {
 
 		stop := errors.New("stop")
 		calls := 0
-		err = BuildShardRecordsOrdered(h, p, h.Keys(), func(i int, rec *KeyShardRecord) error {
+		err = BuildShardRecordsOrdered(h, p, h.Keys(), func(i int, rec *KeyRecord) error {
 			calls++
 			if i == 2 {
 				return stop

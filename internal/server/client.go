@@ -110,6 +110,30 @@ func (p RetryPolicy) retryable(status int) bool {
 		(status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable)
 }
 
+// Do runs one request attempt, and runs it again while it fails with a
+// 429 or 503 *APIError and the policy has retries left: after Delay's
+// backoff (the refusal's Retry-After as its floor), unless ctx ends
+// first. body is the attempt's request body: nil, or a seekable reader
+// rewound to its start before every retry; a body that cannot be
+// rewound is never replayed. An attempt that builds its body afresh
+// passes nil. Do returns the last attempt's error.
+func (p RetryPolicy) Do(ctx context.Context, body io.Reader, attempt func() error) error {
+	for n := 0; ; n++ {
+		err := attempt()
+		ae, isAPI := err.(*APIError)
+		if !isAPI || !p.retryable(ae.Status) || n >= p.MaxRetries || !rewind(body) {
+			return err
+		}
+		t := time.NewTimer(p.Delay(n, ae.RetryAfter))
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return err
+		}
+	}
+}
+
 // Client is the Go client for a viperd server. It speaks the whole API:
 // session lifecycle, streaming append, audits, progress, metrics,
 // health, and the cluster endpoints. cmd/viper's remote mode and the
@@ -130,20 +154,6 @@ type Client struct {
 // "http://127.0.0.1:7457").
 func NewClient(base string) *Client {
 	return &Client{base: strings.TrimRight(base, "/"), HTTP: http.DefaultClient}
-}
-
-// backoff sleeps for the policy's attempt-th delay (honoring the
-// server's Retry-After) unless ctx ends first; it reports whether the
-// caller should retry.
-func (c *Client) backoff(ctx context.Context, attempt int, retryAfter time.Duration) bool {
-	t := time.NewTimer(c.Retry.Delay(attempt, retryAfter))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // rewind prepares body for another attempt. A nil body needs nothing; a
@@ -187,16 +197,7 @@ func IsSaturated(err error) bool {
 // are retried under the client's RetryPolicy when the body is
 // replayable.
 func (c *Client) do(ctx context.Context, method, path string, body io.Reader, out any) error {
-	for attempt := 0; ; attempt++ {
-		err := c.doOnce(ctx, method, path, body, out)
-		ae, isAPI := err.(*APIError)
-		if !isAPI || !c.Retry.retryable(ae.Status) || attempt >= c.Retry.MaxRetries {
-			return err
-		}
-		if !rewind(body) || !c.backoff(ctx, attempt, ae.RetryAfter) {
-			return err
-		}
-	}
+	return c.Retry.Do(ctx, body, func() error { return c.doOnce(ctx, method, path, body, out) })
 }
 
 func (c *Client) doOnce(ctx context.Context, method, path string, body io.Reader, out any) error {
@@ -213,22 +214,30 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body io.Reader
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		ae := &APIError{
-			Status:     resp.StatusCode,
-			RetryAfter: retryAfterSeconds(resp.Header.Get("Retry-After")),
-		}
-		var body apiError
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body) == nil && body.Error != "" {
-			ae.Message, ae.Detail = body.Error, body.Detail
-		} else {
-			ae.Message = resp.Status
-		}
-		return ae
+		return APIErrorFrom(resp)
 	}
 	if out == nil {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// APIErrorFrom turns a non-2xx response into an *APIError, consuming (a
+// bounded prefix of) the body: the daemon's JSON error message and
+// detail when the body carries them, the status line otherwise, and
+// the Retry-After header in either of its forms.
+func APIErrorFrom(resp *http.Response) *APIError {
+	ae := &APIError{
+		Status:     resp.StatusCode,
+		RetryAfter: retryAfterSeconds(resp.Header.Get("Retry-After")),
+	}
+	var body apiError
+	if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body) == nil && body.Error != "" {
+		ae.Message, ae.Detail = body.Error, body.Detail
+	} else {
+		ae.Message = resp.Status
+	}
+	return ae
 }
 
 // CreateSession creates a checking session and returns its state (the
@@ -315,16 +324,12 @@ func (c *Client) audit(ctx context.Context, id, query string) (*obs.ReportDoc, e
 // policy when the body is replayable. A 504 still carries a
 // (timeout-outcome) document.
 func (c *Client) reportRequest(ctx context.Context, path string, body io.Reader) (*obs.ReportDoc, error) {
-	for attempt := 0; ; attempt++ {
-		doc, err := c.reportRequestOnce(ctx, path, body)
-		ae, isAPI := err.(*APIError)
-		if !isAPI || !c.Retry.retryable(ae.Status) || attempt >= c.Retry.MaxRetries {
-			return doc, err
-		}
-		if !rewind(body) || !c.backoff(ctx, attempt, ae.RetryAfter) {
-			return doc, err
-		}
-	}
+	var doc *obs.ReportDoc
+	err := c.Retry.Do(ctx, body, func() (err error) {
+		doc, err = c.reportRequestOnce(ctx, path, body)
+		return err
+	})
+	return doc, err
 }
 
 func (c *Client) reportRequestOnce(ctx context.Context, path string, body io.Reader) (*obs.ReportDoc, error) {
@@ -342,17 +347,7 @@ func (c *Client) reportRequestOnce(ctx context.Context, path string, body io.Rea
 	defer resp.Body.Close()
 	// 504 still carries a (timeout-outcome) report document.
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusGatewayTimeout {
-		ae := &APIError{
-			Status:     resp.StatusCode,
-			RetryAfter: retryAfterSeconds(resp.Header.Get("Retry-After")),
-		}
-		var body apiError
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body) == nil && body.Error != "" {
-			ae.Message, ae.Detail = body.Error, body.Detail
-		} else {
-			ae.Message = resp.Status
-		}
-		return nil, ae
+		return nil, APIErrorFrom(resp)
 	}
 	return obs.DecodeReport(resp.Body)
 }

@@ -374,7 +374,8 @@ type apiError struct {
 	Detail *histio.ErrorDetail `json:"detail,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the indented JSON body of a status response.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -382,12 +383,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
+// WriteError writes err as the daemon's JSON error body (the histio
+// detail included when err is a stream decode failure); APIErrorFrom
+// reads it back.
+func WriteError(w http.ResponseWriter, status int, err error) {
 	body := apiError{Error: err.Error()}
 	if d, ok := histio.Describe(err); ok {
 		body.Detail = &d
 	}
-	writeJSON(w, status, body)
+	WriteJSON(w, status, body)
 }
 
 type statusRecorder struct {
@@ -489,7 +493,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		dec := json.NewDecoder(io.LimitReader(req.Body, 1<<20))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&cfg); err != nil && err != io.EOF {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding session config: %v", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding session config: %v", err))
 			return
 		}
 	}
@@ -501,13 +505,13 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		DisableResolve: cfg.DisableResolve,
 	}
 	if err := opts.CheckKnobs("parallelism", "initial_k", "clock_drift_ns"); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if cfg.Level != "" {
 		lvl, ok := core.ParseLevel(cfg.Level)
 		if !ok {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("unknown isolation level %q", cfg.Level))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("unknown isolation level %q", cfg.Level))
 			return
 		}
 		opts.Level = lvl
@@ -516,14 +520,14 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server is shutting down"))
+		WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("server is shutting down"))
 		return
 	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		s.mu.Unlock()
 		s.metrics.Add("viperd_session_rejects_total", 1)
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, fmt.Errorf("session limit reached (%d); delete one or retry later", s.cfg.MaxSessions))
+		WriteError(w, http.StatusTooManyRequests, fmt.Errorf("session limit reached (%d); delete one or retry later", s.cfg.MaxSessions))
 		return
 	}
 	s.nextID++
@@ -546,7 +550,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 
 	s.metrics.Add("viperd_sessions_created_total", 1)
 	s.metrics.Set("viperd_sessions_active", int64(active))
-	writeJSON(w, http.StatusCreated, sess.info())
+	WriteJSON(w, http.StatusCreated, sess.info())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, req *http.Request) {
@@ -557,7 +561,7 @@ func (s *Server) handleList(w http.ResponseWriter, req *http.Request) {
 	}
 	s.mu.Unlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
-	writeJSON(w, http.StatusOK, map[string][]SessionInfo{"sessions": infos})
+	WriteJSON(w, http.StatusOK, map[string][]SessionInfo{"sessions": infos})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, req *http.Request) {
@@ -571,7 +575,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, req *http.Request) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no session %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no session %q", id))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -581,7 +585,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	sess := s.lookup(id)
 	if sess == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no session %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no session %q", id))
 		return
 	}
 	sess.touch()
@@ -597,10 +601,10 @@ func (s *Server) handleAppend(w http.ResponseWriter, req *http.Request) {
 	s.metrics.Add("viperd_txns_ingested_total", int64(appended))
 	if err != nil {
 		s.metrics.Add("viperd_append_errors_total", 1)
-		writeError(w, status, err)
+		WriteError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Appended int   `json:"appended"`
 		Txns     int64 `json:"txns"`
 		Ops      int64 `json:"ops"`
@@ -612,13 +616,13 @@ func (s *Server) handleAudit(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	sess := s.lookup(id)
 	if sess == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no session %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no session %q", id))
 		return
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server is shutting down"))
+		WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("server is shutting down"))
 		return
 	}
 	s.inflight.Add(1)
@@ -638,11 +642,11 @@ func (s *Server) handleAudit(w http.ResponseWriter, req *http.Request) {
 		if err == errSaturated {
 			s.metrics.Add("viperd_audit_saturations_total", 1)
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, err)
+			WriteError(w, http.StatusTooManyRequests, err)
 			return
 		}
 		// The client went away (or the deadline passed) while queued.
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("canceled while queued: %v", err))
+		WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("canceled while queued: %v", err))
 		return
 	}
 	defer release()
@@ -688,10 +692,10 @@ func (s *Server) handleAudit(w http.ResponseWriter, req *http.Request) {
 	if res.Outcome == core.Timeout && ctx.Err() != nil {
 		// The request deadline (or the client's disconnect) interrupted the
 		// solve; 504 distinguishes that from a genuine verdict.
-		writeJSON(w, http.StatusGatewayTimeout, doc)
+		WriteJSON(w, http.StatusGatewayTimeout, doc)
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
+	WriteJSON(w, http.StatusOK, doc)
 }
 
 // auditMatrix is handleAudit's ?matrix=1 tail: one verdict-matrix pass
@@ -715,23 +719,23 @@ func (s *Server) auditMatrix(w http.ResponseWriter, ctx context.Context, sess *s
 		}
 	}
 	if res.Outcome == core.Timeout && ctx.Err() != nil {
-		writeJSON(w, http.StatusGatewayTimeout, doc)
+		WriteJSON(w, http.StatusGatewayTimeout, doc)
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
+	WriteJSON(w, http.StatusOK, doc)
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	sess := s.lookup(id)
 	if sess == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no session %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no session %q", id))
 		return
 	}
 	// Checker.Progress is safe concurrently with a running audit — this
 	// endpoint must not block behind sess.mu.
 	snap := sess.checker.Progress()
-	writeJSON(w, http.StatusOK, snap)
+	WriteJSON(w, http.StatusOK, snap)
 }
 
 // Health is the /healthz response body. Live and Ready separate the two
@@ -778,7 +782,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, req *http.Request) {
 			code = http.StatusServiceUnavailable
 		}
 	}
-	writeJSON(w, code, h)
+	WriteJSON(w, code, h)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {

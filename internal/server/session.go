@@ -199,15 +199,13 @@ func (sess *session) audit(ctx context.Context) (*viper.Result, *obs.ReportDoc) 
 
 // auditMatrix runs one verdict-matrix audit under ctx and assembles the
 // matrix report document — the same document `viper -matrix` emits for
-// the same history, via the shared core.BuildMatrixDoc. The matrix
+// the same history (Checker.MatrixDoc, over the live window). The matrix
 // session's warm state (see viper.Checker.AuditMatrix) persists across
 // requests, so repeated ?matrix=1 audits of a growing session cost
 // roughly the delta. Callers hold sess.mu and the admission gate.
 func (sess *session) auditMatrix(ctx context.Context) (*viper.MatrixResult, *obs.ReportDoc) {
 	res := sess.checker.AuditMatrixContext(ctx)
-	h := sess.checker.History()
-	_ = h.Validate()
-	doc := core.BuildMatrixDoc("viperd", "", h, res.ParseTime, res.Matrix, res.Violation, sess.opts, nil)
+	doc := sess.checker.MatrixDoc("viperd", res)
 	sess.syncMirrors()
 	return res, doc
 }
