@@ -491,60 +491,76 @@ func BenchmarkAblationPhaseBias(b *testing.B) {
 // audit after every batch. "incremental" drives one Checker session whose
 // construction and solver state persist across the 10 audits; "batch"
 // re-runs a from-scratch CheckHistory on each prefix (what a caller
-// without the session API would do). The quantity of interest is the
+// without the session API would do). The "unstamped" pair runs the same
+// stream with its timestamps zeroed: the timestamp stage then bows out,
+// so every audit resolves and solves, and the warm audits run their §3.5
+// passes on the session's carried solver. The quantity of interest is the
 // amortized cost of all 10 audits; EXPERIMENTS.md records the numbers.
 func BenchmarkIncrementalAudit(b *testing.B) {
 	const batches = 10
 	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 5000, 24)
+	unstamped := history.New()
+	for _, t := range h.Txns[1:] {
+		t2 := *t
+		t2.BeginAt, t2.CommitAt = 0, 0
+		unstamped.Append(&t2)
+	}
+	if err := unstamped.Validate(); err != nil {
+		b.Fatal(err)
+	}
 	n := h.Len()
 	per := (n + batches - 1) / batches
 
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := NewChecker(Options{Level: AdyaSI})
-			for at := 0; at < n; at += per {
-				hi := at + per
+	pair := func(b *testing.B, h *history.History) {
+		b.Run("incremental", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c := NewChecker(Options{Level: AdyaSI})
+				for at := 0; at < n; at += per {
+					hi := at + per
+					if hi > n {
+						hi = n
+					}
+					c.Append(h.Txns[1+at : 1+hi]...)
+					res := c.Audit()
+					if res.Outcome != Accept {
+						b.Fatalf("audit at %d txns: %v (%v)", hi, res.Outcome, res.Violation)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches)/1e6, "ms/audit")
+		})
+
+		b.Run("batch-recheck", func(b *testing.B) {
+			// Pre-build the validated prefixes outside the timed region: the
+			// comparison is checking cost, not history copying.
+			var prefixes []*history.History
+			for at := per; at < n+per; at += per {
+				hi := at
 				if hi > n {
 					hi = n
 				}
-				c.Append(h.Txns[1+at : 1+hi]...)
-				res := c.Audit()
-				if res.Outcome != Accept {
-					b.Fatalf("audit at %d txns: %v (%v)", hi, res.Outcome, res.Violation)
+				p := history.New()
+				for _, t := range h.Txns[1 : 1+hi] {
+					t2 := *t
+					p.Append(&t2)
+				}
+				if err := p.Validate(); err != nil {
+					b.Fatal(err)
+				}
+				prefixes = append(prefixes, p)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range prefixes {
+					rep := core.CheckHistory(p, core.Options{Level: core.AdyaSI})
+					mustOutcome(b, rep.Outcome, core.Accept)
 				}
 			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches)/1e6, "ms/audit")
-	})
-
-	b.Run("batch-recheck", func(b *testing.B) {
-		// Pre-build the validated prefixes outside the timed region: the
-		// comparison is checking cost, not history copying.
-		var prefixes []*history.History
-		for at := per; at < n+per; at += per {
-			hi := at
-			if hi > n {
-				hi = n
-			}
-			p := history.New()
-			for _, t := range h.Txns[1 : 1+hi] {
-				t2 := *t
-				p.Append(&t2)
-			}
-			if err := p.Validate(); err != nil {
-				b.Fatal(err)
-			}
-			prefixes = append(prefixes, p)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, p := range prefixes {
-				rep := core.CheckHistory(p, core.Options{Level: core.AdyaSI})
-				mustOutcome(b, rep.Outcome, core.Accept)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches)/1e6, "ms/audit")
-	})
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches)/1e6, "ms/audit")
+		})
+	}
+	pair(b, h)
+	b.Run("unstamped", func(b *testing.B) { pair(b, unstamped) })
 }
 
 // --- Verdict matrix ------------------------------------------------------

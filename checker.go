@@ -11,10 +11,10 @@ import (
 // Checker is a long-lived checking session for online auditing: append
 // transactions as they are observed, then Audit the accumulated history as
 // often as needed. Each audit reuses the polygraph-construction state — and,
-// for AdyaSI/Serializability with default solver options, the SAT solver's
-// learned clauses, activities, and topological order — of the previous
-// audits, so re-auditing a growing history costs roughly the work of the
-// delta instead of a from-scratch recheck (see DESIGN.md, "Incremental
+// for AdyaSI/Serializability, the SAT solver's learned clauses,
+// activities, and topological order — of the previous audits, so
+// re-auditing a growing history costs roughly the work of the delta
+// instead of a from-scratch recheck (see DESIGN.md, "Online incremental
 // checking").
 //
 // Verdicts are always equivalent to Check on a snapshot of the same

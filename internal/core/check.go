@@ -190,6 +190,8 @@ func (rep *Report) selfCheck(pg *Polygraph, opts Options) {
 
 // CheckHistory builds the BC-polygraph of a validated history and checks
 // it, populating construction timing (the CheckSI procedure of Figure 4).
+// It panics when transactions were appended since the history's last
+// successful Validate.
 func CheckHistory(h *history.History, opts Options) *Report {
 	return CheckHistoryContext(context.Background(), h, opts)
 }
@@ -298,48 +300,63 @@ func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
 	for i := range all.at {
 		all.at[i] = int32(i)
 	}
+	r.solve(ctx, all)
+	return rep
+}
+
+// solve runs a check's stages over all, every constraint still undecided:
+// the timestamp stage, resolution, and the solver passes. The one-shot
+// check and a warm session audit both come through here; they differ only
+// in where the solver, the constants and ŝ come from, and in that a warm
+// audit has resolved its constraints already.
+func (r *solveRun) solve(ctx context.Context, all consSet) {
+	rep, pg := r.rep, r.pg
+	if r.stopped(ctx) {
+		return
+	}
 
 	// Timestamp fast path (tsorder.go): when the history carries usable
 	// timestamps, classify every constraint against the strict drift
 	// relation in one near-linear pass. With everything decided and the
-	// chosen sides following the topological order (which already embeds
-	// every known edge), the order itself witnesses a compatible graph —
-	// accept without resolution, encoding, or solving. When timestamps
-	// decide at least 90%, only the residue goes through resolution, and
-	// the first solver pass asserts the chosen sides for itself alone (see
-	// tsorder.go for the soundness argument).
-	if !opts.DisableTSFastPath && ctx.Err() == nil {
+	// chosen sides following ŝ (which already embeds every constant), ŝ
+	// itself witnesses a compatible graph — accept without resolution,
+	// encoding, or solving. When timestamps decide at least 90%, only the
+	// residue goes through resolution, and the first solver pass asserts
+	// the chosen sides for itself alone (see tsorder.go for the soundness
+	// argument).
+	if !r.opts.DisableTSFastPath {
 		if usable, reason := tsUsable(pg.H); !usable {
 			rep.TSUnusable = reason
 		} else {
 			tsStart := time.Now()
-			tc := pg.tsClassify(opts.ClockDrift.Nanoseconds())
+			tc := pg.tsClassify(all, r.opts.ClockDrift.Nanoseconds())
 			rep.TSDecided, rep.TSResidual = tc.decided, len(tc.residual.cons)
 			rep.Phases.TSOrder = time.Since(tsStart)
-			if len(tc.residual.cons) == 0 && chosenForward(pg.Cons, tc.chosen, all.pos) {
+			if len(tc.residual.cons) == 0 && chosenForward(all.cons, tc.chosen, all.pos) {
 				rep.Outcome = Accept
 				rep.WitnessPositions = all.pos
-				return rep
+				return
 			}
-			if tc.decided*10 >= len(pg.Cons)*9 {
+			if tc.decided*10 >= len(all.cons)*9 {
 				residue := tc.residual
 				residue.known, residue.pos = all.known, all.pos
 				if len(residue.cons) > resolveCheapBatch {
+					var ok bool
 					if residue, ok = r.resolve(ctx, residue); !ok {
-						return rep
+						return
 					}
 				}
-				if len(residue.cons) == 0 && chosenForward(pg.Cons, tc.chosen, residue.pos) {
+				if len(residue.cons) == 0 && chosenForward(all.cons, tc.chosen, residue.pos) {
 					// The residue resolved away and the chosen sides still
 					// follow the (possibly re-sorted) topological order:
 					// witness in hand.
 					rep.Outcome = Accept
 					rep.WitnessPositions = residue.pos
-					return rep
+					return
 				}
 				r.ts, r.all, r.chosen = true, all, tc.chosen
 				r.run(ctx, residue)
-				return rep
+				return
 			}
 			// Timestamps decide too little to carry a pass — run the
 			// standard pipeline; the counters still report what they knew.
@@ -354,23 +371,22 @@ func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
 	// set accepts without ever encoding a clause.
 	set, ok := r.resolve(ctx, all)
 	if !ok {
-		return rep
+		return
 	}
 	if len(set.cons) == 0 {
 		// Every constraint resolved: the extended known graph is the whole
 		// polygraph and its topological order is the witness.
 		rep.Outcome = Accept
 		rep.WitnessPositions = set.pos
-		return rep
+		return
 	}
 	r.run(ctx, set)
-	return rep
 }
 
 // consSet is what a run of solver passes works on: the constraints still
 // undecided, each with its index in Polygraph.Cons; the known graph
 // extended by every edge resolution forced (all exact, so all constants);
-// and the heuristic order ŝ over that graph.
+// and the heuristic order ŝ, a topological order of that graph.
 type consSet struct {
 	cons  []Constraint
 	at    []int32
@@ -388,6 +404,11 @@ type consSet struct {
 // Conflicts through batch edges carry ¬guard, so an Unsat with Okay()
 // still true failed only the pass, while one with Okay() false refuted the
 // polygraph outright.
+//
+// A one-shot check starts its solver, theory and encodings at its first
+// pass. A warm session audit hands in the ones it carries across audits
+// (warm): its constants are already in the theory and its resolution
+// (resolveWarm) has already run, so this run resolves nothing.
 type solveRun struct {
 	pg         *Polygraph
 	opts       Options
@@ -403,11 +424,17 @@ type solveRun struct {
 	// edges, collected once for every pass.
 	committed []history.TxnID
 
+	warm    bool
 	s       *sat.Solver
 	th      *acyclic.EdgeTheory
 	release func()
-	nconst  int    // constants inserted: a prefix of the current consSet.known
-	encoded []bool // by Polygraph.Cons index: the constraint has its clauses
+	nconst  int // constants inserted: a prefix of the current consSet.known
+	// sel holds, by Polygraph.Cons index, the selector literal of each
+	// constraint that has its clauses (sat.LitUndef before): the selector
+	// variable of a coalesced constraint, or the first edge's literal of
+	// an XOR. A side that grows later needs only one more implication on
+	// it (see incremental.go).
+	sel []sat.Lit
 }
 
 // less orders nodes by timestamp, then id: the priority that turns the
@@ -425,7 +452,7 @@ func (r *solveRun) less(a, b int32) bool {
 // the known graph and ŝ re-sorted over the result. ok is false when it
 // rejected; the report then carries the cycle.
 func (r *solveRun) resolve(ctx context.Context, set consSet) (_ consSet, ok bool) {
-	if r.opts.DisableResolve {
+	if r.opts.DisableResolve || r.warm {
 		return set, true
 	}
 	rep, pg := r.rep, r.pg
@@ -586,7 +613,10 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 	rep.FinalK = k
 
 	if r.s == nil {
-		r.start(ctx, set.pos)
+		r.start(set.pos)
+	}
+	if r.release == nil {
+		r.arm(ctx)
 	}
 	// Constants: the known graph plus every resolve-forced edge, each
 	// inserted once. They are exact, so a cycle among them refutes the
@@ -606,7 +636,7 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 		}
 	}
 	for _, ch := range chosen {
-		assert(chosenSide(pg.Cons, ch))
+		assert(chosenSide(r.all.cons, ch))
 	}
 	var encode []int // positions in set.cons to encode now
 	pruned := 0
@@ -621,7 +651,7 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 			return false
 		}
 		for i, c := range set.cons {
-			if r.encoded[set.at[i]] {
+			if r.sel[set.at[i]] != sat.LitUndef {
 				continue // the solver owns it already
 			}
 			fBad, sBad := violates(c.First), violates(c.Second)
@@ -647,7 +677,7 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 		rep.HeuristicEdges = len(stride)
 	} else {
 		for i := range set.cons {
-			if !r.encoded[set.at[i]] {
+			if r.sel[set.at[i]] == sat.LitUndef {
 				encode = append(encode, i)
 			}
 		}
@@ -669,10 +699,11 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 	}
 	for _, i := range encode {
 		c := set.cons[i]
-		r.encoded[set.at[i]] = true
 		if len(c.First) == 1 && len(c.Second) == 1 {
 			// The paper's XOR encoding (Figure 4 line 22).
-			s.AddXOR(edgeLit(c.First[0]), edgeLit(c.Second[0]))
+			first := edgeLit(c.First[0])
+			s.AddXOR(first, edgeLit(c.Second[0]))
+			r.sel[set.at[i]] = first
 			continue
 		}
 		// Coalesced: one selector implying each side; the selector is
@@ -687,6 +718,7 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 		for _, e := range c.Second {
 			s.AddClause(sat.PosLit(sel), edgeLit(e))
 		}
+		r.sel[set.at[i]] = sat.PosLit(sel)
 	}
 	var assume []sat.Lit
 	if len(batch) > 0 {
@@ -716,23 +748,31 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 	return res
 }
 
-// start builds the run's solver and theory. The theory's topological
-// order is warm-started with ŝ: the known graph's edges (the bulk of all
-// insertions) then land in already-consistent positions.
-func (r *solveRun) start(ctx context.Context, pos []int32) {
+// start builds a one-shot check's solver, theory and encodings. The
+// theory's topological order is warm-started with ŝ: the known graph's
+// edges (the bulk of all insertions) then land in already-consistent
+// positions.
+func (r *solveRun) start(pos []int32) {
 	r.s = sat.New()
-	r.release = watchCancel(ctx, r.s)
-	if !r.deadline.IsZero() {
-		r.s.SetDeadline(r.deadline)
-	}
 	r.th = acyclic.NewEdgeTheory(int(r.pg.NumNodes))
 	r.th.SeedOrder(pos)
 	r.s.SetTheory(r.th)
-	r.encoded = make([]bool, len(r.pg.Cons))
+	r.sel = make([]sat.Lit, len(r.pg.Cons))
+	for i := range r.sel {
+		r.sel[i] = sat.LitUndef
+	}
+}
 
-	// Solve-time progress sampling. The hook runs synchronously on the
-	// solving goroutine, so reading the solver, theory and report is
-	// race-free.
+// arm readies the solver for this run's passes: this run's deadline, an
+// interrupt when ctx is canceled (clearing one a carried solver kept from
+// a canceled audit), and solve-time progress sampling.
+func (r *solveRun) arm(ctx context.Context) {
+	r.s.ClearInterrupt()
+	r.s.SetDeadline(r.deadline)
+	r.release = watchCancel(ctx, r.s)
+
+	// The hook runs synchronously on the solving goroutine, so reading the
+	// solver, theory and report is race-free.
 	if r.opts.Progress == nil {
 		return
 	}

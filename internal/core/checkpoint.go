@@ -149,8 +149,7 @@ func (inc *Incremental) Checkpoint(keep int) (int, error) {
 
 	// Swap the history in and drop every derived structure: indexes and
 	// records are rebuilt over the small window by the next audit's update
-	// and regen passes, the warm solver re-encodes from those records, and
-	// the timestamp order refolds from the live transactions.
+	// and regen passes, and the warm solver re-encodes from those records.
 	inc.h = nh
 	inc.indexed = 1
 	inc.g1bHigh = 1
@@ -164,10 +163,6 @@ func (inc *Incremental) Checkpoint(keep int) (int, error) {
 	inc.pendingWarm = make(map[history.Key]bool)
 	inc.partitionChanged = false
 	inc.warm = nil
-	inc.tsReason = ""
-	inc.tsOrder = nil
-	inc.tsHigh = 0
-	inc.tsDirty = false
 	inc.liveOps = liveOps
 	inc.lastAccept = nil
 	return F - 1, nil

@@ -77,6 +77,9 @@ func TestAuditContextCanceledThenRetry(t *testing.T) {
 		t2 := *tx
 		inc.Append(&t2)
 	}
+	if err := inc.History().Validate(); err != nil {
+		t.Fatal(err)
+	}
 
 	// First audit (cold) succeeds, arming the warm path.
 	if rep := inc.Audit(); rep.Outcome != Accept {
@@ -96,6 +99,9 @@ func TestAuditContextCanceledThenRetry(t *testing.T) {
 				WriteID: history.WriteID(1_000_000 + i),
 			}},
 		})
+	}
+	if err := inc.History().Validate(); err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

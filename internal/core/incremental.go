@@ -24,11 +24,12 @@
 //
 //   - Known edges only ever accrue, and theory constants are monotone:
 //     more edges can only shrink the model set.
-//   - A constraint's sides only grow (new readers of a chain tail add
-//     implications on the side's existing selector); the selector encoding
-//     (sel → first side, ¬sel → second side) is equisatisfiable with the
-//     batch encoding and extends additively, whereas the batch path's 1-1
-//     XOR does not.
+//   - A constraint's sides only grow (new readers of a chain tail), and
+//     its encoding extends by one implication per new edge on the
+//     selector literal it was encoded with: sel → first side, ¬sel →
+//     second side. An XOR-encoded constraint's selector is its first
+//     edge's literal, whose negation the XOR already ties to the second
+//     edge.
 //   - Learned clauses are logical consequences of the formula they were
 //     learned from, and the formula only gains clauses, so they remain
 //     valid in every later round.
@@ -39,23 +40,27 @@
 // chain boundaries. The session detects this by comparing each dirtied
 // key's chain partition against the one it last recorded and rebuilds the
 // solver from the (still incremental) record store when any prior chain is
-// not preserved verbatim. Warm solves prune too (§3.5), but through
-// solver assumptions, never theory constants, which would be
-// irrevocable: a constraint the maintained topological order classifies
-// as one-way at radius k has its consistent side assumed for this solve
-// only, and Unsat under those assumptions doubles k and solves again, as
-// the cold path does.
+// not preserved verbatim. After the warm-only work — new constants,
+// implications for grown sides, resolution against the carried closure —
+// a warm audit hands its live constraints to the cold check's stages
+// (check.go's solveRun.solve) on the carried solver: the same timestamp
+// classification, and the same §3.5 passes, whose pruned sides, stride
+// edges and timestamp-chosen sides form one guarded batch that is retired
+// before the next pass or audit, never a theory constant, which would be
+// irrevocable.
 //
 // Rejection is cached: SI (and the other checked levels) are closed under
 // history prefixes, so once a validated prefix is rejected every extension
 // is rejected too, and the session returns the rejecting report from then
 // on. (Validation itself is NOT monotone — a read of a not-yet-appended
 // write is a validation error on the prefix and legal on the extension —
-// which is why callers re-validate the full history before every audit.)
+// which is why callers re-validate the full history before every audit,
+// and an audit refuses a history appended to since its last Validate.)
 package core
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -76,59 +81,37 @@ type rangeObs struct {
 	returned map[history.Key]bool
 }
 
-// sideEdge is one edge of a constraint side; lit caches the solver
-// literal once the edge variable exists (sat.LitUndef until then — pruned
-// constraints don't allocate variables they never need).
-type sideEdge struct {
-	e   Edge
-	lit sat.Lit
-}
-
-// consState is the warm solver's record of one constraint: its selector
-// variable and side edge lists. For a fixed constraint identity the side
-// lists are prefix-stable across regenerations — they start with the
-// chain-pair's leading edge and extend only with reader edges in arrival
-// order (a chain-boundary change mints a new identity, and a chain
-// repartition drops the warm state entirely) — so growth is recognized by
-// length alone and new edges are exactly the regenerated list's suffix.
-type consState struct {
-	sel           sat.Var
-	first, second []sideEdge
-	// encoded marks that the constraint's implication clauses are in the
-	// solver. Pruned constraints stay clause-free: their forced side is
-	// assumed edge-by-edge instead (see auditWarm).
-	encoded bool
-	// resolved is the sound pre-solve resolution state (resolve.go):
-	// consLive, or one of the discharged states. Forced states are
-	// permanent (deadness against a growing closure never reverts);
-	// implied states are revalidated each audit because the side lists
-	// grow.
-	resolved uint8
-	// kind1/kind2/key carry each side's provenance so resolution-forced
-	// edges enter the known graph like construction-time forcing would.
-	kind1, kind2 EdgeKind
-	key          history.Key
-}
-
 // warmState is the persistent solver + theory reused across audits.
 type warmState struct {
 	s  *sat.Solver
 	th *acyclic.EdgeTheory
-	// cons resolves a constraint's cross-audit identity. The key level is
-	// split off so the hot per-constraint lookup hashes two edges, not a
-	// string.
-	cons map[history.Key]map[[2]Edge]*consState
-	// consList holds the constraints in creation order: the per-audit
-	// pruning pass iterates it instead of the map so assumption order is
-	// deterministic without sorting.
-	consList []*consState
+	// ids resolves a constraint's cross-audit identity to its index in
+	// cons. The key level is split off so the hot per-constraint lookup
+	// hashes two edges, not a string.
+	ids map[history.Key]map[[2]Edge]int32
+	// cons holds the constraints in creation order, with their sides as
+	// the last regeneration of their key recorded them. For a fixed
+	// identity the side lists are prefix-stable across regenerations —
+	// they start with the chain pair's leading edge and extend only with
+	// reader edges in arrival order (a chain-boundary change mints a new
+	// identity, and a chain repartition drops the warm state entirely) —
+	// so growth is recognized by length alone and new edges are exactly
+	// the regenerated list's suffix. Kind1/Kind2/Key carry each side's
+	// provenance so resolution-forced edges enter the known graph like
+	// construction-time forcing would.
+	cons []Constraint
+	// sel holds each constraint's selector literal once a pass encoded it
+	// (solveRun.sel); state its resolution state (resolve.go): consLive,
+	// or one of the discharged states. Forced states are permanent
+	// (deadness against a growing closure never reverts); implied states
+	// are revalidated each audit because the side lists grow.
+	sel   []sat.Lit
+	state []uint8
 	// known lists the theory's constants in insertion order with their
 	// provenance, for counterexample cycles and closure rebuilds.
 	known knownIndex
 	// intraHigh is the h.Txns index up to which intra edges are inserted.
 	intraHigh int
-	// assumpBuf is reused across audits for the assumption literals.
-	assumpBuf []sat.Lit
 
 	// cl is the bitset transitive closure of the constant edges, kept
 	// across audits for sound pre-solve resolution (resolve.go). clDirty
@@ -160,13 +143,14 @@ type warmState struct {
 // reuses the construction and solver state of the previous ones. The
 // session is not safe for concurrent use.
 //
-// Audit requires the full history to be validated first; the public
-// viper.Checker wrapper does this on every audit. Reports from the warm
-// path carry cumulative solver statistics (the solver lives across
-// audits) and count constraints before known-edge elision, so their
-// Constraints/Solver fields are comparable across audits of one session
-// rather than to a from-scratch batch report; verdicts and witnesses are
-// always equivalent to the batch path on the same history.
+// Audit requires the full history to be validated first, and panics
+// otherwise; the public viper.Checker wrapper validates on every audit.
+// Reports from the warm path carry cumulative solver statistics (the
+// solver lives across audits) and count constraints before known-edge
+// elision, so their Constraints/Solver fields are comparable across
+// audits of one session rather than to a from-scratch batch report;
+// verdicts and witnesses are always equivalent to the batch path on the
+// same history.
 type Incremental struct {
 	opts Options
 	h    *history.History
@@ -185,17 +169,6 @@ type Incremental struct {
 	// pendingWarm holds keys regenerated since the last warm encode.
 	pendingWarm      map[history.Key]bool
 	partitionChanged bool
-
-	// Timestamp fast-path state (tsorder.go). tsReason is the terminal
-	// unusability verdict ("" while every committed txn so far carries
-	// usable stamps); tsOrder holds the committed event nodes sorted by
-	// (timestamp, node id), maintained incrementally by updateTS with
-	// tsHigh the last ordered timestamp; tsDirty requests a cold rebuild
-	// after non-monotonic ingest.
-	tsReason string
-	tsOrder  []int32
-	tsHigh   int64
-	tsDirty  bool
 
 	warm     *warmState
 	rejected *Report // cached graph rejection (levels are prefix-closed)
@@ -340,7 +313,8 @@ func (inc *Incremental) warmCapable() bool {
 
 // Audit checks the full current history, reusing state from prior audits.
 // The history must have been validated (history.Validate) since the last
-// append. The verdict always equals CheckHistory on an identical history.
+// append; Audit panics otherwise. The verdict always equals CheckHistory
+// on an identical history.
 func (inc *Incremental) Audit() *Report { return inc.AuditContext(context.Background()) }
 
 // AuditContext is Audit under a cancellation context: ctx's deadline
@@ -459,18 +433,27 @@ func (inc *Incremental) addReader(key history.Key, w, r history.TxnID) {
 	inc.dirty[key] = true
 }
 
+// mustBeValidated panics when transactions were appended to h since its
+// last successful Validate: the indexes every check reads (Keys, WriterOf)
+// miss them, and a check would silently skip their reads and keys.
+func mustBeValidated(h *history.History) {
+	if n := h.Validated(); n < len(h.Txns) {
+		panic(fmt.Sprintf("core: txn %d and later were appended after the history's last successful Validate; validate it before checking", n))
+	}
+}
+
 // update folds transactions appended since the last audit into the
 // persistent indexes, marking the keys they touch dirty. Processing new
 // transactions in id order keeps every per-(key, writer) reader list in
 // the same order the batch read collection produces.
 func (inc *Incremental) update() {
 	h := inc.h
+	mustBeValidated(h)
 	if inc.indexed >= len(h.Txns) {
 		return
 	}
 	newTxns := h.Txns[inc.indexed:]
 	inc.indexed = len(h.Txns)
-	inc.updateTS(newTxns)
 
 	// New committed writers first: they define which keys are new, which
 	// older range queries must retroactively observe. A transaction's
@@ -515,7 +498,7 @@ func (inc *Incremental) update() {
 		t.ExternalReads(func(key history.Key, obs history.WriteID) {
 			ref, ok := h.WriterOf(obs)
 			if !ok {
-				return // unreachable on validated histories
+				return // unreachable: h is validated (mustBeValidated)
 			}
 			inc.addReader(key, ref.Txn, t.ID)
 		})
@@ -691,11 +674,12 @@ func cycleEvidence(path []int32, closing KnownEdge, known *knownIndex) []KnownEd
 }
 
 // auditWarm runs one audit against the persistent solver, encoding only
-// what changed since the last encode (everything, after a rebuild). It
-// returns nil if it encountered a record outside the warm invariants —
-// the caller then falls back to the cold path for this audit.
+// what changed since the last encode (everything, after a rebuild), then
+// hands the live constraints to the cold check's stages on the carried
+// solver. It returns nil if it encountered a record outside the warm
+// invariants — the caller then falls back to the cold path for this audit.
 func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time, regenWall, regenCPU time.Duration, workers int) *Report {
-	opts := &inc.opts
+	opts := inc.obsOpts()
 	h := inc.h
 	construct := time.Since(constructStart)
 
@@ -704,7 +688,7 @@ func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time,
 		w := &warmState{
 			s:       sat.New(),
 			th:      acyclic.NewEdgeTheory(0),
-			cons:    make(map[history.Key]map[[2]Edge]*consState),
+			ids:     make(map[history.Key]map[[2]Edge]int32),
 			clDirty: true,
 		}
 		w.s.SetTheory(w.th)
@@ -765,9 +749,9 @@ func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time,
 		w.intraHigh = len(h.Txns)
 	}
 
-	// New edge variables start phase-biased by the maintained topological
-	// order, same role as the batch path's schedule bias: an edge running
-	// forward in the current order is probably present.
+	// Edge variables for grown sides start phase-biased by the maintained
+	// topological order, the role ŝ plays for the passes' own encodings:
+	// an edge running forward in the current order is probably present.
 	edgeLit := func(e Edge) sat.Lit {
 		if v, ok := w.th.Lookup(e.From, e.To); ok {
 			return sat.PosLit(v)
@@ -802,7 +786,7 @@ encode:
 				break encode
 			}
 		}
-		kcons := w.cons[key]
+		ids := w.ids[key]
 		for j := range rec.Ops {
 			op := &rec.Ops[j]
 			if !op.Cons {
@@ -821,47 +805,36 @@ encode:
 			if len(op.First) == 0 || len(op.Second) == 0 {
 				continue // one side holds trivially
 			}
-			st := kcons[op.ID]
-			if st == nil {
-				st = &consState{sel: w.s.NewVar(), kind1: op.Kind, kind2: op.Kind2, key: key}
-				if kcons == nil {
-					kcons = make(map[[2]Edge]*consState)
-					w.cons[key] = kcons
+			i, ok := ids[op.ID]
+			if !ok {
+				if ids == nil {
+					ids = make(map[[2]Edge]int32)
+					w.ids[key] = ids
 				}
-				kcons[op.ID] = st
-				w.consList = append(w.consList, st)
-				if !opts.DisablePhaseBias {
-					fwd := true
-					for _, e := range op.First {
-						if w.th.Order(e.From) >= w.th.Order(e.To) {
-							fwd = false
-							break
-						}
-					}
-					w.s.SetPhase(st.sel, fwd)
+				i = int32(len(w.cons))
+				ids[op.ID] = i
+				w.cons = append(w.cons, Constraint{Kind1: op.Kind, Kind2: op.Kind2, Key: key})
+				w.sel = append(w.sel, sat.LitUndef)
+				w.state = append(w.state, consLive)
+			}
+			// A constraint that already has its clauses gets one more
+			// implication per grown side edge: sel → first side, ¬sel →
+			// second side.
+			c := &w.cons[i]
+			if sel := w.sel[i]; sel != sat.LitUndef {
+				for _, e := range op.First[len(c.First):] {
+					w.s.AddClause(sel.Neg(), edgeLit(e))
+				}
+				for _, e := range op.Second[len(c.Second):] {
+					w.s.AddClause(sel, edgeLit(e))
 				}
 			}
-			for _, e := range op.First[len(st.first):] {
-				se := sideEdge{e: e, lit: sat.LitUndef}
-				if st.encoded {
-					se.lit = edgeLit(e)
-					w.s.AddClause(sat.NegLit(st.sel), se.lit)
-				}
-				st.first = append(st.first, se)
-			}
-			for _, e := range op.Second[len(st.second):] {
-				se := sideEdge{e: e, lit: sat.LitUndef}
-				if st.encoded {
-					se.lit = edgeLit(e)
-					w.s.AddClause(sat.PosLit(st.sel), se.lit)
-				}
-				st.second = append(st.second, se)
-			}
+			c.First, c.Second = op.First, op.Second
 		}
 	}
 
 	rep.KnownEdges = w.th.NumConstants()
-	rep.Constraints = len(w.consList)
+	rep.Constraints = len(w.cons)
 	rep.EdgeVars = w.s.NumVars()
 	rep.Solver = w.s.Stats
 	rep.Reorders, rep.ReorderedNodes = w.th.Reorders()
@@ -939,284 +912,49 @@ encode:
 	}
 	rep.ResolvedConstraints, rep.ForcedEdges = w.resolved, w.forcedEdges
 
-	// Timestamp fast path, warm flavor (tsorder.go): classify the live
-	// constraints against the strict drift relation once per audit. With
-	// every live constraint decided and every constant edge forward in the
-	// maintained timestamp order, that order is a genuine compatible-graph
-	// witness — accept without touching the solver. Otherwise the decided
-	// sides join the solve below as assumptions; Unsat under them drops
-	// the timestamps and retries, so a verdict never rests on clock
-	// readings. Non-monotonic ingest left the order dirty in updateTS; the
-	// cold fallback re-sorts it here, once, before classification.
-	var tsChoice []uint8
-	if !opts.DisableTSFastPath && ctx.Err() == nil {
-		tsStart := time.Now()
-		if inc.tsReason != "" {
-			rep.TSUnusable = inc.tsReason
-		} else {
-			if inc.tsDirty {
-				inc.rebuildTSOrder()
+	// The cold check's stages over the live constraints, on the carried
+	// solver. Discharged constraints leave the live set, as resolution's
+	// discharges do on the cold path; their clauses, if any, stay. ŝ is
+	// the theory's order, a topological order of every constant, or the
+	// timestamp order when every constant runs forward in it: exactly the
+	// order the cold path's topological sort derives then, and the witness
+	// a timestamp accept needs.
+	pg := newPolygraph(h, opts.Level)
+	pg.Cons = w.cons
+	all := consSet{known: w.known.edges}
+	var schedule time.Duration
+	if !opts.DisableTSFastPath {
+		if ok, _ := tsUsable(h); ok {
+			tsStart := time.Now()
+			pg.initNodeTS()
+			if pos := pg.tsSchedule(); constantsForward(w.known.edges, pos) {
+				all.pos = pos
 			}
-			tw := &tsWarm{h: h, ser: inc.ser(), drift: opts.ClockDrift.Nanoseconds()}
-			tsChoice = make([]uint8, len(w.consList))
-			decided, live := 0, 0
-			for i, st := range w.consList {
-				if st.resolved != consLive {
-					continue
-				}
-				live++
-				if first, ok := tw.choose(st); ok {
-					decided++
-					if first {
-						tsChoice[i] = tsChoiceFirst
-					} else {
-						tsChoice[i] = tsChoiceSecond
-					}
-				}
-			}
-			w.tsDecided += decided
-			w.tsResidual += live - decided
-			rep.TSDecided, rep.TSResidual = w.tsDecided, w.tsResidual
-			if decided == live && constantsForward(w.known.edges, inc.tsOrderPositions(n)) {
-				rep.Phases.TSOrder = time.Since(tsStart)
-				rep.Outcome = Accept
-				rep.WitnessPositions = inc.tsWitness(n)
-				rep.selfCheck(&Polygraph{H: h, Level: opts.Level}, *opts)
-				return rep
-			}
-		}
-		rep.Phases.TSOrder = time.Since(tsStart)
-	}
-
-	solveStart := time.Now()
-	solReg := opts.Tracer.Start("solve")
-	w.s.SetDeadline(solveDeadline(ctx, *opts))
-	// The solver is persistent: re-arm it (an interrupt that canceled a
-	// previous audit must not stop this one) and watch this audit's context.
-	w.s.ClearInterrupt()
-	defer watchCancel(ctx, w.s)()
-
-	// The warm analog of the batch path's §3.5 pruning. Constraints whose
-	// sides the maintained topological order (standing in for the timestamp
-	// schedule) classifies as one-way — the other side has a backward edge
-	// of span >= k — are not encoded at all: the consistent side's edge
-	// literals are assumed directly, which satisfies the disjunction
-	// outright without putting its clauses in the solver. Only constraints
-	// the radius cannot force carry clauses, mirroring the batch path's
-	// small pruned encodings; once encoded, a constraint stays encoded
-	// (clause addition is monotone) and later prunes assume its selector
-	// instead. Unsat under assumptions is not a refutation — relax the
-	// radius and retry, doubling k exactly like the batch loop.
-	sideLit := func(side []sideEdge, i int) sat.Lit {
-		if side[i].lit == sat.LitUndef {
-			side[i].lit = edgeLit(side[i].e)
-		}
-		return side[i].lit
-	}
-	encodeCons := func(st *consState) {
-		st.encoded = true
-		for i := range st.first {
-			w.s.AddClause(sat.NegLit(st.sel), sideLit(st.first, i))
-		}
-		for i := range st.second {
-			w.s.AddClause(sat.PosLit(st.sel), sideLit(st.second, i))
+			schedule = time.Since(tsStart)
 		}
 	}
-	// tsAssume asserts a timestamp-decided constraint's chosen side for
-	// one solve pass: selector polarity when the constraint already
-	// carries clauses, the side's edge literals directly when it does not
-	// (which satisfies the disjunction without encoding it — the same
-	// trick the radius pruning below plays).
-	tsAssume := func(st *consState, choice uint8, assumps []sat.Lit) []sat.Lit {
-		if choice == tsChoiceFirst {
-			if st.encoded {
-				return append(assumps, sat.PosLit(st.sel))
-			}
-			for i := range st.first {
-				assumps = append(assumps, sideLit(st.first, i))
-			}
-			return assumps
+	if all.pos == nil {
+		all.pos = make([]int32, n)
+		for v := range all.pos {
+			all.pos[v] = w.th.Order(int32(v))
 		}
-		if st.encoded {
-			return append(assumps, sat.NegLit(st.sel))
-		}
-		for i := range st.second {
-			assumps = append(assumps, sideLit(st.second, i))
-		}
-		return assumps
 	}
-	// Solve-time progress sampling against the persistent solver. The hook
-	// runs synchronously on this goroutine from inside SolveAssuming, so
-	// reading the solver, theory, and rep is race-free; it is reinstalled
-	// each audit to capture the current audit's epoch.
-	if opts.Progress != nil {
-		w.s.SetProgress(opts.progressInterval(), func() {
-			snap := obs.Snapshot{
-				Phase:               "solve",
-				ElapsedNS:           int64(time.Since(constructStart)),
-				Nodes:               int(n),
-				KnownEdges:          w.th.NumConstants(),
-				Constraints:         len(w.consList),
-				PrunedConstraints:   rep.PrunedConstraints,
-				ResolvedConstraints: rep.ResolvedConstraints,
-				ForcedEdges:         rep.ForcedEdges,
-				EdgeVars:            w.s.NumVars(),
-				Conflicts:           w.s.Stats.Conflicts,
-				Decisions:           w.s.Stats.Decisions,
-				Propagations:        w.s.Stats.Propagations,
-				Learnts:             int64(w.s.Stats.Learnts),
-				Restarts:            w.s.Stats.Restarts,
-				TheoryConfl:         w.s.Stats.TheoryConfl,
-				HeapInUse:           obs.HeapInUse(),
-			}
-			snap.Reorders, snap.ReorderedNodes = w.th.Reorders()
-			inc.publish(snap)
-		})
+	for i, st := range w.state {
+		if st == consLive {
+			all.cons = append(all.cons, w.cons[i])
+			all.at = append(all.at, int32(i))
+		}
 	}
-
-	k := opts.initialK()
-	if opts.DisablePruning {
-		k = 0
+	r := &solveRun{
+		pg: pg, opts: opts, rep: rep, deadline: solveDeadline(ctx, opts), checkStart: constructStart,
+		warm: true, s: w.s, th: w.th, sel: w.sel, nconst: len(w.known.edges),
 	}
-	// The per-retry pruning pass below also *encodes* (encodeCons emits a
-	// constraint's clauses the first time the radius cannot force it), so
-	// its time belongs to the Encode phase — the batch path books its
-	// pruning pass there too. Accumulate it and subtract from Solve, or the
-	// warm decomposition drifts from the batch one.
-	var encodeExtra time.Duration
-	var res sat.Result
-	for {
-		if ctx.Err() != nil {
-			res = sat.Unknown
-			break
-		}
-		passStart := time.Now()
-		assumps := w.assumpBuf[:0]
-		pruned, tsAssumed := 0, 0
-		if k > 0 {
-			bad := func(side []sideEdge) bool {
-				for i := range side {
-					e := side[i].e
-					if int(w.th.Order(e.From))-int(w.th.Order(e.To)) >= k {
-						return true
-					}
-				}
-				return false
-			}
-			for ci, st := range w.consList {
-				if st.resolved != consLive {
-					continue // discharged by resolution
-				}
-				if tsChoice != nil && tsChoice[ci] != tsChoiceNone {
-					tsAssumed++
-					assumps = tsAssume(st, tsChoice[ci], assumps)
-					continue
-				}
-				fBad, sBad := bad(st.first), bad(st.second)
-				switch {
-				case fBad == sBad:
-					// Both schedule-consistent, or neither: the radius has
-					// no opinion, so the solver must own this constraint.
-					// (Unlike the batch path, both-sides-bad is not a fast
-					// Unsat here — no stride constants back the prune.)
-					if !st.encoded {
-						encodeCons(st)
-					}
-				case fBad:
-					pruned++
-					if st.encoded {
-						assumps = append(assumps, sat.NegLit(st.sel))
-					} else {
-						for i := range st.second {
-							assumps = append(assumps, sideLit(st.second, i))
-						}
-					}
-				case sBad:
-					pruned++
-					if st.encoded {
-						assumps = append(assumps, sat.PosLit(st.sel))
-					} else {
-						for i := range st.first {
-							assumps = append(assumps, sideLit(st.first, i))
-						}
-					}
-				}
-			}
-		} else {
-			for ci, st := range w.consList {
-				if st.resolved != consLive {
-					continue
-				}
-				if tsChoice != nil && tsChoice[ci] != tsChoiceNone {
-					tsAssumed++
-					assumps = tsAssume(st, tsChoice[ci], assumps)
-					continue
-				}
-				if !st.encoded {
-					encodeCons(st)
-				}
-			}
-		}
-		// Implication-discharged constraints that already carry clauses:
-		// assume the implied side's selector polarity so the solver never
-		// branches on them. An assumption (not a unit clause) because the
-		// discharge is revoked if the implied side later grows a
-		// non-implied edge; forced discharges, by contrast, are permanent
-		// and got unit clauses at forcing time.
-		for _, st := range w.consList {
-			if !st.encoded {
-				continue
-			}
-			if st.resolved == consImpliedFirst {
-				assumps = append(assumps, sat.PosLit(st.sel))
-			} else if st.resolved == consImpliedSecond {
-				assumps = append(assumps, sat.NegLit(st.sel))
-			}
-		}
-		w.assumpBuf = assumps
-		rep.FinalK = k
-		rep.PrunedConstraints = pruned
-		encodeExtra += time.Since(passStart)
-		res = w.s.SolveAssuming(assumps...)
-		if res == sat.Unsat && w.s.Okay() && (pruned > 0 || tsAssumed > 0) {
-			// Unsatisfiable only under the pruning or timestamp
-			// assumptions. Timestamp choices may simply be wrong about
-			// this history, so they are dropped first — wholesale, since a
-			// clock inconsistent once is not worth trusting piecemeal —
-			// and only a clock-free Unsat escalates the pruning radius.
-			rep.Retries++
-			w.s.Relax()
-			if tsAssumed > 0 {
-				tsChoice = nil
-			} else {
-				k *= 2
-				if k >= int(n) {
-					k = 0 // final, exact attempt
-				}
-			}
-			continue
-		}
-		break
-	}
-	rep.Solver = w.s.Stats
-	rep.EdgeVars = w.s.NumVars()
-	rep.Reorders, rep.ReorderedNodes = w.th.Reorders()
-	switch res {
-	case sat.Sat:
-		rep.Outcome = Accept
-		witness := make([]int32, n)
-		for i := int32(0); i < n; i++ {
-			witness[i] = w.th.Order(i)
-		}
-		rep.WitnessPositions = witness
-		rep.selfCheck(&Polygraph{H: h, Level: opts.Level}, *opts)
-	case sat.Unsat:
-		rep.Outcome = Reject
-	default:
-		rep.Outcome = Timeout
-	}
-	rep.Phases.Encode += encodeExtra
-	rep.Phases.Solve = time.Since(solveStart) - encodeExtra
-	solReg.End()
+	r.solve(ctx, all)
+	w.th.Retire(w.s) // the last pass's batch ends with the audit
+	rep.Phases.TSOrder += schedule
+	w.tsDecided += rep.TSDecided
+	w.tsResidual += rep.TSResidual
+	rep.TSDecided, rep.TSResidual = w.tsDecided, w.tsResidual
+	rep.selfCheck(pg, opts)
 	return rep
 }

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"viper/internal/anomaly"
+	"viper/internal/histgen"
 	"viper/internal/history"
 	"viper/internal/runner"
 	"viper/internal/workload"
@@ -176,5 +180,64 @@ func TestIncrementalFirstAuditMatchesBatchPolygraph(t *testing.T) {
 		inc.update()
 		inc.regen()
 		comparePolygraphs(t, want, inc.assemble(), "assemble/"+level.String())
+	}
+}
+
+// TestCheckRefusesUnvalidatedAppends: the indexes every check reads (the
+// written keys, each write's writer) cover only the transactions the last
+// Validate saw, so checking a history appended to since would skip the new
+// transactions' keys and reads and could accept every injected anomaly.
+// Every check entry point refuses such a history instead, naming the first
+// unindexed transaction; once validated, the same history rejects.
+func TestCheckRefusesUnvalidatedAppends(t *testing.T) {
+	for _, kind := range anomaly.Kinds() {
+		if kind.ValidationLevel() {
+			continue
+		}
+		h := histgen.SI(histgen.Spec{Txns: 60, Keys: 6, MaxConcurrency: 4, Seed: 5})
+		inc := NewIncremental(Options{Level: AdyaSI})
+		for _, tx := range h.Txns[1:] {
+			t2 := *tx
+			inc.Append(&t2)
+		}
+		if err := inc.History().Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if rep := inc.Audit(); rep.Outcome != Accept {
+			t.Fatalf("%v: base history: %v", kind, rep.Outcome)
+		}
+		first := len(h.Txns)
+		anomaly.Inject(h, kind) // appends to h, which is not re-validated
+		for _, tx := range h.Txns[first:] {
+			t2 := *tx
+			inc.Append(&t2)
+		}
+		want := fmt.Sprintf("txn %d and later", first)
+		for _, c := range []struct {
+			name  string
+			check func()
+		}{
+			{"CheckHistory", func() { CheckHistory(h, Options{Level: AdyaSI}) }},
+			{"Build", func() { Build(h, Options{Level: AdyaSI}) }},
+			{"read-committed", func() { CheckHistory(h, Options{Level: ReadCommitted}) }},
+			{"matrix", func() { CheckMatrixHistory(h, Options{}) }},
+			{"session audit", func() { inc.Audit() }},
+		} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, want) {
+						t.Fatalf("%v/%s: panic %q, want one naming %q", kind, c.name, msg, want)
+					}
+				}()
+				c.check()
+			}()
+		}
+		if err := h.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if rep := CheckHistory(h, Options{Level: AdyaSI}); rep.Outcome != Reject {
+			t.Fatalf("%v: validated injected history: %v, want Reject", kind, rep.Outcome)
+		}
 	}
 }

@@ -26,8 +26,11 @@ func matrixCorpus(t *testing.T) map[string]*history.History {
 		if kind.ValidationLevel() {
 			continue
 		}
-		h := histgen.SI(histgen.Spec{Txns: 30, Keys: 6, MaxConcurrency: 3, Seed: 5})
-		corpus["anomaly/"+kind.String()] = anomaly.Inject(h, kind)
+		h := anomaly.Inject(histgen.SI(histgen.Spec{Txns: 30, Keys: 6, MaxConcurrency: 3, Seed: 5}), kind)
+		if err := h.Validate(); err != nil {
+			t.Fatalf("anomaly/%v: %v", kind, err)
+		}
+		corpus["anomaly/"+kind.String()] = h
 	}
 	return corpus
 }

@@ -111,6 +111,7 @@ func (g *obsGraph) firstG1b() *g1bEvidence {
 
 // buildObsGraph indexes a validated history's committed observations.
 func buildObsGraph(h *history.History) *obsGraph {
+	mustBeValidated(h)
 	n := len(h.Txns)
 	g := &obsGraph{
 		h:         h,

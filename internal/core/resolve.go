@@ -570,13 +570,14 @@ func resolvePolygraph(ctx context.Context, pg *Polygraph, consIn []Constraint, o
 	return res
 }
 
-// Warm-path resolution states of a consState. Forced states are permanent:
-// the other side closes a cycle against the constant closure, and
-// constants only accrue, so the forced side's edges (present and future)
-// are consequences and enter the theory as constants. Implied states are
-// provisional: the discharged side's edges are all implied by constant
-// paths *today*, but the side lists grow across audits, so each audit
-// revalidates and reverts the state if a non-implied edge arrived.
+// Warm-path resolution states of a constraint (warmState.state). Forced
+// states are permanent: the other side closes a cycle against the
+// constant closure, and constants only accrue, so the forced side's edges
+// (present and future) are consequences and enter the theory as
+// constants. Implied states are provisional: the discharged side's edges
+// are all implied by constant paths *today*, but the side lists grow
+// across audits, so each audit revalidates and reverts the state if a
+// non-implied edge arrived.
 const (
 	consLive uint8 = iota
 	consForcedFirst
@@ -625,18 +626,16 @@ func resolveWarm(w *warmState, workers int) []KnownEdge {
 		stagedSrcs = stagedSrcs[:0]
 	}
 
-	dead := func(side []sideEdge) *Edge {
-		for i := range side {
-			e := side[i].e
+	dead := func(side []Edge) *Edge {
+		for i, e := range side {
 			if cl.reaches(e.To, e.From) {
-				return &side[i].e
+				return &side[i]
 			}
 		}
 		return nil
 	}
-	allImplied := func(side []sideEdge) bool {
-		for i := range side {
-			e := side[i].e
+	allImplied := func(side []Edge) bool {
+		for _, e := range side {
 			if !cl.reaches(e.From, e.To) {
 				return false
 			}
@@ -649,9 +648,8 @@ func resolveWarm(w *warmState, workers int) []KnownEdge {
 	// forceSide turns a side's not-yet-implied edges into theory constants,
 	// staging each into the closure adjacency. Safe to re-run on a grown
 	// side: already-constant edges are skipped via known.
-	forceSide := func(side []sideEdge, kind EdgeKind, key history.Key) bool {
-		for i := range side {
-			e := side[i].e
+	forceSide := func(side []Edge, kind EdgeKind, key history.Key) bool {
+		for _, e := range side {
 			if e.From == e.To || w.known.has(e) {
 				continue
 			}
@@ -677,24 +675,25 @@ func resolveWarm(w *warmState, workers int) []KnownEdge {
 	}
 
 	// Revalidate discharges carried over from earlier audits.
-	for _, st := range w.consList {
-		switch st.resolved {
+	for i := range w.cons {
+		c := &w.cons[i]
+		switch w.state[i] {
 		case consForcedFirst:
-			if !forceSide(st.first, st.kind1, st.key) {
+			if !forceSide(c.First, c.Kind1, c.Key) {
 				return witness
 			}
 		case consForcedSecond:
-			if !forceSide(st.second, st.kind2, st.key) {
+			if !forceSide(c.Second, c.Kind2, c.Key) {
 				return witness
 			}
 		case consImpliedFirst:
-			if !allImplied(st.first) {
-				st.resolved = consLive
+			if !allImplied(c.First) {
+				w.state[i] = consLive
 				w.resolved--
 			}
 		case consImpliedSecond:
-			if !allImplied(st.second) {
-				st.resolved = consLive
+			if !allImplied(c.Second) {
+				w.state[i] = consLive
 				w.resolved--
 			}
 		}
@@ -717,44 +716,44 @@ func resolveWarm(w *warmState, workers int) []KnownEdge {
 			rebuild()
 		}
 		progress := false
-		for _, st := range w.consList {
-			if st.resolved != consLive {
+		for i := range w.cons {
+			if w.state[i] != consLive {
 				continue
 			}
-			fDead, sDead := dead(st.first), dead(st.second)
+			c := &w.cons[i]
+			fDead, sDead := dead(c.First), dead(c.Second)
 			switch {
 			case fDead != nil && sDead != nil:
-				conflict(*fDead, st.kind1, st.key)
+				conflict(*fDead, c.Kind1, c.Key)
 				return witness
 			case fDead != nil:
-				st.resolved = consForcedSecond
+				w.state[i] = consForcedSecond
 				w.resolved++
 				progress = true
-				if st.encoded {
-					// ¬sel is a consequence (sel would force the dead side);
-					// a permanent unit clause, unlike the implied states'
-					// revocable assumptions.
-					w.s.AddClause(sat.NegLit(st.sel))
+				if sel := w.sel[i]; sel != sat.LitUndef {
+					// ¬sel is a consequence (sel would force the dead side):
+					// a permanent unit clause.
+					w.s.AddClause(sel.Neg())
 				}
-				if !forceSide(st.second, st.kind2, st.key) {
+				if !forceSide(c.Second, c.Kind2, c.Key) {
 					return witness
 				}
 			case sDead != nil:
-				st.resolved = consForcedFirst
+				w.state[i] = consForcedFirst
 				w.resolved++
 				progress = true
-				if st.encoded {
-					w.s.AddClause(sat.PosLit(st.sel))
+				if sel := w.sel[i]; sel != sat.LitUndef {
+					w.s.AddClause(sel)
 				}
-				if !forceSide(st.first, st.kind1, st.key) {
+				if !forceSide(c.First, c.Kind1, c.Key) {
 					return witness
 				}
-			case allImplied(st.first):
-				st.resolved = consImpliedFirst
+			case allImplied(c.First):
+				w.state[i] = consImpliedFirst
 				w.resolved++
 				progress = true
-			case allImplied(st.second):
-				st.resolved = consImpliedSecond
+			case allImplied(c.Second):
+				w.state[i] = consImpliedSecond
 				w.resolved++
 				progress = true
 			}

@@ -27,15 +27,17 @@
 //     the §3.5 passes — on the same solver. Rejections therefore never
 //     rest on timestamps.
 //
-// The incremental Checker threads the same classification through its
-// warm solver as per-audit assumption literals, maintaining the event
-// order across appends and falling back to a full re-sort on
-// non-monotonic ingest (see incremental.go).
+// A warm session audit runs the same classification and pass loop on its
+// carried solver (see incremental.go). Its ŝ is the events sorted by
+// (timestamp, node id) once per audit whenever every constant runs forward
+// in that order — exactly the order the one-shot check's topological sort
+// yields then — and the theory's maintained order otherwise.
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"viper/internal/history"
 )
@@ -65,10 +67,10 @@ func tsUsable(h *history.History) (ok bool, reason string) {
 	return true, ""
 }
 
-// tsClassify is one near-linear pass over the constraints: decided
-// constraints go to chosen as indices (2·index + side, side 1 for the
-// second), the rest to residual (cons and at only). A side with every
-// edge strictly drift-implied is settled; exactly one settled side
+// tsClassify is one near-linear pass over set's constraints: decided
+// constraints go to chosen as indices into set.cons (2·index + side, side
+// 1 for the second), the rest to residual (cons and at only). A side with
+// every edge strictly drift-implied is settled; exactly one settled side
 // decides the constraint. Both-sides-settled — possible only with
 // inconsistent cross-transaction timestamps — is deliberately residual:
 // the solver, not the clock, owns contradictions.
@@ -78,7 +80,7 @@ type tsClassified struct {
 	chosen   []int32
 }
 
-func (pg *Polygraph) tsClassify(drift int64) tsClassified {
+func (pg *Polygraph) tsClassify(set consSet, drift int64) tsClassified {
 	settled := func(side []Edge) bool {
 		for _, e := range side {
 			if pg.nodeTS[e.To]-pg.nodeTS[e.From] <= drift {
@@ -87,8 +89,8 @@ func (pg *Polygraph) tsClassify(drift int64) tsClassified {
 		}
 		return true
 	}
-	out := tsClassified{chosen: make([]int32, 0, len(pg.Cons))}
-	for i, c := range pg.Cons {
+	out := tsClassified{chosen: make([]int32, 0, len(set.cons))}
+	for i, c := range set.cons {
 		f, s := settled(c.First), settled(c.Second)
 		if f != s {
 			out.decided++
@@ -99,7 +101,7 @@ func (pg *Polygraph) tsClassify(drift int64) tsClassified {
 			}
 		} else {
 			out.residual.cons = append(out.residual.cons, c)
-			out.residual.at = append(out.residual.at, int32(i))
+			out.residual.at = append(out.residual.at, set.at[i])
 		}
 	}
 	return out
@@ -125,199 +127,33 @@ func chosenForward(cons []Constraint, chosen []int32, pos []int32) bool {
 	return true
 }
 
-// ---- Warm-path helpers (incremental.go) ----------------------------------
-
-// tsWarm is one audit's view of the timestamp order for the warm solver:
-// a raw-timestamp oracle over event nodes (no materialized positions —
-// classification needs only the drift relation).
-type tsWarm struct {
-	h     *history.History
-	ser   bool
-	drift int64
-}
-
-// nodeTS returns an event node's timestamp under the session's node
-// mapping (matching Polygraph.initNodeTS: one node per transaction,
-// stamped with CommitAt, for Serializability; begin/commit pairs
-// otherwise).
-func (tw *tsWarm) nodeTS(n int32) int64 {
-	if tw.ser {
-		return tw.h.Txns[n].CommitAt
+// tsSchedule returns the positions of pg's nodes sorted by (timestamp,
+// node id). When every known edge runs forward in it, it is the order the
+// heuristic topological sort (solveRun.less) derives.
+func (pg *Polygraph) tsSchedule() []int32 {
+	order := make([]int32, pg.NumNodes)
+	for i := range order {
+		order[i] = int32(i)
 	}
-	t := tw.h.Txns[n/2]
-	if n&1 == 0 {
-		return t.BeginAt
-	}
-	return t.CommitAt
-}
-
-func (tw *tsWarm) implies(u, v int32) bool { return tw.nodeTS(v)-tw.nodeTS(u) > tw.drift }
-
-func (tw *tsWarm) settled(side []sideEdge) bool {
-	for i := range side {
-		if !tw.implies(side[i].e.From, side[i].e.To) {
-			return false
+	ts := pg.nodeTS
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(ts[a], ts[b]); c != 0 {
+			return c
 		}
-	}
-	return true
-}
-
-// choose classifies one warm constraint: ok means the timestamps decided
-// it, and first selects the side.
-func (tw *tsWarm) choose(st *consState) (first, ok bool) {
-	f, s := tw.settled(st.first), tw.settled(st.second)
-	return f, f != s
-}
-
-// tsChoiceNone/First/Second encode a per-audit constraint decision.
-const (
-	tsChoiceNone = iota
-	tsChoiceFirst
-	tsChoiceSecond
-)
-
-// updateTS folds newly appended transactions into the session's
-// timestamp state: the usability verdict (terminal — an unusable stamp
-// never leaves the history, so there is no way back once one arrives)
-// and the maintained event order. A committed transaction whose stamps
-// extend the order monotonically appends in place; out-of-order ingest
-// marks the order dirty and the next audit rebuilds it cold
-// (rebuildTSOrder). The append path reproduces the rebuild's (timestamp,
-// node id) sort exactly: appended nodes carry both larger stamps and
-// larger ids than everything already ordered.
-func (inc *Incremental) updateTS(newTxns []*history.Txn) {
-	if inc.tsReason != "" {
-		return
-	}
-	if !inc.tsDirty && len(inc.tsOrder) == 0 {
-		// Seed genesis: both its stamps are zero, so it sorts first.
-		if inc.ser() {
-			inc.tsOrder = append(inc.tsOrder, 0)
-		} else {
-			inc.tsOrder = append(inc.tsOrder, 0, 1)
-		}
-	}
-	for _, t := range newTxns {
-		if !t.Committed() {
-			continue
-		}
-		switch {
-		case t.BeginAt <= 0 || t.CommitAt <= 0:
-			inc.tsReason = fmt.Sprintf("txn %d carries absent or zero timestamps", t.ID)
-		case t.CommitAt < t.BeginAt:
-			inc.tsReason = fmt.Sprintf("txn %d commits before it begins (begin %d, commit %d)", t.ID, t.BeginAt, t.CommitAt)
-		}
-		if inc.tsReason != "" {
-			inc.tsOrder, inc.tsDirty = nil, false
-			return
-		}
-		if inc.tsDirty {
-			continue // a rebuild is already owed
-		}
-		low := t.BeginAt
-		if inc.ser() {
-			low = t.CommitAt
-		}
-		if low < inc.tsHigh {
-			inc.tsDirty = true
-			continue
-		}
-		if inc.ser() {
-			inc.tsOrder = append(inc.tsOrder, int32(t.ID))
-		} else {
-			inc.tsOrder = append(inc.tsOrder, int32(t.ID)*2, int32(t.ID)*2+1)
-		}
-		inc.tsHigh = t.CommitAt
-	}
+		return cmp.Compare(a, b)
+	})
+	return positionsOf(order)
 }
 
 // constantsForward reports whether every constant edge runs forward in
-// pos; a position of -1 marks a node outside the timestamp order and
-// fails the check. With every constant forward, every closure path over
-// constants is forward too, so resolution-implied constraint sides need
-// no separate check.
+// pos. With every constant forward, every closure path over constants is
+// forward too, so resolution-implied constraint sides need no separate
+// check.
 func constantsForward(known []KnownEdge, pos []int32) bool {
 	for _, e := range known {
-		if pos[e.From] < 0 || pos[e.From] >= pos[e.To] {
+		if pos[e.From] >= pos[e.To] {
 			return false
 		}
 	}
 	return true
-}
-
-// rebuildTSOrder re-sorts the session's committed event nodes by
-// (timestamp, node id) from scratch — the cold fallback after
-// non-monotonic ingest, and the initial build. Genesis sorts first (its
-// stamps are zero and usable histories carry positive stamps).
-func (inc *Incremental) rebuildTSOrder() {
-	type ev struct {
-		ts   int64
-		node int32
-	}
-	var evs []ev
-	for _, t := range inc.h.Txns {
-		if !t.Committed() {
-			continue
-		}
-		if inc.ser() {
-			evs = append(evs, ev{t.CommitAt, int32(t.ID)})
-			continue
-		}
-		evs = append(evs, ev{t.BeginAt, int32(t.ID) * 2}, ev{t.CommitAt, int32(t.ID)*2 + 1})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].ts != evs[j].ts {
-			return evs[i].ts < evs[j].ts
-		}
-		return evs[i].node < evs[j].node
-	})
-	inc.tsOrder = inc.tsOrder[:0]
-	for _, e := range evs {
-		inc.tsOrder = append(inc.tsOrder, e.node)
-	}
-	inc.tsHigh = 0
-	if len(evs) > 0 {
-		inc.tsHigh = evs[len(evs)-1].ts
-	}
-	inc.tsDirty = false
-}
-
-// tsWitness turns the maintained event order into witness positions:
-// ordered nodes first, every remaining node (aborted transactions'
-// events) after them. Aborted events carry no edges or constraints, so
-// any position is consistent.
-func (inc *Incremental) tsWitness(n int32) []int32 {
-	pos := make([]int32, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	next := int32(0)
-	for _, nd := range inc.tsOrder {
-		if nd < n && pos[nd] == -1 {
-			pos[nd] = next
-			next++
-		}
-	}
-	for i := range pos {
-		if pos[i] == -1 {
-			pos[i] = next
-			next++
-		}
-	}
-	return pos
-}
-
-// tsOrderPositions maps the maintained order to per-node positions for
-// the constants-forward check; nodes outside the order get -1.
-func (inc *Incremental) tsOrderPositions(n int32) []int32 {
-	pos := make([]int32, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	for i, nd := range inc.tsOrder {
-		if nd < n {
-			pos[nd] = int32(i)
-		}
-	}
-	return pos
 }

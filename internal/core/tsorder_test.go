@@ -285,43 +285,68 @@ func TestTSFastPathDifferentialIncremental(t *testing.T) {
 	}
 }
 
-// TestTSFastPathIncrementalMonotone streams a serial history (appended in
-// timestamp order) through a warm session: the maintained order must stay
-// clean across audits — no cold rebuilds — and the audits accept with the
-// fast path deciding constraints.
+// TestTSFastPathIncrementalMonotone streams stamped histories through a
+// warm session: a serial history (appended in timestamp order), and a
+// 24-client runner history whose concurrent transactions arrive out of
+// timestamp order. Every audit accepts with a verified witness and the
+// fast path deciding constraints. On the concurrent stream every warm
+// audit also decides every live constraint and accepts on the timestamp
+// order alone, without a solver pass — the property a stamped daemon
+// stream rests on.
 func TestTSFastPathIncrementalMonotone(t *testing.T) {
-	h := histgen.SI(histgen.Spec{Txns: 240, Keys: 5, MaxConcurrency: 1, Seed: 5})
-	inc := NewIncremental(Options{Level: AdyaSI, SelfCheck: true})
-	const step = 60
-	var last *Report
-	for at := 1; at < len(h.Txns); at += step {
-		hi := at + step
-		if hi > len(h.Txns) {
-			hi = len(h.Txns)
-		}
-		for _, txn := range h.Txns[at:hi] {
-			t2 := *txn
-			inc.Append(&t2)
-		}
-		if err := inc.History().Validate(); err != nil {
-			t.Fatal(err)
-		}
-		last = inc.Audit()
-		if last.Outcome != Accept {
-			t.Fatalf("audit at %d txns: %v, want Accept", hi, last.Outcome)
-		}
-		if !last.WitnessVerified {
-			t.Fatalf("audit at %d txns: witness failed self-check", hi)
-		}
-		if inc.tsDirty {
-			t.Fatalf("audit at %d txns: serial ingest dirtied the timestamp order", hi)
-		}
-		if inc.tsReason != "" {
-			t.Fatalf("audit at %d txns: unusable: %s", hi, inc.tsReason)
-		}
+	concurrent, _, err := runner.Run(workload.NewBlindWRW(), runner.Config{Clients: 24, Txns: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if last.TSDecided == 0 {
-		t.Fatal("warm fast path never decided a constraint on a serial history")
+	for _, tc := range []struct {
+		name       string
+		h          *history.History
+		step       int
+		concurrent bool
+	}{
+		{"serial", histgen.SI(histgen.Spec{Txns: 240, Keys: 5, MaxConcurrency: 1, Seed: 5}), 60, false},
+		{"runner-24", concurrent, 200, true},
+	} {
+		inc := NewIncremental(Options{Level: AdyaSI, SelfCheck: true})
+		var last *Report
+		for at := 1; at < len(tc.h.Txns); at += tc.step {
+			hi := min(at+tc.step, len(tc.h.Txns))
+			for _, txn := range tc.h.Txns[at:hi] {
+				t2 := *txn
+				inc.Append(&t2)
+			}
+			if err := inc.History().Validate(); err != nil {
+				if !tc.concurrent {
+					t.Fatal(err)
+				}
+				continue // a read of a write appended later: not a valid prefix
+			}
+			warm := last != nil
+			last = inc.Audit()
+			if last.Outcome != Accept {
+				t.Fatalf("%s: audit at %d txns: %v, want Accept", tc.name, hi, last.Outcome)
+			}
+			if !last.WitnessVerified {
+				t.Fatalf("%s: audit at %d txns: witness failed self-check", tc.name, hi)
+			}
+			if !tc.concurrent || !warm {
+				continue
+			}
+			if inc.warm == nil {
+				t.Fatalf("%s: audit at %d txns ran cold", tc.name, hi)
+			}
+			if last.TSDecided == 0 || last.TSResidual != 0 {
+				t.Fatalf("%s: warm audit at %d txns: %d decided, %d residual; want every live constraint decided",
+					tc.name, hi, last.TSDecided, last.TSResidual)
+			}
+			if last.Phases.Solve != 0 {
+				t.Fatalf("%s: warm audit at %d txns reached the solver (%v solving, %d retries)",
+					tc.name, hi, last.Phases.Solve, last.Retries)
+			}
+		}
+		if last.TSDecided == 0 {
+			t.Fatalf("%s: warm fast path never decided a constraint", tc.name)
+		}
 	}
 }
 
@@ -390,8 +415,8 @@ func TestTSFastPathUnusableMixed(t *testing.T) {
 		t.Fatal("DisableTSFastPath still probed timestamp usability")
 	}
 
-	// Warm incremental variant: the first (cold) audit reports it via the
-	// batch path, the second (warm) via the session's terminal tsReason.
+	// Warm incremental variant: the first (cold) audit and the second
+	// (warm) one both report it.
 	inc := NewIncremental(Options{Level: AdyaSI})
 	for _, txn := range mixed() {
 		t2 := *txn
@@ -463,7 +488,7 @@ func TestTSOrderDriftBoundaryStrict(t *testing.T) {
 		if len(pg.Cons) != 1 {
 			t.Fatalf("want exactly one WW constraint, got %d", len(pg.Cons))
 		}
-		return pg.tsClassify(drift.Nanoseconds())
+		return pg.tsClassify(consSet{cons: pg.Cons, at: []int32{0}}, drift.Nanoseconds())
 	}
 	// Largest edge gap on the winning side is b(T2) − c(T1) = 98.
 	if tc := classify(97 * time.Nanosecond); tc.decided != 1 {

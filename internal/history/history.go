@@ -189,7 +189,8 @@ type WriterRef struct {
 //
 // Txns[0] is always the genesis transaction. A History built by Builder or
 // decoded by package histio is already validated and indexed; histories
-// assembled by hand must call Validate before being checked.
+// assembled by hand must call Validate before being checked, and again
+// after every Append (see Validated).
 type History struct {
 	Txns []*Txn
 
@@ -202,14 +203,25 @@ type History struct {
 	writerOf map[WriteID]WriterRef // committed writes only
 	keys     []Key                 // sorted distinct keys written by committed txns
 	keyIdx   map[Key]int
+	// validated is how many transactions (genesis included) the indexes
+	// above cover: len(Txns) as of the last successful Validate, 0 after a
+	// failed one.
+	validated int
 }
 
 // New returns an empty history containing only the genesis transaction.
+// Its indexes are empty, which is correct for genesis alone.
 func New() *History {
-	h := &History{}
+	h := &History{validated: 1}
 	h.Txns = append(h.Txns, &Txn{ID: GenesisID, Session: -1, Status: StatusCommitted})
 	return h
 }
+
+// Validated returns how many transactions, genesis included, the last
+// successful Validate indexed (0 if the last Validate failed). A history
+// appended to since has Validated() < len(Txns): its indexes miss the new
+// transactions until Validate runs again.
+func (h *History) Validated() int { return h.validated }
 
 // Append adds a transaction, assigning and returning its id. The caller
 // fills Session/SeqInSession; Validate checks session consistency.
@@ -378,6 +390,7 @@ func (h *History) errf(kind ViolationKind, txn TxnID, op int, format string, arg
 //   - session sequence numbers are dense and transactions within a session
 //     do not overlap in time (sessions are synchronous).
 func (h *History) Validate() error {
+	h.validated = 0
 	h.writerOf = make(map[WriteID]WriterRef, len(h.Txns)*4)
 	h.keyIdx = nil
 	h.keys = h.keys[:0]
@@ -496,6 +509,7 @@ func (h *History) Validate() error {
 	for i, k := range h.keys {
 		h.keyIdx[k] = i
 	}
+	h.validated = len(h.Txns)
 	return nil
 }
 

@@ -342,3 +342,30 @@ func TestBuilderExtras(t *testing.T) {
 		t.Fatal("RawHistory length")
 	}
 }
+
+// TestValidatedTracksIndexedTxns: Validated covers genesis on a fresh
+// history, stays behind after an Append until the next successful
+// Validate, and drops to 0 when a Validate fails.
+func TestValidatedTracksIndexedTxns(t *testing.T) {
+	h := New()
+	if got := h.Validated(); got != 1 {
+		t.Fatalf("fresh history: Validated() = %d, want 1", got)
+	}
+	h.Append(&Txn{Session: 0, Ops: []Op{{Kind: OpWrite, Key: "x", WriteID: 1}}})
+	if got := h.Validated(); got != 1 {
+		t.Fatalf("after Append: Validated() = %d, want 1", got)
+	}
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Validated(); got != 2 {
+		t.Fatalf("after Validate: Validated() = %d, want 2", got)
+	}
+	h.Append(&Txn{Session: 1, Ops: []Op{{Kind: OpRead, Key: "x", Observed: 9}}})
+	if err := h.Validate(); err == nil {
+		t.Fatal("read of an unknown write validated")
+	}
+	if got := h.Validated(); got != 0 {
+		t.Fatalf("after a failed Validate: Validated() = %d, want 0", got)
+	}
+}

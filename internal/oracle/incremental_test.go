@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -98,10 +99,12 @@ func compareCounters(t *testing.T, got, want *core.Report, firstAudit bool, ctx 
 
 // auditPrefixes drives one incremental session over h in batches of the
 // given size, and at every batch boundary compares the session's Audit
-// against a from-scratch CheckHistory on the same validated prefix.
-func auditPrefixes(t *testing.T, h *history.History, opts core.Options, batch int, ctx string) {
+// against a from-scratch CheckHistory on the same validated prefix. It
+// returns the session's reports, one per audit.
+func auditPrefixes(t *testing.T, h *history.History, opts core.Options, batch int, ctx string) []*core.Report {
 	t.Helper()
 	inc := core.NewIncremental(opts)
+	var reps []*core.Report
 	firstAudit := true
 	rejected := false
 	n := h.Len()
@@ -124,6 +127,7 @@ func auditPrefixes(t *testing.T, h *history.History, opts core.Options, batch in
 			t.Fatalf("%s k=%d: session history failed validation: %v", ctx, at, err)
 		}
 		got := inc.Audit()
+		reps = append(reps, got)
 		want := core.CheckHistory(prefix, opts)
 		if got.Outcome != want.Outcome {
 			t.Fatalf("%s k=%d: incremental=%v batch=%v\nhistory: %v",
@@ -145,15 +149,20 @@ func auditPrefixes(t *testing.T, h *history.History, opts core.Options, batch in
 		}
 		checkCycleClosed(t, got, ctx)
 	}
+	return reps
 }
 
 // incrementalCombos is the option matrix for the incremental differential:
 // the warm-solver path (AdyaSI / Serializability with default solving),
-// its ablation variants, parallel regeneration, the always-cold real-time
-// levels, and the solver-free ReadCommitted path.
+// its ablation variants, a pruning radius small enough that warm passes
+// prune, resolution off so the warm solver alone answers for constraints
+// whose sides grow after it encoded them, parallel regeneration, the
+// always-cold real-time levels, and the solver-free ReadCommitted path.
 func incrementalCombos() []core.Options {
 	return []core.Options{
 		{Level: core.AdyaSI, SelfCheck: true},
+		{Level: core.AdyaSI, SelfCheck: true, InitialK: 4},
+		{Level: core.AdyaSI, SelfCheck: true, DisableResolve: true},
 		{Level: core.AdyaSI, SelfCheck: true, DisableCombineWrites: true},
 		{Level: core.AdyaSI, SelfCheck: true, DisableCoalesce: true},
 		{Level: core.AdyaSI, SelfCheck: true, DisablePruning: true},
@@ -204,6 +213,16 @@ func TestIncrementalMatchesBatchOnNamedHistories(t *testing.T) {
 			s2.Txn().ReadObserved("x", t1.WriteIDOf("x")).Write("x").Commit()
 			s3.Txn().ReadObserved("x", t1.WriteIDOf("x")).Write("x").Commit()
 		})},
+		// A long fork over blind writes: the x constraint between t1 and t2
+		// is encoded before the readers arrive, then both of its sides grow
+		// until neither holds.
+		{"blind-long-fork", mk(func(b *history.Builder) {
+			ss := []*history.SessionBuilder{b.Session(), b.Session(), b.Session(), b.Session()}
+			t1 := ss[0].Txn().Write("x").Write("z").Commit()
+			t2 := ss[1].Txn().Write("x").Write("y").Commit()
+			ss[2].Txn().ReadObserved("x", t1.WriteIDOf("x")).ReadObserved("y", t2.WriteIDOf("y")).Commit()
+			ss[3].Txn().ReadObserved("x", t2.WriteIDOf("x")).ReadObserved("z", t1.WriteIDOf("z")).Commit()
+		})},
 		{"read-skew", mk(func(b *history.Builder) {
 			s1, s2 := b.Session(), b.Session()
 			wy := history.WriteID(2)
@@ -244,26 +263,58 @@ func TestIncrementalMatchesBatchOnFuzzCorpus(t *testing.T) {
 // TestIncrementalMatchesBatchOnAnomalyStream audits a realistic growing
 // stream: a BlindW-RW run with every injectable anomaly planted in turn,
 // appended in batches, where the session must flip to Reject at the same
-// boundary as the batch checker and stay rejected afterwards.
+// boundary as the batch checker and stay rejected afterwards. The run is
+// streamed as recorded and with its timestamps zeroed: without usable
+// stamps the warm audits skip the timestamp stage and solve, and at
+// radius 4 their passes prune.
 func TestIncrementalMatchesBatchOnAnomalyStream(t *testing.T) {
 	base, _, err := runner.Run(workload.NewBlindWRW(), runner.Config{Clients: 4, Txns: 60, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range anomaly.Kinds() {
-		h := anomaly.Inject(base, kind)
-		if h == nil {
-			continue
+	// run copies the base run into a fresh history, which Inject then
+	// appends to, with or without its timestamps.
+	run := func(stamped bool) *history.History {
+		h := history.New()
+		for _, tx := range base.Txns[1:] {
+			t2 := *tx
+			if !stamped {
+				t2.BeginAt, t2.CommitAt = 0, 0
+			}
+			h.Append(&t2)
 		}
-		if err := h.Validate(); err != nil {
-			continue // some injections are validation-level violations
+		return h
+	}
+	warmPruned := 0
+	for _, stamped := range []bool{true, false} {
+		for _, kind := range anomaly.Kinds() {
+			h := anomaly.Inject(run(stamped), kind)
+			if h == nil {
+				continue
+			}
+			if err := h.Validate(); err != nil {
+				continue // some injections are validation-level violations
+			}
+			ctx := fmt.Sprintf("anomaly/stamped=%v/%v", stamped, kind)
+			for _, opts := range []core.Options{
+				{Level: core.AdyaSI, SelfCheck: true},
+				{Level: core.AdyaSI, SelfCheck: true, InitialK: 4},
+				{Level: core.AdyaSI, SelfCheck: true, Parallelism: 4},
+				{Level: core.Serializability, SelfCheck: true},
+			} {
+				reps := auditPrefixes(t, h, opts, 7, ctx)
+				if stamped || opts.InitialK != 4 {
+					continue
+				}
+				for _, rep := range reps[1:] {
+					if rep.PrunedConstraints > 0 {
+						warmPruned++
+					}
+				}
+			}
 		}
-		for _, opts := range []core.Options{
-			{Level: core.AdyaSI, SelfCheck: true},
-			{Level: core.AdyaSI, SelfCheck: true, Parallelism: 4},
-			{Level: core.Serializability, SelfCheck: true},
-		} {
-			auditPrefixes(t, h, opts, 7, "anomaly/"+kind.String())
-		}
+	}
+	if warmPruned == 0 {
+		t.Fatal("no warm audit of the unstamped stream pruned a constraint at radius 4")
 	}
 }
