@@ -468,10 +468,10 @@ func newDigestEncoder(w io.Writer, node string) *digestEncoder {
 	return &digestEncoder{e: e}
 }
 
-// record encodes one key record frame. Node ids (every From/To and
-// constraint-id value) share a single per-record delta chain in
-// emission order; each edge run is prefixed with its node id count
-// (twice its edge count).
+// record encodes one key record frame. Node ids (every From/To) share a
+// single per-record delta chain in emission order; each edge run is
+// prefixed with its node id count (twice its edge count). An op's flags
+// byte has one bit: 1 for a constraint.
 func (d *digestEncoder) record(rec *core.KeyRecord) error {
 	e := d.e
 	e.byte1(digestFrameRecord)
@@ -495,15 +495,6 @@ func (d *digestEncoder) record(rec *core.KeyRecord) error {
 		if op.Cons {
 			flags |= 1
 		}
-		if op.FBad {
-			flags |= 2
-		}
-		if op.SBad {
-			flags |= 4
-		}
-		if op.HasID {
-			flags |= 8
-		}
 		e.byte1(flags)
 		e.byte1(byte(op.Kind))
 		if !op.Cons {
@@ -514,10 +505,6 @@ func (d *digestEncoder) record(rec *core.KeyRecord) error {
 		e.byte1(byte(op.Kind2))
 		run(op.First)
 		run(op.Second)
-		if op.HasID {
-			edge(op.ID[0])
-			edge(op.ID[1])
-		}
 	}
 	d.n++
 	return e.err
@@ -587,10 +574,11 @@ func decodeDigest(r *bufio.Reader, keys []history.Key, nodes int32, onRecord fun
 // gives it: every constraint side a capacity-capped view, in emission
 // order, of one exact slab (rec.Sides), and empty runs nil. Sides decode
 // into scratch first, since a frame does not announce their total. What
-// recording never emits is a decode error: an edge run with an odd node
-// id count, a known-edge op that does not carry exactly one edge, and an
-// edge that is a self-loop or leaves the node ids [0, nodes) — the
-// replay would index past the polygraph's nodes.
+// recording never emits is a decode error: an op flags byte with a bit
+// other than the constraint bit, an edge run with an odd node id count, a
+// known-edge op that does not carry exactly one edge, and an edge that is
+// a self-loop or leaves the node ids [0, nodes) — the replay would index
+// past the polygraph's nodes.
 func (d *wireDec) readRecord(nodes int32, scratch *[]core.Edge) *core.KeyRecord {
 	rec := &core.KeyRecord{}
 	var prev int64
@@ -633,12 +621,10 @@ func (d *wireDec) readRecord(nodes int32, scratch *[]core.Edge) *core.KeyRecord 
 	}
 	for i := 0; i < nops && d.err == nil; i++ {
 		flags := d.byte1()
-		op := core.KeyOp{
-			Cons: flags&1 != 0,
-			FBad: flags&2 != 0,
-			SBad: flags&4 != 0,
-			Kind: core.EdgeKind(d.byte1()),
+		if d.err == nil && flags&^1 != 0 {
+			d.fail("wire: op flags 0x%02x carry bits recording never sets", flags)
 		}
+		op := core.KeyOp{Cons: flags&1 != 0, Kind: core.EdgeKind(d.byte1())}
 		if !op.Cons {
 			if n := run("edge"); d.err == nil && n != 1 {
 				d.fail("wire: known-edge op carries %d edges, want 1", n)
@@ -648,9 +634,6 @@ func (d *wireDec) readRecord(nodes int32, scratch *[]core.Edge) *core.KeyRecord 
 			op.Kind2 = core.EdgeKind(d.byte1())
 			op.First = side("first side")
 			op.Second = side("second side")
-			if op.HasID = flags&8 != 0; op.HasID {
-				op.ID = [2]core.Edge{edge(), edge()}
-			}
 		}
 		rec.Ops = append(rec.Ops, op)
 	}

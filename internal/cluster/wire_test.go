@@ -307,10 +307,10 @@ type flatOp struct {
 	Kind   uint8   `json:"k,omitempty"`
 	First  []int32 `json:"f,omitempty"`
 	Second []int32 `json:"s,omitempty"`
-	FBad   bool    `json:"fb,omitempty"`
-	SBad   bool    `json:"sb,omitempty"`
 	Kind2  uint8   `json:"k2,omitempty"`
-	ID     []int32 `json:"id,omitempty"`
+	// Flags holds extra op flag bits for writeFlat to set: bits the
+	// encoder never sets.
+	Flags byte `json:"-"`
 }
 
 type flatRecord struct {
@@ -338,10 +338,7 @@ func flatRecords(keys []history.Key, recs []*core.KeyRecord) []flatRecord {
 				fo.Edge = flatten(op.Edge)
 			} else {
 				fo.First, fo.Second = flatten(op.First...), flatten(op.Second...)
-				fo.FBad, fo.SBad, fo.Kind2 = op.FBad, op.SBad, uint8(op.Kind2)
-				if op.HasID {
-					fo.ID = flatten(op.ID[:]...)
-				}
+				fo.Kind2 = uint8(op.Kind2)
 			}
 			out[i].Ops = append(out[i].Ops, fo)
 		}
@@ -372,11 +369,9 @@ func writeFlat(recs []flatRecord) []byte {
 		run(rec.WR)
 		e.uvarint(uint64(len(rec.Ops)))
 		for _, op := range rec.Ops {
-			var flags byte
-			for bit, set := range []bool{op.Cons, op.FBad, op.SBad, len(op.ID) > 0} {
-				if set {
-					flags |= 1 << bit
-				}
+			flags := op.Flags
+			if op.Cons {
+				flags |= 1
 			}
 			e.byte1(flags)
 			e.byte1(op.Kind)
@@ -387,9 +382,6 @@ func writeFlat(recs []flatRecord) []byte {
 			e.byte1(op.Kind2)
 			run(op.First)
 			run(op.Second)
-			for _, v := range op.ID {
-				delta(v)
-			}
 		}
 	}
 	e.byte1(digestFrameEnd)
@@ -400,9 +392,10 @@ func writeFlat(recs []flatRecord) []byte {
 
 // TestDigestCorruptionRefused: a digest naming a node outside the
 // history or a self-loop, a known-edge op that does not carry exactly
-// one edge, and a constraint side with an odd node id count are decode
-// errors, so none reaches the merger or CheckMergedContext; the
-// coordinator moves such a shard on like any failed dispatch.
+// one edge, a constraint side with an odd node id count, and an op flags
+// byte with a bit other than the constraint bit are decode errors, so
+// none reaches the merger or CheckMergedContext; the coordinator moves
+// such a shard on like any failed dispatch.
 func TestDigestCorruptionRefused(t *testing.T) {
 	h := wireHistory(40, 5, 1)
 	opts := core.Options{Level: core.AdyaSI, Parallelism: 1}
@@ -440,6 +433,8 @@ func TestDigestCorruptionRefused(t *testing.T) {
 			op := &fs[ci].Ops[cj]
 			op.First = op.First[:len(op.First)-1]
 		}},
+		{"constraint with a retired flag bit", func(fs []flatRecord) { fs[ci].Ops[cj].Flags = 8 }},
+		{"known edge with a retired flag bit", func(fs []flatRecord) { fs[ki].Ops[kj].Flags = 2 }},
 	} {
 		fs := flatRecords(h.Keys(), recs)
 		tc.corrupt(fs)

@@ -77,8 +77,10 @@ type Report struct {
 	// graph's transitive closure, or one side already implied by it);
 	// ForcedEdges counts the known edges that forcing appended. Zero when
 	// Options.DisableResolve is set or the pass declined to run. On a warm
-	// incremental session both are cumulative across audits, like
-	// Constraints.
+	// incremental session every audit resolves all the session's
+	// constraints afresh, so ResolvedConstraints counts those this audit
+	// discharged, while ForcedEdges is cumulative across audits, like
+	// Constraints: forced edges stay constants.
 	ResolvedConstraints int
 	ForcedEdges         int
 
@@ -135,9 +137,10 @@ type Report struct {
 	// Session memory gauges, stamped by Incremental at the end of every
 	// audit (zero on reports that never passed through a session). These
 	// are what checkpointing bounds: LiveTxns and HistoryBytes cover the
-	// live window, ClosureBytes the resolution closure's materialized
-	// rows. Checkpoints/FencedTxns/CertBytes/TxnIDBase describe the
-	// checkpoint certificate carried in place of the compacted prefix.
+	// live window, ClosureBytes the materialized rows of the resolution
+	// closure a warm audit built (zero on a cold audit, or when resolution
+	// did not run). Checkpoints/FencedTxns/CertBytes/TxnIDBase describe
+	// the checkpoint certificate carried in place of the compacted prefix.
 	LiveTxns     int
 	HistoryBytes int64
 	ClosureBytes int64
@@ -268,11 +271,6 @@ func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
 		Constraints: len(pg.Cons),
 	}
 
-	if pg.Contradiction {
-		rep.Outcome = Reject
-		return rep
-	}
-
 	// Topologically sort the known graph. A cycle here is a rejection with
 	// direct evidence; otherwise the order seeds heuristic pruning.
 	out := make([][]int32, pg.NumNodes)
@@ -283,7 +281,7 @@ func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
 	order, ok := acyclic.TopoPriority(int(pg.NumNodes), out, r.less)
 	if !ok {
 		rep.Outcome = Reject
-		rep.KnownCycle = pg.knownCycle(out)
+		rep.KnownCycle = knownCycle(out, pg.Known)
 		return rep
 	}
 
@@ -407,8 +405,9 @@ type consSet struct {
 //
 // A one-shot check starts its solver, theory and encodings at its first
 // pass. A warm session audit hands in the ones it carries across audits
-// (warm): its constants are already in the theory and its resolution
-// (resolveWarm) has already run, so this run resolves nothing.
+// (warm): its constants are already in the theory, and it has already
+// resolved its constraints through the same fixpoint (warmState.resolve
+// calls resolvePolygraph), so this run resolves nothing.
 type solveRun struct {
 	pg         *Polygraph
 	opts       Options
@@ -462,7 +461,7 @@ func (r *solveRun) resolve(ctx context.Context, set consSet) (_ consSet, ok bool
 	for n, p := range set.pos {
 		order[p] = int32(n)
 	}
-	rr := resolvePolygraph(ctx, pg, set.cons, r.out, order, r.opts.workers())
+	rr := resolvePolygraph(ctx, set.known, set.cons, r.out, order, resolveLargeFolds, r.opts.workers())
 	if rr == nil {
 		return set, true
 	}
@@ -480,14 +479,16 @@ func (r *solveRun) resolve(ctx context.Context, set consSet) (_ consSet, ok bool
 	next := consSet{cons: rr.kept, at: at, known: set.known, pos: set.pos}
 	if len(rr.forced) > 0 {
 		// Forced edges joined the known graph (resolvePolygraph extended out
-		// in place): recompute the heuristic order over the extended graph —
-		// still a DAG, the resolver checked every forced edge against the
-		// closure.
+		// in place): recompute the heuristic order over the extended graph.
+		// The resolver checked every forced edge against its closure, but a
+		// large batch the fixpoint stopped on was never folded, so its edges
+		// may close a cycle the closure never saw: a rejection whose cycle
+		// runs through forced edges, each named with its provenance.
 		next.known = append(append(make([]KnownEdge, 0, len(set.known)+len(rr.forced)), set.known...), rr.forced...)
 		order, ok := acyclic.TopoPriority(int(pg.NumNodes), r.out, r.less)
 		if !ok {
 			rep.Outcome = Reject
-			rep.KnownCycle = pg.knownCycle(r.out)
+			rep.KnownCycle = knownCycle(r.out, next.known)
 			return set, false
 		}
 		next.pos = positionsOf(order)
@@ -838,16 +839,17 @@ func (pg *Polygraph) heuristicEdges(pos []int32, k int, committed []history.TxnI
 	return edges
 }
 
-// knownCycle extracts a cycle of the known graph with edge provenance.
-func (pg *Polygraph) knownCycle(out [][]int32) []KnownEdge {
-	cyc := acyclic.FindCycle(int(pg.NumNodes), out)
+// knownCycle extracts a cycle of the graph with adjacency out, naming
+// each edge with its provenance in known, the graph's edge list.
+func knownCycle(out [][]int32, known []KnownEdge) []KnownEdge {
+	cyc := acyclic.FindCycle(len(out), out)
 	if cyc == nil {
 		return nil
 	}
-	known := indexKnown(pg.Known)
+	idx := indexKnown(known)
 	edges := make([]KnownEdge, 0, len(cyc))
 	for i := range cyc {
-		edges = append(edges, known.provenance(Edge{cyc[i], cyc[(i+1)%len(cyc)]}))
+		edges = append(edges, idx.provenance(Edge{cyc[i], cyc[(i+1)%len(cyc)]}))
 	}
 	return edges
 }

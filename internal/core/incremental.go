@@ -11,10 +11,10 @@
 // dominant construction cost — reruns only where the history actually
 // changed. Each audit then either assembles the records into a Polygraph
 // and runs the ordinary batch solve (the cold path, used for levels with
-// real-time edges, for the first audit so the one-shot wrappers stay
-// byte-compatible with the historical batch pipeline, and when a warm
-// audit bails out), or feeds the deltas to a persistent solver (the warm
-// path). Build and CheckHistory are one-audit sessions.
+// real-time edges, and for the first audit so the one-shot wrappers stay
+// byte-compatible with the historical batch pipeline), or feeds the
+// deltas to a persistent solver (the warm path). Build and CheckHistory
+// are one-audit sessions.
 //
 // The warm path keeps one SAT solver and one acyclicity theory alive for
 // the whole session: learned clauses, VSIDS activities, saved phases, and
@@ -40,14 +40,18 @@
 // chain boundaries. The session detects this by comparing each dirtied
 // key's chain partition against the one it last recorded and rebuilds the
 // solver from the (still incremental) record store when any prior chain is
-// not preserved verbatim. After the warm-only work — new constants,
-// implications for grown sides, resolution against the carried closure —
-// a warm audit hands its live constraints to the cold check's stages
-// (check.go's solveRun.solve) on the carried solver: the same timestamp
-// classification, and the same §3.5 passes, whose pruned sides, stride
-// edges and timestamp-chosen sides form one guarded batch that is retired
-// before the next pass or audit, never a theory constant, which would be
-// irrevocable.
+// not preserved verbatim. After the warm-only work — new constants and
+// implications for grown sides — a warm audit resolves every session
+// constraint through the one-shot check's fixpoint (resolvePolygraph)
+// against a closure of its constants built for that audit, makes the
+// forced edges constants, and hands the constraints left undecided to the
+// cold check's stages (check.go's solveRun.solve) on the carried solver:
+// the same timestamp classification, and the same §3.5 passes, whose
+// pruned sides, stride edges and timestamp-chosen sides form one guarded
+// batch that is retired before the next pass or audit, never a theory
+// constant, which would be irrevocable. No resolution state carries over
+// between audits: constants only accrue, so each audit's fixpoint
+// rediscovers every earlier discharge.
 //
 // Rejection is cached: SI (and the other checked levels) are closed under
 // history prefixes, so once a validated prefix is rejected every extension
@@ -101,36 +105,16 @@ type warmState struct {
 	// construction-time forcing would.
 	cons []Constraint
 	// sel holds each constraint's selector literal once a pass encoded it
-	// (solveRun.sel); state its resolution state (resolve.go): consLive,
-	// or one of the discharged states. Forced states are permanent
-	// (deadness against a growing closure never reverts); implied states
-	// are revalidated each audit because the side lists grow.
-	sel   []sat.Lit
-	state []uint8
+	// (solveRun.sel).
+	sel []sat.Lit
 	// known lists the theory's constants in insertion order with their
-	// provenance, for counterexample cycles and closure rebuilds.
+	// provenance, for counterexample cycles and each audit's closure.
 	known knownIndex
 	// intraHigh is the h.Txns index up to which intra edges are inserted.
 	intraHigh int
 
-	// cl is the bitset transitive closure of the constant edges, kept
-	// across audits for sound pre-solve resolution (resolve.go). clDirty
-	// requests a full rebuild from known under the Pearce–Kelly order
-	// (fresh sessions and closures grown past capacity). cl stays nil
-	// when resolution is disabled or the closure is over budget.
-	cl      *closure
-	clDirty bool
-	// clStaged buffers constants inserted since the last audit's fold;
-	// clPending holds sources of arcs already in cl's adjacency whose
-	// reachability has not been folded into the rows (forcings resolveWarm
-	// deferred). One refresh per audit absorbs both; until then the rows
-	// under-approximate the constant graph, which every resolution read
-	// tolerates (see resolve.go).
-	clStaged  []Edge
-	clPending []int32
-	// resolved / forcedEdges are the session-cumulative resolution
-	// counters backing Report.ResolvedConstraints / ForcedEdges.
-	resolved    int
+	// forcedEdges is the session-cumulative count of resolution-forced
+	// constants, backing Report.ForcedEdges.
 	forcedEdges int
 	// tsDecided / tsResidual are the session-cumulative timestamp
 	// fast-path counters backing Report.TSDecided / TSResidual.
@@ -243,17 +227,13 @@ func (inc *Incremental) publish(snap obs.Snapshot) {
 }
 
 // stampGauges writes the session memory gauges onto a report: live-window
-// history footprint, resolution-closure footprint, and the checkpoint
-// certificate's coordinates. Called at the end of every audit so reports
-// and progress snapshots prove (or disprove) that checkpointing bounds
-// the session.
+// history footprint and the checkpoint certificate's coordinates (a warm
+// audit's resolution stamps the closure's footprint itself). Called at the
+// end of every audit so reports and progress snapshots prove (or
+// disprove) that checkpointing bounds the session.
 func (inc *Incremental) stampGauges(rep *Report) {
 	rep.LiveTxns = inc.h.Len()
 	rep.HistoryBytes = inc.h.EstimateBytes()
-	rep.ClosureBytes = 0
-	if w := inc.warm; w != nil && w.cl != nil {
-		rep.ClosureBytes = w.cl.bytes()
-	}
 	if f := inc.h.Fence(); f != nil {
 		rep.Checkpoints = f.Checkpoints
 		rep.FencedTxns = f.Txns
@@ -376,14 +356,10 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 			inc.partitionChanged = false
 		}
 		// auditWarm books construction as ending at its entry; close the
-		// span to match. (End is idempotent: on a warm bailout the cold
-		// branch below runs with the construct span already closed, so its
-		// assemble work shows up in the audit span but no sub-span —
-		// bailouts are rare enough not to warrant a second region.)
+		// span to match.
 		conReg.End()
 		rep = inc.auditWarm(ctx, constructStart, regenWall, regenCPU, workers)
-	}
-	if rep == nil {
+	} else {
 		// Cold path: assemble the record store into a Polygraph and run the
 		// ordinary batch solve.
 		pg := inc.assemble()
@@ -673,11 +649,69 @@ func cycleEvidence(path []int32, closing KnownEdge, known *knownIndex) []KnownEd
 	return append(out, closing)
 }
 
+// insert makes e a theory constant, with its provenance, unless it is
+// one already. An edge that would close a cycle of constants — a cycle
+// among permanently-true edges, i.e. a rejection — is not inserted; the
+// cycle comes back as evidence.
+func (w *warmState) insert(e Edge, kind EdgeKind, key history.Key) []KnownEdge {
+	if e.From == e.To || w.known.has(e) {
+		return nil // already a constant; re-insertion is a no-op
+	}
+	path, ok := w.th.InsertConstantPath(e.From, e.To)
+	if !ok {
+		return cycleEvidence(path, KnownEdge{Edge: e, Kind: kind, Key: key}, &w.known)
+	}
+	w.known.add(KnownEdge{Edge: e, Kind: kind, Key: key})
+	return nil
+}
+
+// resolve runs the one-shot check's resolution fixpoint (resolvePolygraph)
+// over set, every session constraint, against the closure of the theory's
+// constants over n nodes. The theory's Pearce–Kelly order is a
+// topological order of a supergraph of the constants, so it serves as
+// the build order directly. The fixpoint takes no large folds: a forcing
+// cascade too large for a cheap refresh ends it, and the next audit's
+// closure, built over the forced constants, picks the cascade up. The
+// forced edges become theory constants. resolve returns the constraints
+// left undecided, with their indexes in w.cons, or a rejection's
+// evidence: a cycle that forcing closes, in the closure or among the
+// constants.
+func (w *warmState) resolve(ctx context.Context, set consSet, n int32, workers int, rep *Report) (consSet, []KnownEdge) {
+	start := time.Now()
+	defer func() { rep.Phases.Resolve = time.Since(start) }()
+	out := make([][]int32, n)
+	for _, ke := range w.known.edges {
+		out[ke.From] = append(out[ke.From], ke.To)
+	}
+	order := make([]int32, n)
+	for v := int32(0); v < n; v++ {
+		order[w.th.Order(v)] = v
+	}
+	rr := resolvePolygraph(ctx, w.known.edges, set.cons, out, order, 0, workers)
+	if rr == nil {
+		return set, nil
+	}
+	rep.ResolvedConstraints, rep.ClosureBytes = rr.resolved, rr.bytes
+	if rr.cycle != nil {
+		return set, rr.cycle
+	}
+	for _, ke := range rr.forced {
+		if cyc := w.insert(ke.Edge, ke.Kind, ke.Key); cyc != nil {
+			return set, cyc
+		}
+		w.forcedEdges++
+	}
+	kept := consSet{cons: rr.kept, at: make([]int32, len(rr.keptAt))}
+	for i, j := range rr.keptAt {
+		kept.at[i] = set.at[j]
+	}
+	return kept, nil
+}
+
 // auditWarm runs one audit against the persistent solver, encoding only
 // what changed since the last encode (everything, after a rebuild), then
-// hands the live constraints to the cold check's stages on the carried
-// solver. It returns nil if it encountered a record outside the warm
-// invariants — the caller then falls back to the cold path for this audit.
+// resolves and hands the constraints left undecided to the cold check's
+// stages on the carried solver.
 func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time, regenWall, regenCPU time.Duration, workers int) *Report {
 	opts := inc.obsOpts()
 	h := inc.h
@@ -686,10 +720,9 @@ func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time,
 	rebuild := inc.warm == nil
 	if rebuild {
 		w := &warmState{
-			s:       sat.New(),
-			th:      acyclic.NewEdgeTheory(0),
-			ids:     make(map[history.Key]map[[2]Edge]int32),
-			clDirty: true,
+			s:   sat.New(),
+			th:  acyclic.NewEdgeTheory(0),
+			ids: make(map[history.Key]map[[2]Edge]int32),
 		}
 		w.s.SetTheory(w.th)
 		inc.warm = w
@@ -702,47 +735,19 @@ func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time,
 	n := inc.numNodes()
 	w.th.Grow(int(n))
 
-	// Closure maintenance happens before the encode loop so constants
-	// inserted below can fold in incrementally. A closure that cannot admit
-	// the new nodes in place, or whose incremental patching has exceeded
-	// what a rebuild costs, is dropped and rebuilt from known after the
-	// encode loop (under the Pearce–Kelly order the theory maintains).
-	if w.cl != nil && !w.cl.grow(int(n)) {
-		w.cl, w.clDirty = nil, true
-	}
-
 	rep := &Report{Level: opts.Level, Nodes: int(n), ConstructWorkers: workers}
 	rep.Phases.Construct = construct
 	rep.Phases.ConstructCPU = construct - regenWall + regenCPU
 
 	// Constants go straight into the theory graph; a failed insertion is a
 	// cycle among permanently-true edges, i.e. an immediate rejection.
-	// Every new constant is also staged for the resolution closure (when
-	// one is live); the resolution block folds the batch in before use —
-	// incrementally while cheap, via rebuild past the density threshold.
 	var cyc []KnownEdge
-	insert := func(e Edge, kind EdgeKind, key history.Key) bool {
-		if e.From == e.To || w.known.has(e) {
-			return true // already a constant; re-insertion is a no-op
-		}
-		path, ok := w.th.InsertConstantPath(e.From, e.To)
-		if !ok {
-			cyc = cycleEvidence(path, KnownEdge{Edge: e, Kind: kind, Key: key}, &w.known)
-			return false
-		}
-		w.known.add(KnownEdge{Edge: e, Kind: kind, Key: key})
-		if w.cl != nil {
-			w.clStaged = append(w.clStaged, e)
-		}
-		return true
-	}
-
 	if !inc.ser() {
 		for _, t := range h.Txns[w.intraHigh:] {
 			if !t.Committed() {
 				continue
 			}
-			if !insert(Edge{int32(t.ID) * 2, int32(t.ID)*2 + 1}, EdgeIntra, "") {
+			if cyc = w.insert(Edge{int32(t.ID) * 2, int32(t.ID)*2 + 1}, EdgeIntra, ""); cyc != nil {
 				break
 			}
 		}
@@ -777,12 +782,15 @@ func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time,
 
 encode:
 	for _, key := range keys {
+		if cyc != nil {
+			break
+		}
 		rec := inc.records[key]
 		if rec == nil {
 			continue
 		}
 		for _, e := range rec.WR {
-			if !insert(e, EdgeWR, key) {
+			if cyc = w.insert(e, EdgeWR, key); cyc != nil {
 				break encode
 			}
 		}
@@ -790,32 +798,28 @@ encode:
 		for j := range rec.Ops {
 			op := &rec.Ops[j]
 			if !op.Cons {
-				if !insert(op.Edge, op.Kind, key) {
+				if cyc = w.insert(op.Edge, op.Kind, key); cyc != nil {
 					break encode
 				}
 				continue
 			}
-			if op.FBad || op.SBad || (!op.HasID && len(op.First) > 0 && len(op.Second) > 0) {
-				// Outside the warm invariants (chain-pair constraints never
-				// carry impossible sides); rebuild cold next time.
-				inc.warm = nil
-				encReg.End()
-				return nil
-			}
 			if len(op.First) == 0 || len(op.Second) == 0 {
 				continue // one side holds trivially
 			}
-			i, ok := ids[op.ID]
+			// A constraint's identity is its sides' leading edges: the chain
+			// pair's ww edges (or, for an uncoalesced reader constraint, the
+			// reader's rw edge), which later readers never change.
+			id := [2]Edge{op.First[0], op.Second[0]}
+			i, ok := ids[id]
 			if !ok {
 				if ids == nil {
 					ids = make(map[[2]Edge]int32)
 					w.ids[key] = ids
 				}
 				i = int32(len(w.cons))
-				ids[op.ID] = i
+				ids[id] = i
 				w.cons = append(w.cons, Constraint{Kind1: op.Kind, Kind2: op.Kind2, Key: key})
 				w.sel = append(w.sel, sat.LitUndef)
-				w.state = append(w.state, consLive)
 			}
 			// A constraint that already has its clauses gets one more
 			// implication per grown side edge: sel → first side, ¬sel →
@@ -833,95 +837,42 @@ encode:
 		}
 	}
 
-	rep.KnownEdges = w.th.NumConstants()
 	rep.Constraints = len(w.cons)
 	rep.EdgeVars = w.s.NumVars()
 	rep.Solver = w.s.Stats
-	rep.Reorders, rep.ReorderedNodes = w.th.Reorders()
 	rep.Phases.Encode = time.Since(encodeStart)
 	encReg.End()
 
+	// Sound pre-solve resolution (warmState.resolve), ahead of the
+	// timestamp stage that solveRun.solve begins with. A rejection found
+	// here carries a known-edge witness exactly like a failed constant
+	// insertion above.
+	all := consSet{cons: w.cons, at: make([]int32, len(w.cons))}
+	for i := range all.at {
+		all.at[i] = int32(i)
+	}
+	if cyc == nil && !opts.DisableResolve {
+		all, cyc = w.resolve(ctx, all, n, opts.workers(), rep)
+	}
+	rep.KnownEdges = w.th.NumConstants()
+	rep.ForcedEdges = w.forcedEdges
+	rep.Reorders, rep.ReorderedNodes = w.th.Reorders()
 	if cyc != nil {
 		rep.Outcome = Reject
 		rep.KnownCycle = cyc
 		return rep
 	}
 
-	// Sound pre-solve resolution against the persistent closure
-	// (resolve.go): rebuild the closure if requested (fresh warm state,
-	// growth past capacity, or staleness), then discharge every constraint
-	// the constant graph's reachability already decides. A rejection found
-	// here carries a known-edge witness exactly like a failed constant
-	// insertion above.
-	if !opts.DisableResolve {
-		resolveStart := time.Now()
-		// Fold the constants inserted since the last audit as one batch:
-		// stage the arcs, then recompute only the rows their sources can
-		// have changed (refresh); when most rows are dirty anyway, refresh
-		// declines and the level-parallel full build recomputes everything.
-		if w.cl != nil && !w.clDirty && (len(w.clStaged) > 0 || len(w.clPending) > 0) {
-			srcs := w.clPending
-			for _, e := range w.clStaged {
-				w.cl.addArc(e.From, e.To)
-				srcs = append(srcs, e.From)
-			}
-			order := make([]int32, n)
-			for i := int32(0); i < n; i++ {
-				order[w.th.Order(i)] = i
-			}
-			if !w.cl.refresh(order, srcs) {
-				w.cl.build(order, opts.workers())
-			}
-		}
-		w.clStaged = w.clStaged[:0]
-		w.clPending = w.clPending[:0]
-		if w.clDirty {
-			w.clDirty = false
-			capN := int(n) + int(n)/2 + 64
-			if closureFeasible(int(n), capN) {
-				cl := newClosure(int(n), capN)
-				for _, e := range sortedEdgeList(w.known.edges) {
-					cl.addArc(e.From, e.To)
-				}
-				// The theory's Pearce–Kelly order is a topological order of
-				// a supergraph of the constants, so it serves as the build
-				// order directly — no fresh topological sort needed.
-				order := make([]int32, n)
-				for i := int32(0); i < n; i++ {
-					order[w.th.Order(i)] = i
-				}
-				cl.build(order, opts.workers())
-				w.cl = cl
-			} else {
-				w.cl = nil
-			}
-		}
-		if w.cl != nil {
-			witness := resolveWarm(w, opts.workers())
-			rep.ResolvedConstraints, rep.ForcedEdges = w.resolved, w.forcedEdges
-			rep.KnownEdges = w.th.NumConstants() // forcing adds constants
-			rep.Phases.Resolve = time.Since(resolveStart)
-			if witness != nil {
-				rep.Outcome = Reject
-				rep.KnownCycle = witness
-				return rep
-			}
-		} else {
-			rep.Phases.Resolve = time.Since(resolveStart)
-		}
-	}
-	rep.ResolvedConstraints, rep.ForcedEdges = w.resolved, w.forcedEdges
-
-	// The cold check's stages over the live constraints, on the carried
-	// solver. Discharged constraints leave the live set, as resolution's
-	// discharges do on the cold path; their clauses, if any, stay. ŝ is
-	// the theory's order, a topological order of every constant, or the
-	// timestamp order when every constant runs forward in it: exactly the
-	// order the cold path's topological sort derives then, and the witness
-	// a timestamp accept needs.
+	// The cold check's stages over the undecided constraints, on the
+	// carried solver. Discharged constraints leave the set, as
+	// resolution's discharges do on the cold path; their clauses, if any,
+	// stay. ŝ is the theory's order, a topological order of every
+	// constant, or the timestamp order when every constant runs forward in
+	// it: exactly the order the cold path's topological sort derives then,
+	// and the witness a timestamp accept needs.
 	pg := newPolygraph(h, opts.Level)
 	pg.Cons = w.cons
-	all := consSet{known: w.known.edges}
+	all.known = w.known.edges
 	var schedule time.Duration
 	if !opts.DisableTSFastPath {
 		if ok, _ := tsUsable(h); ok {
@@ -937,12 +888,6 @@ encode:
 		all.pos = make([]int32, n)
 		for v := range all.pos {
 			all.pos[v] = w.th.Order(int32(v))
-		}
-	}
-	for i, st := range w.state {
-		if st == consLive {
-			all.cons = append(all.cons, w.cons[i])
-			all.at = append(all.at, int32(i))
 		}
 	}
 	r := &solveRun{

@@ -35,28 +35,16 @@ import (
 type KeyOp struct {
 	Cons bool // false: known-edge add; true: constraint
 
-	// Known-edge add (classify already applied; edgeNormal only).
+	// Known-edge add (classify already applied; same-transaction edges
+	// never recorded).
 	Edge Edge
 	Kind EdgeKind // also the first side's kind for constraints
 
 	// Constraint: sides resolved through classify, with knownSet
-	// filtering deferred to the replay. FBad/SBad mark sides containing
-	// an impossible edge.
+	// filtering deferred to the replay. A side is empty when every edge
+	// held trivially.
 	First, Second []Edge
-	FBad, SBad    bool
 	Kind2         EdgeKind
-
-	// ID is a cross-audit identity for the constraint, used by the
-	// incremental checker to match a regenerated constraint with the one
-	// it encoded in an earlier audit round: the classified leading edge of
-	// each side. Each side's leading edge is the pair's ww edge (or, for
-	// uncoalesced reader constraints, the reader's rw edge), which pins
-	// down the chain pair (and reader) independently of how the remaining
-	// side members grow as new readers arrive. HasID is false when either
-	// side was empty or its leading edge did not classify as a normal
-	// edge; such constraints are never warm-matched.
-	ID    [2]Edge
-	HasID bool
 }
 
 // KeyRecord is everything one key contributes to the polygraph: the unit
@@ -96,9 +84,9 @@ func (kr keyRecorder) reserve(ops, edges int) {
 }
 
 // knownEvent records a certain event-level edge (elided when classify
-// resolves it as trivially true or impossible).
+// finds it within one transaction, where it holds trivially).
 func (kr keyRecorder) knownEvent(fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool, kind EdgeKind, key history.Key) {
-	if e, cls := kr.pg.classify(fromT, fromCommit, toT, toCommit); cls == edgeNormal {
+	if e, ok := kr.pg.classify(fromT, fromCommit, toT, toCommit); ok {
 		kr.rec.Ops = append(kr.rec.Ops, KeyOp{Edge: e, Kind: kind})
 	}
 }
@@ -107,52 +95,35 @@ func (kr keyRecorder) knownEvent(fromT history.TxnID, fromCommit bool, toT histo
 // The sides are scratch the caller reuses: they are resolved into the
 // key's slab.
 func (kr keyRecorder) constraint(first, second []eventEdge, kind1, kind2 EdgeKind, key history.Key) {
-	f, fBad := kr.side(first)
-	s, sBad := kr.side(second)
-	op := KeyOp{
-		Cons: true, First: f, Second: s, FBad: fBad, SBad: sBad,
+	kr.rec.Ops = append(kr.rec.Ops, KeyOp{
+		Cons: true, First: kr.side(first), Second: kr.side(second),
 		Kind: kind1, Kind2: kind2,
-	}
-	if len(first) > 0 && len(second) > 0 {
-		e0, cls0 := kr.pg.classify(first[0].fromT, first[0].fromCommit, first[0].toT, first[0].toCommit)
-		e1, cls1 := kr.pg.classify(second[0].fromT, second[0].fromCommit, second[0].toT, second[0].toCommit)
-		if cls0 == edgeNormal && cls1 == edgeNormal {
-			op.ID = [2]Edge{e0, e1}
-			op.HasID = true
-		}
-	}
-	kr.rec.Ops = append(kr.rec.Ops, op)
+	})
 }
 
 // side resolves one constraint side through classify into the key's slab
-// and returns its view: nil when the side is empty (every edge trivially
-// true) or impossible (bad; its edges are taken back off the slab).
-func (kr keyRecorder) side(side []eventEdge) (edges []Edge, bad bool) {
+// and returns its view, nil when the side is empty (every edge trivially
+// true).
+func (kr keyRecorder) side(side []eventEdge) []Edge {
 	rec := kr.rec
 	a := len(rec.Sides)
 	for _, ee := range side {
-		e, cls := kr.pg.classify(ee.fromT, ee.fromCommit, ee.toT, ee.toCommit)
-		switch cls {
-		case edgeFalse:
-			rec.Sides = rec.Sides[:a]
-			return nil, true
-		case edgeTrue:
-			continue
+		if e, ok := kr.pg.classify(ee.fromT, ee.fromCommit, ee.toT, ee.toCommit); ok {
+			rec.Sides = append(rec.Sides, e)
 		}
-		rec.Sides = append(rec.Sides, e)
 	}
 	b := len(rec.Sides)
 	if b == a {
-		return nil, false
+		return nil
 	}
-	return rec.Sides[a:b:b], false
+	return rec.Sides[a:b:b]
 }
 
 // recordReadDeps records one key's read-dependency edges (commit of
 // writer → begin of reader), in writer order and, per writer, in reader
 // order. Reads from genesis need no edge. Readers never equal their
-// writer (Incremental.addReader drops self-reads), so every edge
-// classifies as normal and the count is exact.
+// writer (Incremental.addReader drops self-reads), so classify drops no
+// edge and the count is exact.
 func recordReadDeps(pg *Polygraph, byWriter map[history.TxnID][]history.TxnID, rec *KeyRecord) {
 	n := 0
 	for w, rs := range byWriter {
@@ -169,7 +140,7 @@ func recordReadDeps(pg *Polygraph, byWriter map[history.TxnID][]history.TxnID, r
 			continue
 		}
 		for _, r := range byWriter[w] {
-			if e, cls := pg.classify(w, true, r, false); cls == edgeNormal {
+			if e, ok := pg.classify(w, true, r, false); ok {
 				rec.WR = append(rec.WR, e)
 			}
 		}
@@ -193,9 +164,11 @@ func (pg *Polygraph) replay(keys []history.Key, recs []*KeyRecord) {
 		}
 		known += len(rec.WR)
 		for j := range rec.Ops {
-			k, c := rec.Ops[j].replaySize()
-			known += k
-			cons += c
+			if rec.Ops[j].Cons {
+				cons++
+			} else {
+				known++
+			}
 		}
 	}
 	pg.Known = make([]KnownEdge, 0, known)
@@ -218,22 +191,6 @@ func (pg *Polygraph) replay(keys []history.Key, recs []*KeyRecord) {
 		}
 	}
 	pg.nilIfEmpty()
-}
-
-// replaySize bounds what applyOp adds for op: known edges, and whether
-// it may append a constraint.
-func (op *KeyOp) replaySize() (known, cons int) {
-	switch {
-	case !op.Cons:
-		return 1, 0
-	case op.FBad && op.SBad:
-		return 0, 0
-	case op.FBad:
-		return len(op.Second), 0
-	case op.SBad:
-		return len(op.First), 0
-	}
-	return 0, 1
 }
 
 // assemblePolygraph builds h's polygraph at opts.Level from per-key
@@ -267,55 +224,40 @@ func (pg *Polygraph) nilIfEmpty() {
 }
 
 // applyOp replays one recorded emission against the live polygraph,
-// performing the knownSet-dependent steps the recording deferred. A
-// constraint with an impossible side forces the other side into the known
-// graph (both impossible: a contradiction); edges already known drop out
-// of a side, and a side left empty holds trivially, so the constraint
-// imposes nothing.
+// performing the knownSet-dependent steps the recording deferred: edges
+// already known drop out of a constraint's side, and a side left empty
+// holds trivially, so the constraint imposes nothing.
 func (pg *Polygraph) applyOp(op *KeyOp, key history.Key) {
 	if !op.Cons {
 		pg.addKnown(op.Edge, op.Kind, key)
 		return
 	}
-	switch {
-	case op.FBad && op.SBad:
-		pg.Contradiction = true
-	case op.FBad:
-		for _, e := range op.Second {
-			pg.addKnown(e, op.Kind2, key)
-		}
-	case op.SBad:
-		for _, e := range op.First {
-			pg.addKnown(e, op.Kind, key)
-		}
-	default:
-		// Filter without mutating the record: a session replays the same
-		// ops across audits, so in-place compaction would corrupt shared
-		// state. The no-known-edge common
-		// case stays allocation-free by aliasing the record's slab view;
-		// a filtered side is a copy, capped like the views.
-		filter := func(side []Edge) []Edge {
-			for i, e := range side {
-				if pg.knownSet.Has(e.From, e.To) {
-					kept := make([]Edge, i, len(side)-1)
-					copy(kept, side[:i])
-					for _, rest := range side[i+1:] {
-						if !pg.knownSet.Has(rest.From, rest.To) {
-							kept = append(kept, rest)
-						}
+	// Filter without mutating the record: a session replays the same ops
+	// across audits, so in-place compaction would corrupt shared state.
+	// The no-known-edge common case stays allocation-free by aliasing the
+	// record's slab view; a filtered side is a copy, capped like the
+	// views.
+	filter := func(side []Edge) []Edge {
+		for i, e := range side {
+			if pg.knownSet.Has(e.From, e.To) {
+				kept := make([]Edge, i, len(side)-1)
+				copy(kept, side[:i])
+				for _, rest := range side[i+1:] {
+					if !pg.knownSet.Has(rest.From, rest.To) {
+						kept = append(kept, rest)
 					}
-					return kept[:len(kept):len(kept)]
 				}
+				return kept[:len(kept):len(kept)]
 			}
-			return side
 		}
-		f, s := filter(op.First), filter(op.Second)
-		if len(f) == 0 || len(s) == 0 {
-			// One side holds trivially: the constraint imposes nothing.
-			return
-		}
-		pg.Cons = append(pg.Cons, Constraint{First: f, Second: s, Kind1: op.Kind, Kind2: op.Kind2, Key: key})
+		return side
 	}
+	f, s := filter(op.First), filter(op.Second)
+	if len(f) == 0 || len(s) == 0 {
+		// One side holds trivially: the constraint imposes nothing.
+		return
+	}
+	pg.Cons = append(pg.Cons, Constraint{First: f, Second: s, Kind1: op.Kind, Kind2: op.Kind2, Key: key})
 }
 
 // forEachKey calls fn(i) for every i in [0, n) on min(workers, n)

@@ -32,9 +32,6 @@ func comparePolygraphs(t *testing.T, want, got *Polygraph, label string) {
 	if want.NumNodes != got.NumNodes {
 		t.Fatalf("%s: nodes %d vs %d", label, want.NumNodes, got.NumNodes)
 	}
-	if want.Contradiction != got.Contradiction {
-		t.Fatalf("%s: contradiction %v vs %v", label, want.Contradiction, got.Contradiction)
-	}
 	if !reflect.DeepEqual(want.Known, got.Known) {
 		t.Fatalf("%s: known edges differ:\nwant: %v\ngot:  %v", label, want.Known, got.Known)
 	}

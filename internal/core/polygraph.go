@@ -96,10 +96,6 @@ type Polygraph struct {
 	Known []KnownEdge
 	Cons  []Constraint
 
-	// Contradiction marks a constraint whose both sides were impossible at
-	// construction time; the history is trivially non-SI.
-	Contradiction bool
-
 	// nodeTS is a wall-clock hint per node, used as the tie-break in the
 	// heuristic-pruning topological sort (it mimics the database's real
 	// schedule; §6).
@@ -145,33 +141,21 @@ func (pg *Polygraph) NodeName(n int32) string {
 	return fmt.Sprintf("C%d", ext(n/2))
 }
 
-// edgeClass classifies a candidate edge between events of possibly the
-// same transaction.
-type edgeClass int8
-
-const (
-	edgeNormal edgeClass = 0
-	edgeTrue   edgeClass = 1  // holds trivially (a txn begins before it commits)
-	edgeFalse  edgeClass = -1 // impossible (a txn cannot commit before it begins)
-)
-
-// classify resolves an event-level edge to node ids and a class. Same-
-// transaction begin→commit edges are trivially true; commit→begin edges
-// are impossible. This matters under the Serializability mapping, where
-// both would collapse to a self-loop.
-func (pg *Polygraph) classify(fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool) (Edge, edgeClass) {
+// classify resolves an event-level edge to node ids. ok is false for an
+// edge within one transaction, which holds trivially: a transaction
+// begins before it commits, and an edge between one event and itself
+// orders nothing. (Under the Serializability mapping both would collapse
+// to a self-loop.) No emission orders a transaction's commit before its
+// own begin — known edges and constraint sides run tail→head and
+// reader→head between different transactions, or begin→commit — so that
+// edge, which could never hold, is never asked for.
+func (pg *Polygraph) classify(fromT history.TxnID, fromCommit bool, toT history.TxnID, toCommit bool) (e Edge, ok bool) {
 	if fromT == toT {
-		if !fromCommit && toCommit {
-			return Edge{}, edgeTrue
-		}
 		if fromCommit && !toCommit {
-			return Edge{}, edgeFalse
+			panic(fmt.Sprintf("core: an emission orders txn %d's commit before its own begin", fromT))
 		}
-		// begin→begin / commit→commit of the same txn: degenerate, treat
-		// as trivially true (no ordering content).
-		return Edge{}, edgeTrue
+		return Edge{}, false
 	}
-	var e Edge
 	if fromCommit {
 		e.From = pg.Commit(fromT)
 	} else {
@@ -182,7 +166,7 @@ func (pg *Polygraph) classify(fromT history.TxnID, fromCommit bool, toT history.
 	} else {
 		e.To = pg.Begin(toT)
 	}
-	return e, edgeNormal
+	return e, true
 }
 
 func (pg *Polygraph) addKnown(e Edge, kind EdgeKind, key history.Key) {
@@ -522,7 +506,7 @@ func (pg *Polygraph) addSessionEdges() {
 				continue
 			}
 			if prev >= 0 {
-				if e, cls := pg.classify(prev, true, id, false); cls == edgeNormal {
+				if e, ok := pg.classify(prev, true, id, false); ok {
 					pg.addKnown(e, EdgeSession, "")
 				}
 			}

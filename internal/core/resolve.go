@@ -4,9 +4,9 @@
 // already implies a path u ⇝ v, any constraint side containing the reverse
 // edge v→u would close a cycle, so that side is dead and the other side is
 // forced — no SAT search required (PolySI's known-graph pruning, pushed to
-// a fixpoint like Vbox). The §3.5 heuristic pruning in attempt() guesses
-// and must retry when wrong; this pass only ever derives consequences, so
-// everything it resolves is exact and permanent.
+// a fixpoint like Vbox). The §3.5 heuristic pruning in solveRun's passes
+// guesses and must retry when wrong; this pass only ever derives
+// consequences, so everything it resolves is exact and permanent.
 //
 // Machinery: a transitive closure of the known graph as one packed bitset
 // row per node (rows[u].Has(v) ⟺ u ⇝ v), built level-by-level in parallel
@@ -22,78 +22,60 @@
 // parallel) and the constraints are swept again. A forced edge that is
 // itself dead closes a cycle among must-hold edges — an immediate
 // rejection, with the shortest known-edge path as the witness.
+//
+// resolvePolygraph is the one fixpoint. A one-shot check reaches it
+// through solveRun.resolve over the polygraph's known graph; a warm
+// session audit calls it over the closure of its theory constants, built
+// afresh each audit, and makes the forced edges constants
+// (warmState.resolve). The two differ only in their budget of large
+// folds.
 package core
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"viper/internal/bitset"
 	"viper/internal/history"
-	"viper/internal/sat"
 )
 
-// closureByteBudget caps the closure matrix: n rows of Words(cap) packed
+// closureByteBudget caps the closure matrix: n rows of Words(n) packed
 // words. Past this the pass is skipped entirely (resolution is an
 // optimization; correctness never depends on it). 128 MiB admits ~32k
 // nodes — an order of magnitude past the paper's workload sizes.
 const closureByteBudget = 128 << 20
 
-// closureFeasible reports whether an n-node closure with row capacity capN
-// fits the byte budget.
-func closureFeasible(n, capN int) bool {
-	return n > 0 && int64(n)*int64(bitset.Words(capN))*8 <= closureByteBudget
+// closureFeasible reports whether an n-node closure fits the byte budget.
+func closureFeasible(n int) bool {
+	return n > 0 && int64(n)*int64(bitset.Words(n))*8 <= closureByteBudget
 }
 
-// closure is the bitset transitive closure of a growing DAG. Rows are
-// indexed and bit-positioned by node id (stable under Pearce–Kelly
-// reorderings); sinks keep nil rows. The adjacency lists (out/in) hold the
-// folded-in edges and drive both incremental propagation and witness
-// extraction.
+// closure is the bitset transitive closure of a DAG. Rows are indexed and
+// bit-positioned by node id; sinks keep nil rows. The adjacency lists
+// (out/in) hold the folded-in edges and drive both incremental
+// propagation and witness extraction.
 type closure struct {
-	n    int // nodes covered
-	capN int // row bit capacity (n may grow up to capN without restriding)
+	n    int // nodes covered, and every row's bit capacity
 	rows []bitset.Set
 	out  [][]int32
 	in   [][]int32
-
-	edges int // edges folded in
 }
 
-// newClosure returns an empty closure over n nodes with row capacity capN
-// (>= n; the slack lets a warm session grow without rebuilding).
-func newClosure(n, capN int) *closure {
+// newClosure returns an empty closure over n nodes.
+func newClosure(n int) *closure {
 	return &closure{
 		n:    n,
-		capN: capN,
 		rows: make([]bitset.Set, n),
 		out:  make([][]int32, n),
 		in:   make([][]int32, n),
 	}
 }
 
-// grow extends the closure to cover n nodes (empty rows), reporting
-// whether the row capacity admits them; on false the owner must rebuild
-// with a larger capacity.
-func (c *closure) grow(n int) bool {
-	if n > c.capN {
-		return false
-	}
-	for len(c.rows) < n {
-		c.rows = append(c.rows, nil)
-		c.out = append(c.out, nil)
-		c.in = append(c.in, nil)
-	}
-	c.n = n
-	return true
-}
-
 // row materializes u's row.
 func (c *closure) row(u int32) bitset.Set {
 	if c.rows[u] == nil {
-		c.rows[u] = bitset.New(c.capN)
+		c.rows[u] = bitset.New(c.n)
 	}
 	return c.rows[u]
 }
@@ -105,8 +87,9 @@ func (c *closure) reaches(u, v int32) bool {
 }
 
 // bytes reports the closure's matrix footprint: every materialized row
-// holds Words(capN) packed words. This backs Report.ClosureBytes — the
-// quantity checkpointing keeps proportional to the live window.
+// holds Words(n) packed words. This backs a warm audit's
+// Report.ClosureBytes — the quantity checkpointing keeps proportional to
+// the live window.
 func (c *closure) bytes() int64 {
 	rows := int64(0)
 	for _, r := range c.rows {
@@ -114,7 +97,7 @@ func (c *closure) bytes() int64 {
 			rows++
 		}
 	}
-	return rows * int64(bitset.Words(c.capN)) * 8
+	return rows * int64(bitset.Words(c.n)) * 8
 }
 
 // addArc records the edge in the adjacency lists without propagating
@@ -122,7 +105,6 @@ func (c *closure) bytes() int64 {
 func (c *closure) addArc(u, v int32) {
 	c.out[u] = append(c.out[u], v)
 	c.in[v] = append(c.in[v], u)
-	c.edges++
 }
 
 // build computes every row from the staged adjacency. order must be a
@@ -358,48 +340,53 @@ func (c *closure) path(u, v int32) []int32 {
 	return nil
 }
 
-// resolveResult is the outcome of the batch pre-solve pass.
+// resolveResult is the outcome of the pre-solve pass.
 type resolveResult struct {
 	kept     []Constraint // constraints the solver still has to decide
 	keptAt   []int32      // each kept constraint's index in the input
 	resolved int          // constraints discharged without the solver
 	forced   []KnownEdge  // edges appended to the known graph by forcing
 	cycle    []KnownEdge  // non-nil: must-hold edges close a cycle (reject)
+	bytes    int64        // the closure's footprint (closure.bytes)
 }
 
 // maxResolvePasses bounds the sweep/fold fixpoint; every productive pass
 // discharges at least one constraint, so termination never depends on the
 // cap — it only guards pathological chain-of-forcing histories from
-// quadratic sweep cost. Within the cap the loops ration *folds*, not
+// quadratic sweep cost. Within the cap the fixpoint rations *folds*, not
 // passes: staged batches up to resolveCheapBatch always fold (a refresh
 // of that few sources is near-free), while a larger batch costs a real
-// closure rebuild and is only worth it early — the batch path allows two
-// such rebuilds and then only while the previous pass discharged at least
-// 1/resolveGainFloor of the constraints; the warm path defers the batch
-// to the next audit's fold instead (see resolveWarm). Constraints still
-// live at the stop simply go to the solver — the pass is an optimization,
-// never load-bearing.
+// closure rebuild. The caller budgets those large folds (see
+// resolvePolygraph); past the budget, or once a sweep discharges less
+// than 1/resolveGainFloor of the constraints, a large batch ends the
+// fixpoint instead. Constraints still live at the stop simply go to the
+// solver — the pass is an optimization, never load-bearing.
 const (
 	maxResolvePasses  = 64
 	resolveGainFloor  = 50 // reciprocal: a pass must discharge >= 2% to justify a rebuild
 	resolveCheapBatch = 64 // staged batches this small always fold (refresh is near-free)
+	resolveLargeFolds = 2  // a one-shot check's budget of large folds
 )
 
-// resolvePolygraph runs the sound resolution fixpoint for the batch path
-// over consIn (usually pg.Cons; the timestamp fast path passes just its
-// residue — forcing from a constraint subset is still exact, every
-// forced edge holds in every compatible graph of the full polygraph).
-// out is the known graph's adjacency (it is extended in place with forced
-// edges, so the caller can re-derive a topological order afterwards);
-// order is a topological order of it. Returns nil when the pass declined
+// resolvePolygraph runs the sound resolution fixpoint over consIn (a
+// check's constraints, or the timestamp fast path's residue — forcing
+// from a constraint subset is still exact, every forced edge holds in
+// every compatible graph of the full polygraph). known is the known graph
+// with its provenance, out its adjacency (extended in place with forced
+// edges, so a caller can re-derive a topological order afterwards), and
+// order a topological order of it. largeFolds is the caller's budget of
+// large folds: a staged batch of more than resolveCheapBatch edges folds
+// only within the fixpoint's first largeFolds passes. A one-shot check
+// spends resolveLargeFolds; a warm audit spends none, since its next
+// audit's closure absorbs the cascade. Returns nil when the pass declined
 // to run (closure over budget) or ctx expired mid-pass — the caller then
 // proceeds exactly as before the pass existed.
-func resolvePolygraph(ctx context.Context, pg *Polygraph, consIn []Constraint, out [][]int32, order []int32, workers int) *resolveResult {
-	n := int(pg.NumNodes)
-	if !closureFeasible(n, n) {
+func resolvePolygraph(ctx context.Context, known []KnownEdge, consIn []Constraint, out [][]int32, order []int32, largeFolds, workers int) *resolveResult {
+	n := len(out)
+	if !closureFeasible(n) {
 		return nil
 	}
-	cl := newClosure(n, n)
+	cl := newClosure(n)
 	// Adopt the caller's adjacency: build needs in-lists too.
 	cl.out = out
 	for u := int32(0); u < int32(n); u++ {
@@ -407,10 +394,10 @@ func resolvePolygraph(ctx context.Context, pg *Polygraph, consIn []Constraint, o
 			cl.in[v] = append(cl.in[v], u)
 		}
 	}
-	cl.edges = len(pg.Known)
 	cl.build(order, workers)
 
 	res := &resolveResult{}
+	defer func() { res.bytes = cl.bytes() }() // folds materialize rows too
 	cons := make([]Constraint, len(consIn))
 	copy(cons, consIn)
 	alive := make([]bool, len(cons))
@@ -421,8 +408,8 @@ func resolvePolygraph(ctx context.Context, pg *Polygraph, consIn []Constraint, o
 	// edgeKinds lazily indexes edge provenance for witness rendering —
 	// only the rejection paths pay for it, never a clean accept.
 	edgeKinds := func() *knownIndex {
-		all := make([]KnownEdge, 0, len(pg.Known)+len(res.forced))
-		return indexKnown(append(append(all, pg.Known...), res.forced...))
+		all := make([]KnownEdge, 0, len(known)+len(res.forced))
+		return indexKnown(append(append(all, known...), res.forced...))
 	}
 
 	// conflict renders the rejection witness: the shortest known path
@@ -538,7 +525,7 @@ func resolvePolygraph(ctx context.Context, pg *Polygraph, consIn []Constraint, o
 		}
 		gain := res.resolved - prevResolved
 		prevResolved = res.resolved
-		if staged > resolveCheapBatch && (pass >= 2 || gain < 1+len(cons)/resolveGainFloor) {
+		if staged > resolveCheapBatch && (pass >= largeFolds || gain < 1+len(cons)/resolveGainFloor) {
 			break // diminishing returns: hand the tail to the solver
 		}
 		// Validate the augmented graph before anything else: a failed
@@ -568,215 +555,4 @@ func resolvePolygraph(ctx context.Context, pg *Polygraph, consIn []Constraint, o
 		}
 	}
 	return res
-}
-
-// Warm-path resolution states of a constraint (warmState.state). Forced
-// states are permanent: the other side closes a cycle against the
-// constant closure, and constants only accrue, so the forced side's edges
-// (present and future) are consequences and enter the theory as
-// constants. Implied states are provisional: the discharged side's edges
-// are all implied by constant paths *today*, but the side lists grow
-// across audits, so each audit revalidates and reverts the state if a
-// non-implied edge arrived.
-const (
-	consLive uint8 = iota
-	consForcedFirst
-	consForcedSecond
-	consImpliedFirst
-	consImpliedSecond
-)
-
-// resolveWarm runs the sound resolution fixpoint against the warm
-// session's persistent solver, theory, and closure. It revalidates
-// carried-over discharges (forced sides may have grown new edges that must
-// become constants; implied sides may have grown edges that void the
-// discharge), then sweeps the live constraints to a fixpoint. Returns a
-// known-edge cycle witness when resolution proves the history rejected
-// (a constraint with both sides dead, or a forced edge closing a constant
-// cycle); nil otherwise.
-func resolveWarm(w *warmState, workers int) []KnownEdge {
-	cl := w.cl
-	var witness []KnownEdge
-
-	// Forced edges stage into the adjacency and the theory immediately;
-	// the closure rows catch up lazily. Small staged batches fold mid-audit
-	// with a refresh (the theory's Pearce–Kelly order is the topological
-	// order); large batches are deferred — their sources carry over in
-	// clPending and the next audit's single fold absorbs them, so one big
-	// forcing cascade never costs more than one closure build per audit.
-	// Until a fold the rows under-approximate the staged graph — sound
-	// everywhere they are read, and InsertConstantPath detects exactly the
-	// cycles the stale rows might miss.
-	staged := 0
-	var stagedSrcs []int32
-	defer func() {
-		if staged > 0 {
-			w.clPending = append(w.clPending, stagedSrcs...)
-		}
-	}()
-	rebuild := func() {
-		order := make([]int32, cl.n)
-		for i := int32(0); i < int32(cl.n); i++ {
-			order[w.th.Order(i)] = i
-		}
-		if !cl.refresh(order, stagedSrcs) {
-			cl.build(order, workers)
-		}
-		staged = 0
-		stagedSrcs = stagedSrcs[:0]
-	}
-
-	dead := func(side []Edge) *Edge {
-		for i, e := range side {
-			if cl.reaches(e.To, e.From) {
-				return &side[i]
-			}
-		}
-		return nil
-	}
-	allImplied := func(side []Edge) bool {
-		for _, e := range side {
-			if !cl.reaches(e.From, e.To) {
-				return false
-			}
-		}
-		return true
-	}
-	conflict := func(e Edge, kind EdgeKind, key history.Key) {
-		witness = cycleEvidence(cl.path(e.To, e.From), KnownEdge{Edge: e, Kind: kind, Key: key}, &w.known)
-	}
-	// forceSide turns a side's not-yet-implied edges into theory constants,
-	// staging each into the closure adjacency. Safe to re-run on a grown
-	// side: already-constant edges are skipped via known.
-	forceSide := func(side []Edge, kind EdgeKind, key history.Key) bool {
-		for _, e := range side {
-			if e.From == e.To || w.known.has(e) {
-				continue
-			}
-			if cl.reaches(e.From, e.To) {
-				continue // implied by constants — holds for free
-			}
-			if cl.reaches(e.To, e.From) {
-				conflict(e, kind, key)
-				return false
-			}
-			path, ok := w.th.InsertConstantPath(e.From, e.To)
-			if !ok {
-				witness = cycleEvidence(path, KnownEdge{Edge: e, Kind: kind, Key: key}, &w.known)
-				return false
-			}
-			w.known.add(KnownEdge{Edge: e, Kind: kind, Key: key})
-			cl.addArc(e.From, e.To)
-			stagedSrcs = append(stagedSrcs, e.From)
-			staged++
-			w.forcedEdges++
-		}
-		return true
-	}
-
-	// Revalidate discharges carried over from earlier audits.
-	for i := range w.cons {
-		c := &w.cons[i]
-		switch w.state[i] {
-		case consForcedFirst:
-			if !forceSide(c.First, c.Kind1, c.Key) {
-				return witness
-			}
-		case consForcedSecond:
-			if !forceSide(c.Second, c.Kind2, c.Key) {
-				return witness
-			}
-		case consImpliedFirst:
-			if !allImplied(c.First) {
-				w.state[i] = consLive
-				w.resolved--
-			}
-		case consImpliedSecond:
-			if !allImplied(c.Second) {
-				w.state[i] = consLive
-				w.resolved--
-			}
-		}
-	}
-
-	// Fixpoint sweep: scan the live constraints; forcing extends
-	// reachability, which can make other constraints resolvable, so passes
-	// repeat until one stages nothing and discharges nothing. Cascades
-	// small enough for a cheap refresh fold mid-audit and keep the loop
-	// going; a large cascade ends the audit's fixpoint instead — its arcs
-	// carry over in clPending, the constraints it would have discharged go
-	// to the solver once, and the next audit's fold picks the cascade up.
-	// That bounds resolution at one closure build per audit no matter how
-	// deep the forcing runs.
-	for pass := 0; pass < maxResolvePasses; pass++ {
-		if staged > 0 {
-			if staged > resolveCheapBatch {
-				return nil // deferred: the exit hook carries stagedSrcs over
-			}
-			rebuild()
-		}
-		progress := false
-		for i := range w.cons {
-			if w.state[i] != consLive {
-				continue
-			}
-			c := &w.cons[i]
-			fDead, sDead := dead(c.First), dead(c.Second)
-			switch {
-			case fDead != nil && sDead != nil:
-				conflict(*fDead, c.Kind1, c.Key)
-				return witness
-			case fDead != nil:
-				w.state[i] = consForcedSecond
-				w.resolved++
-				progress = true
-				if sel := w.sel[i]; sel != sat.LitUndef {
-					// ¬sel is a consequence (sel would force the dead side):
-					// a permanent unit clause.
-					w.s.AddClause(sel.Neg())
-				}
-				if !forceSide(c.Second, c.Kind2, c.Key) {
-					return witness
-				}
-			case sDead != nil:
-				w.state[i] = consForcedFirst
-				w.resolved++
-				progress = true
-				if sel := w.sel[i]; sel != sat.LitUndef {
-					w.s.AddClause(sel)
-				}
-				if !forceSide(c.First, c.Kind1, c.Key) {
-					return witness
-				}
-			case allImplied(c.First):
-				w.state[i] = consImpliedFirst
-				w.resolved++
-				progress = true
-			case allImplied(c.Second):
-				w.state[i] = consImpliedSecond
-				w.resolved++
-				progress = true
-			}
-		}
-		if !progress {
-			return nil
-		}
-	}
-	return nil // pass cap: the deferred clDirty has the next audit rebuild
-}
-
-// sortedEdgeList returns the known edges sorted by (From, To), the order
-// in which warm closure rebuilds add their arcs.
-func sortedEdgeList(known []KnownEdge) []Edge {
-	edges := make([]Edge, len(known))
-	for i, ke := range known {
-		edges[i] = ke.Edge
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
-	return edges
 }

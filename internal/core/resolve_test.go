@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -223,13 +224,136 @@ func TestResolveCycleWitness(t *testing.T) {
 	}
 }
 
+// TestResolveForcedCycleProvenance: when the fixpoint stops on a large
+// forced batch it never folded, and that batch closes a cycle with the
+// known graph, the rejection's cycle still names every edge with its kind
+// and key — forced edges included, which the polygraph's own known list
+// does not hold. Constraint x forces 0→1 with 64 filler edges, y forces
+// 2→0, and 1→2 is known: the closure, stale until the batch folds, sees
+// no conflict, and the batch of 66 edges from a sweep that discharged 2
+// of 100 constraints ends the fixpoint unfolded.
+func TestResolveForcedCycleProvenance(t *testing.T) {
+	const n = 400
+	pg := &Polygraph{NumNodes: n, nodeTS: make([]int64, n), Known: []KnownEdge{
+		{Edge: Edge{1, 2}, Kind: EdgeWR, Key: "k"},
+		{Edge: Edge{3, 4}, Kind: EdgeWR, Key: "k"},
+	}}
+	forced := []Edge{{0, 1}}
+	for i := int32(0); i < 64; i++ {
+		forced = append(forced, Edge{10 + i, 110 + i})
+	}
+	dead := []Edge{{4, 3}} // closes 3→4
+	pg.Cons = []Constraint{
+		{First: dead, Second: forced, Kind1: EdgeWW, Kind2: EdgeWW, Key: "x"},
+		{First: dead, Second: []Edge{{2, 0}}, Kind1: EdgeWW, Kind2: EdgeRW, Key: "y"},
+	}
+	for u := int32(200); len(pg.Cons) < 100; u += 2 {
+		pg.Cons = append(pg.Cons, Constraint{First: []Edge{{u, u + 1}}, Second: []Edge{{u + 1, u}}, Kind1: EdgeWW, Kind2: EdgeWW, Key: "z"})
+	}
+	rep := CheckPolygraph(pg, Options{DisableTSFastPath: true})
+	if rep.Outcome != Reject || rep.ForcedEdges != len(forced)+1 {
+		t.Fatalf("outcome %v with %d forced edges, want a reject after forcing %d", rep.Outcome, rep.ForcedEdges, len(forced)+1)
+	}
+	verifyKnownCycle(t, rep.KnownCycle, "forced cycle")
+	want := map[Edge]KnownEdge{
+		{0, 1}: {Edge: Edge{0, 1}, Kind: EdgeWW, Key: "x"},
+		{1, 2}: {Edge: Edge{1, 2}, Kind: EdgeWR, Key: "k"},
+		{2, 0}: {Edge: Edge{2, 0}, Kind: EdgeRW, Key: "y"},
+	}
+	if len(rep.KnownCycle) != len(want) {
+		t.Fatalf("cycle %v, want the three edges of 0→1→2→0", rep.KnownCycle)
+	}
+	for i, ke := range rep.KnownCycle {
+		if ke != want[ke.Edge] {
+			t.Fatalf("edge %d is %+v, want %+v", i, ke, want[ke.Edge])
+		}
+	}
+}
+
+// TestResolveEvidencePerAnomaly pins the evidence each anomaly kind's
+// rejection names on both paths — the one-shot check, and a warm session
+// audited every 150 transactions — over histgen SI histories of four
+// seeds, with timestamps usable and zeroed. Both paths must reject. Where
+// the table records a KnownCycle length, the rejection must name a
+// well-formed cycle of exactly that length; 0 records no evidence (the
+// warm lost-update reject is the solver's, and names no cycle). The table
+// is what the checker named when it was recorded, the same for every
+// seed and both stamp settings. Resolution finds most of these cycles; a
+// change to it must keep them.
+func TestResolveEvidencePerAnomaly(t *testing.T) {
+	want := map[anomaly.Kind]struct{ oneShot, warm int }{
+		anomaly.G1c:           {4, 4},
+		anomaly.LongFork:      {4, 4},
+		anomaly.GSIb:          {4, 4},
+		anomaly.LostUpdate:    {2, 0},
+		anomaly.ReadSkew:      {2, 2},
+		anomaly.FracturedRead: {2, 2},
+		anomaly.CausalFork:    {4, 4},
+	}
+	const step = 150
+	for _, kind := range anomaly.Kinds() {
+		if kind.ValidationLevel() {
+			continue
+		}
+		w, ok := want[kind]
+		if !ok {
+			t.Fatalf("%v: no recorded evidence", kind)
+		}
+		for seed := int64(0); seed < 4; seed++ {
+			for _, stamps := range []bool{true, false} {
+				label := fmt.Sprintf("%v/seed=%d/stamps=%v", kind, seed, stamps)
+				h := anomaly.Inject(histgen.SI(histgen.Spec{Txns: 400, Keys: 10, MaxConcurrency: 5, AbortEvery: 9, Seed: seed}), kind)
+				if !stamps {
+					for _, tx := range h.Txns[1:] {
+						tx.BeginAt, tx.CommitAt = 0, 0
+					}
+				}
+				if err := h.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				one := CheckHistory(h, Options{Level: AdyaSI})
+				inc := NewIncremental(Options{Level: AdyaSI})
+				var warm *Report
+				for at := 1; at < len(h.Txns); at += step {
+					for _, tx := range h.Txns[at:min(at+step, len(h.Txns))] {
+						t2 := *tx
+						inc.Append(&t2)
+					}
+					if inc.History().Validate() == nil { // a prefix may read ahead
+						warm = inc.Audit()
+					}
+				}
+				if inc.warm == nil {
+					t.Fatalf("%s: the session never audited warm", label)
+				}
+				for _, p := range []struct {
+					path string
+					rep  *Report
+					want int
+				}{{"one-shot", one, w.oneShot}, {"warm", warm, w.warm}} {
+					if p.rep.Outcome != Reject {
+						t.Fatalf("%s/%s: %v, want Reject", label, p.path, p.rep.Outcome)
+					}
+					if p.want == 0 {
+						continue
+					}
+					if len(p.rep.KnownCycle) != p.want {
+						t.Fatalf("%s/%s: names a %d-edge cycle, want %d", label, p.path, len(p.rep.KnownCycle), p.want)
+					}
+					verifyKnownCycle(t, p.rep.KnownCycle, label+"/"+p.path)
+				}
+			}
+		}
+	}
+}
+
 // --- closure unit tests --------------------------------------------------
 
 // randomDAGClosure builds a closure over a random DAG (edges only from
 // lower to higher ids, so identity order is topological) and returns the
 // staged edge list.
 func randomDAGClosure(rng *rand.Rand, n, edges int) (*closure, [][2]int32) {
-	cl := newClosure(n, n)
+	cl := newClosure(n)
 	var es [][2]int32
 	for len(es) < edges {
 		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
@@ -331,7 +455,7 @@ func TestClosureRefreshMatchesRebuild(t *testing.T) {
 // cyclic stagings and that findCycle then returns a genuine simple cycle
 // of staged arcs.
 func TestClosureTopoOrderFindCycle(t *testing.T) {
-	cl := newClosure(6, 6)
+	cl := newClosure(6)
 	for _, e := range [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}} {
 		cl.addArc(e[0], e[1])
 	}
@@ -364,31 +488,5 @@ func TestClosureTopoOrderFindCycle(t *testing.T) {
 		if !has(u, v) {
 			t.Fatalf("cycle step %d→%d is not a staged arc (%v)", u, v, cyc)
 		}
-	}
-}
-
-// TestClosureGrow checks capacity-bounded growth: rows keep their bits,
-// new nodes start empty, and overflow is reported rather than resized.
-func TestClosureGrow(t *testing.T) {
-	cl := newClosure(4, 8)
-	cl.addArc(0, 1)
-	cl.addArc(1, 2)
-	cl.build(identityOrder(4), 1)
-	if !cl.grow(6) {
-		t.Fatal("grow within capacity failed")
-	}
-	if !cl.reaches(0, 2) || cl.reaches(3, 0) || cl.reaches(4, 5) {
-		t.Fatal("grow corrupted rows")
-	}
-	cl.addArc(4, 5)
-	order := identityOrder(6)
-	if !cl.refresh(order, []int32{4}) {
-		t.Fatal("refresh after grow declined unexpectedly")
-	}
-	if !cl.reaches(4, 5) || !cl.reaches(0, 2) {
-		t.Fatal("refresh after grow lost reachability")
-	}
-	if cl.grow(9) {
-		t.Fatal("grow past capacity succeeded")
 	}
 }

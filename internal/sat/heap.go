@@ -8,18 +8,14 @@ type varHeap struct {
 	pos  []int32 // pos[v] = index in heap, -1 if absent
 }
 
-func (h *varHeap) grow(v Var) {
-	for int(v) >= len(h.pos) {
-		h.pos = append(h.pos, -1)
-	}
-}
-
 func (h *varHeap) contains(v Var) bool {
 	return int(v) < len(h.pos) && h.pos[v] >= 0
 }
 
 func (h *varHeap) insert(v Var, act []float64) {
-	h.grow(v)
+	for int(v) >= len(h.pos) {
+		h.pos = append(h.pos, -1)
+	}
 	h.pos[v] = int32(len(h.heap))
 	h.heap = append(h.heap, v)
 	h.up(int(h.pos[v]), act)

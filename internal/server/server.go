@@ -668,8 +668,10 @@ func (s *Server) handleAudit(w http.ResponseWriter, req *http.Request) {
 	s.metrics.Add("viperd_audits_total", 1)
 	s.metrics.Add("viperd_audits_"+res.Outcome.String()+"_total", 1)
 	if rep := res.Report; rep != nil {
-		// The warm checker reports session-cumulative resolution counters;
-		// swap against the high-water mark so each audit adds only its delta.
+		// The warm checker's ForcedEdges and timestamp counters are
+		// session-cumulative, and its ResolvedConstraints counts the
+		// session's constraints resolution currently discharges; swap each
+		// against its high-water mark so an audit adds only its growth.
 		if d := int64(rep.ResolvedConstraints) - sess.resolvedSeen.Swap(int64(rep.ResolvedConstraints)); d > 0 {
 			s.metrics.Add("viperd_resolved_constraints_total", d)
 		}
