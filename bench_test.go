@@ -350,30 +350,43 @@ func BenchmarkCheckHistoryAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkResolveAblation isolates pre-solve constraint resolution on the
+// BenchmarkResolveAblation isolates constraint resolution on the
 // constraint-heaviest workload: "resolve" is the default pipeline, "solver"
-// pushes every constraint to the SAT search (DisableResolve). The custom
-// metric is the fraction of constraints the resolution fixpoint discharged
-// before the solver saw them; EXPERIMENTS.md records the numbers.
+// pushes every constraint to the SAT search (DisableResolve). Each size
+// has an accept row and a lost-update reject row; the reject is one the
+// solver refutes, so its "resolve" row also times the evidence pass that
+// names the cycle. The custom metric is the fraction of constraints the
+// pre-solve fixpoint discharged before the solver saw them;
+// EXPERIMENTS.md records the numbers.
 func BenchmarkResolveAblation(b *testing.B) {
 	for _, size := range []int{1000, 2000} {
 		h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), size, 24)
-		for _, disable := range []bool{false, true} {
-			name := fmt.Sprintf("txns=%d/resolve", size)
-			if disable {
-				name = fmt.Sprintf("txns=%d/solver", size)
+		bad := anomaly.Inject(cloneHistory(b, h), anomaly.LostUpdate)
+		if err := bad.Validate(); err != nil {
+			b.Fatal(err)
+		}
+		for _, row := range []struct {
+			name string
+			h    *history.History
+			want core.Outcome
+		}{{"", h, core.Accept}, {"lost-update/", bad, core.Reject}} {
+			for _, disable := range []bool{false, true} {
+				name := fmt.Sprintf("txns=%d/%sresolve", size, row.name)
+				if disable {
+					name = fmt.Sprintf("txns=%d/%ssolver", size, row.name)
+				}
+				b.Run(name, func(b *testing.B) {
+					var resolved, constraints int
+					for i := 0; i < b.N; i++ {
+						rep := core.CheckHistory(row.h, core.Options{Level: core.AdyaSI, DisableResolve: disable})
+						mustOutcome(b, rep.Outcome, row.want)
+						resolved, constraints = rep.ResolvedConstraints, rep.Constraints
+					}
+					if constraints > 0 {
+						b.ReportMetric(float64(resolved)/float64(constraints)*100, "resolved-%")
+					}
+				})
 			}
-			b.Run(name, func(b *testing.B) {
-				var resolved, constraints int
-				for i := 0; i < b.N; i++ {
-					rep := core.CheckHistory(h, core.Options{Level: core.AdyaSI, DisableResolve: disable})
-					mustOutcome(b, rep.Outcome, core.Accept)
-					resolved, constraints = rep.ResolvedConstraints, rep.Constraints
-				}
-				if constraints > 0 {
-					b.ReportMetric(float64(resolved)/float64(constraints)*100, "resolved-%")
-				}
-			})
 		}
 	}
 }

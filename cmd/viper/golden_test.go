@@ -128,7 +128,8 @@ func TestGoldenReports(t *testing.T) {
 }
 
 // TestTraceOut exercises -trace-out: the emitted trace must parse and
-// contain the expected top-level phases.
+// contain the expected phases, the G1b screen, timestamp stage and
+// pre-solve resolution included.
 func TestTraceOut(t *testing.T) {
 	hPath := filepath.Join(t.TempDir(), "h.jsonl")
 	if err := histio.WriteFile(hPath, goldenAccept(t)); err != nil {
@@ -148,7 +149,7 @@ func TestTraceOut(t *testing.T) {
 		t.Fatalf("trace does not parse: %v", err)
 	}
 	structure := tr.Structure()
-	for _, want := range []string{"parse", "audit", "construct", "attempt"} {
+	for _, want := range []string{"parse", "audit", "construct", "g1b", "tsorder", "resolve", "attempt"} {
 		if !strings.Contains(structure, want) {
 			t.Fatalf("trace structure %q missing span %q", structure, want)
 		}

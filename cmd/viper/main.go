@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		drift       = fs.Duration("drift", 0, "bounded clock drift between client collectors (for gsi / strong-si / strong-session-si)")
 		timeout     = fs.Duration("timeout", 0, "checking time budget (0 = unbounded)")
 		noPruning   = fs.Bool("no-pruning", false, "disable heuristic pruning (§3.5)")
-		resolve     = fs.Bool("resolve", true, "pre-solve constraint resolution against the known-graph closure")
+		resolve     = fs.Bool("resolve", true, "constraint resolution against the known-graph closure: the pre-solve pass, and the evidence pass naming a refuted reject's cycle")
 		tsFastPath  = fs.String("ts-fastpath", "auto", "timestamp-assisted fast path: auto (on when usable timestamps are present) | on | off")
 		noCombine   = fs.Bool("no-combine", false, "disable combining writes")
 		noCoalesce  = fs.Bool("no-coalesce", false, "disable coalescing constraints")

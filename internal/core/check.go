@@ -45,8 +45,9 @@ type PhaseTimings struct {
 	// to ConstructWorkers× larger when the record pool overlaps work
 	// (ConstructCPU / Construct is the effective construction speedup).
 	ConstructCPU time.Duration
-	// Resolve is the sound pre-solve resolution pass (resolve.go): closure
-	// build plus the constraint fixpoint. Zero when the pass was disabled
+	// Resolve is sound constraint resolution (resolve.go): closure build
+	// plus the constraint fixpoint, in the pre-solve pass and, after a
+	// refutation, in the evidence pass. Zero when resolution was disabled
 	// or declined to run.
 	Resolve time.Duration
 	// TSOrder is the timestamp fast path (tsorder.go): deriving the
@@ -75,9 +76,10 @@ type Report struct {
 	// ResolvedConstraints counts constraints the sound pre-solve resolution
 	// pass discharged without the solver (one side dead against the known
 	// graph's transitive closure, or one side already implied by it);
-	// ForcedEdges counts the known edges that forcing appended. Zero when
-	// Options.DisableResolve is set or the pass declined to run. On a warm
-	// incremental session every audit resolves all the session's
+	// ForcedEdges counts the known edges that forcing appended. Both count
+	// the pre-solve pass only, never the evidence pass a refutation runs.
+	// Zero when Options.DisableResolve is set or the pass declined to run.
+	// On a warm incremental session every audit resolves all the session's
 	// constraints afresh, so ResolvedConstraints counts those this audit
 	// discharged, while ForcedEdges is cumulative across audits, like
 	// Constraints: forced edges stay constants.
@@ -114,8 +116,12 @@ type Report struct {
 	Reorders       int64
 	ReorderedNodes int64
 
-	// KnownCycle, when non-nil, is a cycle already present in the known
-	// graph (a rejection that needs no solving), as diagnostic evidence.
+	// KnownCycle, when non-nil, is a cycle of must-hold edges — known edges
+	// and edges resolution forced — as diagnostic evidence of a rejection.
+	// It comes from the known graph's topological sort or the pre-solve
+	// resolution pass (a rejection that needs no solving), or, when the
+	// solver refuted the polygraph, from the evidence pass that follows
+	// (solveRun.evidence). A refutation that pass cannot explain names none.
 	KnownCycle []KnownEdge
 
 	// Anomaly, when non-empty, names a polynomially-detected anomaly that
@@ -184,6 +190,7 @@ func (rep *Report) selfCheck(pg *Polygraph, opts Options) {
 	if !opts.SelfCheck || rep.Outcome != Accept || rep.WitnessPositions == nil {
 		return
 	}
+	defer opts.Tracer.Start("selfcheck").End()
 	if err := VerifyWitness(pg.H, rep.WitnessPositions, pg.Level); err != nil {
 		rep.SelfCheckErr = err
 		return
@@ -303,10 +310,11 @@ func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
 }
 
 // solve runs a check's stages over all, every constraint still undecided:
-// the timestamp stage, resolution, and the solver passes. The one-shot
+// the timestamp stage, pre-solve resolution, and the solver passes (run),
+// after whose refutation the evidence pass names the cycle. The one-shot
 // check and a warm session audit both come through here; they differ only
 // in where the solver, the constants and ŝ come from, and in that a warm
-// audit has resolved its constraints already.
+// audit has run its pre-solve resolution already.
 func (r *solveRun) solve(ctx context.Context, all consSet) {
 	rep, pg := r.rep, r.pg
 	if r.stopped(ctx) {
@@ -326,10 +334,12 @@ func (r *solveRun) solve(ctx context.Context, all consSet) {
 		if usable, reason := tsUsable(pg.H); !usable {
 			rep.TSUnusable = reason
 		} else {
+			tsReg := r.opts.Tracer.Start("tsorder")
 			tsStart := time.Now()
 			tc := pg.tsClassify(all, r.opts.ClockDrift.Nanoseconds())
 			rep.TSDecided, rep.TSResidual = tc.decided, len(tc.residual.cons)
 			rep.Phases.TSOrder = time.Since(tsStart)
+			tsReg.End()
 			if len(tc.residual.cons) == 0 && chosenForward(all.cons, tc.chosen, all.pos) {
 				rep.Outcome = Accept
 				rep.WitnessPositions = all.pos
@@ -361,12 +371,12 @@ func (r *solveRun) solve(ctx context.Context, all consSet) {
 		}
 	}
 
-	// Sound pre-solve resolution (resolve.go): discharge every constraint
+	// Sound pre-solve resolution (resolve.go): discharge the constraints
 	// the known graph's transitive closure already decides, before any
-	// solver exists. Unlike the heuristic pruning below, everything this
-	// pass forces is exact, so a cycle among forced edges is an immediate
-	// rejection with known-edge evidence, and a fully-resolved constraint
-	// set accepts without ever encoding a clause.
+	// solver exists, with cheap folds only. Unlike the heuristic pruning
+	// below, everything this pass forces is exact, so a cycle among forced
+	// edges is an immediate rejection with known-edge evidence, and a
+	// fully-resolved constraint set accepts without ever encoding a clause.
 	set, ok := r.resolve(ctx, all)
 	if !ok {
 		return
@@ -406,13 +416,16 @@ type consSet struct {
 // A one-shot check starts its solver, theory and encodings at its first
 // pass. A warm session audit hands in the ones it carries across audits
 // (warm): its constants are already in the theory, and it has already
-// resolved its constraints through the same fixpoint (warmState.resolve
-// calls resolvePolygraph), so this run resolves nothing.
+// run its pre-solve resolution through the same fixpoint
+// (warmState.resolve calls resolvePolygraph), so this run's pre-solve
+// resolution does nothing. Both paths pay for large folds only after a
+// refutation, in the one evidence pass (evidence) over pg: a warm audit's
+// pg lists the session's constants as its known graph.
 type solveRun struct {
 	pg         *Polygraph
 	opts       Options
 	rep        *Report
-	out        [][]int32 // known graph adjacency; resolution extends it in place
+	out        [][]int32 // known graph adjacency; pre-solve resolution extends it in place
 	deadline   time.Time
 	checkStart time.Time
 
@@ -449,19 +462,22 @@ func (r *solveRun) less(a, b int32) bool {
 // resolve runs the pre-solve resolution pass over set (unless disabled)
 // and returns the constraints it leaves, with its forced edges appended to
 // the known graph and ŝ re-sorted over the result. ok is false when it
-// rejected; the report then carries the cycle.
+// rejected; the report then carries the cycle. The pass takes no large
+// folds: an accept never needs them, and a refutation pays for them in
+// the evidence pass instead.
 func (r *solveRun) resolve(ctx context.Context, set consSet) (_ consSet, ok bool) {
 	if r.opts.DisableResolve || r.warm {
 		return set, true
 	}
 	rep, pg := r.rep, r.pg
+	defer r.opts.Tracer.Start("resolve").End()
 	resolveStart := time.Now()
 	defer func() { rep.Phases.Resolve += time.Since(resolveStart) }()
 	order := make([]int32, len(set.pos))
 	for n, p := range set.pos {
 		order[p] = int32(n)
 	}
-	rr := resolvePolygraph(ctx, set.known, set.cons, r.out, order, resolveLargeFolds, r.opts.workers())
+	rr := resolvePolygraph(ctx, set.known, set.cons, r.out, order, 0, r.opts.workers())
 	if rr == nil {
 		return set, true
 	}
@@ -498,7 +514,9 @@ func (r *solveRun) resolve(ctx context.Context, set consSet) (_ consSet, ok bool
 
 // run drives the passes over set in order: the timestamp pass (when the
 // check has one), then each §3.5 radius k = InitialK, 2k, … and finally
-// k = 0 (exact), stopping at the first verdict.
+// k = 0 (exact), stopping at the first verdict. A pass that refutes the
+// polygraph, the timestamp pass included, rejects through verdict, which
+// runs the evidence pass.
 func (r *solveRun) run(ctx context.Context, set consSet) {
 	defer func() {
 		if r.release != nil {
@@ -517,27 +535,19 @@ func (r *solveRun) run(ctx context.Context, set consSet) {
 		if r.stopped(ctx) {
 			return
 		}
-		res := r.pass(ctx, set, 0, r.chosen)
-		if res != sat.Unsat {
-			r.verdict(res)
+		if r.verdict(ctx, r.pass(ctx, set, 0, r.chosen)) {
 			return
 		}
 		// An Unsat that used the chosen sides only says the timestamps may
 		// be wrong about this history: drop them and resolve the full
 		// constraint set, against the known graph as the residue's
-		// resolution left it. One that used none refuted the residue; the
-		// full-set resolution still runs, for the known-edge cycle it may
-		// find as evidence.
-		refuted := !r.s.Okay()
-		if !refuted {
-			rep.Retries++
-			r.th.Retire(r.s)
-		}
+		// resolution left it.
+		rep.Retries++
+		r.th.Retire(r.s)
 		all := r.all
 		all.known, all.pos = set.known, set.pos
 		var ok bool
-		if set, ok = r.resolve(ctx, all); !ok || refuted {
-			rep.Outcome = Reject
+		if set, ok = r.resolve(ctx, all); !ok {
 			return
 		}
 		if len(set.cons) == 0 {
@@ -551,8 +561,7 @@ func (r *solveRun) run(ctx context.Context, set consSet) {
 		k = 0
 	}
 	for !r.stopped(ctx) {
-		res := r.pass(ctx, set, k, nil)
-		if r.verdict(res) {
+		if r.verdict(ctx, r.pass(ctx, set, k, nil)) {
 			return
 		}
 		if k == 0 {
@@ -579,10 +588,10 @@ func (r *solveRun) stopped(ctx context.Context) bool {
 }
 
 // verdict records a pass result that decides the check — Sat accepts,
-// Unknown times out, and Unsat with Okay() false rejects — and reports
-// whether it did. An Unsat that only refuted the pass's batch decides
-// nothing.
-func (r *solveRun) verdict(res sat.Result) bool {
+// Unknown times out, and Unsat with Okay() false rejects, a refutation
+// whose cycle the evidence pass then names — and reports whether it did.
+// An Unsat that only refuted the pass's batch decides nothing.
+func (r *solveRun) verdict(ctx context.Context, res sat.Result) bool {
 	switch {
 	case res == sat.Sat:
 		r.rep.Outcome = Accept
@@ -590,10 +599,50 @@ func (r *solveRun) verdict(res sat.Result) bool {
 		r.rep.Outcome = Timeout
 	case !r.s.Okay():
 		r.rep.Outcome = Reject
+		r.evidence(ctx)
 	default:
 		return false
 	}
 	return true
+}
+
+// evidence names the cycle behind a refutation, when resolution can: the
+// fixpoint with its budget of large folds (resolveLargeFolds) over every
+// constraint of pg, from pg's own known graph on a fresh adjacency (the
+// pre-solve pass extended r.out in place). A warm audit's pg lists the
+// session's constants as its known graph. A cycle the fixpoint closes, in
+// its closure or through a forced batch it stopped on unfolded, becomes
+// the report's KnownCycle. The pass never changes the verdict: finding no
+// cycle, or ctx expiring, leaves the reject without one. It declines
+// before building anything when resolution is disabled, ctx has expired
+// or the closure is over budget. Its time is resolution time; its counts
+// are not reported.
+func (r *solveRun) evidence(ctx context.Context) {
+	pg := r.pg
+	n := int(pg.NumNodes)
+	if r.opts.DisableResolve || ctx.Err() != nil || !closureFeasible(n) {
+		return
+	}
+	defer r.opts.Tracer.Start("evidence").End()
+	start := time.Now()
+	defer func() { r.rep.Phases.Resolve += time.Since(start) }()
+	out := make([][]int32, n)
+	for _, ke := range pg.Known {
+		out[ke.From] = append(out[ke.From], ke.To)
+	}
+	order, ok := acyclic.TopoBFS(n, out, nil)
+	if !ok {
+		return // unreachable: a cyclic known graph rejects before any solving
+	}
+	rr := resolvePolygraph(ctx, pg.Known, pg.Cons, out, order, resolveLargeFolds, r.opts.workers())
+	switch {
+	case rr == nil:
+	case rr.cycle != nil:
+		r.rep.KnownCycle = rr.cycle
+	case len(rr.forced) > 0:
+		known := append(append(make([]KnownEdge, 0, len(pg.Known)+len(rr.forced)), pg.Known...), rr.forced...)
+		r.rep.KnownCycle = knownCycle(out, known)
+	}
 }
 
 // pass runs one encode+solve round over set. k > 0 applies heuristic

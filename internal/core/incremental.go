@@ -51,7 +51,11 @@
 // batch that is retired before the next pass or audit, never a theory
 // constant, which would be irrevocable. No resolution state carries over
 // between audits: constants only accrue, so each audit's fixpoint
-// rediscovers every earlier discharge.
+// rediscovers every earlier discharge. Like the one-shot check's
+// pre-solve pass, a warm audit's takes no large folds; when the solver
+// then refutes, the same evidence pass (solveRun.evidence) reruns the
+// fixpoint with them over the session's constants and constraints to
+// name the cycle.
 //
 // Rejection is cached: SI (and the other checked levels) are closed under
 // history prefixes, so once a validated prefix is rejected every extension
@@ -328,7 +332,10 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 	// immutable once appended, so only new transactions are scanned, and a
 	// hit is cached like any other rejection (G1b is prefix-monotone).
 	if inc.rejected == nil {
-		if ev := findG1b(inc.h, inc.g1bHigh); ev != nil {
+		g1bReg := inc.opts.Tracer.Start("g1b")
+		ev := findG1b(inc.h, inc.g1bHigh)
+		g1bReg.End()
+		if ev != nil {
 			inc.rejected = &Report{
 				Level:   inc.opts.Level,
 				Outcome: Reject,
@@ -669,13 +676,14 @@ func (w *warmState) insert(e Edge, kind EdgeKind, key history.Key) []KnownEdge {
 // over set, every session constraint, against the closure of the theory's
 // constants over n nodes. The theory's Pearce–Kelly order is a
 // topological order of a supergraph of the constants, so it serves as
-// the build order directly. The fixpoint takes no large folds: a forcing
-// cascade too large for a cheap refresh ends it, and the next audit's
-// closure, built over the forced constants, picks the cascade up. The
-// forced edges become theory constants. resolve returns the constraints
-// left undecided, with their indexes in w.cons, or a rejection's
-// evidence: a cycle that forcing closes, in the closure or among the
-// constants.
+// the build order directly. The fixpoint takes no large folds, like the
+// one-shot check's pre-solve pass: a forcing cascade too large for a
+// cheap refresh ends it, and the next audit's closure, built over the
+// forced constants, picks the cascade up; a refutation's evidence pass
+// takes them. The forced edges become theory constants. resolve returns
+// the constraints left undecided, with their indexes in w.cons, or a
+// rejection's evidence: a cycle that forcing closes, in the closure or
+// among the constants.
 func (w *warmState) resolve(ctx context.Context, set consSet, n int32, workers int, rep *Report) (consSet, []KnownEdge) {
 	start := time.Now()
 	defer func() { rep.Phases.Resolve = time.Since(start) }()
@@ -846,13 +854,16 @@ encode:
 	// Sound pre-solve resolution (warmState.resolve), ahead of the
 	// timestamp stage that solveRun.solve begins with. A rejection found
 	// here carries a known-edge witness exactly like a failed constant
-	// insertion above.
+	// insertion above; one the solver refutes gets its witness from the
+	// evidence pass, over pg below, whose known graph is the constants.
 	all := consSet{cons: w.cons, at: make([]int32, len(w.cons))}
 	for i := range all.at {
 		all.at[i] = int32(i)
 	}
 	if cyc == nil && !opts.DisableResolve {
+		resReg := opts.Tracer.Start("resolve")
 		all, cyc = w.resolve(ctx, all, n, opts.workers(), rep)
+		resReg.End()
 	}
 	rep.KnownEdges = w.th.NumConstants()
 	rep.ForcedEdges = w.forcedEdges
@@ -871,17 +882,19 @@ encode:
 	// it: exactly the order the cold path's topological sort derives then,
 	// and the witness a timestamp accept needs.
 	pg := newPolygraph(h, opts.Level)
-	pg.Cons = w.cons
+	pg.Known, pg.Cons = w.known.edges, w.cons
 	all.known = w.known.edges
 	var schedule time.Duration
 	if !opts.DisableTSFastPath {
 		if ok, _ := tsUsable(h); ok {
+			tsReg := opts.Tracer.Start("tsorder")
 			tsStart := time.Now()
 			pg.initNodeTS()
 			if pos := pg.tsSchedule(); constantsForward(w.known.edges, pos) {
 				all.pos = pos
 			}
 			schedule = time.Since(tsStart)
+			tsReg.End()
 		}
 	}
 	if all.pos == nil {

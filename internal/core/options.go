@@ -198,11 +198,14 @@ type Options struct {
 	// DisablePruning turns off heuristic pruning (§3.5).
 	DisablePruning bool
 
-	// DisableResolve turns off the sound pre-solve constraint resolution
-	// pass (resolve.go): unit propagation over the known graph's transitive
-	// closure, which discharges constraints and forces edges before any
-	// solver runs. Resolution never changes verdicts — it is a pure
-	// optimization — so this is an escape hatch and ablation knob.
+	// DisableResolve turns off sound constraint resolution (resolve.go):
+	// unit propagation over the known graph's transitive closure. It turns
+	// off both of its passes: the pre-solve pass, which discharges
+	// constraints and forces edges before any solver runs, and the
+	// evidence pass, which names the cycle behind a solver refutation
+	// (Report.KnownCycle). Resolution never changes verdicts, so this is an
+	// escape hatch and ablation knob; with it set, a reject the solver
+	// refutes names no cycle.
 	DisableResolve bool
 
 	// DisableTSFastPath turns off the timestamp-assisted fast path
@@ -260,10 +263,12 @@ type Options struct {
 	// 0 means the default (250ms).
 	ProgressInterval time.Duration
 
-	// Tracer, when non-nil, records phase-scoped spans (construct →
-	// attempt(encode solve), per-audit for incremental sessions) into an
-	// exportable trace. Nil (the default) costs one pointer check per
-	// phase boundary.
+	// Tracer, when non-nil, records phase-scoped spans into an exportable
+	// trace, under one audit span per audit: construct (with the g1b
+	// screen), tsorder, resolve, attempt(encode solve) per solver pass,
+	// evidence after a refutation, and selfcheck; a warm audit's encode
+	// span comes before its resolve span. Nil (the default) costs one
+	// pointer check per phase boundary.
 	Tracer *obs.Tracer
 }
 

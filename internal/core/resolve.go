@@ -23,12 +23,17 @@
 // itself dead closes a cycle among must-hold edges — an immediate
 // rejection, with the shortest known-edge path as the witness.
 //
-// resolvePolygraph is the one fixpoint. A one-shot check reaches it
-// through solveRun.resolve over the polygraph's known graph; a warm
-// session audit calls it over the closure of its theory constants, built
-// afresh each audit, and makes the forced edges constants
-// (warmState.resolve). The two differ only in their budget of large
-// folds.
+// resolvePolygraph is the one fixpoint, run in two passes that differ
+// only in their budget of large folds (closure rebuilds for a batch of
+// more than resolveCheapBatch forced edges). The pre-solve pass takes
+// none: a one-shot check reaches it through solveRun.resolve over the
+// polygraph's known graph, and a warm session audit over the closure of
+// its theory constants, built afresh each audit, making the forced edges
+// constants (warmState.resolve). An accept never needs the large folds —
+// the solver decides whatever the cheap folds leave — so only a reject
+// pays for them: after the solver refutes the polygraph, on either path,
+// the evidence pass (solveRun.evidence) reruns the fixpoint with
+// resolveLargeFolds over every constraint to name the cycle.
 package core
 
 import (
@@ -365,7 +370,7 @@ const (
 	maxResolvePasses  = 64
 	resolveGainFloor  = 50 // reciprocal: a pass must discharge >= 2% to justify a rebuild
 	resolveCheapBatch = 64 // staged batches this small always fold (refresh is near-free)
-	resolveLargeFolds = 2  // a one-shot check's budget of large folds
+	resolveLargeFolds = 2  // the evidence pass's budget of large folds
 )
 
 // resolvePolygraph runs the sound resolution fixpoint over consIn (a
@@ -376,10 +381,12 @@ const (
 // edges, so a caller can re-derive a topological order afterwards), and
 // order a topological order of it. largeFolds is the caller's budget of
 // large folds: a staged batch of more than resolveCheapBatch edges folds
-// only within the fixpoint's first largeFolds passes. A one-shot check
-// spends resolveLargeFolds; a warm audit spends none, since its next
-// audit's closure absorbs the cascade. Returns nil when the pass declined
-// to run (closure over budget) or ctx expired mid-pass — the caller then
+// only within the fixpoint's first largeFolds passes. Pre-solve callers,
+// one-shot and warm, spend none: the solver decides what the cheap folds
+// leave. Only the evidence pass after a refutation spends
+// resolveLargeFolds, since its cascade of forcing is what closes the
+// cycles a reject names. Returns nil when the pass declined to run
+// (closure over budget) or ctx expired mid-pass — the caller then
 // proceeds exactly as before the pass existed.
 func resolvePolygraph(ctx context.Context, known []KnownEdge, consIn []Constraint, out [][]int32, order []int32, largeFolds, workers int) *resolveResult {
 	n := len(out)

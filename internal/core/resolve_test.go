@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"viper/internal/anomaly"
 	"viper/internal/histgen"
 	"viper/internal/history"
+	"viper/internal/obs"
 	"viper/internal/oracle"
 )
 
@@ -273,19 +275,19 @@ func TestResolveForcedCycleProvenance(t *testing.T) {
 // TestResolveEvidencePerAnomaly pins the evidence each anomaly kind's
 // rejection names on both paths — the one-shot check, and a warm session
 // audited every 150 transactions — over histgen SI histories of four
-// seeds, with timestamps usable and zeroed. Both paths must reject. Where
-// the table records a KnownCycle length, the rejection must name a
-// well-formed cycle of exactly that length; 0 records no evidence (the
-// warm lost-update reject is the solver's, and names no cycle). The table
+// seeds, with timestamps usable and zeroed. Both paths must reject, naming
+// a well-formed cycle of exactly the length the table records. The table
 // is what the checker named when it was recorded, the same for every
-// seed and both stamp settings. Resolution finds most of these cycles; a
+// seed and both stamp settings. Resolution finds these cycles: the known
+// graph's sort or the pre-solve pass for most kinds, and for the lost
+// update, which the solver refutes on both paths, the evidence pass. A
 // change to it must keep them.
 func TestResolveEvidencePerAnomaly(t *testing.T) {
 	want := map[anomaly.Kind]struct{ oneShot, warm int }{
 		anomaly.G1c:           {4, 4},
 		anomaly.LongFork:      {4, 4},
 		anomaly.GSIb:          {4, 4},
-		anomaly.LostUpdate:    {2, 0},
+		anomaly.LostUpdate:    {2, 2},
 		anomaly.ReadSkew:      {2, 2},
 		anomaly.FracturedRead: {2, 2},
 		anomaly.CausalFork:    {4, 4},
@@ -334,15 +336,64 @@ func TestResolveEvidencePerAnomaly(t *testing.T) {
 					if p.rep.Outcome != Reject {
 						t.Fatalf("%s/%s: %v, want Reject", label, p.path, p.rep.Outcome)
 					}
-					if p.want == 0 {
-						continue
-					}
 					if len(p.rep.KnownCycle) != p.want {
 						t.Fatalf("%s/%s: names a %d-edge cycle, want %d", label, p.path, len(p.rep.KnownCycle), p.want)
 					}
 					verifyKnownCycle(t, p.rep.KnownCycle, label+"/"+p.path)
 				}
 			}
+		}
+	}
+}
+
+// TestResolveEvidenceSpan: only a refutation pays for large folds. An
+// accept's trace holds no evidence span. A lost-update reject, which the
+// solver refutes, holds exactly one and names its 2-edge cycle, one-shot
+// and in a warm session, whose cached reject does not run the pass again.
+// Under DisableResolve the reject runs no evidence pass and names no
+// cycle.
+func TestResolveEvidenceSpan(t *testing.T) {
+	spec := histgen.Spec{Txns: 400, Keys: 10, MaxConcurrency: 5, AbortEvery: 9}
+	evidence := func(tr *obs.Tracer) int { return strings.Count(tr.Trace().Structure(), "evidence") }
+	check := func(h *history.History, opts Options) (*Report, int) {
+		opts.Level, opts.Tracer = AdyaSI, obs.NewTracer()
+		return CheckHistory(h, opts), evidence(opts.Tracer)
+	}
+	for seed := int64(0); seed < 2; seed++ {
+		spec.Seed = seed
+		if rep, spans := check(histgen.SI(spec), Options{}); rep.Outcome != Accept || spans != 0 {
+			t.Fatalf("seed %d: accept: %v with %d evidence spans, want Accept with none", seed, rep.Outcome, spans)
+		}
+		bad := anomaly.Inject(histgen.SI(spec), anomaly.LostUpdate)
+		if err := bad.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		rep, spans := check(bad, Options{})
+		if rep.Outcome != Reject || spans != 1 || len(rep.KnownCycle) != 2 {
+			t.Fatalf("seed %d: one-shot: %v with %d evidence spans and a %d-edge cycle, want Reject with one span and 2 edges",
+				seed, rep.Outcome, spans, len(rep.KnownCycle))
+		}
+		if rep, spans := check(bad, Options{DisableResolve: true}); rep.Outcome != Reject || spans != 0 || rep.KnownCycle != nil {
+			t.Fatalf("seed %d: DisableResolve: %v with %d evidence spans and cycle %v, want Reject with neither",
+				seed, rep.Outcome, spans, rep.KnownCycle)
+		}
+
+		tr := obs.NewTracer()
+		inc := NewIncremental(Options{Level: AdyaSI, Tracer: tr})
+		var warm *Report
+		for at := 1; at < len(bad.Txns); at += 150 {
+			for _, tx := range bad.Txns[at:min(at+150, len(bad.Txns))] {
+				t2 := *tx
+				inc.Append(&t2)
+			}
+			if inc.History().Validate() == nil {
+				warm = inc.Audit()
+			}
+		}
+		again := inc.Audit()
+		if inc.warm == nil || warm.Outcome != Reject || again != warm || len(warm.KnownCycle) != 2 || evidence(tr) != 1 {
+			t.Fatalf("seed %d: warm: %v (cached %v) with %d evidence spans and a %d-edge cycle, want a cached warm Reject with one span and 2 edges",
+				seed, warm.Outcome, again == warm, evidence(tr), len(warm.KnownCycle))
 		}
 	}
 }

@@ -193,7 +193,10 @@ func CheckMergedContext(ctx context.Context, m *ShardMerger) (*Report, error) {
 	if m.opts.Level.Polynomial() {
 		return checkPolynomial(m.h, m.opts), nil
 	}
-	if ev := findG1b(m.h, 1); ev != nil {
+	g1bReg := m.opts.Tracer.Start("g1b")
+	ev := findG1b(m.h, 1)
+	g1bReg.End()
+	if ev != nil {
 		return &Report{
 			Level:   m.opts.Level,
 			Outcome: Reject,

@@ -25,17 +25,21 @@ func cloneHistory(h *history.History) (*history.History, error) {
 	return c, nil
 }
 
-// Resolve is the pre-solve constraint-resolution ablation (not a paper
-// figure — it tracks this repo's own optimization): viper with and
-// without the known-graph closure pass, on the standard workloads in both
-// healthy and violating variants. Columns report end-to-end runtime for
-// each configuration, the fraction of constraints resolution discharged
-// before the solver, and the forced-edge count. Expected shape: on
-// violating histories the resolve column wins outright (the closure finds
-// the cycle without touching the solver); on healthy histories the two
-// run within noise of each other — resolution discharges most
-// constraints, but these solver instances were already easy, so the rows
-// pin the overhead rather than a speedup.
+// Resolve is the constraint-resolution ablation (not a paper figure — it
+// tracks this repo's own optimization): viper with and without the
+// known-graph closure passes, on the standard workloads in both healthy
+// and violating variants. Columns report end-to-end runtime for each
+// configuration, the fraction of constraints the pre-solve pass
+// discharged before the solver, and the edges it forced. The histories
+// come from runner, so they carry timestamps, and rows vary from run to
+// run. Expected shape: on healthy histories the timestamp stage decides
+// every constraint, so resolution never runs (0 resolved) and the two
+// columns agree. On violating histories the solver refutes in both
+// columns, and the resolve column pays on top for the evidence pass that
+// names the cycle, whose counts are not reported: 0 resolved when the
+// timestamp pass itself is refuted (G-SIb), about a third of the
+// constraints when it fails only its chosen sides and the full-set
+// pre-solve pass runs before the §3.5 passes refute (lost update).
 func Resolve(cfg Config) (*Table, error) {
 	t := &Table{
 		Name:   "resolve",

@@ -29,7 +29,8 @@ type Snapshot struct {
 
 	// Graph counters. ResolvedConstraints/ForcedEdges mirror the Report
 	// fields of the same name: constraints discharged (and edges forced)
-	// by the sound pre-solve resolution pass.
+	// by the sound pre-solve resolution pass, never by the evidence pass
+	// that follows a refutation.
 	Nodes               int `json:"nodes"`
 	KnownEdges          int `json:"known_edges"`
 	Constraints         int `json:"constraints"`

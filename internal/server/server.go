@@ -441,7 +441,8 @@ type SessionConfig struct {
 	InitialK int `json:"initial_k,omitempty"`
 	// DisablePruning turns off §3.5 heuristic pruning.
 	DisablePruning bool `json:"disable_pruning,omitempty"`
-	// DisableResolve turns off pre-solve constraint resolution.
+	// DisableResolve turns off constraint resolution: the pre-solve pass
+	// and the evidence pass that names a refuted reject's cycle.
 	DisableResolve bool `json:"disable_resolve,omitempty"`
 	// CheckpointEvery/MaxLiveOps/CheckpointKeep configure the session's
 	// auto-checkpoint policy (viper.CheckpointPolicy): checkpoint after an
