@@ -14,6 +14,7 @@ import (
 	"viper/internal/anomaly"
 	"viper/internal/baseline"
 	"viper/internal/core"
+	"viper/internal/histgen"
 	"viper/internal/history"
 	"viper/internal/runner"
 	"viper/internal/sat"
@@ -642,33 +643,49 @@ func BenchmarkAuditMatrixWarm(b *testing.B) {
 // (nil Progress, nil Tracer — one pointer check per hook site) and must
 // stay within noise of the pre-obs baselines recorded in EXPERIMENTS.md;
 // "progress" adds a 1ms sampling callback (far denser than the 250ms
-// default, an upper bound); "traced" records the span tree.
+// default, an upper bound); "traced" records the span tree. The history
+// is a seeded histgen SI history, the same in every process (a runner
+// history is not), checked stamped and with its stamps zeroed: the
+// unstamped check takes the window stage, so its spans are timed too.
+// Each variant runs one check before its timer starts.
 func BenchmarkObsOverhead(b *testing.B) {
-	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 1000, 24)
-	run := func(b *testing.B, opts core.Options) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			rep := core.CheckHistory(h, opts)
-			mustOutcome(b, rep.Outcome, core.Accept)
+	stamped := histgen.SI(histgen.Spec{Txns: 1000, Keys: 50, MaxConcurrency: 8, Seed: 1})
+	unstamped := histgen.SI(histgen.Spec{Txns: 1000, Keys: 50, MaxConcurrency: 8, Seed: 1})
+	for _, tx := range unstamped.Txns[1:] {
+		tx.BeginAt, tx.CommitAt = 0, 0
+	}
+	var ticks int
+	variants := []struct {
+		name string
+		opts func() core.Options
+	}{
+		{"disabled", func() core.Options { return core.Options{Level: core.AdyaSI} }},
+		{"progress", func() core.Options {
+			return core.Options{
+				Level:            core.AdyaSI,
+				ProgressInterval: time.Millisecond,
+				Progress:         func(ProgressSnapshot) { ticks++ },
+			}
+		}},
+		{"traced", func() core.Options { return core.Options{Level: core.AdyaSI, Tracer: NewTracer()} }},
+	}
+	for _, in := range []struct {
+		name string
+		h    *History
+	}{{"stamped", stamped}, {"unstamped", unstamped}} {
+		for _, v := range variants {
+			b.Run(in.name+"/"+v.name, func(b *testing.B) {
+				mustOutcome(b, core.CheckHistory(in.h, v.opts()).Outcome, core.Accept)
+				ticks = 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rep := core.CheckHistory(in.h, v.opts())
+					mustOutcome(b, rep.Outcome, core.Accept)
+				}
+				if v.name == "progress" {
+					b.ReportMetric(float64(ticks)/float64(b.N), "snapshots/op")
+				}
+			})
 		}
 	}
-	b.Run("disabled", func(b *testing.B) {
-		run(b, core.Options{Level: core.AdyaSI})
-	})
-	b.Run("progress", func(b *testing.B) {
-		var ticks int
-		opts := core.Options{
-			Level:            core.AdyaSI,
-			ProgressInterval: time.Millisecond,
-			Progress:         func(ProgressSnapshot) { ticks++ },
-		}
-		run(b, opts)
-		b.ReportMetric(float64(ticks)/float64(b.N), "snapshots/op")
-	})
-	b.Run("traced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rep := core.CheckHistory(h, core.Options{Level: core.AdyaSI, Tracer: NewTracer()})
-			mustOutcome(b, rep.Outcome, core.Accept)
-		}
-	})
 }

@@ -163,7 +163,7 @@ func (c *Checker) Audit() *Result { return c.AuditContext(context.Background()) 
 // onto long-running audits without leaking solver work.
 func (c *Checker) AuditContext(ctx context.Context) *Result {
 	start := time.Now()
-	if err := c.inc.History().Validate(); err != nil {
+	if err := validate(c.inc.History(), c.opts.Tracer); err != nil {
 		return &Result{Outcome: Reject, Violation: err, ParseTime: time.Since(start)}
 	}
 	parse := time.Since(start)

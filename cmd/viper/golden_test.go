@@ -129,29 +129,40 @@ func TestGoldenReports(t *testing.T) {
 
 // TestTraceOut exercises -trace-out: the emitted trace must parse and
 // contain the expected phases, the G1b screen, timestamp stage and
-// pre-solve resolution included.
+// pre-solve resolution included. A -follow session over the same log
+// with the timestamp stage off adds the validate span, which every
+// Checker audit opens, and the window stage of its first (cold) audit.
 func TestTraceOut(t *testing.T) {
 	hPath := filepath.Join(t.TempDir(), "h.jsonl")
 	if err := histio.WriteFile(hPath, goldenAccept(t)); err != nil {
 		t.Fatal(err)
 	}
-	tPath := filepath.Join(t.TempDir(), "trace.json")
-	var out, errb bytes.Buffer
-	if code := run([]string{"-trace-out", tPath, hPath}, &out, &errb); code != exitAccept {
-		t.Fatalf("exit %d (stderr: %s)", code, errb.String())
-	}
-	raw, err := os.ReadFile(tPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr obs.Trace
-	if err := json.Unmarshal(raw, &tr); err != nil {
-		t.Fatalf("trace does not parse: %v", err)
-	}
-	structure := tr.Structure()
-	for _, want := range []string{"parse", "audit", "construct", "g1b", "tsorder", "resolve", "attempt"} {
-		if !strings.Contains(structure, want) {
-			t.Fatalf("trace structure %q missing span %q", structure, want)
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{nil, []string{"parse", "audit", "construct", "g1b", "tsorder", "resolve", "attempt"}},
+		{[]string{"-follow", "-idle-exit", "100ms", "-ts-fastpath", "off"}, []string{"validate", "audit", "construct", "g1b", "window", "attempt"}},
+	} {
+		tPath := filepath.Join(t.TempDir(), "trace.json")
+		args := append(append([]string{"-trace-out", tPath}, tc.args...), hPath)
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != exitAccept {
+			t.Fatalf("%v: exit %d (stderr: %s)", tc.args, code, errb.String())
+		}
+		raw, err := os.ReadFile(tPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr obs.Trace
+		if err := json.Unmarshal(raw, &tr); err != nil {
+			t.Fatalf("%v: trace does not parse: %v", tc.args, err)
+		}
+		structure := tr.Structure()
+		for _, want := range tc.want {
+			if !strings.Contains(structure, want) {
+				t.Fatalf("%v: trace structure %q missing span %q", tc.args, structure, want)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
@@ -58,15 +59,30 @@ type PhaseTimings struct {
 	Solve   time.Duration // SAT+theory solving (summed over solver passes)
 }
 
+// add books q's phases on top of p's: a check that ran in two stages
+// (the window stage, then the full polygraph) reports both.
+func (p *PhaseTimings) add(q PhaseTimings) {
+	p.Construct += q.Construct
+	p.ConstructCPU += q.ConstructCPU
+	p.Resolve += q.Resolve
+	p.TSOrder += q.TSOrder
+	p.Encode += q.Encode
+	p.Solve += q.Solve
+}
+
 // Report is the result of a check.
 type Report struct {
 	Outcome Outcome
 	Level   Level
 
-	// Graph statistics.
+	// Graph statistics. Constraints counts the constraints materialised
+	// in the checked polygraph, before pruning: every constraint of the
+	// full polygraph, or, when the window stage decided the check
+	// (window.go), only the writer pairs it built — 0 on a reject by a
+	// cycle of known edges, which it finds before building any.
 	Nodes       int
 	KnownEdges  int
-	Constraints int // constraints in the polygraph (before pruning)
+	Constraints int
 
 	// ConstructWorkers is the resolved worker count for polygraph
 	// construction (see Options.Parallelism); the record pool starts at
@@ -104,7 +120,7 @@ type Report struct {
 	PrunedConstraints int // constraints resolved by heuristic pruning
 	HeuristicEdges    int
 	EdgeVars          int
-	Retries           int // failed passes (timestamp pass, k doublings)
+	Retries           int // failed passes (timestamp pass, k doublings, a window witness that failed replay)
 	FinalK            int // 0 means no heuristic was in force
 
 	Phases PhaseTimings
@@ -215,9 +231,10 @@ func CheckHistoryContext(ctx context.Context, h *history.History, opts Options) 
 		return checkPolynomial(h, opts)
 	}
 	// One-shot checking is a single-audit incremental session: the first
-	// audit always assembles the full polygraph and runs the batch solve,
-	// so the verdict, report, and witness are those of the historical
-	// monolithic pipeline.
+	// audit is cold, so the verdict, report, and witness are those of a
+	// Checker's first audit — the window stage's (window.go) when pruning
+	// is on and no timestamp stage will run, the full polygraph's
+	// otherwise.
 	return sessionOver(h, opts).AuditContext(ctx)
 }
 
@@ -263,34 +280,58 @@ func CheckPolygraph(pg *Polygraph, opts Options) *Report {
 // CheckPolygraphContext is CheckPolygraph under a cancellation context
 // (see CheckHistoryContext for the contract).
 func CheckPolygraphContext(ctx context.Context, pg *Polygraph, opts Options) *Report {
-	rep := checkPolygraph(ctx, pg, opts)
+	rep := checkPolygraph(ctx, pg, opts, solveDeadline(ctx, opts))
 	rep.selfCheck(pg, opts)
 	return rep
 }
 
-// checkPolygraph is CheckPolygraphContext without the witness self-check.
-func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
-	checkStart := time.Now()
+// checkPolygraph is CheckPolygraphContext without the witness self-check,
+// under a deadline the caller resolved (solveDeadline).
+func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options, deadline time.Time) *Report {
+	// Topologically sort the known graph. A cycle here is a rejection with
+	// direct evidence; otherwise the order seeds heuristic pruning.
+	r := newSolveRun(pg, opts, deadline)
+	order, ok := r.schedule()
+	if !ok {
+		return r.rep
+	}
+	r.check(ctx, order)
+	return r.rep
+}
+
+// newSolveRun readies a check of pg: its report and its known graph's
+// adjacency.
+func newSolveRun(pg *Polygraph, opts Options, deadline time.Time) *solveRun {
+	out := make([][]int32, pg.NumNodes)
+	for _, ke := range pg.Known {
+		out[ke.From] = append(out[ke.From], ke.To)
+	}
 	rep := &Report{
 		Level:       pg.Level,
 		Nodes:       int(pg.NumNodes),
 		KnownEdges:  len(pg.Known),
 		Constraints: len(pg.Cons),
 	}
+	return &solveRun{pg: pg, opts: opts, rep: rep, out: out, deadline: deadline, checkStart: time.Now()}
+}
 
-	// Topologically sort the known graph. A cycle here is a rejection with
-	// direct evidence; otherwise the order seeds heuristic pruning.
-	out := make([][]int32, pg.NumNodes)
-	for _, ke := range pg.Known {
-		out[ke.From] = append(out[ke.From], ke.To)
-	}
-	r := &solveRun{pg: pg, opts: opts, rep: rep, out: out, deadline: solveDeadline(ctx, opts), checkStart: checkStart}
-	order, ok := acyclic.TopoPriority(int(pg.NumNodes), out, r.less)
+// schedule sorts the known graph topologically under less, giving ŝ. A
+// cycle rejects: ok is false and the report carries the cycle.
+func (r *solveRun) schedule() (order []int32, ok bool) {
+	order, ok = acyclic.TopoPriority(int(r.pg.NumNodes), r.out, r.less)
 	if !ok {
-		rep.Outcome = Reject
-		rep.KnownCycle = knownCycle(out, pg.Known)
-		return rep
+		r.rep.Outcome = Reject
+		r.rep.KnownCycle = knownCycle(r.out, r.pg.Known)
 	}
+	return order, ok
+}
+
+// check decides pg from order, ŝ over its known graph (schedule): a
+// constraint-free polygraph accepts on ŝ itself, anything else goes
+// through solve.
+func (r *solveRun) check(ctx context.Context, order []int32) {
+	pg, rep := r.pg, r.rep
+	rep.Constraints = len(pg.Cons)
 
 	// Constraint-free fast path (write order fully known — e.g. the
 	// list-append workload, §7.1): the BC-polygraph is a BC-graph and the
@@ -298,7 +339,7 @@ func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
 	if len(pg.Cons) == 0 {
 		rep.Outcome = Accept
 		rep.WitnessPositions = positionsOf(order)
-		return rep
+		return
 	}
 
 	all := consSet{cons: pg.Cons, at: make([]int32, len(pg.Cons)), known: pg.Known, pos: positionsOf(order)}
@@ -306,7 +347,6 @@ func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options) *Report {
 		all.at[i] = int32(i)
 	}
 	r.solve(ctx, all)
-	return rep
 }
 
 // solve runs a check's stages over all, every constraint still undecided:
@@ -435,6 +475,12 @@ type solveRun struct {
 	// committed lists the committed transactions, the endpoints of stride
 	// edges, collected once for every pass.
 	committed []history.TxnID
+
+	// grow, when set, widens the polygraph to the radius k of the pass
+	// about to run (0: the exact pass) by appending constraints to
+	// pg.Cons; run adds them to the pass's set (the window stage,
+	// window.go).
+	grow func(k int)
 
 	warm    bool
 	s       *sat.Solver
@@ -574,7 +620,25 @@ func (r *solveRun) run(ctx context.Context, set consSet) {
 		if k >= int(pg.NumNodes) {
 			k = 0 // final, exact pass
 		}
+		if r.grow != nil {
+			set = r.widen(set, k)
+		}
 	}
+}
+
+// widen grows the polygraph to radius k (grow) and adds the constraints
+// it appended to set, undecided and without clauses.
+func (r *solveRun) widen(set consSet, k int) consSet {
+	pg := r.pg
+	n := len(pg.Cons)
+	r.grow(k)
+	set.cons = append(slices.Clip(set.cons), pg.Cons[n:]...)
+	for i := n; i < len(pg.Cons); i++ {
+		set.at = append(set.at, int32(i))
+		r.sel = append(r.sel, sat.LitUndef)
+	}
+	r.rep.Constraints = len(pg.Cons)
+	return set
 }
 
 // stopped reports (and records as a timeout) a context that expired

@@ -25,43 +25,61 @@ func TestCheckContextPreCanceled(t *testing.T) {
 // TestCheckContextCancelMidSolve cancels while the solver is running —
 // deterministically, by braking the solve with a Progress callback that
 // blocks until the cancel has happened — and asserts the solve is
-// interrupted promptly instead of running to completion.
+// interrupted promptly instead of running to completion. It interrupts
+// the exact solve over the full polygraph (pruning off), and the window
+// stage's solve (window.go), whose span then records the timeout. Both
+// solves run hundreds of decisions on this history, past the sampler's
+// first tick.
 func TestCheckContextCancelMidSolve(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	inSolve := make(chan struct{})
-	var signaled bool
-
-	opts := Options{
-		Level: AdyaSI,
-		// The timestamp fast path would accept this conformant history
-		// before any solver runs; this test is specifically about
-		// interrupting a running solve, so force the solver path.
-		DisableTSFastPath: true,
-		ProgressInterval:  time.Nanosecond, // fire the callback on the first sampling tick
-		// The callback runs synchronously on the solve goroutine, so it can
-		// brake the solver deterministically.
-		Progress: func(obs.Snapshot) {
-			if !signaled {
-				signaled = true
-				close(inSolve)
-				<-ctx.Done() // hold the solver here until the cancel lands
-			}
-		},
-	}
-
-	go func() {
-		<-inSolve
-		cancel()
-	}()
-
 	h := histgen.SI(histgen.Spec{Txns: 400, Seed: 2})
-	start := time.Now()
-	rep := CheckHistoryContext(ctx, h, opts)
-	if rep.Outcome != Timeout {
-		t.Fatalf("outcome = %v, want Timeout", rep.Outcome)
-	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("cancellation took %v", elapsed)
+	for _, tc := range []struct {
+		name   string
+		window bool
+	}{{"full", false}, {"window", true}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		inSolve := make(chan struct{})
+		var signaled bool
+
+		opts := Options{
+			Level: AdyaSI,
+			// The timestamp fast path would accept this conformant history
+			// before any solver runs; this test is specifically about
+			// interrupting a running solve, so force the solver path.
+			DisableTSFastPath: true,
+			// Without pruning the check solves the full polygraph exactly;
+			// with it, the window stage solves its window polygraph.
+			DisablePruning:   !tc.window,
+			ProgressInterval: time.Nanosecond, // fire the callback on the first sampling tick
+			// The callback runs synchronously on the solve goroutine, so it
+			// can brake the solver deterministically.
+			Progress: func(obs.Snapshot) {
+				if !signaled {
+					signaled = true
+					close(inSolve)
+					<-ctx.Done() // hold the solver here until the cancel lands
+				}
+			},
+			Tracer: obs.NewTracer(),
+		}
+
+		go func() {
+			<-inSolve
+			cancel()
+		}()
+
+		start := time.Now()
+		rep := CheckHistoryContext(ctx, h, opts)
+		if rep.Outcome != Timeout {
+			t.Fatalf("%s: outcome = %v, want Timeout", tc.name, rep.Outcome)
+		}
+		if elapsed := time.Since(start); elapsed > 30*time.Second {
+			t.Fatalf("%s: cancellation took %v", tc.name, elapsed)
+		}
+		attrs, ok := windowSpan(opts.Tracer)
+		if ok != tc.window || ok && attrs["outcome"] != int64(Timeout) {
+			t.Fatalf("%s: window span %v (present %v)", tc.name, attrs, ok)
+		}
+		cancel()
 	}
 }
 

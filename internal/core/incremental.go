@@ -13,7 +13,11 @@
 // and runs the ordinary batch solve (the cold path, used for levels with
 // real-time edges, and for the first audit so the one-shot wrappers stay
 // byte-compatible with the historical batch pipeline), or feeds the
-// deltas to a persistent solver (the warm path). Build and CheckHistory
+// deltas to a persistent solver (the warm path). A cold audit with
+// pruning on and no timestamp stage ahead first takes the window stage
+// (window.go), which builds from the indexes only the writer pairs §3.5's
+// first pass can encode and leaves the records dirty; it goes on to the
+// cold path only when its witness fails replay. Build and CheckHistory
 // are one-audit sessions.
 //
 // The warm path keeps one SAT solver and one acyclicity theory alive for
@@ -321,7 +325,6 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 	inc.publish(obs.Snapshot{Phase: "construct"})
 	conReg := inc.opts.Tracer.Start("construct")
 	inc.update()
-	regenWall, regenCPU, workers := inc.regen()
 
 	// G1b screen (ra.go): an intermediate read can never replay under any
 	// event schedule (commits install last-write-per-key, so VerifyWitness
@@ -357,7 +360,9 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 	}
 
 	var rep *Report
-	if inc.warmCapable() && inc.audits > 0 {
+	switch {
+	case inc.warmCapable() && inc.audits > 0:
+		regenWall, regenCPU, workers := inc.regen()
 		if inc.partitionChanged {
 			inc.warm = nil
 			inc.partitionChanged = false
@@ -366,16 +371,11 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 		// span to match.
 		conReg.End()
 		rep = inc.auditWarm(ctx, constructStart, regenWall, regenCPU, workers)
-	} else {
-		// Cold path: assemble the record store into a Polygraph and run the
-		// ordinary batch solve.
-		pg := inc.assemble()
-		construct := time.Since(constructStart)
+	case inc.windowed():
 		conReg.End()
-		rep = CheckPolygraphContext(ctx, pg, inc.obsOpts())
-		rep.Phases.Construct = construct
-		rep.Phases.ConstructCPU = construct - regenWall + regenCPU
-		rep.ConstructWorkers = workers
+		rep = inc.auditWindow(ctx, constructStart)
+	default:
+		rep = inc.auditCold(ctx, constructStart, conReg, time.Time{})
 	}
 	if rep.Outcome == Reject {
 		// A rejection reached under a live context is a real verdict (the
@@ -393,6 +393,29 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 	final.ElapsedNS = int64(time.Since(constructStart))
 	inc.publish(final)
 	inc.audits++
+	return rep
+}
+
+// auditCold is the cold path: it regenerates the dirty keys' records,
+// assembles the record store into a Polygraph and runs the ordinary
+// batch solve. Construction runs from constructStart until assembly,
+// under conReg. deadline bounds the solve; zero resolves it once
+// construction ends (solveDeadline), which gives zero again when neither
+// Options.Timeout nor ctx's deadline applies.
+func (inc *Incremental) auditCold(ctx context.Context, constructStart time.Time, conReg obs.Region, deadline time.Time) *Report {
+	regenWall, regenCPU, workers := inc.regen()
+	pg := inc.assemble()
+	construct := time.Since(constructStart)
+	conReg.End()
+	opts := inc.obsOpts()
+	if deadline.IsZero() {
+		deadline = solveDeadline(ctx, opts)
+	}
+	rep := checkPolygraph(ctx, pg, opts, deadline)
+	rep.selfCheck(pg, opts)
+	rep.Phases.Construct = construct
+	rep.Phases.ConstructCPU = construct - regenWall + regenCPU
+	rep.ConstructWorkers = workers
 	return rep
 }
 

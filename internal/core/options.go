@@ -195,7 +195,9 @@ type Options struct {
 	// constraints.
 	DisableCoalesce bool
 
-	// DisablePruning turns off heuristic pruning (§3.5).
+	// DisablePruning turns off heuristic pruning (§3.5), and with it the
+	// window stage (window.go): a cold check then builds and solves the
+	// full polygraph, every writer pair of every key, exactly.
 	DisablePruning bool
 
 	// DisableResolve turns off sound constraint resolution (resolve.go):
@@ -223,7 +225,10 @@ type Options struct {
 	// default (128 nodes). When a pass fails only because of what pruning
 	// asserted, the checker doubles K and retries on the same solver until
 	// K exceeds the node count (at which point no heuristic is applied and
-	// the answer is exact).
+	// the answer is exact). It is also the window stage's radius
+	// (window.go): a cold check without a timestamp stage first builds
+	// only the writer pairs within K of each other in the schedule ŝ, and
+	// widens the window with K.
 	InitialK int
 
 	// Timeout bounds total checking time; zero means no limit.
@@ -267,8 +272,13 @@ type Options struct {
 	// trace, under one audit span per audit: construct (with the g1b
 	// screen), tsorder, resolve, attempt(encode solve) per solver pass,
 	// evidence after a refutation, and selfcheck; a warm audit's encode
-	// span comes before its resolve span. Nil (the default) costs one
-	// pointer check per phase boundary.
+	// span comes before its resolve span. A cold audit that takes the
+	// window stage (window.go) runs its stages inside a window span, whose
+	// attributes count the constraints it built and give its outcome (an
+	// Outcome, or 3 when the witness failed replay; a construct span and
+	// the full polygraph's stages follow). The viper package's Check and
+	// Checker audits open a validate span before the audit span. Nil (the
+	// default) costs one pointer check per phase boundary.
 	Tracer *obs.Tracer
 }
 

@@ -21,6 +21,11 @@
 //     that fixed order. The result is therefore the same for any worker
 //     count, and for any split of the keys across cluster workers, whose
 //     KeyRecords the coordinator assembles the same way (shard.go).
+//
+// The window stage (window.go) records with the same emitters in two
+// passes over the same indexes, without touching the record store: the
+// known part of every key's emissions, assembled like step 3, then only
+// the writer pairs near each other in the known graph's schedule.
 package core
 
 import (
@@ -72,8 +77,8 @@ type keyRecorder struct {
 // reserve allocates the key's ops and side slab once, before the first
 // emission: ops is exactly the number of knownEvent emissions that
 // classify as normal plus constraint emissions, and edges bounds the
-// constraint-side edges they resolve to (buildKeyConstraints counts both
-// with recordSize).
+// constraint-side edges they resolve to (buildKeyConstraints counts both,
+// with knownOps and pairsSize).
 func (kr keyRecorder) reserve(ops, edges int) {
 	if ops > 0 {
 		kr.rec.Ops = make([]KeyOp, 0, ops)

@@ -256,26 +256,62 @@ func (pg *Polygraph) initNodeTS() {
 }
 
 // buildKeyConstraints records the known edges and constraints for one
-// key (Figure 4 lines 37–50, at writer-chain granularity) into kr, and
-// returns the key's writer chains.
+// key (Figure 4 lines 37–50, at writer-chain granularity) into kr — the
+// key's known part (keyKnown) and every pair of its non-genesis chains —
+// and returns the key's writer chains.
 func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnID, byWriter map[history.TxnID][]history.TxnID, combine, coalesce bool, kr keyRecorder) []*chain {
-	chains := pg.writerChains(writers, byWriter, combine)
-	if len(chains) == 0 {
+	kc := pg.keyChains(writers, byWriter, combine)
+	if len(kc.all) == 0 {
 		return nil
 	}
-	var gchain *chain
-	real := make([]*chain, 0, len(chains))
-	for _, ch := range chains {
-		if ch.genesis {
-			gchain = ch
-		} else {
-			real = append(real, ch)
+	r := len(kc.real)
+	tailReaders := 0
+	for _, ch := range kc.real {
+		tailReaders += len(byWriter[ch.tail()])
+	}
+	// Each chain's tail readers appear in the r−1 pairs the chain is in.
+	ops, edges := pairsSize(r*(r-1)/2, (r-1)*tailReaders, coalesce)
+	kr.reserve(kc.knownOps(byWriter)+ops, edges)
+	pg.keyKnown(key, kc, byWriter, kr)
+
+	// Pairwise constraints between non-genesis chains.
+	var scratch pairScratch
+	for i := 0; i < r; i++ {
+		for j := i + 1; j < r; j++ {
+			pg.chainPairConstraints(key, kc.real[i], kc.real[j], byWriter, coalesce, kr, &scratch)
 		}
 	}
-	kr.reserve(recordSize(chains, gchain, real, byWriter, coalesce))
+	return kc.all
+}
 
-	// In-chain known edges.
+// keyChains is one key's writer chains: all of them in writerChains'
+// order, and split into the genesis chain and the rest.
+type keyChains struct {
+	all    []*chain
+	gchain *chain
+	real   []*chain
+}
+
+// keyChains partitions a key's writers into chains (writerChains) and
+// splits off the genesis chain.
+func (pg *Polygraph) keyChains(writers []history.TxnID, byWriter map[history.TxnID][]history.TxnID, combine bool) keyChains {
+	chains := pg.writerChains(writers, byWriter, combine)
+	kc := keyChains{all: chains, real: make([]*chain, 0, len(chains))}
 	for _, ch := range chains {
+		if ch.genesis {
+			kc.gchain = ch
+		} else {
+			kc.real = append(kc.real, ch)
+		}
+	}
+	return kc
+}
+
+// keyKnown records the known part of one key's emissions into kr: each
+// chain's in-chain order, and the genesis chain before every other chain.
+func (pg *Polygraph) keyKnown(key history.Key, kc keyChains, byWriter map[history.TxnID][]history.TxnID, kr keyRecorder) {
+	// In-chain known edges.
+	for _, ch := range kc.all {
 		for i := 0; i+1 < len(ch.members); i++ {
 			cur, next := ch.members[i], ch.members[i+1]
 			kr.knownEvent(cur, true, next, false, EdgeWW, key)
@@ -293,8 +329,8 @@ func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnI
 	// The genesis chain precedes every other chain: its tail commits
 	// before other heads begin, and readers of its tail begin before
 	// other heads commit.
-	if gchain != nil {
-		for _, ch := range real {
+	if gchain := kc.gchain; gchain != nil {
+		for _, ch := range kc.real {
 			if gchain.tail() != history.GenesisID {
 				kr.knownEvent(gchain.tail(), true, ch.head(), false, EdgeWW, key)
 			}
@@ -303,26 +339,14 @@ func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnI
 			}
 		}
 	}
-
-	// Pairwise constraints between non-genesis chains.
-	var scratch pairScratch
-	for i := 0; i < len(real); i++ {
-		for j := i + 1; j < len(real); j++ {
-			pg.chainPairConstraints(key, real[i], real[j], byWriter, coalesce, kr, &scratch)
-		}
-	}
-	return chains
 }
 
-// recordSize sizes buildKeyConstraints' output for one key's chains: ops
-// is exact, by the emission's own skip rules (an in-chain reader that is
-// the next writer, a genesis-tail reader that is the chain head), and
-// edges bounds the constraint-side edges. A coalesced pair has sides of
-// 1 + |readers of its tail| edges, so each of the r chain tails' readers
-// appears in r−1 pairs; an uncoalesced constraint has two single-edge
-// sides.
-func recordSize(chains []*chain, gchain *chain, real []*chain, byWriter map[history.TxnID][]history.TxnID, coalesce bool) (ops, edges int) {
-	for _, ch := range chains {
+// knownOps counts keyKnown's emissions exactly, by the emission's own
+// skip rules: an in-chain reader that is the next writer, a genesis-tail
+// reader that is the chain head.
+func (kc *keyChains) knownOps(byWriter map[history.TxnID][]history.TxnID) int {
+	ops := 0
+	for _, ch := range kc.all {
 		for i := 0; i+1 < len(ch.members); i++ {
 			next := ch.members[i+1]
 			ops++
@@ -333,9 +357,9 @@ func recordSize(chains []*chain, gchain *chain, real []*chain, byWriter map[hist
 			}
 		}
 	}
-	if gchain != nil {
+	if gchain := kc.gchain; gchain != nil {
 		gReaders := byWriter[gchain.tail()]
-		for _, ch := range real {
+		for _, ch := range kc.real {
 			if gchain.tail() != history.GenesisID {
 				ops++
 			}
@@ -346,17 +370,21 @@ func recordSize(chains []*chain, gchain *chain, real []*chain, byWriter map[hist
 			}
 		}
 	}
-	r := len(real)
-	pairs := r * (r - 1) / 2
-	tailReaders := 0
-	for _, ch := range real {
-		tailReaders += len(byWriter[ch.tail()])
-	}
+	return ops
+}
+
+// pairsSize sizes chainPairConstraints' output for pairs chain pairs
+// whose first and second chains' tails have readers readers in all: ops
+// is exact, and edges bounds the constraint-side edges. A coalesced pair
+// is one constraint whose sides hold 1 + |readers of a tail| edges each;
+// uncoalesced, every edge of a side is its own constraint, with two
+// single-edge sides.
+func pairsSize(pairs, readers int, coalesce bool) (ops, edges int) {
 	if coalesce {
-		return ops + pairs, 2*pairs + (r-1)*tailReaders
+		return pairs, 2*pairs + readers
 	}
-	cons := pairs + (r-1)*tailReaders
-	return ops + cons, 2 * cons
+	cons := pairs + readers
+	return cons, 2 * cons
 }
 
 // pairScratch holds the two side lists chainPairConstraints rebuilds for

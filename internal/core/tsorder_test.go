@@ -21,13 +21,32 @@ var retryKs = []int{0, 4, 32}
 // checkTSBoth runs the same history with the timestamp fast path enabled
 // and disabled, at every retryKs radius, and fails unless every verdict
 // matches want (neither the fast path nor the radius may flip a verdict).
-// Accepts additionally replay their witness. It returns the default
-// radius's reports.
+// Accepts additionally replay their witness. With the fast path off, the
+// check takes the window stage (window.go), so each row is also checked
+// against the full path, CheckPolygraph over Build's polygraph: the same
+// verdict, a cycle of the same length on a reject, and a verified
+// witness on an accept. It returns the default radius's reports.
 func checkTSBoth(t *testing.T, h *history.History, level Level, want Outcome, label string) (on, off *Report) {
 	t.Helper()
 	for i, k := range retryKs {
 		kOn := CheckHistory(h, Options{Level: level, InitialK: k, SelfCheck: true})
-		kOff := CheckHistory(h, Options{Level: level, InitialK: k, DisableTSFastPath: true, SelfCheck: true})
+		offOpts := Options{Level: level, InitialK: k, DisableTSFastPath: true, SelfCheck: true}
+		kOff := CheckHistory(h, offOpts)
+		// The G1b screen rejects before any polygraph exists, on either
+		// path of CheckHistory; CheckPolygraph has no such screen.
+		if kOff.Anomaly == "" {
+			full := CheckPolygraph(Build(h, offOpts), offOpts)
+			if full.Outcome != kOff.Outcome {
+				t.Fatalf("%s k=%d: window stage %v != full polygraph %v", label, k, kOff.Outcome, full.Outcome)
+			}
+			if full.Outcome == Reject && len(full.KnownCycle) != len(kOff.KnownCycle) {
+				t.Fatalf("%s k=%d: window stage names a %d-edge cycle, full polygraph a %d-edge one",
+					label, k, len(kOff.KnownCycle), len(full.KnownCycle))
+			}
+			if full.Outcome == Accept && !full.WitnessVerified {
+				t.Fatalf("%s k=%d: full-polygraph accept witness failed self-check", label, k)
+			}
+		}
 		if kOn.Outcome != kOff.Outcome {
 			t.Fatalf("%s k=%d: ts-on %v != ts-off %v", label, k, kOn.Outcome, kOff.Outcome)
 		}

@@ -1,0 +1,259 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"viper/internal/histgen"
+	"viper/internal/history"
+	"viper/internal/obs"
+)
+
+// windowSpan returns the attributes of the first audit's window span, and
+// whether it has one.
+func windowSpan(tr *obs.Tracer) (map[string]int64, bool) {
+	for _, s := range tr.Trace().Spans[0].Children {
+		if s.Name == "window" {
+			return s.Attrs, true
+		}
+	}
+	return nil, false
+}
+
+// zeroStamps drops every begin/commit stamp, as a log from a store with
+// untrusted clocks arrives.
+func zeroStamps(h *history.History) *history.History {
+	for _, tx := range h.Txns[1:] {
+		tx.BeginAt, tx.CommitAt = 0, 0
+	}
+	return h
+}
+
+// TestWindowMaterialisesFewConstraints: an unstamped accept builds at
+// most a tenth of the full polygraph's constraints, over the same known
+// graph, and replays its witness, for any worker count. The history is
+// generated (histgen), not recorded through the runner, so its counts are
+// the same on every run.
+func TestWindowMaterialisesFewConstraints(t *testing.T) {
+	h := zeroStamps(histgen.SI(histgen.Spec{Txns: 4000, Keys: 50, MaxConcurrency: 8, Seed: 1}))
+	full := Build(h, Options{})
+	var first *Report
+	for _, p := range []int{1, 2} {
+		opts := Options{Parallelism: p, SelfCheck: true, Tracer: obs.NewTracer()}
+		rep := CheckHistory(h, opts)
+		if rep.Outcome != Accept || !rep.WitnessVerified {
+			t.Fatalf("parallelism %d: %v (verified %v), want a verified Accept", p, rep.Outcome, rep.WitnessVerified)
+		}
+		if rep.KnownEdges != len(full.Known) {
+			t.Fatalf("parallelism %d: %d known edges, full polygraph %d", p, rep.KnownEdges, len(full.Known))
+		}
+		if rep.Constraints == 0 || rep.Constraints*10 > len(full.Cons) {
+			t.Fatalf("parallelism %d: %d constraints materialised, want at most a tenth of the full polygraph's %d",
+				p, rep.Constraints, len(full.Cons))
+		}
+		attrs, ok := windowSpan(opts.Tracer)
+		if !ok || attrs["outcome"] != int64(Accept) || attrs["constraints"] != int64(rep.Constraints) {
+			t.Fatalf("parallelism %d: window span %v (present %v), want an accept over %d constraints", p, attrs, ok, rep.Constraints)
+		}
+		if first == nil {
+			first = rep
+		} else if rep.Constraints != first.Constraints || rep.EdgeVars != first.EdgeVars || rep.Solver != first.Solver {
+			t.Fatalf("parallelism %d: %d constraints, %d edge vars, %+v; parallelism 1: %d, %d, %+v", p,
+				rep.Constraints, rep.EdgeVars, rep.Solver, first.Constraints, first.EdgeVars, first.Solver)
+		}
+	}
+}
+
+// farStaleRead is an SI history in which R reads W0's x although W1
+// overwrote it, with both writers created far before R, and whose window
+// witness fails replay at a small radius. W1 must follow W0 on x: R2 reads
+// W1's x and W0's y, so "W1 before W0" would close B(R2)→C(W0)→B(R2). The
+// stale read then needs R to begin before W1 commits, which resolution
+// forces, and ŝ re-sorted over that edge moves W1's commit past U, W1's
+// far successor on u. That pair lies outside the window, so the witness
+// runs W1 and U concurrently, and NoConflict fails the replay.
+func farStaleRead(fillers int) *history.History {
+	b := history.NewBuilder()
+	filler := func(tag string) {
+		for i := 0; i < fillers; i++ {
+			b.Session().Txn().Write(history.Key(fmt.Sprintf("%s%d", tag, i))).Commit()
+		}
+	}
+	w0 := b.Session().Txn().Write("x").Write("y").Commit()
+	w1 := b.Session().Txn().Write("x").Write("u").Commit()
+	filler("f")
+	b.Session().Txn().Write("u").Commit()
+	filler("g")
+	b.Session().Txn().ReadObserved("x", w0.WriteIDOf("x")).Commit()
+	b.Session().Txn().ReadObserved("x", w1.WriteIDOf("x")).ReadObserved("y", w0.WriteIDOf("y")).Commit()
+	return b.MustHistory()
+}
+
+// TestWindowFarStaleReadFallsBack: at a small radius the window stage's
+// witness fails replay, and the audit falls back to the full polygraph,
+// reaching its verdict with a replayed witness. The fallback shows as the
+// window span's outcome and a construct span after it.
+func TestWindowFarStaleReadFallsBack(t *testing.T) {
+	h := farStaleRead(2)
+	for _, stamps := range []bool{true, false} {
+		opts := Options{InitialK: 4, SelfCheck: true, Tracer: obs.NewTracer()}
+		if stamps {
+			opts.DisableTSFastPath = true
+		} else {
+			zeroStamps(h)
+		}
+		label := fmt.Sprintf("stamps=%v", stamps)
+		rep := CheckHistory(h, opts)
+		attrs, ok := windowSpan(opts.Tracer)
+		if !ok || attrs["outcome"] != windowFallback {
+			t.Fatalf("%s: window span %v (present %v), want a fallback", label, attrs, ok)
+		}
+		if s := opts.Tracer.Trace().Structure(); !strings.Contains(s, ") construct ") {
+			t.Fatalf("%s: trace %q has no fallback construct span after the window", label, s)
+		}
+		opts.Tracer = nil
+		full := CheckPolygraph(Build(h, opts), opts)
+		if rep.Outcome != Accept || full.Outcome != Accept || !rep.WitnessVerified {
+			t.Fatalf("%s: fallback %v (verified %v), full polygraph %v; want verified Accepts", label, rep.Outcome, rep.WitnessVerified, full.Outcome)
+		}
+		if rep.Constraints != full.Constraints || rep.KnownEdges != full.KnownEdges {
+			t.Fatalf("%s: fallback checked %d constraints over %d known edges, full polygraph %d over %d",
+				label, rep.Constraints, rep.KnownEdges, full.Constraints, full.KnownEdges)
+		}
+		if rep.Retries < 1 {
+			t.Fatalf("%s: %d retries, want the failed window counted", label, rep.Retries)
+		}
+	}
+}
+
+// TestWindowWidensOnRetry: without resolution to force the far stale
+// read's edge, the first pass over the window fails under its batch, and
+// the window widens with the radius, so the pass that succeeds sees the
+// writers' far pair on u and its witness replays: the stage accepts with
+// both pairs built, where a window fixed at the first radius fell back.
+func TestWindowWidensOnRetry(t *testing.T) {
+	h := farStaleRead(2)
+	opts := Options{InitialK: 4, DisableTSFastPath: true, DisableResolve: true, SelfCheck: true, Tracer: obs.NewTracer()}
+	rep := CheckHistory(h, opts)
+	attrs, ok := windowSpan(opts.Tracer)
+	if !ok || attrs["outcome"] != int64(Accept) || attrs["constraints"] != 2 {
+		t.Fatalf("window span %v (present %v), want an accept over both pairs", attrs, ok)
+	}
+	if rep.Outcome != Accept || !rep.WitnessVerified || rep.Retries == 0 {
+		t.Fatalf("%v (verified %v) after %d retries, want a verified Accept after a widening", rep.Outcome, rep.WitnessVerified, rep.Retries)
+	}
+}
+
+// TestWindowStaleReaderInWindow: a reader of an early writer's version,
+// created right after a much later writer of the key, keeps the writers'
+// pair in the window — chain extents reach their tail's readers — so the
+// window stage accepts without falling back.
+func TestWindowStaleReaderInWindow(t *testing.T) {
+	b := history.NewBuilder()
+	w0 := b.Session().Txn().Write("x").Commit()
+	for i := 0; i < 8; i++ {
+		b.Session().Txn().Write(history.Key(fmt.Sprintf("f%d", i))).Commit()
+	}
+	b.Session().Txn().Write("x").Commit()
+	b.Session().Txn().ReadObserved("x", w0.WriteIDOf("x")).Commit()
+	h := zeroStamps(b.MustHistory())
+	opts := Options{InitialK: 4, SelfCheck: true, Tracer: obs.NewTracer()}
+	rep := CheckHistory(h, opts)
+	attrs, ok := windowSpan(opts.Tracer)
+	if !ok || attrs["outcome"] != int64(Accept) || attrs["constraints"] != 1 {
+		t.Fatalf("window span %v (present %v), want an accept over the writers' one pair", attrs, ok)
+	}
+	if rep.Outcome != Accept || !rep.WitnessVerified {
+		t.Fatalf("%v (verified %v), want a verified Accept", rep.Outcome, rep.WitnessVerified)
+	}
+}
+
+// TestWindowKnownCycle: a cyclic known graph rejects in ŝ, before any pair
+// exists, with the cycle the full path names.
+func TestWindowKnownCycle(t *testing.T) {
+	// §3.1's long fork: with combining, the read-modify-writes fix both
+	// keys' write orders, and the cycle is in the known graph.
+	b := history.NewBuilder()
+	ss := []*history.SessionBuilder{b.Session(), b.Session(), b.Session(), b.Session(), b.Session()}
+	t1 := ss[0].Txn().Write("x").Write("y").Commit()
+	t2 := ss[1].Txn().ReadObserved("x", t1.WriteIDOf("x")).Write("x").Commit()
+	t3 := ss[2].Txn().ReadObserved("y", t1.WriteIDOf("y")).Write("y").Commit()
+	ss[3].Txn().ReadObserved("x", t2.WriteIDOf("x")).ReadObserved("y", t1.WriteIDOf("y")).Commit()
+	ss[4].Txn().ReadObserved("x", t1.WriteIDOf("x")).ReadObserved("y", t3.WriteIDOf("y")).Commit()
+	h := zeroStamps(b.MustHistory())
+
+	opts := Options{Tracer: obs.NewTracer()}
+	rep := CheckHistory(h, opts)
+	attrs, ok := windowSpan(opts.Tracer)
+	if !ok || attrs["outcome"] != int64(Reject) || attrs["constraints"] != 0 {
+		t.Fatalf("window span %v (present %v), want a reject over no constraints", attrs, ok)
+	}
+	opts.Tracer = nil
+	full := CheckPolygraph(Build(h, opts), opts)
+	if rep.Outcome != Reject || full.Outcome != Reject {
+		t.Fatalf("window %v, full polygraph %v; want Rejects", rep.Outcome, full.Outcome)
+	}
+	if len(rep.KnownCycle) == 0 || !reflect.DeepEqual(rep.KnownCycle, full.KnownCycle) {
+		t.Fatalf("window cycle %v, full polygraph cycle %v", rep.KnownCycle, full.KnownCycle)
+	}
+	if rep.Constraints != 0 || rep.KnownEdges != full.KnownEdges {
+		t.Fatalf("window reject: %d constraints over %d known edges, want none over the full polygraph's %d",
+			rep.Constraints, rep.KnownEdges, full.KnownEdges)
+	}
+}
+
+// TestWindowRecordSizing: both window passes size every key's record
+// before emitting it, like the full path's record pass: the known part
+// exactly, and each widening's pairs with capped sides tiling one slab.
+func TestWindowRecordSizing(t *testing.T) {
+	corpus := matrixCorpus(t)
+	corpus["si-gen/keys=2"] = histgen.SI(histgen.Spec{Txns: 120, Keys: 2, MaxConcurrency: 6, AbortEvery: 9, Seed: 3})
+	for name, h := range corpus {
+		for _, coalesce := range []bool{true, false} {
+			label := fmt.Sprintf("%s/coalesce=%v", name, coalesce)
+			inc := sessionOver(h, Options{})
+			inc.update()
+			w := &window{lite: &Polygraph{}, keys: h.Keys(), readers: inc.readers, coalesce: coalesce}
+			chains := make([]keyChains, len(w.keys))
+			for i, key := range w.keys {
+				if len(inc.writers[key]) == 0 {
+					continue
+				}
+				byWriter := inc.readers[key]
+				rec := &KeyRecord{}
+				recordReadDeps(w.lite, byWriter, rec)
+				chains[i] = w.lite.keyChains(inc.writers[key], byWriter, true)
+				kr := keyRecorder{pg: w.lite, rec: rec}
+				kr.reserve(chains[i].knownOps(byWriter), 0)
+				w.lite.keyKnown(key, chains[i], byWriter, kr)
+				checkRecordSizing(t, rec, label+"/known/"+string(key))
+			}
+			// Creation order stands in for ŝ: the radii cut through the
+			// chains either way.
+			pos := make([]int32, NodeCount(h, AdyaSI))
+			for n := range pos {
+				pos[n] = int32(n)
+			}
+			w.extents(chains, pos)
+			for _, k := range []int{2, 8, 0} {
+				for i, key := range w.keys {
+					if w.ext[i] == nil {
+						continue
+					}
+					if rec := w.lite.keyWindow(key, w.ext[i], inc.readers[key], k, coalesce); rec != nil {
+						checkRecordSizing(t, rec, fmt.Sprintf("%s/k=%d/%s", label, k, key))
+					}
+				}
+			}
+			for i, ext := range w.ext {
+				for j, e := range ext {
+					if e.next != len(ext) {
+						t.Fatalf("%s/%s: chain %d paired up to %d of %d after the exact widening", label, w.keys[i], j, e.next, len(ext))
+					}
+				}
+			}
+		}
+	}
+}

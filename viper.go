@@ -183,13 +183,7 @@ type Result struct {
 // core.CheckHistory); use Checker directly when the history grows over
 // time and will be audited repeatedly.
 func Check(h *History, opts Options) *Result {
-	start := time.Now()
-	if err := h.Validate(); err != nil {
-		return &Result{Outcome: Reject, Violation: err, ParseTime: time.Since(start)}
-	}
-	parse := time.Since(start)
-	rep := core.CheckHistory(h, opts)
-	return &Result{Outcome: rep.Outcome, Report: rep, ParseTime: parse}
+	return CheckContext(context.Background(), h, opts)
 }
 
 // CheckContext is Check under a cancellation context: ctx's deadline
@@ -197,12 +191,18 @@ func Check(h *History, opts Options) *Result {
 // canceling ctx interrupts a running solve, returning Outcome Timeout.
 func CheckContext(ctx context.Context, h *History, opts Options) *Result {
 	start := time.Now()
-	if err := h.Validate(); err != nil {
+	if err := validate(h, opts.Tracer); err != nil {
 		return &Result{Outcome: Reject, Violation: err, ParseTime: time.Since(start)}
 	}
 	parse := time.Since(start)
 	rep := core.CheckHistoryContext(ctx, h, opts)
 	return &Result{Outcome: rep.Outcome, Report: rep, ParseTime: parse}
+}
+
+// validate validates h under a "validate" span of tr.
+func validate(h *History, tr *Tracer) error {
+	defer tr.Start("validate").End()
+	return h.Validate()
 }
 
 // MatrixResult is the outcome of CheckMatrix: the aggregate verdict plus
