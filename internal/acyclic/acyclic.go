@@ -13,6 +13,8 @@
 // invalidates a topological order.
 package acyclic
 
+import "slices"
+
 // Edge is a directed edge between node ids.
 type Edge struct {
 	From, To int32
@@ -53,15 +55,57 @@ func NewGraph(n int) *Graph {
 	return g
 }
 
-// Grow ensures the graph has at least n nodes.
+// Grow ensures the graph has at least n nodes. Each per-node slice grows
+// by one append, so a graph grown a little at a time keeps amortized
+// growth.
 func (g *Graph) Grow(n int) {
-	for len(g.out) < n {
-		id := int32(len(g.out))
-		g.out = append(g.out, nil)
-		g.in = append(g.in, nil)
-		g.ord = append(g.ord, id)
-		g.visited = append(g.visited, false)
-		g.parent = append(g.parent, -1)
+	old := len(g.out)
+	if n <= old {
+		return
+	}
+	g.out = append(g.out, make([][]int32, n-old)...)
+	g.in = append(g.in, make([][]int32, n-old)...)
+	g.ord = append(g.ord, make([]int32, n-old)...)
+	g.visited = append(g.visited, make([]bool, n-old)...)
+	g.parent = append(g.parent, make([]int32, n-old)...)
+	for id := old; id < n; id++ {
+		g.ord[id], g.parent[id] = int32(id), -1
+	}
+}
+
+// Reserve makes room for the edges edge(0), …, edge(n-1), which are about
+// to be inserted: in the edge trail, and in each node's adjacency for its
+// degree among them, so inserting them appends in place.
+func (g *Graph) Reserve(n int, edge func(i int) Edge) {
+	g.edgeTrail = slices.Grow(g.edgeTrail, n)
+	deg := make([]int32, 2*len(g.out))
+	outDeg, inDeg := deg[:len(g.out)], deg[len(g.out):]
+	for i := 0; i < n; i++ {
+		e := edge(i)
+		outDeg[e.From]++
+		inDeg[e.To]++
+	}
+	reserve(g.out, outDeg)
+	reserve(g.in, inDeg)
+}
+
+// reserve gives each list room for deg more entries: a list without that
+// much spare capacity moves to a window of one new slab.
+func reserve(lists [][]int32, deg []int32) {
+	size := 0
+	for u, d := range deg {
+		if need := len(lists[u]) + int(d); need > cap(lists[u]) {
+			size += need
+		}
+	}
+	if size == 0 {
+		return
+	}
+	slab := make([]int32, size)
+	for u, d := range deg {
+		if need := len(lists[u]) + int(d); need > cap(lists[u]) {
+			lists[u], slab = append(slab[:0:need], lists[u]...), slab[need:]
+		}
 	}
 }
 

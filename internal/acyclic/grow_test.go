@@ -1,6 +1,7 @@
 package acyclic
 
 import (
+	"runtime"
 	"testing"
 
 	"viper/internal/sat"
@@ -65,5 +66,38 @@ func TestTheoryGrowAcrossSolves(t *testing.T) {
 	// 0→1→2→0 would be a cycle; all three required ⇒ Unsat.
 	if res := s.Solve(); res != sat.Unsat {
 		t.Fatalf("round 2: %v", res)
+	}
+}
+
+// TestGraphReserve: after Reserve, inserting the reserved edges allocates
+// nothing — no edge-trail growth and no adjacency list grown from nil —
+// and a graph grown one node at a time keeps them all.
+func TestGraphReserve(t *testing.T) {
+	const n = 500
+	g := NewGraph(0)
+	for i := 1; i <= n; i++ {
+		g.Grow(i)
+	}
+	var es []Edge
+	for u := int32(0); u+1 < n; u++ {
+		es = append(es, Edge{u, u + 1})
+		if u+7 < n {
+			es = append(es, Edge{u, u + 7})
+		}
+	}
+	g.Reserve(len(es), func(i int) Edge { return es[i] })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, e := range es { // all forward in the initial order: no reorder
+		if g.AddEdge(e.From, e.To) != nil {
+			t.Fatalf("edge %v closed a cycle", e)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if m := after.Mallocs - before.Mallocs; m != 0 {
+		t.Fatalf("inserting %d reserved edges allocated %d times", len(es), m)
+	}
+	if g.NumNodes() != n || g.NumEdges() != len(es) || g.Order(n-1) != n-1 {
+		t.Fatalf("%d nodes, %d edges, last order %d", g.NumNodes(), g.NumEdges(), g.Order(n-1))
 	}
 }

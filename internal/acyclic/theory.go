@@ -70,10 +70,14 @@ func (t *EdgeTheory) InsertConstantPath(u, v int32) ([]int32, bool) {
 	return nil, true
 }
 
-// ReserveConstants presizes the constant set for n distinct constants in
-// total, so a caller about to insert a known graph of n edges pays for
-// no rehashing.
-func (t *EdgeTheory) ReserveConstants(n int) { t.consts.Reserve(n) }
+// ReserveConstants readies the theory for n more constants, the i-th
+// being edge(i): the constant set is presized for them, and each node's
+// adjacency for its degree among them (Graph.Reserve), so a caller about
+// to insert a known graph pays for no rehashing and no adjacency growth.
+func (t *EdgeTheory) ReserveConstants(n int, edge func(i int) Edge) {
+	t.consts.Reserve(t.consts.Len() + n)
+	t.g.Reserve(n, edge)
+}
 
 // Grow extends the theory graph to at least n nodes, for incremental use
 // between Solve rounds: new nodes take the largest order indices, which is
@@ -129,11 +133,14 @@ func (t *EdgeTheory) Reorders() (count, movedNodes int64) { return t.g.Reorders(
 // batch edge. The theory keeps edges (the caller must not modify it)
 // until Retire ends the batch; at most one batch may be live. An edge
 // that is also a constant is inserted twice, which is harmless: cycles
-// through it are explained by the constant.
+// through it are explained by the constant. Each node's adjacency is
+// reserved for its degree in the batch here, once, however often the
+// guard is assigned.
 func (t *EdgeTheory) AddBatch(s *sat.Solver, edges []Edge) sat.Var {
 	if t.guard >= 0 {
 		panic("acyclic: AddBatch while a batch is live")
 	}
+	t.g.Reserve(len(edges), func(i int) Edge { return edges[i] })
 	t.batch = edges
 	t.guard = s.NewVar()
 	return t.guard

@@ -1,10 +1,10 @@
 // Package bitset provides fixed-capacity packed bitsets over small
-// non-negative integers. The checker uses one Set per graph node as a
-// transitive-closure row (core/resolve.go): reachability tests become one
-// word load, and merging a successor's reachable set into a node's row is
-// a word-wide OR over the packed representation — 64 nodes per
-// instruction, cache-linear, and trivially safe to run on disjoint rows
-// from multiple goroutines.
+// non-negative integers. The checker uses one Set per graph node as an
+// ancestor row (core/causal.go): reachability tests become one word load,
+// and merging a predecessor's set into a node's row is a word-wide OR over
+// the packed representation — 64 nodes per instruction, cache-linear, and
+// trivially safe to run on disjoint rows from multiple goroutines. Words
+// also sizes core/resolve.go's closure budget.
 package bitset
 
 import "math/bits"

@@ -156,13 +156,16 @@ type Report struct {
 	WitnessVerified bool
 	SelfCheckErr    error
 
-	// Session memory gauges, stamped by Incremental at the end of every
-	// audit (zero on reports that never passed through a session). These
-	// are what checkpointing bounds: LiveTxns and HistoryBytes cover the
-	// live window, ClosureBytes the materialized rows of the resolution
-	// closure a warm audit built (zero on a cold audit, or when resolution
-	// did not run). Checkpoints/FencedTxns/CertBytes/TxnIDBase describe
-	// the checkpoint certificate carried in place of the compacted prefix.
+	// Memory gauges. ClosureBytes is the row storage of the largest
+	// closure pre-solve resolution built, on one-shot checks and warm
+	// audits alike (zero when resolution did not run or declined; the
+	// evidence pass after a refutation is not counted). The rest are
+	// session gauges, stamped by Incremental at the end of every audit
+	// (zero on reports that never passed through a session). With
+	// ClosureBytes they are what checkpointing bounds: LiveTxns and
+	// HistoryBytes cover the live window, and
+	// Checkpoints/FencedTxns/CertBytes/TxnIDBase describe the checkpoint
+	// certificate carried in place of the compacted prefix.
 	LiveTxns     int
 	HistoryBytes int64
 	ClosureBytes int64
@@ -465,7 +468,7 @@ type solveRun struct {
 	pg         *Polygraph
 	opts       Options
 	rep        *Report
-	out        [][]int32 // known graph adjacency; pre-solve resolution extends it in place
+	out        [][]int32 // known graph adjacency; pre-solve resolution's forced edges extend it
 	deadline   time.Time
 	checkStart time.Time
 
@@ -523,11 +526,12 @@ func (r *solveRun) resolve(ctx context.Context, set consSet) (_ consSet, ok bool
 	for n, p := range set.pos {
 		order[p] = int32(n)
 	}
-	rr := resolvePolygraph(ctx, set.known, set.cons, r.out, order, 0, r.opts.workers())
+	rr := resolvePolygraph(ctx, int(pg.NumNodes), set.known, set.cons, order, 0, r.opts.workers())
 	if rr == nil {
 		return set, true
 	}
 	rep.ResolvedConstraints = rr.resolved
+	rep.ClosureBytes = max(rep.ClosureBytes, rr.bytes)
 	rep.ForcedEdges = len(set.known) - len(pg.Known) + len(rr.forced)
 	if rr.cycle != nil {
 		rep.Outcome = Reject
@@ -540,13 +544,14 @@ func (r *solveRun) resolve(ctx context.Context, set consSet) (_ consSet, ok bool
 	}
 	next := consSet{cons: rr.kept, at: at, known: set.known, pos: set.pos}
 	if len(rr.forced) > 0 {
-		// Forced edges joined the known graph (resolvePolygraph extended out
-		// in place): recompute the heuristic order over the extended graph.
-		// The resolver checked every forced edge against its closure, but a
-		// large batch the fixpoint stopped on was never folded, so its edges
-		// may close a cycle the closure never saw: a rejection whose cycle
-		// runs through forced edges, each named with its provenance.
+		// Forced edges joined the known graph (rr.out): recompute the
+		// heuristic order over the extended graph. The resolver checked
+		// every forced edge against its closure, but a large batch the
+		// fixpoint stopped on was never folded, so its edges may close a
+		// cycle the closure never saw: a rejection whose cycle runs through
+		// forced edges, each named with its provenance.
 		next.known = append(append(make([]KnownEdge, 0, len(set.known)+len(rr.forced)), set.known...), rr.forced...)
+		r.out = rr.out
 		order, ok := acyclic.TopoPriority(int(pg.NumNodes), r.out, r.less)
 		if !ok {
 			rep.Outcome = Reject
@@ -672,8 +677,8 @@ func (r *solveRun) verdict(ctx context.Context, res sat.Result) bool {
 
 // evidence names the cycle behind a refutation, when resolution can: the
 // fixpoint with its budget of large folds (resolveLargeFolds) over every
-// constraint of pg, from pg's own known graph on a fresh adjacency (the
-// pre-solve pass extended r.out in place). A warm audit's pg lists the
+// constraint of pg, from pg's own known graph, not r.out, which the
+// pre-solve pass's forced edges extend. A warm audit's pg lists the
 // session's constants as its known graph. A cycle the fixpoint closes, in
 // its closure or through a forced batch it stopped on unfolded, becomes
 // the report's KnownCycle. The pass never changes the verdict: finding no
@@ -690,22 +695,14 @@ func (r *solveRun) evidence(ctx context.Context) {
 	defer r.opts.Tracer.Start("evidence").End()
 	start := time.Now()
 	defer func() { r.rep.Phases.Resolve += time.Since(start) }()
-	out := make([][]int32, n)
-	for _, ke := range pg.Known {
-		out[ke.From] = append(out[ke.From], ke.To)
-	}
-	order, ok := acyclic.TopoBFS(n, out, nil)
-	if !ok {
-		return // unreachable: a cyclic known graph rejects before any solving
-	}
-	rr := resolvePolygraph(ctx, pg.Known, pg.Cons, out, order, resolveLargeFolds, r.opts.workers())
+	rr := resolvePolygraph(ctx, n, pg.Known, pg.Cons, nil, resolveLargeFolds, r.opts.workers())
 	switch {
 	case rr == nil:
 	case rr.cycle != nil:
 		r.rep.KnownCycle = rr.cycle
 	case len(rr.forced) > 0:
 		known := append(append(make([]KnownEdge, 0, len(pg.Known)+len(rr.forced)), pg.Known...), rr.forced...)
-		r.rep.KnownCycle = knownCycle(out, known)
+		r.rep.KnownCycle = knownCycle(rr.out, known)
 	}
 }
 
@@ -735,8 +732,9 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 	// Constants: the known graph plus every resolve-forced edge, each
 	// inserted once. They are exact, so a cycle among them refutes the
 	// polygraph (the empty clause).
-	r.th.ReserveConstants(len(set.known))
-	for _, ke := range set.known[r.nconst:] {
+	add := set.known[r.nconst:]
+	r.th.ReserveConstants(len(add), func(i int) acyclic.Edge { return acyclic.Edge(add[i].Edge) })
+	for _, ke := range add {
 		if !r.th.InsertConstant(ke.From, ke.To) {
 			r.s.AddClause()
 		}

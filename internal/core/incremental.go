@@ -710,15 +710,11 @@ func (w *warmState) insert(e Edge, kind EdgeKind, key history.Key) []KnownEdge {
 func (w *warmState) resolve(ctx context.Context, set consSet, n int32, workers int, rep *Report) (consSet, []KnownEdge) {
 	start := time.Now()
 	defer func() { rep.Phases.Resolve = time.Since(start) }()
-	out := make([][]int32, n)
-	for _, ke := range w.known.edges {
-		out[ke.From] = append(out[ke.From], ke.To)
-	}
 	order := make([]int32, n)
 	for v := int32(0); v < n; v++ {
 		order[w.th.Order(v)] = v
 	}
-	rr := resolvePolygraph(ctx, w.known.edges, set.cons, out, order, 0, workers)
+	rr := resolvePolygraph(ctx, int(n), w.known.edges, set.cons, order, 0, workers)
 	if rr == nil {
 		return set, nil
 	}

@@ -8,20 +8,23 @@
 // guesses and must retry when wrong; this pass only ever derives
 // consequences, so everything it resolves is exact and permanent.
 //
-// Machinery: a transitive closure of the known graph as one packed bitset
-// row per node (rows[u].Has(v) ⟺ u ⇝ v), built level-by-level in parallel
-// — level(u) = 1 + max over successors, so rows within one level never
-// depend on each other and shard freely across the worker pool — then a
-// worklist fixpoint over the constraints. A side is dead iff one of its
-// edges u→v has v ⇝ u in the closure; edges with u ⇝ v are implied and
-// elided (adding an implied edge can never create a cycle that was not
-// already there, the same argument the construction replay's applyOp
-// uses to drop edges the knownSet already contains). A dead side forces the other: its edges are
-// appended to the known graph and staged into the closure's adjacency;
-// once per fixpoint pass the closure rebuilds (one row merge per edge,
-// parallel) and the constraints are swept again. A forced edge that is
-// itself dead closes a cycle among must-hold edges — an immediate
-// rejection, with the shortest known-edge path as the witness.
+// Machinery: a transitive closure of the known graph restricted to the
+// constraint edges' endpoints, one packed row per node of bits for those
+// targets alone (reaches(u, v) ⟺ u ⇝ v), each row starting at the first
+// word its node reaches and all rows carved from one slab, built
+// level-by-level in parallel — level(u) = 1 + max over successors, so rows
+// within one level never depend on each other and shard freely across the
+// worker pool — then a worklist fixpoint over the constraints. A side is
+// dead iff one of its edges u→v has v ⇝ u in the closure; edges with
+// u ⇝ v are implied and elided (adding an implied edge can never create a
+// cycle that was not already there, the same argument the construction
+// replay's applyOp uses to drop edges the knownSet already contains). A
+// dead side forces the other: its edges are appended to the known graph
+// and staged into the closure's adjacency; once per fixpoint pass the
+// closure folds them in (one row merge per edge) and the constraints are
+// swept again. A forced edge that is itself dead closes a cycle among
+// must-hold edges — an immediate rejection, with the shortest known-edge
+// path as the witness.
 //
 // resolvePolygraph is the one fixpoint, run in two passes that differ
 // only in their budget of large folds (closure rebuilds for a batch of
@@ -45,109 +48,179 @@ import (
 	"viper/internal/history"
 )
 
-// closureByteBudget caps the closure matrix: n rows of Words(n) packed
-// words. Past this the pass is skipped entirely (resolution is an
-// optimization; correctness never depends on it). 128 MiB admits ~32k
-// nodes — an order of magnitude past the paper's workload sizes.
+// closureByteBudget caps the closure by node count: n rows of Words(n)
+// packed words, the size of a closure whose every node is a target and
+// whose every row spans them all. Past this the pass is skipped entirely
+// (resolution is an optimization; correctness never depends on it).
+// 128 MiB admits ~32k nodes — an order of magnitude past the paper's
+// workload sizes.
 const closureByteBudget = 128 << 20
 
 // closureFeasible reports whether an n-node closure fits the byte budget.
+// It decides on n alone, before anything is built: the targets and row
+// starts that make the real closure smaller are known only after a sweep
+// over the constraints and a pass over the order.
 func closureFeasible(n int) bool {
 	return n > 0 && int64(n)*int64(bitset.Words(n))*8 <= closureByteBudget
 }
 
-// closure is the bitset transitive closure of a DAG. Rows are indexed and
-// bit-positioned by node id; sinks keep nil rows. The adjacency lists
-// (out/in) hold the folded-in edges and drive both incremental
-// propagation and witness extraction.
+// closure is the transitive closure of a DAG, restricted to its targets:
+// the nodes reaches is ever asked about. Each target has a bit position
+// (bit), numbered along the order of the last build; every other node has
+// bit -1. Node u's row holds the words [start[u], words) of the target
+// bit space, start[u] being the first word u reaches: in a topological
+// order a node reaches only targets numbered after itself, so rows shrink
+// along the order. Every build carves the rows from one slab sized in a
+// first pass; sinks, and nodes that reach no target, have empty rows. The
+// adjacency lists (out/in) hold the folded-in edges and drive both
+// incremental propagation and witness extraction.
 type closure struct {
-	n    int // nodes covered, and every row's bit capacity
-	rows []bitset.Set
-	out  [][]int32
-	in   [][]int32
+	n     int
+	bit   []int32 // target bit position by node; -1 off the targets
+	words int32   // words of the target bit space
+	start []int32 // each row's first word
+	rows  [][]uint64
+	held  int64 // words of row storage: the last build's slab, plus rows refresh moved
+	out   [][]int32
+	in    [][]int32
 }
 
-// newClosure returns an empty closure over n nodes.
-func newClosure(n int) *closure {
-	return &closure{
-		n:    n,
-		rows: make([]bitset.Set, n),
-		out:  make([][]int32, n),
-		in:   make([][]int32, n),
+// newClosure returns an unbuilt closure over the n-node graph with the
+// given edges and no targets yet (see target).
+func newClosure(n int, edges []KnownEdge) *closure {
+	c := &closure{
+		n:     n,
+		bit:   make([]int32, n),
+		start: make([]int32, n),
+		rows:  make([][]uint64, n),
 	}
-}
-
-// row materializes u's row.
-func (c *closure) row(u int32) bitset.Set {
-	if c.rows[u] == nil {
-		c.rows[u] = bitset.New(c.n)
+	for i := range c.bit {
+		c.bit[i] = -1
 	}
-	return c.rows[u]
+	c.out, c.in = adjacency(n, edges)
+	return c
 }
 
-// reaches reports whether a nonempty known path u ⇝ v exists.
-func (c *closure) reaches(u, v int32) bool {
-	r := c.rows[u]
-	return r != nil && r.Has(v)
-}
-
-// bytes reports the closure's matrix footprint: every materialized row
-// holds Words(n) packed words. This backs a warm audit's
-// Report.ClosureBytes — the quantity checkpointing keeps proportional to
-// the live window.
-func (c *closure) bytes() int64 {
-	rows := int64(0)
-	for _, r := range c.rows {
-		if r != nil {
-			rows++
+// adjacency returns the out- and in-lists of the n-node graph with the
+// given edges, each list in edge order, from one counted pass: every list
+// is a full window of one slab per direction, so appending to a list
+// moves that list alone.
+func adjacency(n int, edges []KnownEdge) (out, in [][]int32) {
+	deg := make([]int32, 2*n)
+	outDeg, inDeg := deg[:n], deg[n:]
+	for _, e := range edges {
+		outDeg[e.From]++
+		inDeg[e.To]++
+	}
+	slab := make([]int32, 2*len(edges))
+	out, in = make([][]int32, n), make([][]int32, n)
+	carve := func(lists [][]int32, deg []int32) {
+		for u, d := range deg {
+			lists[u], slab = slab[:0:d], slab[d:]
 		}
 	}
-	return rows * int64(bitset.Words(c.n)) * 8
+	carve(out, outDeg)
+	carve(in, inDeg)
+	for _, e := range edges {
+		out[e.From] = append(out[e.From], e.To)
+		in[e.To] = append(in[e.To], e.From)
+	}
+	return out, in
 }
 
+// target makes v a target, before the build that numbers it.
+func (c *closure) target(v int32) { c.bit[v] = 0 }
+
+// reaches reports whether a nonempty known path u ⇝ v exists. v must be a
+// target: any other node reads as unreached.
+func (c *closure) reaches(u, v int32) bool {
+	b := c.bit[v]
+	w := b>>6 - c.start[u] // negative off the targets: b>>6 is -1
+	return w >= 0 && c.rows[u][w]&(1<<(b&63)) != 0
+}
+
+// bytes reports the closure's footprint: the words of row storage it
+// holds. This backs Report.ClosureBytes.
+func (c *closure) bytes() int64 { return c.held * 8 }
+
 // addArc records the edge in the adjacency lists without propagating
-// reachability; used to stage edges before a full build.
+// reachability; used to stage edges before a fold.
 func (c *closure) addArc(u, v int32) {
 	c.out[u] = append(c.out[u], v)
 	c.in[v] = append(c.in[v], u)
 }
 
+// first returns the first word u reaches: the least over its successors
+// of the word of their own bit and the first word of their rows.
+func (c *closure) first(u int32) int32 {
+	s := c.words
+	for _, v := range c.out[u] {
+		if b := c.bit[v]; b >= 0 {
+			s = min(s, b>>6)
+		}
+		s = min(s, c.start[v])
+	}
+	return s
+}
+
 // build computes every row from the staged adjacency. order must be a
-// topological order of the staged graph. Rows are grouped by level —
-// level(u) = 1 + max level among successors, so every row a level-L node
-// ORs over is finished before level L starts — and each level's rows are
-// filled by a worker pool claiming rows from an atomic cursor. Bitwise OR
-// is commutative and rows within a level are disjoint, so the result is
-// schedule-independent.
+// topological order of the staged graph; the targets are numbered along
+// it. One reverse pass over the order finds each node's level — level(u)
+// = 1 + max level among successors, so every row a level-L node ORs over
+// is finished before level L starts — and its row start, which sizes the
+// slab. Each level's rows are then filled by a worker pool claiming rows
+// from an atomic cursor. Bitwise OR is commutative and rows within a level
+// are disjoint, so the result is schedule-independent.
 func (c *closure) build(order []int32, workers int) {
-	n := c.n
-	lvl := make([]int32, n)
-	maxLvl := int32(0)
-	for i := n - 1; i >= 0; i-- {
+	t := int32(0)
+	for _, u := range order {
+		if c.bit[u] >= 0 {
+			c.bit[u] = t
+			t++
+		}
+	}
+	c.words = int32(bitset.Words(int(t)))
+	lvl := make([]int32, c.n)
+	maxLvl, held := int32(0), int64(0)
+	for i := len(order) - 1; i >= 0; i-- {
 		u := order[i]
 		l := int32(0)
 		for _, v := range c.out[u] {
-			if lv := lvl[v] + 1; lv > l {
-				l = lv
-			}
+			l = max(l, lvl[v]+1)
 		}
-		lvl[u] = l
-		if l > maxLvl {
-			maxLvl = l
-		}
-	}
-	buckets := make([][]int32, maxLvl+1)
-	for u := int32(0); u < int32(n); u++ {
-		if len(c.out[u]) == 0 {
-			continue // sinks: empty rows stay nil
-		}
-		buckets[lvl[u]] = append(buckets[lvl[u]], u)
+		lvl[u], c.start[u] = l, c.first(u)
+		maxLvl = max(maxLvl, l)
+		held += int64(c.words - c.start[u])
 	}
 
-	for _, bucket := range buckets {
+	// Carve the rows along the order, and list the nodes with a row by
+	// level in one counting sort: level l's rows end up byLvl[at[l-1]:at[l]].
+	slab := make([]uint64, held)
+	at := make([]int32, maxLvl+2)
+	for _, u := range order {
+		size := c.words - c.start[u]
+		c.rows[u], slab = slab[:size:size], slab[size:]
+		if size > 0 {
+			at[lvl[u]+1]++
+		}
+	}
+	for l := 1; l < len(at); l++ {
+		at[l] += at[l-1]
+	}
+	byLvl := make([]int32, at[maxLvl+1])
+	for _, u := range order {
+		if len(c.rows[u]) > 0 {
+			byLvl[at[lvl[u]]] = u
+			at[lvl[u]]++
+		}
+	}
+	c.held = held
+
+	for l := 1; l <= int(maxLvl); l++ {
+		level := byLvl[at[l-1]:at[l]]
 		// Tiny levels are not worth the goroutine round trip.
-		if workers <= 1 || len(bucket) < 4*workers {
-			for _, u := range bucket {
+		if workers <= 1 || len(level) < 4*workers {
+			for _, u := range level {
 				c.fill(u)
 			}
 			continue
@@ -160,10 +233,10 @@ func (c *closure) build(order []int32, workers int) {
 				defer wg.Done()
 				for {
 					i := int(cursor.Add(1)) - 1
-					if i >= len(bucket) {
+					if i >= len(level) {
 						return
 					}
-					c.fill(bucket[i])
+					c.fill(level[i])
 				}
 			}()
 		}
@@ -172,27 +245,30 @@ func (c *closure) build(order []int32, workers int) {
 }
 
 // fill recomputes u's row from scratch — zeroing whatever was there, then
-// ORing in its successors' (already final) rows — so neither build nor
-// refresh needs a separate pass over the matrix to clear stale bits.
+// ORing in its successors' bits and (already final) rows, each at its
+// offset from u's start — so neither build nor refresh needs a separate
+// pass over the rows to clear stale bits.
 func (c *closure) fill(u int32) {
-	row := c.row(u)
-	for i := range row {
-		row[i] = 0
-	}
+	row, base := c.rows[u], c.start[u]
+	clear(row)
 	for _, v := range c.out[u] {
-		row.Add(v)
-		if rv := c.rows[v]; rv != nil {
-			row.UnionWith(rv)
+		if b := c.bit[v]; b >= 0 {
+			row[b>>6-base] |= 1 << (b & 63)
+		}
+		dst := row[c.start[v]-base:]
+		for i, w := range c.rows[v] {
+			dst[i] |= w
 		}
 	}
 }
 
 // refresh recomputes only the rows staged arcs can have changed — the arc
 // sources and their ancestors — leaving every other row untouched. order
-// must be a topological order of the augmented graph. Returns false
-// (without touching any row) when most rows are dirty anyway: the caller
-// should reset and run the parallel full build instead, which fills level
-// by level rather than serially.
+// must be a topological order of the augmented graph. A recomputed row
+// whose node now reaches a word before its start moves to a new row from
+// that word. Returns false (without touching any row) when most rows are
+// dirty anyway: the caller should run the parallel full build instead,
+// which fills level by level rather than serially.
 func (c *closure) refresh(order []int32, srcs []int32) bool {
 	dirty := make([]bool, c.n)
 	queue := make([]int32, 0, len(srcs))
@@ -220,9 +296,14 @@ func (c *closure) refresh(order []int32, srcs []int32) bool {
 	// are final before it is recomputed.
 	for i := len(order) - 1; i >= 0; i-- {
 		u := order[i]
-		if dirty[u] && len(c.out[u]) > 0 {
-			c.fill(u)
+		if !dirty[u] {
+			continue
 		}
+		if s := c.first(u); s < c.start[u] {
+			c.start[u], c.rows[u] = s, make([]uint64, c.words-s)
+			c.held += int64(c.words - s)
+		}
+		c.fill(u)
 	}
 	return true
 }
@@ -351,6 +432,7 @@ type resolveResult struct {
 	keptAt   []int32      // each kept constraint's index in the input
 	resolved int          // constraints discharged without the solver
 	forced   []KnownEdge  // edges appended to the known graph by forcing
+	out      [][]int32    // the known graph's adjacency, forced edges appended
 	cycle    []KnownEdge  // non-nil: must-hold edges close a cycle (reject)
 	bytes    int64        // the closure's footprint (closure.bytes)
 }
@@ -373,44 +455,54 @@ const (
 	resolveLargeFolds = 2  // the evidence pass's budget of large folds
 )
 
-// resolvePolygraph runs the sound resolution fixpoint over consIn (a
+// resolvePolygraph runs the sound resolution fixpoint over cons (a
 // check's constraints, or the timestamp fast path's residue — forcing
 // from a constraint subset is still exact, every forced edge holds in
-// every compatible graph of the full polygraph). known is the known graph
-// with its provenance, out its adjacency (extended in place with forced
-// edges, so a caller can re-derive a topological order afterwards), and
-// order a topological order of it. largeFolds is the caller's budget of
-// large folds: a staged batch of more than resolveCheapBatch edges folds
-// only within the fixpoint's first largeFolds passes. Pre-solve callers,
-// one-shot and warm, spend none: the solver decides what the cheap folds
-// leave. Only the evidence pass after a refutation spends
-// resolveLargeFolds, since its cascade of forcing is what closes the
-// cycles a reject names. Returns nil when the pass declined to run
-// (closure over budget) or ctx expired mid-pass — the caller then
-// proceeds exactly as before the pass existed.
-func resolvePolygraph(ctx context.Context, known []KnownEdge, consIn []Constraint, out [][]int32, order []int32, largeFolds, workers int) *resolveResult {
-	n := len(out)
+// every compatible graph of the full polygraph) and never writes to it.
+// known is the known graph over n nodes with its provenance, and order,
+// when non-nil, a topological order of it; nil sorts it here. The
+// result's out is the known graph's adjacency with the forced edges
+// appended, so a caller can re-derive a topological order afterwards.
+// largeFolds is the caller's budget of large folds: a staged batch of
+// more than resolveCheapBatch edges folds only within the fixpoint's
+// first largeFolds passes. Pre-solve callers, one-shot and warm, spend
+// none: the solver decides what the cheap folds leave. Only the evidence
+// pass after a refutation spends resolveLargeFolds, since its cascade of
+// forcing is what closes the cycles a reject names. Returns nil when the
+// pass declined to run (closure over budget, or a cyclic known graph) or
+// ctx expired mid-pass — the caller then proceeds exactly as before the
+// pass existed.
+func resolvePolygraph(ctx context.Context, n int, known []KnownEdge, cons []Constraint, order []int32, largeFolds, workers int) *resolveResult {
 	if !closureFeasible(n) {
 		return nil
 	}
-	cl := newClosure(n)
-	// Adopt the caller's adjacency: build needs in-lists too.
-	cl.out = out
-	for u := int32(0); u < int32(n); u++ {
-		for _, v := range out[u] {
-			cl.in[v] = append(cl.in[v], u)
+	// The closure's targets are the endpoints of the constraints' side
+	// edges: the only nodes the sweep asks reaches about, and the only
+	// ones forced edges join.
+	cl := newClosure(n, known)
+	for i := range cons {
+		for _, side := range [2][]Edge{cons[i].First, cons[i].Second} {
+			for _, e := range side {
+				cl.target(e.From)
+				cl.target(e.To)
+			}
+		}
+	}
+	if order == nil {
+		var ok bool
+		if order, ok = cl.topoOrder(); !ok {
+			return nil
 		}
 	}
 	cl.build(order, workers)
 
 	res := &resolveResult{}
-	defer func() { res.bytes = cl.bytes() }() // folds materialize rows too
-	cons := make([]Constraint, len(consIn))
-	copy(cons, consIn)
-	alive := make([]bool, len(cons))
-	for i := range alive {
-		alive[i] = true
-	}
+	defer func() { res.out, res.bytes = cl.out, cl.bytes() }() // folds move rows too
+	// live[i] is 0 while constraint i is undecided with its own sides, k > 0
+	// while undecided with the sides elision narrowed, narrowed[k-1], and -1
+	// once resolved.
+	live := make([]int32, len(cons))
+	var narrowed []Constraint
 
 	// edgeKinds lazily indexes edge provenance for witness rendering —
 	// only the rejection paths pay for it, never a clean accept.
@@ -493,10 +585,13 @@ func resolvePolygraph(ctx context.Context, known []KnownEdge, consIn []Constrain
 			return nil // budget spent mid-pass: fall back to the plain attempt
 		}
 		for i := range cons {
-			if !alive[i] {
+			if live[i] < 0 {
 				continue
 			}
 			c := &cons[i]
+			if k := live[i]; k > 0 {
+				c = &narrowed[k-1]
+			}
 			fDead, f := evalSide(c.First)
 			sDead, s := evalSide(c.Second)
 			switch {
@@ -506,13 +601,13 @@ func resolvePolygraph(ctx context.Context, known []KnownEdge, consIn []Constrain
 				conflict(*fDead, c.Kind1, c.Key)
 				return res
 			case fDead != nil:
-				alive[i] = false
+				live[i] = -1
 				res.resolved++
 				if !forceSide(s, c.Kind2, c.Key) {
 					return res
 				}
 			case sDead != nil:
-				alive[i] = false
+				live[i] = -1
 				res.resolved++
 				if !forceSide(f, c.Kind1, c.Key) {
 					return res
@@ -521,9 +616,14 @@ func resolvePolygraph(ctx context.Context, known []KnownEdge, consIn []Constrain
 				// One side is fully implied by known paths: the constraint
 				// imposes nothing (any model extends with the implied side, and
 				// implied edges can never create a new cycle).
-				alive[i] = false
+				live[i] = -1
 				res.resolved++
-			default:
+			case len(f) < len(c.First) || len(s) < len(c.Second):
+				if live[i] == 0 {
+					narrowed = append(narrowed, *c)
+					live[i] = int32(len(narrowed))
+					c = &narrowed[len(narrowed)-1]
+				}
 				c.First, c.Second = f, s
 			}
 		}
@@ -555,11 +655,16 @@ func resolvePolygraph(ctx context.Context, known []KnownEdge, consIn []Constrain
 
 	res.kept = make([]Constraint, 0, len(cons)-res.resolved)
 	res.keptAt = make([]int32, 0, len(cons)-res.resolved)
-	for i := range cons {
-		if alive[i] {
+	for i, k := range live {
+		switch {
+		case k == 0:
 			res.kept = append(res.kept, cons[i])
-			res.keptAt = append(res.keptAt, int32(i))
+		case k > 0:
+			res.kept = append(res.kept, narrowed[k-1])
+		default:
+			continue
 		}
+		res.keptAt = append(res.keptAt, int32(i))
 	}
 	return res
 }

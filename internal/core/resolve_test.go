@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -400,105 +403,207 @@ func TestResolveEvidenceSpan(t *testing.T) {
 
 // --- closure unit tests --------------------------------------------------
 
-// randomDAGClosure builds a closure over a random DAG (edges only from
-// lower to higher ids, so identity order is topological) and returns the
-// staged edge list.
-func randomDAGClosure(rng *rand.Rand, n, edges int) (*closure, [][2]int32) {
-	cl := newClosure(n)
-	var es [][2]int32
+// randomDAG returns a random DAG over n nodes whose edges all run forward
+// in order, a random topological order (a permutation, rarely the
+// identity), so bit numbering and node ids disagree.
+func randomDAG(rng *rand.Rand, n, edges int) (order []int32, es []KnownEdge) {
+	order = make([]int32, n)
+	for i, v := range rng.Perm(n) {
+		order[i] = int32(v)
+	}
 	for len(es) < edges {
-		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
-		if u == v {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i == j {
 			continue
 		}
-		if u > v {
-			u, v = v, u
+		es = append(es, KnownEdge{Edge: Edge{order[min(i, j)], order[max(i, j)]}})
+	}
+	return order, es
+}
+
+// randomTargets marks a random subset of about half the nodes as targets
+// of cl, and returns it.
+func randomTargets(rng *rand.Rand, cl *closure) []int32 {
+	var ts []int32
+	for v := int32(0); v < int32(cl.n); v++ {
+		if rng.Intn(2) == 0 {
+			cl.target(v)
+			ts = append(ts, v)
 		}
-		cl.addArc(u, v)
-		es = append(es, [2]int32{u, v})
 	}
-	return cl, es
+	return ts
 }
 
-func identityOrder(n int) []int32 {
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	return order
-}
-
-// reachRef is an O(n·e) reference reachability via per-node DFS.
-func reachRef(n int, es [][2]int32, u, v int32) bool {
+// reachRef is reference reachability by DFS: the nodes a nonempty path
+// from u reaches.
+func reachRef(n int, es []KnownEdge, u int32) []bool {
 	adj := make([][]int32, n)
 	for _, e := range es {
-		adj[e[0]] = append(adj[e[0]], e[1])
+		adj[e.From] = append(adj[e.From], e.To)
 	}
-	stack := []int32{u}
 	seen := make([]bool, n)
+	stack := []int32{u}
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, y := range adj[x] {
-			if y == v {
-				return true
-			}
 			if !seen[y] {
 				seen[y] = true
 				stack = append(stack, y)
 			}
 		}
 	}
-	return false
+	return seen
 }
 
-// TestClosureBuildMatchesReference checks the parallel level build against
-// brute-force DFS reachability.
-func TestClosureBuildMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for iter := 0; iter < 20; iter++ {
-		n := 20 + rng.Intn(40)
-		cl, es := randomDAGClosure(rng, n, 3*n)
-		cl.build(identityOrder(n), 1+iter%4)
-		for u := int32(0); u < int32(n); u++ {
-			for v := int32(0); v < int32(n); v++ {
-				if got, want := cl.reaches(u, v), reachRef(n, es, u, v); got != want {
-					t.Fatalf("iter %d: reaches(%d,%d)=%v, reference %v", iter, u, v, got, want)
-				}
+// checkClosure compares reaches from every node to every target with
+// reachRef over es.
+func checkClosure(t *testing.T, label string, cl *closure, es []KnownEdge, targets []int32) {
+	t.Helper()
+	for u := int32(0); u < int32(cl.n); u++ {
+		ref := reachRef(cl.n, es, u)
+		for _, v := range targets {
+			if got := cl.reaches(u, v); got != ref[v] {
+				t.Fatalf("%s: reaches(%d,%d)=%v, reference %v", label, u, v, got, ref[v])
 			}
 		}
 	}
 }
 
-// TestClosureRefreshMatchesRebuild stages extra arcs on a built closure,
-// refreshes, and compares every row against a from-scratch build.
+// TestClosureBuildMatchesReference checks the parallel level build against
+// DFS reachability, on random DAGs under random topological orders and
+// random target subsets spanning several words.
+func TestClosureBuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 20; iter++ {
+		n := 100 + rng.Intn(300)
+		order, es := randomDAG(rng, n, 2*n)
+		cl := newClosure(n, es)
+		targets := randomTargets(rng, cl)
+		cl.build(order, 1+iter%4)
+		checkClosure(t, fmt.Sprintf("iter %d", iter), cl, es, targets)
+	}
+}
+
+// TestClosureRefreshMatchesRebuild stages arcs on a built closure, many
+// of them backward in its build order, so that a row comes to reach a
+// target numbered before its start; it folds them by refresh and, on a
+// twin, by rebuild, and compares both against DFS reachability. The
+// staged arcs keep the graph acyclic, as forcing does short of a reject.
 func TestClosureRefreshMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for iter := 0; iter < 20; iter++ {
-		n := 30 + rng.Intn(30)
-		cl, es := randomDAGClosure(rng, n, 2*n)
-		order := identityOrder(n)
-		cl.build(order, 2)
-		var srcs []int32
-		for k := 0; k < 1+rng.Intn(8); k++ {
-			u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
-			if u >= v {
-				continue
-			}
-			cl.addArc(u, v)
-			es = append(es, [2]int32{u, v})
-			srcs = append(srcs, u)
+	refreshed, moved := 0, 0
+	for iter := 0; iter < 40; iter++ {
+		n := 200 + rng.Intn(400)
+		order, es := randomDAG(rng, n, 2*n)
+		cls := [2]*closure{newClosure(n, es), newClosure(n, es)}
+		targets := randomTargets(rng, cls[0])
+		for _, v := range targets {
+			cls[1].target(v)
 		}
-		if !cl.refresh(order, srcs) {
+		for _, cl := range cls {
 			cl.build(order, 2)
 		}
-		for u := int32(0); u < int32(n); u++ {
-			for v := int32(0); v < int32(n); v++ {
-				if got, want := cl.reaches(u, v), reachRef(n, es, u, v); got != want {
-					t.Fatalf("iter %d: after refresh reaches(%d,%d)=%v, reference %v", iter, u, v, got, want)
+		before := slices.Clone(cls[0].start)
+		pos := positionsOf(order)
+		var srcs []int32
+		for k := 0; k < 8; k++ {
+			// Backward arcs out of the order's second quarter, so refresh has
+			// few enough dirty rows to run, into targets before them that
+			// cannot reach back.
+			u, v := order[n/4+rng.Intn(n/4)], targets[rng.Intn(len(targets))]
+			if pos[v] >= pos[u] || reachRef(n, es, v)[u] {
+				continue
+			}
+			for _, cl := range cls {
+				cl.addArc(u, v)
+			}
+			es = append(es, KnownEdge{Edge: Edge{u, v}})
+			srcs = append(srcs, u)
+		}
+		next, ok := cls[0].topoOrder()
+		if !ok {
+			t.Fatalf("iter %d: staged arcs closed a cycle", iter)
+		}
+		if cls[0].refresh(next, srcs) {
+			refreshed++
+		} else {
+			cls[0].build(next, 2)
+		}
+		for u := range before {
+			if cls[0].start[u] < before[u] {
+				moved++
+			}
+		}
+		cls[1].build(next, 2)
+		checkClosure(t, fmt.Sprintf("iter %d refresh", iter), cls[0], es, targets)
+		checkClosure(t, fmt.Sprintf("iter %d rebuild", iter), cls[1], es, targets)
+	}
+	t.Logf("%d of 40 folds refreshed; %d rows started earlier", refreshed, moved)
+	if refreshed == 0 || moved == 0 {
+		t.Fatalf("%d of 40 folds refreshed, %d rows started earlier: the folds never exercised refresh moving a row", refreshed, moved)
+	}
+}
+
+// TestClosureBuildAllocs: a one-worker build allocates the same handful of
+// times whatever the graph's size, depth or target count — the per-node
+// state sized once per closure, the build's rows from one slab and its
+// level lists from one counting sort. Each size counts the fewest
+// allocations of ten builds, so that one the runtime makes on its own
+// during a build does not count.
+func TestClosureBuildAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var allocs [2]uint64
+	for i, n := range []int{200, 4000} {
+		order, es := randomDAG(rng, n, 3*n)
+		cl := newClosure(n, es)
+		randomTargets(rng, cl)
+		allocs[i] = math.MaxUint64
+		for range 10 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			cl.build(order, 1)
+			runtime.ReadMemStats(&after)
+			allocs[i] = min(allocs[i], after.Mallocs-before.Mallocs)
+		}
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("a one-worker build allocates %v times at 200 nodes but %v at 4000", allocs[0], allocs[1])
+	}
+}
+
+// BenchmarkClosureBuild times building the resolution closure the way
+// resolvePolygraph does — adjacency, targets, build — over the known graph
+// of a seeded histgen SI history with its stamps zeroed, the input of an
+// unstamped check.
+func BenchmarkClosureBuild(b *testing.B) {
+	h := histgen.SI(histgen.Spec{Txns: 4000, Keys: 400, MaxConcurrency: 8, Seed: 1})
+	for _, tx := range h.Txns[1:] {
+		tx.BeginAt, tx.CommitAt = 0, 0
+	}
+	if err := h.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	pg := Build(h, Options{Level: AdyaSI})
+	n := int(pg.NumNodes)
+	order, ok := newClosure(n, pg.Known).topoOrder()
+	if !ok {
+		b.Fatal("cyclic known graph")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cl := newClosure(n, pg.Known)
+		for _, c := range pg.Cons {
+			for _, side := range [2][]Edge{c.First, c.Second} {
+				for _, e := range side {
+					cl.target(e.From)
+					cl.target(e.To)
 				}
 			}
 		}
+		cl.build(order, 1)
+		b.ReportMetric(float64(cl.bytes()), "closure-B/op")
 	}
 }
 
@@ -506,7 +611,7 @@ func TestClosureRefreshMatchesRebuild(t *testing.T) {
 // cyclic stagings and that findCycle then returns a genuine simple cycle
 // of staged arcs.
 func TestClosureTopoOrderFindCycle(t *testing.T) {
-	cl := newClosure(6)
+	cl := newClosure(6, nil)
 	for _, e := range [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}} {
 		cl.addArc(e[0], e[1])
 	}

@@ -57,11 +57,11 @@ type Snapshot struct {
 	Reorders       int64 `json:"reorders"`
 	ReorderedNodes int64 `json:"reordered_nodes"`
 
-	// Session memory gauges (final snapshots only): the live window's
-	// estimated history footprint, the resolution closure's materialized
-	// rows, and the checkpoint certificate's count and size. These are
-	// what a checkpoint policy bounds; omitted from JSON while zero so
-	// unbounded sessions serialize as before.
+	// Memory gauges (final snapshots only): the live window's estimated
+	// history footprint, the row storage of the largest resolution closure
+	// the check or audit built (one-shot checks report it too), and the
+	// checkpoint certificate's count and size. These are what a
+	// checkpoint policy bounds; omitted from JSON while zero.
 	HistoryBytes int64 `json:"history_bytes,omitempty"`
 	ClosureBytes int64 `json:"closure_bytes,omitempty"`
 	Checkpoints  int   `json:"checkpoints,omitempty"`
