@@ -482,24 +482,6 @@ func BenchmarkSelfCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPhaseBias isolates schedule-consistent phase
-// initialization (with it, healthy histories solve with zero conflicts).
-func BenchmarkAblationPhaseBias(b *testing.B) {
-	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 1000, 24)
-	for _, disable := range []bool{false, true} {
-		name := "biased"
-		if disable {
-			name = "default-phase"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep := core.CheckHistory(h, core.Options{Level: core.AdyaSI, DisablePhaseBias: disable})
-				mustOutcome(b, rep.Outcome, core.Accept)
-			}
-		})
-	}
-}
-
 // BenchmarkIncrementalAudit measures online re-auditing of a growing
 // BlindW-RW stream: 5k transactions arriving in 10 batches of 500, with an
 // audit after every batch. "incremental" drives one Checker session whose

@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		matrixFlag  = fs.Bool("matrix", false, "check the whole isolation-level lattice in one pass and report every level's verdict (-level is ignored)")
 		drift       = fs.Duration("drift", 0, "bounded clock drift between client collectors (for gsi / strong-si / strong-session-si)")
 		timeout     = fs.Duration("timeout", 0, "checking time budget (0 = unbounded)")
-		noPruning   = fs.Bool("no-pruning", false, "disable heuristic pruning (§3.5), which also checks the full polygraph instead of the window stage's")
+		noPruning   = fs.Bool("no-pruning", false, "disable heuristic pruning (§3.5): check with one exact pass over every constraint of the full polygraph")
 		resolve     = fs.Bool("resolve", true, "constraint resolution against the known-graph closure: the pre-solve pass, and the evidence pass naming a refuted reject's cycle")
 		tsFastPath  = fs.String("ts-fastpath", "auto", "timestamp-assisted fast path: auto (on when usable timestamps are present) | on | off")
 		noCombine   = fs.Bool("no-combine", false, "disable combining writes")
@@ -209,18 +209,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *verbose && !quiet {
-		// The check counts the constraints it materialised: on unstamped
-		// input with pruning on, only the window stage's (internal/core's
-		// window.go), a fraction of the full polygraph's, which Build
-		// counts.
-		pg := core.Build(h, opts)
-		st := pg.Stats()
-		fmt.Fprintf(stdout, "polygraph: %d nodes, %d known edges, %d constraints checked of %d\n",
-			rep.Nodes, rep.KnownEdges, rep.Constraints, st.Constraints)
-		fmt.Fprintf(stdout, "known edges: intra=%d wr=%d ww=%d rw=%d session=%d real-time=%d\n",
-			st.EdgesByKind[core.EdgeIntra], st.EdgesByKind[core.EdgeWR],
-			st.EdgesByKind[core.EdgeWW], st.EdgesByKind[core.EdgeRW],
-			st.EdgesByKind[core.EdgeSession], st.EdgesByKind[core.EdgeRealTime])
+		// The counts the check carries: on input without a timestamp
+		// stage, the constraints of the window stage's polygraph
+		// (internal/core's window.go), often a fraction of the full one's.
+		fmt.Fprintf(stdout, "polygraph: %d nodes, %d known edges, %d constraints checked\n",
+			rep.Nodes, rep.KnownEdges, rep.Constraints)
 		fmt.Fprintf(stdout, "resolve: %d constraints resolved, %d edges forced\n",
 			rep.ResolvedConstraints, rep.ForcedEdges)
 		if rep.TSUnusable != "" {

@@ -2,7 +2,8 @@
 // reconstructing the violation classes of the paper's §7.3: the synthetic
 // anomalies of Figure 15 (G1c, long fork, G-SIb) and the real-world
 // Jepsen-report classes of Figure 14 (lost update, aborted read, cyclic
-// information flow, read-your-future-writes, read skew). Each injection
+// information flow, read-your-future-writes, read skew), plus a
+// range-query phantom that exercises §4's tombstone reading. Each injection
 // appends a handful of transactions over fresh keys, mirroring the paper's
 // "insert one anomaly per history" methodology (pessimistic for checkers,
 // since real bugs usually trigger many anomalies).
@@ -51,6 +52,13 @@ const (
 	// Consistency and everything stronger reject — the level-separating
 	// variant of the long fork, which Causal still accepts.
 	CausalFork
+	// Phantom is a fractured snapshot that only a range query shows: a
+	// reader observes one of T's inserts and scans a range that covers
+	// another key T inserted, but the scan's result omits it. Under §4's
+	// tombstone discipline the omission is a read of that key's initial
+	// version, which T superseded. Read Committed accepts it; Read Atomic
+	// and everything stronger reject, as for a fractured read.
+	Phantom
 )
 
 // String implements fmt.Stringer, using the paper's Figure 14/15 labels.
@@ -74,6 +82,8 @@ func (k Kind) String() string {
 		return "fractured read"
 	case CausalFork:
 		return "causal fork"
+	case Phantom:
+		return "phantom"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -81,7 +91,7 @@ func (k Kind) String() string {
 
 // Kinds lists every injectable violation.
 func Kinds() []Kind {
-	return []Kind{G1c, LongFork, GSIb, LostUpdate, AbortedRead, ReadYourFutureWrites, ReadSkew, FracturedRead, CausalFork}
+	return []Kind{G1c, LongFork, GSIb, LostUpdate, AbortedRead, ReadYourFutureWrites, ReadSkew, FracturedRead, CausalFork, Phantom}
 }
 
 // ValidationLevel reports whether the violation is caught by history
@@ -140,15 +150,15 @@ func rejectFrom(level string) Expectation {
 
 // Expectation returns the Kind's expected level matrix. The weakest
 // violated level is what makes the corpus level-aware: G1c's wr cycle
-// already breaks Read Committed; fractured reads and read skew split an
-// atomic write set (Read Atomic); the causal fork needs transitive
-// observation (Causal); and the long fork, G-SIb, and lost update are
-// invisible below snapshot isolation.
+// already breaks Read Committed; fractured reads, read skew and the
+// phantom split an atomic write set (Read Atomic); the causal fork needs
+// transitive observation (Causal); and the long fork, G-SIb, and lost
+// update are invisible below snapshot isolation.
 func (k Kind) Expectation() Expectation {
 	switch k {
 	case G1c:
 		return rejectFrom("read-committed")
-	case FracturedRead, ReadSkew:
+	case FracturedRead, ReadSkew, Phantom:
 		return rejectFrom("read-atomic")
 	case CausalFork:
 		return rejectFrom("causal")
@@ -296,6 +306,15 @@ func Inject(h *history.History, kind Kind) *history.History {
 		wy := inj.wid()
 		inj.txn(history.StatusCommitted, read(x, wx), write(y, wy))
 		inj.txn(history.StatusCommitted, read(y, wy), read(x, history.GenesisWriteID))
+	case Phantom:
+		// T inserts a and b; R reads a from T, then scans [b, z], whose
+		// empty result says b was never inserted.
+		a, b := history.Key("anom:ph:a"), history.Key("anom:ph:b")
+		wa, wb := inj.wid(), inj.wid()
+		inj.txn(history.StatusCommitted,
+			history.Op{Kind: history.OpInsert, Key: a, WriteID: wa},
+			history.Op{Kind: history.OpInsert, Key: b, WriteID: wb})
+		inj.txn(history.StatusCommitted, read(a, wa), history.Op{Kind: history.OpRange, Lo: b, Hi: "anom:ph:z"})
 	case LostUpdate:
 		k := history.Key("anom:lu:counter")
 		w0 := inj.wid()

@@ -6,6 +6,7 @@ import (
 
 	"viper/internal/core"
 	"viper/internal/history"
+	"viper/internal/oracle"
 	"viper/internal/runner"
 	"viper/internal/workload"
 )
@@ -189,6 +190,56 @@ func TestExpectationCoversEveryLevel(t *testing.T) {
 		}
 		if weakest != exp.WeakestViolated {
 			t.Fatalf("%v: weakest = %q, table says %q", kind, weakest, exp.WeakestViolated)
+		}
+	}
+}
+
+// TestExpectationMatchesOracle checks the Expectation table against the
+// exhaustive oracle (internal/oracle), which decides SI and
+// serializability by searching every schedule: on each kind injected into
+// an empty history, the oracle's verdicts are the table's adya-si and
+// serializability entries.
+func TestExpectationMatchesOracle(t *testing.T) {
+	for _, kind := range Kinds() {
+		exp := kind.Expectation()
+		if exp.Validation {
+			continue
+		}
+		h := Inject(history.NewBuilder().MustHistory(), kind)
+		if err := h.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if got := oracle.IsSI(h); got != exp.Accepts["adya-si"] {
+			t.Errorf("%v: oracle says SI %v, table %v", kind, got, exp.Accepts["adya-si"])
+		}
+		if got := oracle.IsSerializable(h); got != exp.Accepts["serializability"] {
+			t.Errorf("%v: oracle says serializable %v, table %v", kind, got, exp.Accepts["serializability"])
+		}
+	}
+}
+
+// TestPhantomIsTheScansMiss: the phantom's violation is the key its range
+// scan omits, read as that key's initial version (§4). The same history
+// whose scan returns the insert is accepted at every matrix level, by the
+// oracle and by each level's check.
+func TestPhantomIsTheScansMiss(t *testing.T) {
+	h := Inject(history.NewBuilder().MustHistory(), Phantom)
+	insert := h.Txns[len(h.Txns)-2].Ops[1]
+	scan := &h.Txns[len(h.Txns)-1].Ops[1]
+	if scan.Kind != history.OpRange || insert.Kind != history.OpInsert || insert.Key < scan.Lo || insert.Key > scan.Hi {
+		t.Fatalf("scan %+v does not cover insert %+v", scan, insert)
+	}
+	scan.Result = []history.Version{{Key: insert.Key, WriteID: insert.WriteID}}
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !oracle.IsSI(h) || !oracle.IsSerializable(h) {
+		t.Fatal("the oracle rejects the phantom with the insert returned")
+	}
+	for _, name := range MatrixLevels {
+		lvl, _ := core.ParseLevel(name)
+		if rep := core.CheckHistory(h, core.Options{Level: lvl}); rep.Outcome != core.Accept {
+			t.Errorf("%s: %v with the insert returned, want Accept", name, rep.Outcome)
 		}
 	}
 }

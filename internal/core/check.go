@@ -59,17 +59,6 @@ type PhaseTimings struct {
 	Solve   time.Duration // SAT+theory solving (summed over solver passes)
 }
 
-// add books q's phases on top of p's: a check that ran in two stages
-// (the window stage, then the full polygraph) reports both.
-func (p *PhaseTimings) add(q PhaseTimings) {
-	p.Construct += q.Construct
-	p.ConstructCPU += q.ConstructCPU
-	p.Resolve += q.Resolve
-	p.TSOrder += q.TSOrder
-	p.Encode += q.Encode
-	p.Solve += q.Solve
-}
-
 // Report is the result of a check.
 type Report struct {
 	Outcome Outcome
@@ -77,9 +66,10 @@ type Report struct {
 
 	// Graph statistics. Constraints counts the constraints materialised
 	// in the checked polygraph, before pruning: every constraint of the
-	// full polygraph, or, when the window stage decided the check
-	// (window.go), only the writer pairs it built — 0 on a reject by a
-	// cycle of known edges, which it finds before building any.
+	// full polygraph on a check with a timestamp stage, and on one without
+	// (the window stage, window.go) the writer pairs within the last
+	// pass's radius — every pair at radius 0, and 0 on a reject by a cycle
+	// of known edges, which it finds before building any.
 	Nodes       int
 	KnownEdges  int
 	Constraints int
@@ -120,7 +110,7 @@ type Report struct {
 	PrunedConstraints int // constraints resolved by heuristic pruning
 	HeuristicEdges    int
 	EdgeVars          int
-	Retries           int // failed passes (timestamp pass, k doublings, a window witness that failed replay)
+	Retries           int // failed passes (timestamp pass, k doublings), a window pass whose witness failed replay among them
 	FinalK            int // 0 means no heuristic was in force
 
 	Phases PhaseTimings
@@ -235,9 +225,8 @@ func CheckHistoryContext(ctx context.Context, h *history.History, opts Options) 
 	}
 	// One-shot checking is a single-audit incremental session: the first
 	// audit is cold, so the verdict, report, and witness are those of a
-	// Checker's first audit — the window stage's (window.go) when pruning
-	// is on and no timestamp stage will run, the full polygraph's
-	// otherwise.
+	// Checker's first audit — the window stage's (window.go) when no
+	// timestamp stage will run, the full polygraph's otherwise.
 	return sessionOver(h, opts).AuditContext(ctx)
 }
 
@@ -305,10 +294,7 @@ func checkPolygraph(ctx context.Context, pg *Polygraph, opts Options, deadline t
 // newSolveRun readies a check of pg: its report and its known graph's
 // adjacency.
 func newSolveRun(pg *Polygraph, opts Options, deadline time.Time) *solveRun {
-	out := make([][]int32, pg.NumNodes)
-	for _, ke := range pg.Known {
-		out[ke.From] = append(out[ke.From], ke.To)
-	}
+	out := edgeLists(int(pg.NumNodes), pg.Known, false)
 	rep := &Report{
 		Level:       pg.Level,
 		Nodes:       int(pg.NumNodes),
@@ -339,9 +325,7 @@ func (r *solveRun) check(ctx context.Context, order []int32) {
 	// Constraint-free fast path (write order fully known — e.g. the
 	// list-append workload, §7.1): the BC-polygraph is a BC-graph and the
 	// successful topological sort already proves acyclicity.
-	if len(pg.Cons) == 0 {
-		rep.Outcome = Accept
-		rep.WitnessPositions = positionsOf(order)
+	if len(pg.Cons) == 0 && r.accept(positionsOf(order)) {
 		return
 	}
 
@@ -383,9 +367,7 @@ func (r *solveRun) solve(ctx context.Context, all consSet) {
 			rep.TSDecided, rep.TSResidual = tc.decided, len(tc.residual.cons)
 			rep.Phases.TSOrder = time.Since(tsStart)
 			tsReg.End()
-			if len(tc.residual.cons) == 0 && chosenForward(all.cons, tc.chosen, all.pos) {
-				rep.Outcome = Accept
-				rep.WitnessPositions = all.pos
+			if len(tc.residual.cons) == 0 && chosenForward(all.cons, tc.chosen, all.pos) && r.accept(all.pos) {
 				return
 			}
 			if tc.decided*10 >= len(all.cons)*9 {
@@ -397,12 +379,10 @@ func (r *solveRun) solve(ctx context.Context, all consSet) {
 						return
 					}
 				}
-				if len(residue.cons) == 0 && chosenForward(all.cons, tc.chosen, residue.pos) {
+				if len(residue.cons) == 0 && chosenForward(all.cons, tc.chosen, residue.pos) && r.accept(residue.pos) {
 					// The residue resolved away and the chosen sides still
 					// follow the (possibly re-sorted) topological order:
 					// witness in hand.
-					rep.Outcome = Accept
-					rep.WitnessPositions = residue.pos
 					return
 				}
 				r.ts, r.all, r.chosen = true, all, tc.chosen
@@ -424,11 +404,9 @@ func (r *solveRun) solve(ctx context.Context, all consSet) {
 	if !ok {
 		return
 	}
-	if len(set.cons) == 0 {
+	if len(set.cons) == 0 && r.accept(set.pos) {
 		// Every constraint resolved: the extended known graph is the whole
 		// polygraph and its topological order is the witness.
-		rep.Outcome = Accept
-		rep.WitnessPositions = set.pos
 		return
 	}
 	r.run(ctx, set)
@@ -479,11 +457,15 @@ type solveRun struct {
 	// edges, collected once for every pass.
 	committed []history.TxnID
 
-	// grow, when set, widens the polygraph to the radius k of the pass
-	// about to run (0: the exact pass) by appending constraints to
-	// pg.Cons; run adds them to the pass's set (the window stage,
-	// window.go).
-	grow func(k int)
+	// radius is the §3.5 radius pg was built to: 0 when it holds every
+	// constraint (the full polygraph, or a window widened to the exact
+	// pass), so that any model is exact; k > 0 for the window stage's
+	// polygraph (window.go), whose accepts stand only on a replayed
+	// witness (accept). grow, set with it, widens the polygraph to the
+	// radius k of the pass about to run by appending constraints to
+	// pg.Cons; run adds them to the pass's set.
+	radius int
+	grow   func(k int)
 
 	warm    bool
 	s       *sat.Solver
@@ -567,7 +549,9 @@ func (r *solveRun) resolve(ctx context.Context, set consSet) (_ consSet, ok bool
 // check has one), then each §3.5 radius k = InitialK, 2k, … and finally
 // k = 0 (exact), stopping at the first verdict. A pass that refutes the
 // polygraph, the timestamp pass included, rejects through verdict, which
-// runs the evidence pass.
+// runs the evidence pass. On a window, a pass whose witness fails replay
+// fails like one that is Unsat under its batch: the next pass runs at 2k
+// over the window widened to 2k.
 func (r *solveRun) run(ctx context.Context, set consSet) {
 	defer func() {
 		if r.release != nil {
@@ -586,7 +570,7 @@ func (r *solveRun) run(ctx context.Context, set consSet) {
 		if r.stopped(ctx) {
 			return
 		}
-		if r.verdict(ctx, r.pass(ctx, set, 0, r.chosen)) {
+		if res, witness := r.pass(ctx, set, 0, r.chosen); r.verdict(ctx, res, witness) {
 			return
 		}
 		// An Unsat that used the chosen sides only says the timestamps may
@@ -601,25 +585,24 @@ func (r *solveRun) run(ctx context.Context, set consSet) {
 		if set, ok = r.resolve(ctx, all); !ok {
 			return
 		}
-		if len(set.cons) == 0 {
-			rep.Outcome, rep.WitnessPositions = Accept, set.pos
+		if len(set.cons) == 0 && r.accept(set.pos) {
 			return
 		}
 	}
 
-	k := r.opts.initialK()
-	if r.opts.DisablePruning {
-		k = 0
-	}
+	k := r.opts.firstK()
 	for !r.stopped(ctx) {
-		if r.verdict(ctx, r.pass(ctx, set, k, nil)) {
+		if res, witness := r.pass(ctx, set, k, nil); r.verdict(ctx, res, witness) {
 			return
 		}
 		if k == 0 {
 			panic("core: exact pass Unsat under assumptions") // it assumes nothing
 		}
-		// Unsat under this radius's batch only: widen the radius.
+		// Unsat under this radius's batch only, or a window's witness that
+		// failed replay: widen the radius. Retire backtracks only when a
+		// batch is live, and a Sat leaves its model on the trail.
 		rep.Retries++
+		r.s.Relax()
 		r.th.Retire(r.s)
 		k *= 2
 		if k >= int(pg.NumNodes) {
@@ -637,6 +620,7 @@ func (r *solveRun) widen(set consSet, k int) consSet {
 	pg := r.pg
 	n := len(pg.Cons)
 	r.grow(k)
+	r.radius = k
 	set.cons = append(slices.Clip(set.cons), pg.Cons[n:]...)
 	for i := n; i < len(pg.Cons); i++ {
 		set.at = append(set.at, int32(i))
@@ -656,14 +640,15 @@ func (r *solveRun) stopped(ctx context.Context) bool {
 	return false
 }
 
-// verdict records a pass result that decides the check — Sat accepts,
-// Unknown times out, and Unsat with Okay() false rejects, a refutation
-// whose cycle the evidence pass then names — and reports whether it did.
-// An Unsat that only refuted the pass's batch decides nothing.
-func (r *solveRun) verdict(ctx context.Context, res sat.Result) bool {
+// verdict records a pass result that decides the check — Sat accepts on
+// the pass's witness, Unknown times out, and Unsat with Okay() false
+// rejects, a refutation whose cycle the evidence pass then names — and
+// reports whether it did. An Unsat that only refuted the pass's batch
+// decides nothing, and neither does a Sat whose accept does not stand.
+func (r *solveRun) verdict(ctx context.Context, res sat.Result, witness []int32) bool {
 	switch {
 	case res == sat.Sat:
-		r.rep.Outcome = Accept
+		return r.accept(witness)
 	case res == sat.Unknown:
 		r.rep.Outcome = Timeout
 	case !r.s.Okay():
@@ -672,6 +657,22 @@ func (r *solveRun) verdict(ctx context.Context, res sat.Result) bool {
 	default:
 		return false
 	}
+	return true
+}
+
+// accept records an Accept on witness pos and reports whether it stands:
+// always on a polygraph holding every constraint (radius 0), and on a
+// window only once VerifyWitness has replayed pos — Theorem 4's schedule
+// check, NoConflict included, which holds whatever the pairs the window
+// left out said, and which is the accept's self-check.
+func (r *solveRun) accept(pos []int32) bool {
+	if r.radius > 0 {
+		if VerifyWitness(r.pg.H, pos, r.pg.Level) != nil {
+			return false
+		}
+		r.rep.WitnessVerified = r.opts.SelfCheck
+	}
+	r.rep.Outcome, r.rep.WitnessPositions = Accept, pos
 	return true
 }
 
@@ -706,7 +707,8 @@ func (r *solveRun) evidence(ctx context.Context) {
 	}
 }
 
-// pass runs one encode+solve round over set. k > 0 applies heuristic
+// pass runs one encode+solve round over set and returns its result, with
+// the theory's order as the witness on Sat. k > 0 applies heuristic
 // pruning at stride k: a not-yet-encoded constraint with one side running
 // k or more positions backward in ŝ is forced to its other side, and the
 // stride edges are asserted. k == 0 encodes every remaining constraint.
@@ -715,7 +717,7 @@ func (r *solveRun) evidence(ctx context.Context) {
 // A pass that prunes both sides of some constraint cannot succeed;
 // it returns Unsat without solving. Canceling ctx interrupts the solver;
 // the pass then reports Unknown.
-func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32) sat.Result {
+func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32) (sat.Result, []int32) {
 	attReg := r.opts.Tracer.Start("attempt")
 	attReg.SetAttr("k", int64(k))
 	defer attReg.End()
@@ -741,7 +743,61 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 	}
 	r.nconst = len(set.known)
 
-	var batch []acyclic.Edge
+	// Decide every constraint the solver does not own yet before asserting
+	// anything, counting the batch's edges — the chosen sides, the sides
+	// pruning forces and the stride edges — so that the batch is allocated
+	// once. act[i] is what the pass does with set.cons[i]: encode it, force
+	// one of its sides, or nothing (0) when the solver owns it already.
+	const (
+		encodeIt = 1 + iota
+		forceFirst
+		forceSecond
+	)
+	act := make([]uint8, len(set.cons))
+	size := 0
+	for _, ch := range chosen {
+		size += len(chosenSide(r.all.cons, ch))
+	}
+	violates := func(edges []Edge) bool {
+		for _, e := range edges {
+			if int(set.pos[e.From])-int(set.pos[e.To]) >= k {
+				return true
+			}
+		}
+		return false
+	}
+	pruned := 0
+	for i, c := range set.cons {
+		if r.sel[set.at[i]] != sat.LitUndef {
+			continue // its clauses are in the solver already
+		}
+		fBad, sBad := k > 0 && violates(c.First), k > 0 && violates(c.Second)
+		switch {
+		case fBad && sBad:
+			// Both sides contradict the heuristic order: this pass
+			// cannot succeed; skip the solver and retry with larger k.
+			rep.PrunedConstraints, rep.HeuristicEdges = pruned+1, 0
+			rep.Phases.Encode += time.Since(encodeStart)
+			return sat.Unsat, nil
+		case fBad:
+			act[i] = forceSecond
+			size += len(c.Second)
+			pruned++
+		case sBad:
+			act[i] = forceFirst
+			size += len(c.First)
+			pruned++
+		default:
+			act[i] = encodeIt
+		}
+	}
+	rep.PrunedConstraints = pruned
+	var stride []Edge
+	if k > 0 {
+		stride = pg.heuristicEdges(set.pos, k, r.committed)
+	}
+	rep.HeuristicEdges = len(stride)
+	batch := make([]acyclic.Edge, 0, size+len(stride))
 	assert := func(edges []Edge) {
 		for _, e := range edges {
 			batch = append(batch, acyclic.Edge(e))
@@ -750,66 +806,31 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 	for _, ch := range chosen {
 		assert(chosenSide(r.all.cons, ch))
 	}
-	var encode []int // positions in set.cons to encode now
-	pruned := 0
-	rep.HeuristicEdges = 0
-	if k > 0 {
-		violates := func(edges []Edge) bool {
-			for _, e := range edges {
-				if int(set.pos[e.From])-int(set.pos[e.To]) >= k {
-					return true
-				}
-			}
-			return false
-		}
-		for i, c := range set.cons {
-			if r.sel[set.at[i]] != sat.LitUndef {
-				continue // the solver owns it already
-			}
-			fBad, sBad := violates(c.First), violates(c.Second)
-			switch {
-			case fBad && sBad:
-				// Both sides contradict the heuristic order: this pass
-				// cannot succeed; skip the solver and retry with larger k.
-				rep.PrunedConstraints = pruned + 1
-				rep.Phases.Encode += time.Since(encodeStart)
-				return sat.Unsat
-			case fBad:
-				assert(c.Second)
-				pruned++
-			case sBad:
-				assert(c.First)
-				pruned++
-			default:
-				encode = append(encode, i)
-			}
-		}
-		stride := pg.heuristicEdges(set.pos, k, r.committed)
-		assert(stride)
-		rep.HeuristicEdges = len(stride)
-	} else {
-		for i := range set.cons {
-			if r.sel[set.at[i]] == sat.LitUndef {
-				encode = append(encode, i)
-			}
+	for i, a := range act {
+		switch a {
+		case forceFirst:
+			assert(set.cons[i].First)
+		case forceSecond:
+			assert(set.cons[i].Second)
 		}
 	}
-	rep.PrunedConstraints = pruned
+	assert(stride)
 
 	// Edge variables start biased toward their schedule-consistent
 	// polarity: an edge running forward in ŝ is probably present, a
 	// backward one probably absent. Decisions then reproduce ŝ unless
 	// conflicts force otherwise, keeping the search near-linear on healthy
 	// histories and localized on violations.
-	s, noBias := r.s, r.opts.DisablePhaseBias
+	s := r.s
 	edgeLit := func(e Edge) sat.Lit {
 		v := r.th.EdgeVar(s, e.From, e.To)
-		if !noBias {
-			s.SetPhase(v, set.pos[e.From] < set.pos[e.To])
-		}
+		s.SetPhase(v, set.pos[e.From] < set.pos[e.To])
 		return sat.PosLit(v)
 	}
-	for _, i := range encode {
+	for i, a := range act {
+		if a != encodeIt {
+			continue
+		}
 		c := set.cons[i]
 		if len(c.First) == 1 && len(c.Second) == 1 {
 			// The paper's XOR encoding (Figure 4 line 22).
@@ -821,9 +842,7 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 		// Coalesced: one selector implying each side; the selector is
 		// biased toward the side whose edges follow ŝ.
 		sel := s.NewVar()
-		if !noBias {
-			s.SetPhase(sel, sideForward(c.First, set.pos))
-		}
+		s.SetPhase(sel, sideForward(c.First, set.pos))
 		for _, e := range c.First {
 			s.AddClause(sat.NegLit(sel), edgeLit(e))
 		}
@@ -840,12 +859,12 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 	encoded := time.Since(encodeStart)
 	solveStart := time.Now()
 	res := s.SolveAssuming(assume...)
+	var witness []int32
 	if res == sat.Sat {
-		w := make([]int32, pg.NumNodes)
+		witness = make([]int32, pg.NumNodes)
 		for n := int32(0); n < pg.NumNodes; n++ {
-			w[n] = r.th.Order(n)
+			witness[n] = r.th.Order(n)
 		}
-		rep.WitnessPositions = w
 	}
 	// Everything after encoding — solving plus witness extraction — is
 	// this pass's solve time.
@@ -857,7 +876,7 @@ func (r *solveRun) pass(ctx context.Context, set consSet, k int, chosen []int32)
 	rep.Solver = s.Stats
 	rep.EdgeVars = s.NumVars()
 	rep.Reorders, rep.ReorderedNodes = r.th.Reorders()
-	return res
+	return res, witness
 }
 
 // start builds a one-shot check's solver, theory and encodings. The

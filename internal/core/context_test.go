@@ -26,16 +26,16 @@ func TestCheckContextPreCanceled(t *testing.T) {
 // deterministically, by braking the solve with a Progress callback that
 // blocks until the cancel has happened — and asserts the solve is
 // interrupted promptly instead of running to completion. It interrupts
-// the exact solve over the full polygraph (pruning off), and the window
-// stage's solve (window.go), whose span then records the timeout. Both
-// solves run hundreds of decisions on this history, past the sampler's
-// first tick.
+// the window stage's (window.go) exact solve over every pair (pruning
+// off), and its first pruned pass; the window span records the timeout
+// either way. Both solves run hundreds of decisions on this history, past
+// the sampler's first tick.
 func TestCheckContextCancelMidSolve(t *testing.T) {
 	h := histgen.SI(histgen.Spec{Txns: 400, Seed: 2})
 	for _, tc := range []struct {
-		name   string
-		window bool
-	}{{"full", false}, {"window", true}} {
+		name  string
+		prune bool
+	}{{"exact", false}, {"pruned", true}} {
 		ctx, cancel := context.WithCancel(context.Background())
 		inSolve := make(chan struct{})
 		var signaled bool
@@ -46,9 +46,10 @@ func TestCheckContextCancelMidSolve(t *testing.T) {
 			// before any solver runs; this test is specifically about
 			// interrupting a running solve, so force the solver path.
 			DisableTSFastPath: true,
-			// Without pruning the check solves the full polygraph exactly;
-			// with it, the window stage solves its window polygraph.
-			DisablePruning:   !tc.window,
+			// Without pruning the window holds every pair and the check
+			// solves it exactly; with it, the first pass solves the window
+			// at the first radius.
+			DisablePruning:   !tc.prune,
 			ProgressInterval: time.Nanosecond, // fire the callback on the first sampling tick
 			// The callback runs synchronously on the solve goroutine, so it
 			// can brake the solver deterministically.
@@ -75,9 +76,8 @@ func TestCheckContextCancelMidSolve(t *testing.T) {
 		if elapsed := time.Since(start); elapsed > 30*time.Second {
 			t.Fatalf("%s: cancellation took %v", tc.name, elapsed)
 		}
-		attrs, ok := windowSpan(opts.Tracer)
-		if ok != tc.window || ok && attrs["outcome"] != int64(Timeout) {
-			t.Fatalf("%s: window span %v (present %v)", tc.name, attrs, ok)
+		if attrs, ok := windowSpan(opts.Tracer); !ok || attrs["outcome"] != int64(Timeout) {
+			t.Fatalf("%s: window span %v (present %v), want a timeout", tc.name, attrs, ok)
 		}
 		cancel()
 	}

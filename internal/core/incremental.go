@@ -13,12 +13,11 @@
 // and runs the ordinary batch solve (the cold path, used for levels with
 // real-time edges, and for the first audit so the one-shot wrappers stay
 // byte-compatible with the historical batch pipeline), or feeds the
-// deltas to a persistent solver (the warm path). A cold audit with
-// pruning on and no timestamp stage ahead first takes the window stage
-// (window.go), which builds from the indexes only the writer pairs §3.5's
-// first pass can encode and leaves the records dirty; it goes on to the
-// cold path only when its witness fails replay. Build and CheckHistory
-// are one-audit sessions.
+// deltas to a persistent solver (the warm path). A cold audit with no
+// timestamp stage ahead takes the window stage (window.go) instead, which
+// builds from the indexes only the writer pairs each §3.5 pass can encode
+// and leaves the records dirty. Build and CheckHistory are one-audit
+// sessions.
 //
 // The warm path keeps one SAT solver and one acyclicity theory alive for
 // the whole session: learned clauses, VSIDS activities, saved phases, and
@@ -375,7 +374,7 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 		conReg.End()
 		rep = inc.auditWindow(ctx, constructStart)
 	default:
-		rep = inc.auditCold(ctx, constructStart, conReg, time.Time{})
+		rep = inc.auditCold(ctx, constructStart, conReg)
 	}
 	if rep.Outcome == Reject {
 		// A rejection reached under a live context is a real verdict (the
@@ -398,20 +397,16 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 
 // auditCold is the cold path: it regenerates the dirty keys' records,
 // assembles the record store into a Polygraph and runs the ordinary
-// batch solve. Construction runs from constructStart until assembly,
-// under conReg. deadline bounds the solve; zero resolves it once
-// construction ends (solveDeadline), which gives zero again when neither
-// Options.Timeout nor ctx's deadline applies.
-func (inc *Incremental) auditCold(ctx context.Context, constructStart time.Time, conReg obs.Region, deadline time.Time) *Report {
+// batch solve, under a deadline resolved once construction ends
+// (solveDeadline). Construction runs from constructStart until assembly,
+// under conReg.
+func (inc *Incremental) auditCold(ctx context.Context, constructStart time.Time, conReg obs.Region) *Report {
 	regenWall, regenCPU, workers := inc.regen()
 	pg := inc.assemble()
 	construct := time.Since(constructStart)
 	conReg.End()
 	opts := inc.obsOpts()
-	if deadline.IsZero() {
-		deadline = solveDeadline(ctx, opts)
-	}
-	rep := checkPolygraph(ctx, pg, opts, deadline)
+	rep := checkPolygraph(ctx, pg, opts, solveDeadline(ctx, opts))
 	rep.selfCheck(pg, opts)
 	rep.Phases.Construct = construct
 	rep.Phases.ConstructCPU = construct - regenWall + regenCPU
@@ -535,17 +530,27 @@ func (inc *Incremental) update() {
 // regenKey rebuilds one key's emission record and chain partition from the
 // current indexes. lite is only consulted for the node mapping (classify);
 // it is shared read-only across workers.
+//
+// The record holds the key's known part (keyKnown) and the constraints of
+// every pair of its non-genesis chains (Figure 4 lines 37–50, at
+// writer-chain granularity): the window's pairs at radius 0, here in chain
+// order. One reservation sizes both, with knownOps and pairsSize.
 func (inc *Incremental) regenKey(lite *Polygraph, key history.Key, combine, coalesce bool) (*KeyRecord, [][]history.TxnID) {
-	writers := inc.writers[key]
 	byWriter := inc.readers[key]
 	rec := &KeyRecord{}
 	recordReadDeps(lite, byWriter, rec)
-	chains := lite.buildKeyConstraints(key, writers, byWriter, combine, coalesce, keyRecorder{pg: lite, rec: rec})
+	kc := lite.keyChains(inc.writers[key], byWriter, combine)
+	ext := chainExtents(kc.real, byWriter)
+	ops, edges := pairsSize(ext, 0, coalesce)
+	kr := keyRecorder{pg: lite, rec: rec}
+	kr.reserve(kc.knownOps(byWriter)+ops, edges)
+	lite.keyKnown(key, kc, byWriter, kr)
+	lite.recordPairs(key, ext, byWriter, 0, coalesce, kr)
 	if len(rec.Sides) == 0 {
 		rec.Sides = nil // every side held trivially or was impossible
 	}
-	sig := make([][]history.TxnID, len(chains))
-	for i, c := range chains {
+	sig := make([][]history.TxnID, len(kc.all))
+	for i, c := range kc.all {
 		sig[i] = c.members
 	}
 	return rec, sig
@@ -789,9 +794,7 @@ func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time,
 			return sat.PosLit(v)
 		}
 		v := w.th.EdgeVar(w.s, e.From, e.To)
-		if !opts.DisablePhaseBias {
-			w.s.SetPhase(v, w.th.Order(e.From) < w.th.Order(e.To))
-		}
+		w.s.SetPhase(v, w.th.Order(e.From) < w.th.Order(e.To))
 		return sat.PosLit(v)
 	}
 

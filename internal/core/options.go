@@ -195,9 +195,10 @@ type Options struct {
 	// constraints.
 	DisableCoalesce bool
 
-	// DisablePruning turns off heuristic pruning (§3.5), and with it the
-	// window stage (window.go): a cold check then builds and solves the
-	// full polygraph, every writer pair of every key, exactly.
+	// DisablePruning turns off heuristic pruning (§3.5): a check runs one
+	// exact pass over every constraint. A cold check without a timestamp
+	// stage still builds through the window stage (window.go), at radius
+	// 0: every writer pair of every key, up front.
 	DisablePruning bool
 
 	// DisableResolve turns off sound constraint resolution (resolve.go):
@@ -228,17 +229,11 @@ type Options struct {
 	// the answer is exact). It is also the window stage's radius
 	// (window.go): a cold check without a timestamp stage first builds
 	// only the writer pairs within K of each other in the schedule ŝ, and
-	// widens the window with K.
+	// widens the window with K, also when a pass's witness fails replay.
 	InitialK int
 
 	// Timeout bounds total checking time; zero means no limit.
 	Timeout time.Duration
-
-	// DisablePhaseBias turns off schedule-consistent phase initialization
-	// (edge variables start biased toward the polarity the heuristic order
-	// ŝ suggests). With the bias, healthy histories solve with zero
-	// conflicts; an ablation knob.
-	DisablePhaseBias bool
 
 	// Parallelism is the worker count for BC-polygraph construction:
 	// every written key's emissions are recorded under a work-stealing
@@ -273,20 +268,25 @@ type Options struct {
 	// screen), tsorder, resolve, attempt(encode solve) per solver pass,
 	// evidence after a refutation, and selfcheck; a warm audit's encode
 	// span comes before its resolve span. A cold audit that takes the
-	// window stage (window.go) runs its stages inside a window span, whose
-	// attributes count the constraints it built and give its outcome (an
-	// Outcome, or 3 when the witness failed replay; a construct span and
-	// the full polygraph's stages follow). The viper package's Check and
-	// Checker audits open a validate span before the audit span. Nil (the
-	// default) costs one pointer check per phase boundary.
+	// window stage (window.go) runs all its stages inside one window span,
+	// whose attributes count the constraints it built, widenings included,
+	// and give its Outcome; nothing follows it. The viper package's Check
+	// and Checker audits open a validate span before the audit span. Nil
+	// (the default) costs one pointer check per phase boundary.
 	Tracer *obs.Tracer
 }
 
 // DefaultOptions returns the recommended configuration for a level.
 func DefaultOptions(l Level) Options { return Options{Level: l} }
 
-func (o *Options) initialK() int {
-	if o.InitialK > 0 {
+// firstK is the radius of a check's first §3.5 pass, and of the window
+// stage's first construction: InitialK, or 0 — the exact pass, over every
+// constraint — with pruning off.
+func (o *Options) firstK() int {
+	switch {
+	case o.DisablePruning:
+		return 0
+	case o.InitialK > 0:
 		return o.InitialK
 	}
 	return 128

@@ -25,7 +25,8 @@
 // The window stage (window.go) records with the same emitters in two
 // passes over the same indexes, without touching the record store: the
 // known part of every key's emissions, assembled like step 3, then only
-// the writer pairs near each other in the known graph's schedule.
+// the writer pairs near each other in the known graph's schedule. A
+// record's pairs are the window's at radius 0, every pair.
 package core
 
 import (
@@ -77,8 +78,8 @@ type keyRecorder struct {
 // reserve allocates the key's ops and side slab once, before the first
 // emission: ops is exactly the number of knownEvent emissions that
 // classify as normal plus constraint emissions, and edges bounds the
-// constraint-side edges they resolve to (buildKeyConstraints counts both,
-// with knownOps and pairsSize).
+// constraint-side edges they resolve to (regenKey counts both, with
+// knownOps and pairsSize).
 func (kr keyRecorder) reserve(ops, edges int) {
 	if ops > 0 {
 		kr.rec.Ops = make([]KeyOp, 0, ops)

@@ -196,13 +196,10 @@ func TestRecordKeyAllocs(t *testing.T) {
 	h := b.MustHistory()
 	inc := sessionOver(h, Options{Level: AdyaSI})
 	inc.update()
-	byWriter, ws := inc.readers["x"], inc.writers["x"]
 	pg := newPolygraph(h, AdyaSI)
-	var rec KeyRecord
+	var rec *KeyRecord
 	allocs := testing.AllocsPerRun(20, func() {
-		rec = KeyRecord{}
-		recordReadDeps(pg, byWriter, &rec)
-		pg.buildKeyConstraints("x", ws, byWriter, true, true, keyRecorder{pg: pg, rec: &rec})
+		rec, _ = inc.regenKey(pg, "x", true, true)
 	})
 	if pairs := writers * (writers - 1) / 2; len(rec.Ops) < pairs {
 		t.Fatalf("recorded %d ops, want at least the %d chain pairs", len(rec.Ops), pairs)

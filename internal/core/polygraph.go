@@ -255,35 +255,6 @@ func (pg *Polygraph) initNodeTS() {
 	}
 }
 
-// buildKeyConstraints records the known edges and constraints for one
-// key (Figure 4 lines 37–50, at writer-chain granularity) into kr — the
-// key's known part (keyKnown) and every pair of its non-genesis chains —
-// and returns the key's writer chains.
-func (pg *Polygraph) buildKeyConstraints(key history.Key, writers []history.TxnID, byWriter map[history.TxnID][]history.TxnID, combine, coalesce bool, kr keyRecorder) []*chain {
-	kc := pg.keyChains(writers, byWriter, combine)
-	if len(kc.all) == 0 {
-		return nil
-	}
-	r := len(kc.real)
-	tailReaders := 0
-	for _, ch := range kc.real {
-		tailReaders += len(byWriter[ch.tail()])
-	}
-	// Each chain's tail readers appear in the r−1 pairs the chain is in.
-	ops, edges := pairsSize(r*(r-1)/2, (r-1)*tailReaders, coalesce)
-	kr.reserve(kc.knownOps(byWriter)+ops, edges)
-	pg.keyKnown(key, kc, byWriter, kr)
-
-	// Pairwise constraints between non-genesis chains.
-	var scratch pairScratch
-	for i := 0; i < r; i++ {
-		for j := i + 1; j < r; j++ {
-			pg.chainPairConstraints(key, kc.real[i], kc.real[j], byWriter, coalesce, kr, &scratch)
-		}
-	}
-	return kc.all
-}
-
 // keyChains is one key's writer chains: all of them in writerChains'
 // order, and split into the genesis chain and the rest.
 type keyChains struct {
@@ -373,18 +344,70 @@ func (kc *keyChains) knownOps(byWriter map[history.TxnID][]history.TxnID) int {
 	return ops
 }
 
-// pairsSize sizes chainPairConstraints' output for pairs chain pairs
-// whose first and second chains' tails have readers readers in all: ops
-// is exact, and edges bounds the constraint-side edges. A coalesced pair
-// is one constraint whose sides hold 1 + |readers of a tail| edges each;
+// extent is one non-genesis writer chain of a key as a partner in chain
+// pairs. The window stage (window.go) sets its span in ŝ: from its head's
+// begin to the latest of its tail's commit and its tail's readers' begins.
+type extent struct {
+	ch         *chain
+	begin, end int32
+	readers    int // of the chain's tail
+	// paired counts the chains right after this one (in its key's extent
+	// order) whose pairs with it are built.
+	paired int
+}
+
+// chainExtents lists chains as extents, in their order, with no pair
+// built and no span.
+func chainExtents(chains []*chain, byWriter map[history.TxnID][]history.TxnID) []extent {
+	ext := make([]extent, len(chains))
+	for j, ch := range chains {
+		ext[j] = extent{ch: ch, readers: len(byWriter[ch.tail()])}
+	}
+	return ext
+}
+
+// near reports whether the pair of extents i < j lies within radius k:
+// j's head begins less than k positions after i's extent ends. Every pair
+// lies within radius 0.
+func near(ext []extent, i, j, k int) bool {
+	return k == 0 || int(ext[j].begin)-int(ext[i].end) < k
+}
+
+// pairsSize sizes recordPairs' output at radius k: ops is exact, and
+// edges bounds the constraint-side edges. A coalesced pair is one
+// constraint whose sides hold 1 + |readers of a tail| edges each;
 // uncoalesced, every edge of a side is its own constraint, with two
 // single-edge sides.
-func pairsSize(pairs, readers int, coalesce bool) (ops, edges int) {
+func pairsSize(ext []extent, k int, coalesce bool) (ops, edges int) {
+	pairs, readers := 0, 0
+	for i := range ext {
+		for j := i + 1 + ext[i].paired; j < len(ext) && near(ext, i, j, k); j++ {
+			pairs++
+			readers += ext[i].readers + ext[j].readers
+		}
+	}
 	if coalesce {
 		return pairs, 2*pairs + readers
 	}
 	cons := pairs + readers
 	return cons, 2 * cons
+}
+
+// recordPairs records into kr the constraints of one key's chain pairs
+// within radius k that are not built yet (chainPairConstraints), in
+// extent order — the earlier extent first in each pair — and marks them
+// built. The full polygraph's pairs are every pair at radius 0 in chain
+// order (Incremental.regenKey); the window's, those within its radius in
+// ŝ order.
+func (pg *Polygraph) recordPairs(key history.Key, ext []extent, byWriter map[history.TxnID][]history.TxnID, k int, coalesce bool, kr keyRecorder) {
+	var scratch pairScratch
+	for i := range ext {
+		j := i + 1 + ext[i].paired
+		for ; j < len(ext) && near(ext, i, j, k); j++ {
+			pg.chainPairConstraints(key, ext[i].ch, ext[j].ch, byWriter, coalesce, kr, &scratch)
+		}
+		ext[i].paired = j - i - 1
+	}
 }
 
 // pairScratch holds the two side lists chainPairConstraints rebuilds for

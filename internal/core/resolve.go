@@ -44,6 +44,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"viper/internal/acyclic"
 	"viper/internal/bitset"
 	"viper/internal/history"
 )
@@ -93,39 +94,41 @@ func newClosure(n int, edges []KnownEdge) *closure {
 		bit:   make([]int32, n),
 		start: make([]int32, n),
 		rows:  make([][]uint64, n),
+		out:   edgeLists(n, edges, false),
+		in:    edgeLists(n, edges, true),
 	}
 	for i := range c.bit {
 		c.bit[i] = -1
 	}
-	c.out, c.in = adjacency(n, edges)
 	return c
 }
 
-// adjacency returns the out- and in-lists of the n-node graph with the
-// given edges, each list in edge order, from one counted pass: every list
-// is a full window of one slab per direction, so appending to a list
-// moves that list alone.
-func adjacency(n int, edges []KnownEdge) (out, in [][]int32) {
-	deg := make([]int32, 2*n)
-	outDeg, inDeg := deg[:n], deg[n:]
-	for _, e := range edges {
-		outDeg[e.From]++
-		inDeg[e.To]++
-	}
-	slab := make([]int32, 2*len(edges))
-	out, in = make([][]int32, n), make([][]int32, n)
-	carve := func(lists [][]int32, deg []int32) {
-		for u, d := range deg {
-			lists[u], slab = slab[:0:d], slab[d:]
+// edgeLists returns, for each of the n nodes, the far ends of the given
+// edges that start at it — or, with in set, of those that end at it —
+// each list in edge order. One counted pass carves every list as a full
+// window of one slab, so appending to a list moves that list alone.
+func edgeLists(n int, edges []KnownEdge, in bool) [][]int32 {
+	ends := func(e KnownEdge) (from, to int32) {
+		if in {
+			return e.To, e.From
 		}
+		return e.From, e.To
 	}
-	carve(out, outDeg)
-	carve(in, inDeg)
+	deg := make([]int32, n)
 	for _, e := range edges {
-		out[e.From] = append(out[e.From], e.To)
-		in[e.To] = append(in[e.To], e.From)
+		u, _ := ends(e)
+		deg[u]++
 	}
-	return out, in
+	slab := make([]int32, len(edges))
+	lists := make([][]int32, n)
+	for u, d := range deg {
+		lists[u], slab = slab[:0:d], slab[d:]
+	}
+	for _, e := range edges {
+		u, v := ends(e)
+		lists[u] = append(lists[u], v)
+	}
+	return lists
 }
 
 // target makes v a target, before the build that numbers it.
@@ -308,85 +311,6 @@ func (c *closure) refresh(order []int32, srcs []int32) bool {
 	return true
 }
 
-// topoOrder returns a topological order of the staged adjacency (Kahn's
-// algorithm), with ok=false when the graph has a directed cycle.
-func (c *closure) topoOrder() (order []int32, ok bool) {
-	indeg := make([]int32, c.n)
-	for u := 0; u < c.n; u++ {
-		for _, v := range c.out[u] {
-			indeg[v]++
-		}
-	}
-	order = make([]int32, 0, c.n)
-	for u := int32(0); u < int32(c.n); u++ {
-		if indeg[u] == 0 {
-			order = append(order, u)
-		}
-	}
-	for head := 0; head < len(order); head++ {
-		for _, v := range c.out[order[head]] {
-			if indeg[v]--; indeg[v] == 0 {
-				order = append(order, v)
-			}
-		}
-	}
-	return order, len(order) == c.n
-}
-
-// findCycle returns one directed cycle of the staged adjacency as a node
-// sequence [x0 … xk] with the implicit closing edge xk→x0, or nil when the
-// graph is acyclic. Only called after topoOrder failed, so off the hot
-// path.
-func (c *closure) findCycle() []int32 {
-	const (
-		white = uint8(0)
-		grey  = uint8(1)
-		black = uint8(2)
-	)
-	color := make([]uint8, c.n)
-	parent := make([]int32, c.n)
-	type frame struct {
-		u int32
-		i int
-	}
-	for s := int32(0); s < int32(c.n); s++ {
-		if color[s] != white {
-			continue
-		}
-		color[s] = grey
-		parent[s] = -1
-		stack := []frame{{s, 0}}
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.i >= len(c.out[f.u]) {
-				color[f.u] = black
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			v := c.out[f.u][f.i]
-			f.i++
-			switch color[v] {
-			case white:
-				color[v] = grey
-				parent[v] = f.u
-				stack = append(stack, frame{v, 0})
-			case grey:
-				// Back edge f.u→v: the grey path v … f.u is the cycle.
-				var rev []int32
-				for x := f.u; x != v; x = parent[x] {
-					rev = append(rev, x)
-				}
-				rev = append(rev, v)
-				for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-					rev[i], rev[j] = rev[j], rev[i]
-				}
-				return rev
-			}
-		}
-	}
-	return nil
-}
-
 // path returns a shortest folded-edge path from u to v as a node sequence
 // [u … v], or nil if none exists. Only called to extract a cycle witness
 // after a must-hold edge v→u closed a cycle, so allocation here is off the
@@ -490,7 +414,7 @@ func resolvePolygraph(ctx context.Context, n int, known []KnownEdge, cons []Cons
 	}
 	if order == nil {
 		var ok bool
-		if order, ok = cl.topoOrder(); !ok {
+		if order, ok = acyclic.TopoBFS(n, cl.out, nil); !ok {
 			return nil
 		}
 	}
@@ -638,9 +562,9 @@ func resolvePolygraph(ctx context.Context, n int, known []KnownEdge, cons []Cons
 		// Validate the augmented graph before anything else: a failed
 		// topological sort means this pass's forced edges closed a cycle
 		// among must-hold edges that the stale closure could not see.
-		order, ok := cl.topoOrder()
+		order, ok := acyclic.TopoBFS(n, cl.out, nil)
 		if !ok {
-			cyc := cl.findCycle()
+			cyc := acyclic.FindCycle(n, cl.out)
 			closing := Edge{From: cyc[len(cyc)-1], To: cyc[0]}
 			kinds := edgeKinds()
 			res.cycle = cycleEvidence(cyc, kinds.provenance(closing), kinds)

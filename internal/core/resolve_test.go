@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"viper/internal/acyclic"
 	"viper/internal/anomaly"
 	"viper/internal/histgen"
 	"viper/internal/history"
@@ -294,6 +295,7 @@ func TestResolveEvidencePerAnomaly(t *testing.T) {
 		anomaly.ReadSkew:      {2, 2},
 		anomaly.FracturedRead: {2, 2},
 		anomaly.CausalFork:    {4, 4},
+		anomaly.Phantom:       {2, 2},
 	}
 	const step = 150
 	for _, kind := range anomaly.Kinds() {
@@ -521,7 +523,7 @@ func TestClosureRefreshMatchesRebuild(t *testing.T) {
 			es = append(es, KnownEdge{Edge: Edge{u, v}})
 			srcs = append(srcs, u)
 		}
-		next, ok := cls[0].topoOrder()
+		next, ok := acyclic.TopoBFS(n, cls[0].out, nil)
 		if !ok {
 			t.Fatalf("iter %d: staged arcs closed a cycle", iter)
 		}
@@ -586,7 +588,7 @@ func BenchmarkClosureBuild(b *testing.B) {
 	}
 	pg := Build(h, Options{Level: AdyaSI})
 	n := int(pg.NumNodes)
-	order, ok := newClosure(n, pg.Known).topoOrder()
+	order, ok := acyclic.TopoBFS(n, newClosure(n, pg.Known).out, nil)
 	if !ok {
 		b.Fatal("cyclic known graph")
 	}
@@ -607,24 +609,25 @@ func BenchmarkClosureBuild(b *testing.B) {
 	}
 }
 
-// TestClosureTopoOrderFindCycle checks that topoOrder fails exactly on
-// cyclic stagings and that findCycle then returns a genuine simple cycle
-// of staged arcs.
+// TestClosureTopoOrderFindCycle checks the fixpoint's validation of
+// staged arcs, acyclic.TopoBFS without a tie order over the closure's
+// adjacency: it fails exactly on cyclic stagings, and acyclic.FindCycle
+// then returns a genuine simple cycle of staged arcs.
 func TestClosureTopoOrderFindCycle(t *testing.T) {
 	cl := newClosure(6, nil)
 	for _, e := range [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}} {
 		cl.addArc(e[0], e[1])
 	}
-	if _, ok := cl.topoOrder(); !ok {
+	if _, ok := acyclic.TopoBFS(cl.n, cl.out, nil); !ok {
 		t.Fatal("acyclic staging reported a cycle")
 	}
 	cl.addArc(4, 1) // closes 1→2→3→4→1
-	if _, ok := cl.topoOrder(); ok {
-		t.Fatal("cyclic staging passed topoOrder")
+	if _, ok := acyclic.TopoBFS(cl.n, cl.out, nil); ok {
+		t.Fatal("cyclic staging passed the sort")
 	}
-	cyc := cl.findCycle()
+	cyc := acyclic.FindCycle(cl.n, cl.out)
 	if len(cyc) < 2 {
-		t.Fatalf("findCycle returned %v", cyc)
+		t.Fatalf("FindCycle returned %v", cyc)
 	}
 	has := func(u, v int32) bool {
 		for _, w := range cl.out[u] {

@@ -25,7 +25,9 @@ var retryKs = []int{0, 4, 32}
 // check takes the window stage (window.go), so each row is also checked
 // against the full path, CheckPolygraph over Build's polygraph: the same
 // verdict, a cycle of the same length on a reject, and a verified
-// witness on an accept. It returns the default radius's reports.
+// witness on an accept. So is the window stage with pruning off, once per
+// history, which must run one exact pass over every pair. It returns the
+// default radius's reports.
 func checkTSBoth(t *testing.T, h *history.History, level Level, want Outcome, label string) (on, off *Report) {
 	t.Helper()
 	for i, k := range retryKs {
@@ -36,12 +38,28 @@ func checkTSBoth(t *testing.T, h *history.History, level Level, want Outcome, la
 		// path of CheckHistory; CheckPolygraph has no such screen.
 		if kOff.Anomaly == "" {
 			full := CheckPolygraph(Build(h, offOpts), offOpts)
-			if full.Outcome != kOff.Outcome {
-				t.Fatalf("%s k=%d: window stage %v != full polygraph %v", label, k, kOff.Outcome, full.Outcome)
+			window := map[string]*Report{"window stage": kOff}
+			if i == 0 {
+				exactOpts := offOpts
+				exactOpts.DisablePruning = true
+				exact := CheckHistory(h, exactOpts)
+				if exact.FinalK != 0 || exact.Retries != 0 {
+					t.Fatalf("%s: window stage without pruning ran its last pass at k=%d after %d retries, want one exact pass",
+						label, exact.FinalK, exact.Retries)
+				}
+				window["window stage without pruning"] = exact
 			}
-			if full.Outcome == Reject && len(full.KnownCycle) != len(kOff.KnownCycle) {
-				t.Fatalf("%s k=%d: window stage names a %d-edge cycle, full polygraph a %d-edge one",
-					label, k, len(kOff.KnownCycle), len(full.KnownCycle))
+			for name, rep := range window {
+				if full.Outcome != rep.Outcome {
+					t.Fatalf("%s k=%d: %s %v != full polygraph %v", label, k, name, rep.Outcome, full.Outcome)
+				}
+				if full.Outcome == Reject && len(full.KnownCycle) != len(rep.KnownCycle) {
+					t.Fatalf("%s k=%d: %s names a %d-edge cycle, full polygraph a %d-edge one",
+						label, k, name, len(rep.KnownCycle), len(full.KnownCycle))
+				}
+				if rep.Outcome == Accept && !rep.WitnessVerified {
+					t.Fatalf("%s k=%d: %s accept witness failed self-check", label, k, name)
+				}
 			}
 			if full.Outcome == Accept && !full.WitnessVerified {
 				t.Fatalf("%s k=%d: full-polygraph accept witness failed self-check", label, k)

@@ -1,13 +1,13 @@
-// Near-window construction: the first §3.5 pass, moved into construction.
+// Near-window construction: §3.5's passes, moved into construction.
 //
 // Heuristic pruning (check.go's solveRun.pass) forces every constraint
 // with a side running k or more positions backward in the schedule ŝ to
 // its other side. On unstamped input nearly every writer pair of a key is
 // such a constraint, so building, resolving and asserting them all costs
 // far more than deciding the few the pass leaves to the solver. A cold
-// audit with pruning on and no timestamp stage ahead (stamps unusable, or
-// Options.DisableTSFastPath) therefore builds first only what that pass
-// can encode, in two per-key passes over the session's indexes:
+// audit with no timestamp stage ahead (stamps unusable, or
+// Options.DisableTSFastPath) therefore builds only what the pass about to
+// run can encode, in two per-key passes over the session's indexes:
 //
 //  1. The known graph: every key's read-dependency edges and the known
 //     part of its emissions (Polygraph.keyKnown), replayed into the shell
@@ -20,22 +20,25 @@
 //     position of their head's begin. Chain i's extent ends at the latest
 //     of its tail's commit and the begins of its tail's readers; pair
 //     (i, j) is built only if j's head begins less than k positions after
-//     that end (k = Options.InitialK). Every other pair has its "i before
-//     j" side running forward in ŝ and its other side running at least k
-//     positions backward (tail j commits after head j begins, and head i
-//     begins before its extent ends), so the first pass over the full
-//     polygraph would force it forward. That is O(W·window) pairs per key
-//     instead of O(W²).
+//     that end (k = Options.InitialK; with pruning off, k is 0 and every
+//     pair is built). Every other pair has its "i before j" side running
+//     forward in ŝ and its other side running at least k positions
+//     backward (tail j commits after head j begins, and head i begins
+//     before its extent ends), so the first pass over the full polygraph
+//     would force it forward. That is O(W·window) pairs per key instead
+//     of O(W²).
 //
 // The window polygraph then goes through the one-shot check's stages
-// (solveRun.check), seeded with ŝ. When a pass fails under its batch and
-// the next runs at radius 2k, the window first widens to 2k (every pair
-// of the exact pass), so each pass sees every pair within its radius. The
-// verdict:
+// (solveRun.check), seeded with ŝ. A pass fails when it is Unsat under its
+// batch or when its witness fails replay; the next runs at radius 2k, and
+// the window first widens to 2k (every remaining pair before the exact
+// pass), so each pass sees every pair within its radius. The full
+// polygraph is the window at radius 0. The verdict:
 //
-//   - Accept only once VerifyWitness has replayed the witness: Theorem 4's
-//     schedule check, NoConflict included, so the accept stands without
-//     the pairs the window left out.
+//   - Accept at a radius k > 0 only once VerifyWitness has replayed the
+//     witness (solveRun.accept): Theorem 4's schedule check, NoConflict
+//     included, so the accept stands without the pairs the window left
+//     out. At radius 0 every pair is built, and a model is exact.
 //   - Reject on a refutation. Every window constraint is a constraint of
 //     the full polygraph, at most with known edges dropped from its sides
 //     (the replay filters sides against the whole known graph, and a
@@ -43,12 +46,10 @@
 //     compatible acyclic graph has a superset with none either. Its
 //     evidence comes from the window polygraph.
 //   - A timeout stays a timeout.
-//   - A witness that fails replay falls back: the audit regenerates the
-//     record store and runs the full path under the same deadline, so
-//     completeness is the full path's.
 //
+// k doubles until the exact pass, so completeness is the full polygraph's.
 // The stage writes nothing to the record store: dirty keys stay dirty, so
-// the fallback, or a session's next warm audit, regenerates them.
+// a session's next warm audit regenerates them.
 package core
 
 import (
@@ -60,17 +61,9 @@ import (
 	"viper/internal/history"
 )
 
-// windowFallback is the window span's outcome attribute when the witness
-// failed replay and the audit fell back to the full polygraph; a decided
-// stage records its Outcome there.
-const windowFallback = 3
-
-// windowed reports whether a cold audit takes the window stage: pruning
-// is on, and no timestamp stage will run.
+// windowed reports whether a cold audit takes the window stage: no
+// timestamp stage will run.
 func (inc *Incremental) windowed() bool {
-	if inc.opts.DisablePruning {
-		return false
-	}
 	if inc.opts.DisableTSFastPath {
 		return true
 	}
@@ -78,36 +71,20 @@ func (inc *Incremental) windowed() bool {
 	return !usable
 }
 
-// auditWindow runs a cold audit through the window stage, falling back to
-// the full path (auditCold) when the window's witness fails replay.
-// Construction runs from constructStart; the fallback's own construction
-// shows as its own construct span, and its report books both stages'
-// phases.
+// auditWindow runs a cold audit through the window stage, inside one
+// window span. Construction runs from constructStart.
 func (inc *Incremental) auditWindow(ctx context.Context, constructStart time.Time) *Report {
 	opts := inc.obsOpts()
-	deadline := solveDeadline(ctx, opts)
 	reg := opts.Tracer.Start("window")
-	rep := inc.checkWindow(ctx, opts, deadline, constructStart)
+	rep := inc.checkWindow(ctx, opts, constructStart)
 	reg.SetAttr("constraints", int64(rep.Constraints))
-	if rep.Outcome == Accept {
-		if err := VerifyWitness(inc.h, rep.WitnessPositions, opts.Level); err != nil {
-			reg.SetAttr("outcome", windowFallback)
-			reg.End()
-			full := inc.auditCold(ctx, time.Now(), opts.Tracer.Start("construct"), deadline)
-			full.Phases.add(rep.Phases)
-			full.Retries += rep.Retries + 1
-			return full
-		}
-		// The replay is the self-check.
-		rep.WitnessVerified = opts.SelfCheck
-	}
 	reg.SetAttr("outcome", int64(rep.Outcome))
 	reg.End()
 	return rep
 }
 
 // checkWindow builds the window polygraph and checks it.
-func (inc *Incremental) checkWindow(ctx context.Context, opts Options, deadline, constructStart time.Time) *Report {
+func (inc *Incremental) checkWindow(ctx context.Context, opts Options, constructStart time.Time) *Report {
 	h := inc.h
 	w := &window{
 		lite:     &Polygraph{ser: inc.ser()},
@@ -138,7 +115,7 @@ func (inc *Incremental) checkWindow(ctx context.Context, opts Options, deadline,
 	w.pg = assemblePolygraph(h, opts, known)
 
 	// ŝ, once; a cyclic known graph rejects before any pair exists.
-	r := newSolveRun(w.pg, opts, deadline)
+	r := newSolveRun(w.pg, opts, solveDeadline(ctx, opts))
 	booked := func() {
 		construct := time.Since(constructStart)
 		r.rep.Phases.Construct = construct
@@ -153,12 +130,13 @@ func (inc *Incremental) checkWindow(ctx context.Context, opts Options, deadline,
 
 	// Pass 2: the pairs within the first pass's radius.
 	w.extents(chains, positionsOf(order))
-	wall2, cpu2 := w.widen(opts.initialK())
+	r.radius = opts.firstK()
+	wall2, cpu2 := w.widen(r.radius)
 	wall, cpu = wall+wall2, cpu+cpu2
 	booked()
 
-	// A pass that fails under its batch widens the window to the next
-	// pass's radius first: every pass sees every pair within its radius.
+	// A pass that fails widens the window to the next pass's radius first:
+	// every pass sees every pair within its radius.
 	r.grow = func(k int) {
 		start := time.Now()
 		wall, cpu := w.widen(k)
@@ -167,6 +145,11 @@ func (inc *Incremental) checkWindow(ctx context.Context, opts Options, deadline,
 		r.rep.Phases.ConstructCPU += d - wall + cpu
 	}
 	r.check(ctx, order)
+	if r.radius == 0 {
+		// An accept over every pair replayed nothing: self-check it like
+		// the full path's.
+		r.rep.selfCheck(w.pg, opts)
+	}
 	return r.rep
 }
 
@@ -184,17 +167,6 @@ type window struct {
 	ext [][]extent
 }
 
-// extent is one chain's span in ŝ: from its head's begin to the latest
-// of its tail's commit and its tail's readers' begins.
-type extent struct {
-	ch         *chain
-	begin, end int32
-	readers    int
-	// next is the first later chain (in ext's order) not yet paired with
-	// this one.
-	next int
-}
-
 // extents sorts every key's non-genesis chains by their head's begin in
 // ŝ (pos) and measures their extents.
 func (w *window) extents(chains []keyChains, pos []int32) {
@@ -205,19 +177,15 @@ func (w *window) extents(chains []keyChains, pos []int32) {
 			continue
 		}
 		byWriter := w.readers[w.keys[i]]
-		ext := make([]extent, len(kc.real))
-		for j, ch := range kc.real {
-			e := extent{ch: ch, begin: pos[pg.Begin(ch.head())], end: pos[pg.Commit(ch.tail())]}
-			for _, r := range byWriter[ch.tail()] {
+		ext := chainExtents(kc.real, byWriter)
+		for j := range ext {
+			e := &ext[j]
+			e.begin, e.end = pos[pg.Begin(e.ch.head())], pos[pg.Commit(e.ch.tail())]
+			for _, r := range byWriter[e.ch.tail()] {
 				e.end = max(e.end, pos[pg.Begin(r)])
 			}
-			e.readers = len(byWriter[ch.tail()])
-			ext[j] = e
 		}
 		sort.Slice(ext, func(a, b int) bool { return ext[a].begin < ext[b].begin })
-		for j := range ext {
-			ext[j].next = j + 1
-		}
 		w.ext[i] = ext
 	}
 }
@@ -240,31 +208,17 @@ func (w *window) widen(k int) (wall, cpu time.Duration) {
 }
 
 // keyWindow records the constraints of one key's chain pairs that lie
-// within radius k (0: any distance) and are not yet built, advancing each
-// chain's next partner; nil when there are none.
+// within radius k (0: any distance) and are not yet built (recordPairs)
+// into a record of their own; nil when there are none.
 func (pg *Polygraph) keyWindow(key history.Key, ext []extent, byWriter map[history.TxnID][]history.TxnID, k int, coalesce bool) *KeyRecord {
-	near := func(i, j int) bool { return k == 0 || int(ext[j].begin)-int(ext[i].end) < k }
-	pairs, readers := 0, 0
-	for i := range ext {
-		for j := ext[i].next; j < len(ext) && near(i, j); j++ {
-			pairs++
-			readers += ext[i].readers + ext[j].readers
-		}
-	}
-	if pairs == 0 {
+	ops, edges := pairsSize(ext, k, coalesce)
+	if ops == 0 {
 		return nil
 	}
 	rec := &KeyRecord{}
 	kr := keyRecorder{pg: pg, rec: rec}
-	kr.reserve(pairsSize(pairs, readers, coalesce))
-	var scratch pairScratch
-	for i := range ext {
-		j := ext[i].next
-		for ; j < len(ext) && near(i, j); j++ {
-			pg.chainPairConstraints(key, ext[i].ch, ext[j].ch, byWriter, coalesce, kr, &scratch)
-		}
-		ext[i].next = j
-	}
+	kr.reserve(ops, edges)
+	pg.recordPairs(key, ext, byWriter, k, coalesce, kr)
 	return rec
 }
 
