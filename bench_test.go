@@ -309,7 +309,8 @@ func BenchmarkAblationCoalesce(b *testing.B) {
 // --- Substrate microbenchmarks --------------------------------------------
 
 // BenchmarkPolygraphBuild times core.Build at the default worker count:
-// the session indexer, the per-key record pass and the counted replay.
+// the session indexer, the known graph's pass and the pass that writes
+// every writer pair's constraint straight into the polygraph.
 func BenchmarkPolygraphBuild(b *testing.B) {
 	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 1000, 24)
 	b.ResetTimer()
@@ -322,9 +323,10 @@ func BenchmarkPolygraphBuild(b *testing.B) {
 }
 
 // BenchmarkPolygraphBuildAllocs tracks construction's allocation profile
-// at one recording worker (the session's read/writer indexes, per-key
-// records and the counted replay); regressions here show up as allocs/op
-// long before they move wall time.
+// at one worker (the session's read/writer indexes, the known graph's
+// per-key records and assembly, and the constraints' per-key regions and
+// side slabs); regressions here show up as allocs/op long before they
+// move wall time.
 func BenchmarkPolygraphBuildAllocs(b *testing.B) {
 	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 1000, 24)
 	b.ReportAllocs()
@@ -394,7 +396,7 @@ func BenchmarkResolveAblation(b *testing.B) {
 
 // BenchmarkPolygraphBuildParallel measures construction's worker pool on
 // the constraint-heaviest workload at paper scale (BlindW-RW, 5000 txns);
-// workers=1 records every key on the calling goroutine and is the
+// workers=1 builds every key on the calling goroutine and is the
 // baseline the speedup is read against.
 func BenchmarkPolygraphBuildParallel(b *testing.B) {
 	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 5000, 24)

@@ -37,8 +37,49 @@ func wireHistory(txns, keys int, seed int64) *history.History {
 // roundTripShards cuts h into shards, pushes every shard through the
 // binary job and digest codecs, and merges the decoded records. The
 // returned records must be byte-identical to a single-node recording
-// pass, and the merged polygraph verdict must match CheckHistory.
+// pass, and the merged polygraph's verdict and counts must match
+// CheckHistory's: h carries usable stamps, so the single node's window
+// holds every pair, as the merge does.
 func roundTripShards(t testing.TB, h *history.History, opts core.Options, shards int) {
+	merged := mergeShards(t, h, opts, shards)
+	single := core.CheckHistory(h, opts)
+	if merged.Outcome != single.Outcome ||
+		merged.Nodes != single.Nodes ||
+		merged.KnownEdges != single.KnownEdges ||
+		merged.Constraints != single.Constraints {
+		t.Fatalf("merged verdict (%v n=%d e=%d c=%d) differs from single-node (%v n=%d e=%d c=%d)",
+			merged.Outcome, merged.Nodes, merged.KnownEdges, merged.Constraints,
+			single.Outcome, single.Nodes, single.KnownEdges, single.Constraints)
+	}
+}
+
+// TestRoundTripShardsUnstamped: on unstamped input the single node takes
+// the window at its first §3.5 radius, while the merge checks every
+// writer pair, so only the verdict, anomaly, node count and known edges
+// agree; the merge holds Build's constraints, the single node far fewer.
+func TestRoundTripShardsUnstamped(t *testing.T) {
+	h := histgen.SI(histgen.Spec{Txns: 400, Keys: 9, MaxConcurrency: 6, AbortEvery: 7, Seed: 7})
+	for _, tx := range h.Txns[1:] {
+		tx.BeginAt, tx.CommitAt = 0, 0
+	}
+	opts := core.Options{Level: core.AdyaSI, Parallelism: 1}
+	merged := mergeShards(t, h, opts, 3)
+	single := core.CheckHistory(h, opts)
+	if merged.Outcome != single.Outcome || merged.Anomaly != single.Anomaly ||
+		merged.Nodes != single.Nodes || merged.KnownEdges != single.KnownEdges {
+		t.Fatalf("merged (%v %q n=%d e=%d) differs from single-node (%v %q n=%d e=%d)",
+			merged.Outcome, merged.Anomaly, merged.Nodes, merged.KnownEdges,
+			single.Outcome, single.Anomaly, single.Nodes, single.KnownEdges)
+	}
+	if full := len(core.Build(h, opts).Cons); merged.Constraints != full || single.Constraints >= full {
+		t.Fatalf("merged %d constraints, single-node window %d, Build %d: want the merge to hold Build's, the window fewer",
+			merged.Constraints, single.Constraints, full)
+	}
+}
+
+// mergeShards is roundTripShards' codec round trip: it returns the
+// merged polygraph's report.
+func mergeShards(t testing.TB, h *history.History, opts core.Options, shards int) *core.Report {
 	ranges := partitionKeys(h, shards, 0)
 	full := core.BuildShardRecords(h, opts, h.Keys())
 	merger := core.NewShardMerger(h, opts)
@@ -74,15 +115,7 @@ func roundTripShards(t testing.TB, h *history.History, opts core.Options, shards
 	if err != nil {
 		t.Fatalf("checking merged polygraph: %v", err)
 	}
-	single := core.CheckHistory(h, opts)
-	if merged.Outcome != single.Outcome ||
-		merged.Nodes != single.Nodes ||
-		merged.KnownEdges != single.KnownEdges ||
-		merged.Constraints != single.Constraints {
-		t.Fatalf("merged verdict (%v n=%d e=%d c=%d) differs from single-node (%v n=%d e=%d c=%d)",
-			merged.Outcome, merged.Nodes, merged.KnownEdges, merged.Constraints,
-			single.Outcome, single.Nodes, single.KnownEdges, single.Constraints)
-	}
+	return merged
 }
 
 // FuzzWireRoundTrip: for arbitrary generated histories, encode→decode→

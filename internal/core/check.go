@@ -43,7 +43,7 @@ type PhaseTimings struct {
 	Construct time.Duration // building the BC-polygraph (wall clock)
 	// ConstructCPU is the construction work summed across workers: equal
 	// to Construct when Options.Parallelism resolves to one worker, and up
-	// to ConstructWorkers× larger when the record pool overlaps work
+	// to ConstructWorkers× larger when the construction pool overlaps work
 	// (ConstructCPU / Construct is the effective construction speedup).
 	ConstructCPU time.Duration
 	// Resolve is sound constraint resolution (resolve.go): closure build
@@ -65,18 +65,18 @@ type Report struct {
 	Level   Level
 
 	// Graph statistics. Constraints counts the constraints materialised
-	// in the checked polygraph, before pruning: every constraint of the
-	// full polygraph on a check with a timestamp stage, and on one without
-	// (the window stage, window.go) the writer pairs within the last
-	// pass's radius — every pair at radius 0, and 0 on a reject by a cycle
-	// of known edges, which it finds before building any.
+	// in the checked polygraph (the window stage's, window.go), before
+	// pruning: every constraint of the full polygraph on a check with a
+	// timestamp stage or with pruning off (radius 0), and otherwise the
+	// writer pairs within the last pass's radius — 0 on a reject by a
+	// cycle of known edges, which it finds before building any.
 	Nodes       int
 	KnownEdges  int
 	Constraints int
 
 	// ConstructWorkers is the resolved worker count for polygraph
-	// construction (see Options.Parallelism); the record pool starts at
-	// most one goroutine per key it records.
+	// construction (see Options.Parallelism); the construction pool starts
+	// at most one goroutine per key it builds.
 	ConstructWorkers int
 
 	// ResolvedConstraints counts constraints the sound pre-solve resolution
@@ -225,8 +225,8 @@ func CheckHistoryContext(ctx context.Context, h *history.History, opts Options) 
 	}
 	// One-shot checking is a single-audit incremental session: the first
 	// audit is cold, so the verdict, report, and witness are those of a
-	// Checker's first audit — the window stage's (window.go) when no
-	// timestamp stage will run, the full polygraph's otherwise.
+	// Checker's first audit, the window stage's (window.go), whose window
+	// is the full polygraph when a timestamp stage will run.
 	return sessionOver(h, opts).AuditContext(ctx)
 }
 
@@ -386,7 +386,7 @@ func (r *solveRun) solve(ctx context.Context, all consSet) {
 					return
 				}
 				r.ts, r.all, r.chosen = true, all, tc.chosen
-				r.run(ctx, residue)
+				r.run(ctx, residue, r.opts.firstK())
 				return
 			}
 			// Timestamps decide too little to carry a pass — run the
@@ -404,12 +404,21 @@ func (r *solveRun) solve(ctx context.Context, all consSet) {
 	if !ok {
 		return
 	}
-	if len(set.cons) == 0 && r.accept(set.pos) {
-		// Every constraint resolved: the extended known graph is the whole
-		// polygraph and its topological order is the witness.
-		return
+	k := r.opts.firstK()
+	if len(set.cons) == 0 {
+		if r.accept(set.pos) {
+			// Every constraint resolved: the extended known graph is the
+			// whole polygraph and its topological order is the witness.
+			return
+		}
+		// A window's order failed replay with nothing left to encode: the
+		// first pass would solve nothing and fail the same way, so this is
+		// its failure, and the first solver pass runs at the next radius.
+		rep.Retries++
+		k = r.nextK(k)
+		set = r.widen(set, k)
 	}
-	r.run(ctx, set)
+	r.run(ctx, set, k)
 }
 
 // consSet is what a run of solver passes works on: the constraints still
@@ -546,13 +555,13 @@ func (r *solveRun) resolve(ctx context.Context, set consSet) (_ consSet, ok bool
 }
 
 // run drives the passes over set in order: the timestamp pass (when the
-// check has one), then each §3.5 radius k = InitialK, 2k, … and finally
-// k = 0 (exact), stopping at the first verdict. A pass that refutes the
-// polygraph, the timestamp pass included, rejects through verdict, which
-// runs the evidence pass. On a window, a pass whose witness fails replay
-// fails like one that is Unsat under its batch: the next pass runs at 2k
-// over the window widened to 2k.
-func (r *solveRun) run(ctx context.Context, set consSet) {
+// check has one), then each §3.5 radius k, 2k, … from the given k, and
+// finally k = 0 (exact), stopping at the first verdict. A pass that
+// refutes the polygraph, the timestamp pass included, rejects through
+// verdict, which runs the evidence pass. On a window, a pass whose
+// witness fails replay fails like one that is Unsat under its batch: the
+// next pass runs at 2k over the window widened to 2k.
+func (r *solveRun) run(ctx context.Context, set consSet, k int) {
 	defer func() {
 		if r.release != nil {
 			r.release()
@@ -590,7 +599,6 @@ func (r *solveRun) run(ctx context.Context, set consSet) {
 		}
 	}
 
-	k := r.opts.firstK()
 	for !r.stopped(ctx) {
 		if res, witness := r.pass(ctx, set, k, nil); r.verdict(ctx, res, witness) {
 			return
@@ -604,19 +612,27 @@ func (r *solveRun) run(ctx context.Context, set consSet) {
 		rep.Retries++
 		r.s.Relax()
 		r.th.Retire(r.s)
-		k *= 2
-		if k >= int(pg.NumNodes) {
-			k = 0 // final, exact pass
-		}
-		if r.grow != nil {
-			set = r.widen(set, k)
-		}
+		k = r.nextK(k)
+		set = r.widen(set, k)
 	}
 }
 
-// widen grows the polygraph to radius k (grow) and adds the constraints
-// it appended to set, undecided and without clauses.
+// nextK is the radius of the pass after one at k: 2k, or 0, the final
+// exact pass, once 2k reaches the node count.
+func (r *solveRun) nextK(k int) int {
+	if k *= 2; k >= int(r.pg.NumNodes) {
+		return 0
+	}
+	return k
+}
+
+// widen grows a window's polygraph to radius k (grow) and adds the
+// constraints it appended to set, undecided and without clauses. A
+// polygraph that holds every constraint already stays as it is.
 func (r *solveRun) widen(set consSet, k int) consSet {
+	if r.grow == nil {
+		return set
+	}
 	pg := r.pg
 	n := len(pg.Cons)
 	r.grow(k)

@@ -3,21 +3,24 @@
 // as transactions arrive, instead of recomputing everything from genesis
 // at every audit.
 //
-// The construction side is always incremental: the readers index, the
-// per-key writer lists, and the per-key emission records (known edges and
-// constraints, in emission order; parallel.go) persist across audits. An
-// appended batch only dirties the keys it writes or reads; clean keys keep
-// their records verbatim, so the O(chains²)-per-key constraint pass — the
-// dominant construction cost — reruns only where the history actually
-// changed. Each audit then either assembles the records into a Polygraph
-// and runs the ordinary batch solve (the cold path, used for levels with
-// real-time edges, and for the first audit so the one-shot wrappers stay
-// byte-compatible with the historical batch pipeline), or feeds the
-// deltas to a persistent solver (the warm path). A cold audit with no
-// timestamp stage ahead takes the window stage (window.go) instead, which
-// builds from the indexes only the writer pairs each §3.5 pass can encode
-// and leaves the records dirty. Build and CheckHistory are one-audit
-// sessions.
+// The readers index and the per-key writer lists persist across audits
+// and absorb each appended batch, which dirties the keys it writes or
+// reads. An audit then takes one of two paths:
+//
+//   - The cold path (window.go), for the first audit and for every audit
+//     at a level with real-time or session obligations (warmCapable):
+//     the window stage builds a polygraph from the indexes — every writer
+//     pair when a timestamp stage will run, otherwise only the pairs each
+//     §3.5 pass can encode — and runs the one-shot check's stages on it.
+//     It leaves the dirty keys dirty. Build and CheckHistory are one-audit
+//     sessions.
+//   - The warm path, for later audits of AdyaSI and Serializability
+//     sessions: it regenerates each dirty key's emission record (known
+//     edges and constraints, in emission order; parallel.go) and feeds
+//     the records' deltas to a persistent solver. Clean keys keep their
+//     records verbatim, so the O(chains²)-per-key constraint pass — the
+//     dominant construction cost — reruns only where the history actually
+//     changed.
 //
 // The warm path keeps one SAT solver and one acyclicity theory alive for
 // the whole session: learned clauses, VSIDS activities, saved phases, and
@@ -370,11 +373,9 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 		// span to match.
 		conReg.End()
 		rep = inc.auditWarm(ctx, constructStart, regenWall, regenCPU, workers)
-	case inc.windowed():
+	default:
 		conReg.End()
 		rep = inc.auditWindow(ctx, constructStart)
-	default:
-		rep = inc.auditCold(ctx, constructStart, conReg)
 	}
 	if rep.Outcome == Reject {
 		// A rejection reached under a live context is a real verdict (the
@@ -392,25 +393,6 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 	final.ElapsedNS = int64(time.Since(constructStart))
 	inc.publish(final)
 	inc.audits++
-	return rep
-}
-
-// auditCold is the cold path: it regenerates the dirty keys' records,
-// assembles the record store into a Polygraph and runs the ordinary
-// batch solve, under a deadline resolved once construction ends
-// (solveDeadline). Construction runs from constructStart until assembly,
-// under conReg.
-func (inc *Incremental) auditCold(ctx context.Context, constructStart time.Time, conReg obs.Region) *Report {
-	regenWall, regenCPU, workers := inc.regen()
-	pg := inc.assemble()
-	construct := time.Since(constructStart)
-	conReg.End()
-	opts := inc.obsOpts()
-	rep := checkPolygraph(ctx, pg, opts, solveDeadline(ctx, opts))
-	rep.selfCheck(pg, opts)
-	rep.Phases.Construct = construct
-	rep.Phases.ConstructCPU = construct - regenWall + regenCPU
-	rep.ConstructWorkers = workers
 	return rep
 }
 
@@ -545,7 +527,7 @@ func (inc *Incremental) regenKey(lite *Polygraph, key history.Key, combine, coal
 	kr := keyRecorder{pg: lite, rec: rec}
 	kr.reserve(kc.knownOps(byWriter)+ops, edges)
 	lite.keyKnown(key, kc, byWriter, kr)
-	lite.recordPairs(key, ext, byWriter, 0, coalesce, kr)
+	lite.recordPairs(key, ext, 0, coalesce, kr)
 	if len(rec.Sides) == 0 {
 		rec.Sides = nil // every side held trivially or was impossible
 	}
@@ -616,17 +598,6 @@ func chainsPreserved(old, cur [][]history.TxnID) bool {
 		}
 	}
 	return true
-}
-
-// assemble materializes the record store as a Polygraph
-// (assemblePolygraph over every key's record).
-func (inc *Incremental) assemble() *Polygraph {
-	keys := inc.h.Keys()
-	recs := make([]*KeyRecord, len(keys))
-	for i, key := range keys {
-		recs[i] = inc.records[key]
-	}
-	return assemblePolygraph(inc.h, inc.opts, recs)
 }
 
 // knownIndex is an append-only list of known edges with their provenance,

@@ -179,7 +179,7 @@ func TestIncrementalFirstAuditMatchesBatchPolygraph(t *testing.T) {
 		}
 		inc.update()
 		inc.regen()
-		comparePolygraphs(t, want, inc.assemble(), "assemble/"+level.String())
+		comparePolygraphs(t, want, assembleStore(inc), "assemble/"+level.String())
 	}
 }
 

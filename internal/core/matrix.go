@@ -16,8 +16,8 @@
 //
 // A Matrix is a session, not a one-shot: its AdyaSI and Serializability
 // sub-sessions are ordinary warm Incrementals and its GSI sub-session
-// keeps the incremental record store (GSI's real-time edges force a cold
-// solve, but construction stays delta-priced), so auditing a growing
+// keeps its indexes (GSI's real-time edges force a cold audit, which
+// builds through the window stage each time), so auditing a growing
 // history repeatedly costs far less than six independent checks — one
 // validation, one observation index across the polynomial levels, two
 // persistent solvers, three derived verdicts in the common case.
@@ -121,9 +121,9 @@ type Matrix struct {
 	opts Options
 	h    *history.History
 
-	// Warm sub-sessions sharing h: AdyaSI and Serializability keep
-	// persistent solvers; GSI always solves cold (real-time edges are not
-	// monotone) but keeps its construction record store.
+	// Sub-sessions sharing h: AdyaSI and Serializability keep persistent
+	// solvers; GSI always audits cold (real-time edges are not monotone)
+	// and keeps only its indexes.
 	si, gsi, ser *Incremental
 }
 

@@ -196,9 +196,8 @@ type Options struct {
 	DisableCoalesce bool
 
 	// DisablePruning turns off heuristic pruning (§3.5): a check runs one
-	// exact pass over every constraint. A cold check without a timestamp
-	// stage still builds through the window stage (window.go), at radius
-	// 0: every writer pair of every key, up front.
+	// exact pass over every constraint. A cold check's window (window.go)
+	// is then built at radius 0: every writer pair of every key, up front.
 	DisablePruning bool
 
 	// DisableResolve turns off sound constraint resolution (resolve.go):
@@ -236,11 +235,11 @@ type Options struct {
 	Timeout time.Duration
 
 	// Parallelism is the worker count for BC-polygraph construction:
-	// every written key's emissions are recorded under a work-stealing
-	// pool of at most this many goroutines, and never more than there are
-	// keys to record, then replayed in key order, so the polygraph is the
+	// every written key's part of the polygraph is built under a
+	// work-stealing pool of at most this many goroutines, and never more
+	// than there are keys, and lands in key order, so the polygraph is the
 	// same for any worker count. 0 (the default) means
-	// runtime.GOMAXPROCS(0); one worker records every key on the calling
+	// runtime.GOMAXPROCS(0); one worker builds every key on the calling
 	// goroutine. Build, CheckHistory, the incremental Checker, viperd and
 	// cluster workers all construct this way. Negative values are
 	// malformed (CheckKnobs).
@@ -267,10 +266,10 @@ type Options struct {
 	// trace, under one audit span per audit: construct (with the g1b
 	// screen), tsorder, resolve, attempt(encode solve) per solver pass,
 	// evidence after a refutation, and selfcheck; a warm audit's encode
-	// span comes before its resolve span. A cold audit that takes the
-	// window stage (window.go) runs all its stages inside one window span,
-	// whose attributes count the constraints it built, widenings included,
-	// and give its Outcome; nothing follows it. The viper package's Check
+	// span comes before its resolve span. A cold audit (the window stage,
+	// window.go) runs all its stages inside one window span, whose
+	// attributes count the constraints it built, widenings included, and
+	// give its Outcome; nothing follows it. The viper package's Check
 	// and Checker audits open a validate span before the audit span. Nil
 	// (the default) costs one pointer check per phase boundary.
 	Tracer *obs.Tracer

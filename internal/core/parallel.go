@@ -1,32 +1,37 @@
-// Per-key record and replay: the one construction path.
+// Per-key construction: the records of warm audits and shards, and the
+// one cold construction.
 //
 // Constraint generation is O(n²) in the worst case (pairwise writer-chain
-// constraints per key) but independent across keys. Every polygraph —
-// Build, CheckHistory, a session's cold audits, and a cluster check's
-// merge — is therefore built in the same three steps:
+// constraints per key) but independent across keys. Every polygraph is
+// therefore built per key, from the session indexer's per-key writer
+// lists and readers index (Incremental.update, which folds transactions
+// in id order), under a work-stealing pool (forEachKey): goroutines claim
+// key indices from an atomic cursor (per-key costs vary wildly) and write
+// their output into a slot indexed by key position, so the schedule
+// cannot influence the result.
 //
-//  1. The session indexer (Incremental.update) folds transactions into
-//     per-key writer lists and a readers index, in transaction order.
-//  2. Each written key's emissions (read-dependency edges, in-chain known
-//     edges, either/or constraints) are recorded into a KeyRecord under a
-//     work-stealing pool (forEachKey): goroutines claim key indices from
-//     an atomic cursor (per-key costs vary wildly) and write their output
-//     into a slot indexed by key position, so the schedule cannot
-//     influence the result.
-//  3. assemblePolygraph replays the records into the polygraph in key
-//     order: all read-dependency edges, then each key's constraint-pass
-//     emissions. The known-set-dependent steps — duplicate-edge
-//     suppression and dropping constraint-side edges that are already
-//     certain — happen only here, against a known set that evolves in
-//     that fixed order. The result is therefore the same for any worker
-//     count, and for any split of the keys across cluster workers, whose
-//     KeyRecords the coordinator assembles the same way (shard.go).
+// Cold construction — Build, every one-shot check and every cold session
+// audit — is the window stage (window.go), in two per-key passes:
 //
-// The window stage (window.go) records with the same emitters in two
-// passes over the same indexes, without touching the record store: the
-// known part of every key's emissions, assembled like step 3, then only
-// the writer pairs near each other in the known graph's schedule. A
-// record's pairs are the window's at radius 0, every pair.
+//  1. Each key's read-dependency edges and the known part of its
+//     emissions are recorded into a KeyRecord and assembled in key order
+//     (assemblePolygraph) with the level's session and real-time edges:
+//     the finished known graph.
+//  2. Each key's writer-chain pairs (all of them at radius 0) are written
+//     straight into the key's region of one Cons slab, their sides
+//     filtered against that known set, which is read-only by then.
+//
+// A KeyRecord holding a key's full emissions (Incremental.regenKey) serves
+// the two consumers that need them per key: a warm audit, which encodes a
+// dirty key's delta into its carried solver (incremental.go), and a
+// cluster worker, which ships its keys' records to the coordinator
+// (shard.go). assemblePolygraph turns records into a polygraph the way
+// the window builds one: every known edge first, then each key's
+// constraints in key order, filtered against the finished known set by
+// the same rule (Polygraph.certain). Build, a stamped cold check and a
+// cluster merge therefore hold one polygraph, edge for edge and in the
+// same order, for any worker count and any split of the keys across
+// cluster workers.
 package core
 
 import (
@@ -47,7 +52,7 @@ type KeyOp struct {
 	Kind EdgeKind // also the first side's kind for constraints
 
 	// Constraint: sides resolved through classify, with knownSet
-	// filtering deferred to the replay. A side is empty when every edge
+	// filtering deferred to the assembly. A side is empty when every edge
 	// held trivially.
 	First, Second []Edge
 	Kind2         EdgeKind
@@ -153,27 +158,34 @@ func recordReadDeps(pg *Polygraph, byWriter map[history.TxnID][]history.TxnID, r
 	}
 }
 
-// replay folds per-key records (indexed like keys; nil contributes
-// nothing) into a fresh polygraph shell: intra-transaction edges, every
-// key's read-dependency edges in key order, then every key's
-// constraint-pass emissions in key order. It counts over the records
-// first, so Known, Cons and knownSet are each allocated once. Records are
-// only read, so a session can replay the same store at every cold audit.
-func (pg *Polygraph) replay(keys []history.Key, recs []*KeyRecord) {
+// replayKnown folds the known part of per-key records (indexed like
+// keys; nil contributes nothing) into a fresh polygraph shell:
+// intra-transaction edges, every key's read-dependency edges in key
+// order, then every key's recorded known edges in key order. It counts
+// over the records first, so Known, Cons and knownSet are each allocated
+// once, and returns where each record's constraint ops start, so that
+// replayCons reads only those (a record lists its key's known ops first;
+// regenKey).
+func (pg *Polygraph) replayKnown(keys []history.Key, recs []*KeyRecord) (consAt []int) {
 	known, cons := 0, 0
 	if !pg.ser {
 		known = len(pg.H.Txns)
 	}
-	for _, rec := range recs {
+	consAt = make([]int, len(recs))
+	knownTo := make([]int, len(recs)) // one past each record's last known op
+	for i, rec := range recs {
 		if rec == nil {
 			continue
 		}
 		known += len(rec.WR)
+		consAt[i] = len(rec.Ops)
 		for j := range rec.Ops {
 			if rec.Ops[j].Cons {
 				cons++
+				consAt[i] = min(consAt[i], j)
 			} else {
 				known++
+				knownTo[i] = j + 1
 			}
 		}
 	}
@@ -191,35 +203,83 @@ func (pg *Polygraph) replay(keys []history.Key, recs []*KeyRecord) {
 	}
 	for i, rec := range recs {
 		if rec != nil {
-			for j := range rec.Ops {
-				pg.applyOp(&rec.Ops[j], keys[i])
+			for j := range rec.Ops[:knownTo[i]] {
+				if op := &rec.Ops[j]; !op.Cons {
+					pg.addKnown(op.Edge, op.Kind, keys[i])
+				}
 			}
 		}
 	}
-	pg.nilIfEmpty()
+	return consAt
+}
+
+// replayCons appends every key's recorded constraints, from consAt on, to
+// the polygraph in key order, their sides filtered against the finished
+// known set (certain). Records are only read, so the same records can be
+// assembled again.
+func (pg *Polygraph) replayCons(keys []history.Key, recs []*KeyRecord, consAt []int) {
+	// Filter without mutating the record. The no-known-edge common case
+	// stays allocation-free by aliasing the record's slab view; a filtered
+	// side is a copy, capped like the views.
+	filter := func(side []Edge) []Edge {
+		for i, e := range side {
+			if pg.certain(e) {
+				kept := make([]Edge, i, len(side)-1)
+				copy(kept, side[:i])
+				for _, rest := range side[i+1:] {
+					if !pg.certain(rest) {
+						kept = append(kept, rest)
+					}
+				}
+				return kept[:len(kept):len(kept)]
+			}
+		}
+		return side
+	}
+	for i, rec := range recs {
+		if rec == nil {
+			continue
+		}
+		for j := consAt[i]; j < len(rec.Ops); j++ {
+			op := &rec.Ops[j]
+			if !op.Cons {
+				continue
+			}
+			f, s := filter(op.First), filter(op.Second)
+			if len(f) == 0 || len(s) == 0 {
+				continue // one side holds trivially: the constraint imposes nothing
+			}
+			pg.Cons = append(pg.Cons, Constraint{First: f, Second: s, Kind1: op.Kind, Kind2: op.Kind2, Key: keys[i]})
+		}
+	}
 }
 
 // assemblePolygraph builds h's polygraph at opts.Level from per-key
 // records (indexed like h.Keys(); nil contributes nothing): the node
-// layout and wall-clock hints, the counted replay, then the level's
-// session and real-time edges. A session assembles its record store with
-// it, and ShardMerger the records a cluster's shards ship.
+// layout and wall-clock hints, the records' known edges, the level's
+// session and real-time edges, and then the records' constraints,
+// filtered against that finished known set. The window's first pass
+// assembles its known-only records with it, and ShardMerger the records
+// a cluster's shards ship.
 func assemblePolygraph(h *history.History, opts Options, recs []*KeyRecord) *Polygraph {
 	pg := newPolygraph(h, opts.Level)
 	pg.initNodeTS()
-	pg.replay(h.Keys(), recs)
+	keys := h.Keys()
+	consAt := pg.replayKnown(keys, recs)
 	if opts.Level == StrongSessionSI {
 		pg.addSessionEdges()
 	}
 	if opts.Level.needsRealTime() {
 		pg.addRealTimeEdges(opts)
 	}
+	pg.replayCons(keys, recs, consAt)
+	pg.nilIfEmpty()
 	return pg
 }
 
-// nilIfEmpty resets Known and Cons that a replay presized but left empty
-// (the counts are bounds: duplicates and trivially-held constraints drop
-// out) to nil.
+// nilIfEmpty resets Known and Cons that construction presized but left
+// empty (the counts are bounds: duplicates and trivially-held constraints
+// drop out) to nil.
 func (pg *Polygraph) nilIfEmpty() {
 	if len(pg.Known) == 0 {
 		pg.Known = nil
@@ -229,41 +289,12 @@ func (pg *Polygraph) nilIfEmpty() {
 	}
 }
 
-// applyOp replays one recorded emission against the live polygraph,
-// performing the knownSet-dependent steps the recording deferred: edges
-// already known drop out of a constraint's side, and a side left empty
-// holds trivially, so the constraint imposes nothing.
-func (pg *Polygraph) applyOp(op *KeyOp, key history.Key) {
-	if !op.Cons {
-		pg.addKnown(op.Edge, op.Kind, key)
-		return
-	}
-	// Filter without mutating the record: a session replays the same ops
-	// across audits, so in-place compaction would corrupt shared state.
-	// The no-known-edge common case stays allocation-free by aliasing the
-	// record's slab view; a filtered side is a copy, capped like the
-	// views.
-	filter := func(side []Edge) []Edge {
-		for i, e := range side {
-			if pg.knownSet.Has(e.From, e.To) {
-				kept := make([]Edge, i, len(side)-1)
-				copy(kept, side[:i])
-				for _, rest := range side[i+1:] {
-					if !pg.knownSet.Has(rest.From, rest.To) {
-						kept = append(kept, rest)
-					}
-				}
-				return kept[:len(kept):len(kept)]
-			}
-		}
-		return side
-	}
-	f, s := filter(op.First), filter(op.Second)
-	if len(f) == 0 || len(s) == 0 {
-		// One side holds trivially: the constraint imposes nothing.
-		return
-	}
-	pg.Cons = append(pg.Cons, Constraint{First: f, Second: s, Kind1: op.Kind, Kind2: op.Kind2, Key: key})
+// certain reports whether e is a known edge. It is the one rule every
+// constraint side is filtered by, against the finished known set: a known
+// edge holds in every compatible graph, so it drops out of its side, and
+// a side left empty holds trivially, so its constraint imposes nothing.
+func (pg *Polygraph) certain(e Edge) bool {
+	return pg.knownSet.Has(e.From, e.To)
 }
 
 // forEachKey calls fn(i) for every i in [0, n) on min(workers, n)

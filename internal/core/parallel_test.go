@@ -43,6 +43,18 @@ func comparePolygraphs(t *testing.T, want, got *Polygraph, label string) {
 	}
 }
 
+// assembleStore assembles a session's record store, every key's record
+// as its last regen left it, into a polygraph (assemblePolygraph), the
+// way ShardMerger assembles a cluster's records.
+func assembleStore(inc *Incremental) *Polygraph {
+	keys := inc.h.Keys()
+	recs := make([]*KeyRecord, len(keys))
+	for i, key := range keys {
+		recs[i] = inc.records[key]
+	}
+	return assemblePolygraph(inc.h, inc.opts, recs)
+}
+
 // TestShardedBuildIdenticalToSerial is the construction-determinism
 // differential: for every level and optimization combination, Build with
 // Parallelism 2, 3, and 8 must produce a polygraph identical to Build
@@ -171,7 +183,7 @@ func TestRecordSizing(t *testing.T) {
 					serialOpts := opts
 					serialOpts.Parallelism = 1
 					serial := Build(h, serialOpts)
-					comparePolygraphs(t, serial, inc.assemble(), label+"/assemble")
+					comparePolygraphs(t, serial, assembleStore(inc), label+"/assemble")
 					comparePolygraphs(t, serial, Build(h, opts), label+"/build")
 					comparePolygraphs(t, serial, mergeViaShards(t, h, opts, 3), label+"/merge")
 				}
@@ -276,7 +288,7 @@ func TestReplayLeavesRecordsIntact(t *testing.T) {
 	inc.regen()
 	before := cloneRecords(inc.records)
 
-	first := inc.assemble()
+	first := assembleStore(inc)
 	var recorded, replayed []Edge
 	for _, op := range inc.records["b"].Ops {
 		if op.Cons {
@@ -291,7 +303,7 @@ func TestReplayLeavesRecordsIntact(t *testing.T) {
 	if len(recorded) != 2 || !reflect.DeepEqual(replayed, recorded[1:]) {
 		t.Fatalf("constraint on b: first side recorded as %v, replayed as %v; want its known leading edge dropped", recorded, replayed)
 	}
-	comparePolygraphs(t, first, inc.assemble(), "second replay")
+	comparePolygraphs(t, first, assembleStore(inc), "second replay")
 	if !reflect.DeepEqual(inc.records, before) {
 		t.Fatal("replay mutated the record store")
 	}

@@ -198,17 +198,18 @@ func (c *chain) tail() history.TxnID { return c.members[len(c.members)-1] }
 
 // Build constructs the BC-polygraph of a validated history (Figure 4's
 // CreateBCPolygraph, plus range-query derivation, combining writes,
-// constraint coalescing, and the variant edges of §5). It is the
-// construction half of a one-audit session (incremental.go), the path
-// every check takes: index the history's reads and writes, record each
-// written key's emissions under a pool of opts.Parallelism workers, and
-// replay the records in key order (parallel.go). The polygraph is the
-// same for any worker count.
+// constraint coalescing, and the variant edges of §5). It is the window
+// stage's construction at radius 0 (window.go), the one every cold check
+// takes: index the history's reads and writes, build the known graph per
+// key under a pool of opts.Parallelism workers (pass 1), then every
+// writer-chain pair of every key straight into the polygraph, in key
+// order (pass 2). The polygraph is the same for any worker count.
 func Build(h *history.History, opts Options) *Polygraph {
 	inc := sessionOver(h, opts)
 	inc.update()
-	inc.regen()
-	return inc.assemble()
+	w, _, _ := inc.newWindow(opts)
+	w.widen(0)
+	return w.pg
 }
 
 // newPolygraph returns the empty shell of h's polygraph at level: the
@@ -350,7 +351,7 @@ func (kc *keyChains) knownOps(byWriter map[history.TxnID][]history.TxnID) int {
 type extent struct {
 	ch         *chain
 	begin, end int32
-	readers    int // of the chain's tail
+	readers    []history.TxnID // of the chain's tail
 	// paired counts the chains right after this one (in its key's extent
 	// order) whose pairs with it are built.
 	paired int
@@ -361,7 +362,7 @@ type extent struct {
 func chainExtents(chains []*chain, byWriter map[history.TxnID][]history.TxnID) []extent {
 	ext := make([]extent, len(chains))
 	for j, ch := range chains {
-		ext[j] = extent{ch: ch, readers: len(byWriter[ch.tail()])}
+		ext[j] = extent{ch: ch, readers: byWriter[ch.tail()]}
 	}
 	return ext
 }
@@ -383,7 +384,7 @@ func pairsSize(ext []extent, k int, coalesce bool) (ops, edges int) {
 	for i := range ext {
 		for j := i + 1 + ext[i].paired; j < len(ext) && near(ext, i, j, k); j++ {
 			pairs++
-			readers += ext[i].readers + ext[j].readers
+			readers += len(ext[i].readers) + len(ext[j].readers)
 		}
 	}
 	if coalesce {
@@ -393,58 +394,75 @@ func pairsSize(ext []extent, k int, coalesce bool) (ops, edges int) {
 	return cons, 2 * cons
 }
 
-// recordPairs records into kr the constraints of one key's chain pairs
+// pairSink receives the constraints of one key's chain pairs: a
+// keyRecorder records them for a KeyRecord, and the window's consWriter
+// writes them straight into the polygraph. The sides are scratch the
+// caller reuses, so a sink resolves them into storage of its own.
+type pairSink interface {
+	constraint(first, second []eventEdge, kind1, kind2 EdgeKind, key history.Key)
+}
+
+// recordPairs emits into sink the constraints of one key's chain pairs
 // within radius k that are not built yet (chainPairConstraints), in
 // extent order — the earlier extent first in each pair — and marks them
-// built. The full polygraph's pairs are every pair at radius 0 in chain
-// order (Incremental.regenKey); the window's, those within its radius in
-// ŝ order.
-func (pg *Polygraph) recordPairs(key history.Key, ext []extent, byWriter map[history.TxnID][]history.TxnID, k int, coalesce bool, kr keyRecorder) {
-	var scratch pairScratch
+// built. At radius 0 over extents in chain order, these are the full
+// polygraph's pairs (Incremental.regenKey, and the window at radius 0);
+// the window's at k > 0 are those within its radius in ŝ order.
+func (pg *Polygraph) recordPairs(key history.Key, ext []extent, k int, coalesce bool, sink pairSink) {
+	// A side lists a tail's commit and its readers: size the scratch for
+	// the key's most-read tail once.
+	readers := 0
+	for i := range ext {
+		readers = max(readers, len(ext[i].readers))
+	}
+	scratch := pairScratch{fwd: make([]eventEdge, 0, 1+readers), rev: make([]eventEdge, 0, 1+readers)}
 	for i := range ext {
 		j := i + 1 + ext[i].paired
 		for ; j < len(ext) && near(ext, i, j, k); j++ {
-			pg.chainPairConstraints(key, ext[i].ch, ext[j].ch, byWriter, coalesce, kr, &scratch)
+			pg.chainPairConstraints(key, &ext[i], &ext[j], coalesce, sink, &scratch)
 		}
 		ext[i].paired = j - i - 1
 	}
 }
 
 // pairScratch holds the two side lists chainPairConstraints rebuilds for
-// every chain pair of a key. Reusing them across pairs is safe because
-// keyRecorder.constraint resolves sides into the key's own slab.
+// every chain pair of a key. Reusing them across pairs is safe because a
+// pairSink resolves sides into storage of its own.
 type pairScratch struct {
 	fwd, rev []eventEdge
 }
 
 // chainPairConstraints emits the constraints between two chains: either
-// ch1 is entirely before ch2 in the key's version order or vice versa.
-func (pg *Polygraph) chainPairConstraints(key history.Key, ch1, ch2 *chain, byWriter map[history.TxnID][]history.TxnID, coalesce bool, kr keyRecorder, scratch *pairScratch) {
-	// "ch1 before ch2" edges: tail1 commits before head2 begins, and every
-	// reader of tail1's version begins before head2 commits.
-	sideEdges := func(buf []eventEdge, first, second *chain) []eventEdge {
-		buf = append(buf[:0], eventEdge{first.tail(), true, second.head(), false})
-		for _, r := range byWriter[first.tail()] {
-			buf = append(buf, eventEdge{r, false, second.head(), true})
+// e1's chain is entirely before e2's in the key's version order or vice
+// versa.
+func (pg *Polygraph) chainPairConstraints(key history.Key, e1, e2 *extent, coalesce bool, sink pairSink, scratch *pairScratch) {
+	// "first before second" edges: first's tail commits before second's
+	// head begins, and every reader of first's tail version begins before
+	// second's head commits.
+	sideEdges := func(buf []eventEdge, first, second *extent) []eventEdge {
+		head := second.ch.head()
+		buf = append(buf[:0], eventEdge{first.ch.tail(), true, head, false})
+		for _, r := range first.readers {
+			buf = append(buf, eventEdge{r, false, head, true})
 		}
 		return buf
 	}
-	scratch.fwd = sideEdges(scratch.fwd, ch1, ch2)
-	scratch.rev = sideEdges(scratch.rev, ch2, ch1)
+	scratch.fwd = sideEdges(scratch.fwd, e1, e2)
+	scratch.rev = sideEdges(scratch.rev, e2, e1)
 	fwd, rev := scratch.fwd, scratch.rev
 
 	if coalesce {
-		kr.constraint(fwd, rev, EdgeWW, EdgeWW, key)
+		sink.constraint(fwd, rev, EdgeWW, EdgeWW, key)
 		return
 	}
 	// Uncoalesced: the paper's per-edge XOR constraints (Figure 4 lines 46
 	// and 50), all sharing the "other order" ww edge.
-	kr.constraint(fwd[:1], rev[:1], EdgeWW, EdgeWW, key)
+	sink.constraint(fwd[:1], rev[:1], EdgeWW, EdgeWW, key)
 	for i := 1; i < len(fwd); i++ {
-		kr.constraint(fwd[i:i+1], rev[:1], EdgeRW, EdgeWW, key)
+		sink.constraint(fwd[i:i+1], rev[:1], EdgeRW, EdgeWW, key)
 	}
 	for i := 1; i < len(rev); i++ {
-		kr.constraint(rev[i:i+1], fwd[:1], EdgeRW, EdgeWW, key)
+		sink.constraint(rev[i:i+1], fwd[:1], EdgeRW, EdgeWW, key)
 	}
 }
 

@@ -17,8 +17,8 @@
 // worker pool — then a worklist fixpoint over the constraints. A side is
 // dead iff one of its edges u→v has v ⇝ u in the closure; edges with
 // u ⇝ v are implied and elided (adding an implied edge can never create a
-// cycle that was not already there, the same argument the construction
-// replay's applyOp uses to drop edges the knownSet already contains). A
+// cycle that was not already there, the same argument construction's
+// side filter, Polygraph.certain, uses to drop known edges). A
 // dead side forces the other: its edges are appended to the known graph
 // and staged into the closure's adjacency; once per fixpoint pass the
 // closure folds them in (one row merge per edge) and the constraints are

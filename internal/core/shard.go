@@ -1,28 +1,25 @@
-// Distributed shard records: the record-and-replay seam of parallel.go
+// Distributed shard records: the record-and-assemble seam of parallel.go
 // lifted across process boundaries.
 //
-// Construction already splits into two halves with a clean data
-// interface between them: a per-key recording pass that needs nothing
-// but the history, and a deterministic replay that folds the records
-// into the polygraph in key order. Workers in a cluster run the
-// recording pass over their key range and ship each key's KeyRecord —
-// the "digest" of everything their shard contributes to the global
-// polygraph: read-dependency edges, writer-chain known edges, and
-// undecided either/or constraints, all referencing global node ids. The
-// coordinator files every shard's records in a ShardMerger and, once all
-// have arrived, assembles them exactly as a session assembles its own
-// record store (assemblePolygraph), so the merged polygraph — and
-// therefore the verdict and any violation evidence — is byte-identical
-// to Build over the full history for any shard count and any assignment
-// of keys to shards.
+// A key's record needs nothing but the history, and a deterministic
+// assembly folds records into the polygraph in key order. Workers in a
+// cluster record their key range (Incremental.regenKey) and ship each
+// key's KeyRecord — the "digest" of everything their shard contributes to
+// the global polygraph: read-dependency edges, writer-chain known edges,
+// and undecided either/or constraints, all referencing global node ids.
+// The coordinator files every shard's records in a ShardMerger and, once
+// all have arrived, assembles them (assemblePolygraph): every known edge
+// first, then the constraints, filtered against the finished known set
+// by the rule the window's pass 2 filters by. The merged polygraph is
+// therefore byte-identical to Build over the full history for any shard
+// count and any assignment of keys to shards.
 //
 // BuildShardRecordsOrdered emits each key's record as soon as it is
 // complete (in key order, while later keys are still recording), so a
 // worker puts early records on the wire before its shard finishes.
 // ShardMerger accepts records in any arrival order and ignores copies of
-// records it holds; the replay waits for the last record, because its
-// duplicate suppression runs against a known set that evolves in key
-// order.
+// records it holds; the assembly waits for the last record, because every
+// constraint is filtered against every key's known edges.
 package core
 
 import (
@@ -47,8 +44,8 @@ func BuildShardRecordsOrdered(h *history.History, opts Options, keys []history.K
 	if len(keys) == 0 {
 		return nil
 	}
-	// The session indexer and regenKey, exactly as a check records: the
-	// recording pass reads only the indexes and the node layout.
+	// The session indexer and regenKey, exactly as a warm audit records:
+	// the recording pass reads only the indexes and the node layout.
 	inc := sessionOver(h, opts)
 	inc.update()
 	lite := &Polygraph{ser: inc.ser()}
@@ -162,9 +159,8 @@ func (m *ShardMerger) ReplayNS() int64 {
 	return int64(m.replay)
 }
 
-// Finish verifies coverage and assembles the table exactly as a session
-// assembles its record store. The result is byte-identical to
-// Build(h, opts).
+// Finish verifies coverage and assembles the table (assemblePolygraph).
+// The result is byte-identical to Build(h, opts).
 func (m *ShardMerger) Finish() (*Polygraph, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -187,8 +183,13 @@ func (m *ShardMerger) Finish() (*Polygraph, error) {
 // result: the same polynomial-level dispatch and G1b screen as
 // CheckHistoryContext, with replay time attributed to the construct
 // phase. The merger must hold a record for every key of its history.
-// The verdict and its evidence (anomaly string, known cycle, constraint
-// set) are those of CheckHistoryContext on the same history.
+// The merged polygraph holds every writer pair. Its verdict, anomaly,
+// node count and known edges are those of CheckHistoryContext on the
+// same history. The constraint set is too when the single node runs a
+// timestamp stage, whose window is built at radius 0, every pair. On
+// unstamped input, or with the stage off, the single node's window holds
+// only the pairs its §3.5 passes reached, so its constraint count,
+// solver statistics and a refutation's named cycle can differ.
 func CheckMergedContext(ctx context.Context, m *ShardMerger) (*Report, error) {
 	if m.opts.Level.Polynomial() {
 		return checkPolynomial(m.h, m.opts), nil

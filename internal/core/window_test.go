@@ -2,13 +2,18 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
-	"strings"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"viper/internal/histgen"
 	"viper/internal/history"
 	"viper/internal/obs"
+	"viper/internal/runner"
+	"viper/internal/workload"
 )
 
 // windowSpan returns the attributes of the first audit's window span, and
@@ -95,7 +100,10 @@ func farStaleRead(fillers int) *history.History {
 // witness fails replay, which fails the pass like an Unsat under its
 // batch: the window widens in place, and the stage accepts on a replayed
 // witness, in its one window span, with nothing after it, over no more
-// constraints than the full polygraph.
+// constraints than the full polygraph. The witness that fails is
+// resolution's, which discharges every window constraint, so its failed
+// replay is the first pass's failure: the one solver pass runs at the
+// doubled radius.
 func TestWindowFarStaleReadWidens(t *testing.T) {
 	h := farStaleRead(2)
 	for _, stamps := range []bool{true, false} {
@@ -111,11 +119,13 @@ func TestWindowFarStaleReadWidens(t *testing.T) {
 		if last := spans[len(spans)-1]; last.Name != "window" || last.Attrs["outcome"] != int64(Accept) {
 			t.Fatalf("%s: trace %q, want the audit to end in a window span that accepts", label, opts.Tracer.Trace().Structure())
 		}
-		if s := opts.Tracer.Trace().Structure(); strings.Count(s, "window") != 1 {
-			t.Fatalf("%s: trace %q, want one window span", label, s)
+		const want = "audit(construct(g1b) window(resolve attempt(encode solve)))"
+		if s := opts.Tracer.Trace().Structure(); s != want {
+			t.Fatalf("%s: trace %q, want %q", label, s, want)
 		}
-		if rep.Outcome != Accept || !rep.WitnessVerified || rep.Retries < 1 {
-			t.Fatalf("%s: %v (verified %v) after %d retries, want a verified Accept after a failed replay", label, rep.Outcome, rep.WitnessVerified, rep.Retries)
+		if rep.Outcome != Accept || !rep.WitnessVerified || rep.Retries != 1 || rep.FinalK != 8 {
+			t.Fatalf("%s: %v (verified %v) after %d retries at k=%d, want a verified Accept at k=8 after one failed replay",
+				label, rep.Outcome, rep.WitnessVerified, rep.Retries, rep.FinalK)
 		}
 		opts.Tracer = nil
 		full := Build(h, opts)
@@ -203,9 +213,10 @@ func TestWindowKnownCycle(t *testing.T) {
 	}
 }
 
-// TestWindowRecordSizing: both window passes size every key's record
-// before emitting it, like the full path's record pass: the known part
-// exactly, and each widening's pairs with capped sides tiling one slab.
+// TestWindowRecordSizing: both window passes size every key's output
+// before emitting it: pass 1's known record exactly, like the record
+// pass, and each widening's constraints into a region of pairsSize's op
+// count, their sides capped views tiling one slab that never grows.
 func TestWindowRecordSizing(t *testing.T) {
 	corpus := matrixCorpus(t)
 	corpus["si-gen/keys=2"] = histgen.SI(histgen.Spec{Txns: 120, Keys: 2, MaxConcurrency: 6, AbortEvery: 9, Seed: 3})
@@ -214,19 +225,18 @@ func TestWindowRecordSizing(t *testing.T) {
 			label := fmt.Sprintf("%s/coalesce=%v", name, coalesce)
 			inc := sessionOver(h, Options{})
 			inc.update()
-			w := &window{lite: &Polygraph{}, keys: h.Keys(), readers: inc.readers, coalesce: coalesce}
-			chains := make([]keyChains, len(w.keys))
-			for i, key := range w.keys {
+			w, _, _ := inc.newWindow(Options{DisableCoalesce: !coalesce})
+			for _, key := range w.keys {
 				if len(inc.writers[key]) == 0 {
 					continue
 				}
 				byWriter := inc.readers[key]
 				rec := &KeyRecord{}
 				recordReadDeps(w.lite, byWriter, rec)
-				chains[i] = w.lite.keyChains(inc.writers[key], byWriter, true)
+				kc := w.lite.keyChains(inc.writers[key], byWriter, true)
 				kr := keyRecorder{pg: w.lite, rec: rec}
-				kr.reserve(chains[i].knownOps(byWriter), 0)
-				w.lite.keyKnown(key, chains[i], byWriter, kr)
+				kr.reserve(kc.knownOps(byWriter), 0)
+				w.lite.keyKnown(key, kc, byWriter, kr)
 				checkRecordSizing(t, rec, label+"/known/"+string(key))
 			}
 			// Creation order stands in for ŝ: the radii cut through the
@@ -235,15 +245,16 @@ func TestWindowRecordSizing(t *testing.T) {
 			for n := range pos {
 				pos[n] = int32(n)
 			}
-			w.extents(chains, pos)
+			w.place(pos)
 			for _, k := range []int{2, 8, 0} {
 				for i, key := range w.keys {
 					if w.ext[i] == nil {
 						continue
 					}
-					if rec := w.lite.keyWindow(key, w.ext[i], inc.readers[key], k, coalesce); rec != nil {
-						checkRecordSizing(t, rec, fmt.Sprintf("%s/k=%d/%s", label, k, key))
-					}
+					ops, edges := pairsSize(w.ext[i], k, coalesce)
+					cw := &consWriter{pg: w.pg, out: make([]Constraint, ops), sides: make([]Edge, 0, edges)}
+					w.pg.recordPairs(key, w.ext[i], k, coalesce, cw)
+					checkConsSizing(t, cw, edges, fmt.Sprintf("%s/k=%d/%s", label, k, key))
 				}
 			}
 			for i, ext := range w.ext {
@@ -255,4 +266,137 @@ func TestWindowRecordSizing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkConsSizing fails unless a consWriter kept to its sizing: its side
+// slab still has the capacity it was sized with, and the sides of the
+// constraints it wrote are capped views tiling the slab's used part in
+// emission order.
+func checkConsSizing(t *testing.T, cw *consWriter, edges int, label string) {
+	t.Helper()
+	if cap(cw.sides) != edges {
+		t.Fatalf("%s: side slab capacity %d, sized for %d", label, cap(cw.sides), edges)
+	}
+	next := 0
+	for j, c := range cw.out[:cw.n] {
+		for _, side := range [][]Edge{c.First, c.Second} {
+			if len(side) == 0 || cap(side) != len(side) {
+				t.Fatalf("%s: constraint %d side len %d cap %d, want non-empty and capped", label, j, len(side), cap(side))
+			}
+			if next+len(side) > len(cw.sides) || &cw.sides[next] != &side[0] {
+				t.Fatalf("%s: constraint %d side is not the next view of the key's slab", label, j)
+			}
+			next += len(side)
+		}
+	}
+	if next != len(cw.sides) {
+		t.Fatalf("%s: views cover %d slab edges, slab holds %d", label, next, len(cw.sides))
+	}
+}
+
+// consKey renders a constraint with its two sides in a fixed order: a
+// window emits a pair with the chain whose head begins first in ŝ as
+// "first", Build with the one first in chain order.
+func consKey(c Constraint) string {
+	a, b := fmt.Sprint(c.Kind1, c.First), fmt.Sprint(c.Kind2, c.Second)
+	if b < a {
+		a, b = b, a
+	}
+	return fmt.Sprint(c.Key, a, b)
+}
+
+// TestWindowRadiusZeroIsBuild: the full polygraph is the window at radius
+// 0, edge for edge. Over histgen SI histories (read-modify-write chains
+// among them), the anomaly kinds and a BlindW-RW run, stamped and with
+// their stamps zeroed, at three levels:
+//
+//   - Build, a ShardMerger merge of BuildShardRecords and a stamped cold
+//     check agree: the merge edge for edge and in order, the check (whose
+//     window starts at radius 0) in its counts;
+//   - a window built at InitialK 4 in ŝ and widened to 0 holds Build's
+//     known graph and the same multiset of constraints.
+func TestWindowRadiusZeroIsBuild(t *testing.T) {
+	corpus := matrixCorpus(t)
+	corpus["si-gen/2000x30"] = histgen.SI(histgen.Spec{Txns: 2000, Keys: 30, MaxConcurrency: 8, Seed: 1})
+	blindw, _, err := runner.Run(workload.NewBlindWRW(), runner.Config{Clients: 8, Txns: 400, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus["blindw-rw"] = blindw
+	for name, h := range corpus {
+		for _, stamped := range []bool{true, false} {
+			if !stamped {
+				zeroStamps(h)
+			}
+			for _, level := range []Level{AdyaSI, StrongSessionSI, Serializability} {
+				opts := Options{Level: level}
+				label := fmt.Sprintf("%s/stamped=%v/%v", name, stamped, level)
+				built := Build(h, opts)
+				comparePolygraphs(t, built, mergeViaShards(t, h, opts, 3), label+"/merge")
+				if usable, _ := tsUsable(h); usable {
+					rep := CheckHistory(h, opts)
+					if rep.KnownEdges != len(built.Known) || rep.Constraints != len(built.Cons) {
+						t.Fatalf("%s: stamped check over %d known edges and %d constraints, Build %d and %d",
+							label, rep.KnownEdges, rep.Constraints, len(built.Known), len(built.Cons))
+					}
+				}
+
+				opts.InitialK = 4
+				inc := sessionOver(h, opts)
+				inc.update()
+				w, _, _ := inc.newWindow(opts)
+				if !reflect.DeepEqual(w.pg.Known, built.Known) {
+					t.Fatalf("%s: the window's known graph differs from Build's", label)
+				}
+				order, ok := newSolveRun(w.pg, opts, time.Time{}).schedule()
+				if !ok {
+					continue // a cyclic known graph: the window builds no pair
+				}
+				w.place(positionsOf(order))
+				w.widen(4)
+				w.widen(0)
+				if got, want := w.pg.Stats(), built.Stats(); got.Constraints != want.Constraints || got.ConstraintEdges != want.ConstraintEdges {
+					t.Fatalf("%s: window widened from 4 to 0 holds %d constraints over %d side edges, Build %d over %d",
+						label, got.Constraints, got.ConstraintEdges, want.Constraints, want.ConstraintEdges)
+				}
+				got, want := make([]string, len(w.pg.Cons)), make([]string, len(built.Cons))
+				for i := range got {
+					got[i], want[i] = consKey(w.pg.Cons[i]), consKey(built.Cons[i])
+				}
+				slices.Sort(got)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: window widened from 4 to 0 and Build hold different constraints", label)
+				}
+			}
+		}
+	}
+}
+
+// TestWindowWidenAllocs: pass 2 allocates per key and per widening, not
+// per constraint: at radius 0 with one worker, its fewest allocations of
+// ten runs are the same at two history sizes over one key set.
+func TestWindowWidenAllocs(t *testing.T) {
+	var allocs [2]uint64
+	for i, txns := range []int{300, 3000} {
+		h := histgen.SI(histgen.Spec{Txns: txns, Keys: 8, Seed: 1})
+		inc := sessionOver(h, Options{Parallelism: 1})
+		inc.update()
+		allocs[i] = math.MaxUint64
+		for range 10 {
+			w, _, _ := inc.newWindow(inc.opts)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			w.widen(0)
+			runtime.ReadMemStats(&after)
+			allocs[i] = min(allocs[i], after.Mallocs-before.Mallocs)
+			if len(w.pg.Cons) == 0 {
+				t.Fatalf("%d txns: no constraint built", txns)
+			}
+		}
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("a one-worker widening to radius 0 allocates %v times at 300 txns but %v at 3000", allocs[0], allocs[1])
+	}
+	t.Logf("%d allocations per widening over 8 keys", allocs[0])
 }

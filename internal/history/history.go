@@ -202,7 +202,6 @@ type History struct {
 
 	writerOf map[WriteID]WriterRef // committed writes only
 	keys     []Key                 // sorted distinct keys written by committed txns
-	keyIdx   map[Key]int
 	// validated is how many transactions (genesis included) the indexes
 	// above cover: len(Txns) as of the last successful Validate, 0 after a
 	// failed one.
@@ -392,7 +391,6 @@ func (h *History) errf(kind ViolationKind, txn TxnID, op int, format string, arg
 func (h *History) Validate() error {
 	h.validated = 0
 	h.writerOf = make(map[WriteID]WriterRef, len(h.Txns)*4)
-	h.keyIdx = nil
 	h.keys = h.keys[:0]
 	h.Sessions = nil
 
@@ -505,10 +503,6 @@ func (h *History) Validate() error {
 		h.keys = append(h.keys, k)
 	}
 	sort.Slice(h.keys, func(a, b int) bool { return h.keys[a] < h.keys[b] })
-	h.keyIdx = make(map[Key]int, len(h.keys))
-	for i, k := range h.keys {
-		h.keyIdx[k] = i
-	}
 	h.validated = len(h.Txns)
 	return nil
 }
