@@ -492,8 +492,14 @@ func BenchmarkSelfCheck(b *testing.B) {
 // without the session API would do). The "unstamped" pair runs the same
 // stream with its timestamps zeroed: the timestamp stage then bows out,
 // so every audit resolves and solves, and the warm audits run their §3.5
-// passes on the session's carried solver. The quantity of interest is the
-// amortized cost of all 10 audits; EXPERIMENTS.md records the numbers.
+// passes on the session's carried solver. The "rmw" pair runs a seeded
+// histgen SI stream (5,000 transactions over 300 keys, seed 3) audited
+// every 100 transactions: a transaction that reads a key and then writes
+// it extends that key's writer chain at its tail, which drops the
+// carried solver, so 19 of its 49 warm audits re-encode the whole
+// session and regenerate the written keys they left clean. The quantity
+// of interest is the amortized cost of all audits; EXPERIMENTS.md
+// records the numbers.
 func BenchmarkIncrementalAudit(b *testing.B) {
 	const batches = 10
 	h := benchHistory(b, "blindw-rw", workload.NewBlindWRW(), 5000, 24)
@@ -506,10 +512,11 @@ func BenchmarkIncrementalAudit(b *testing.B) {
 	if err := unstamped.Validate(); err != nil {
 		b.Fatal(err)
 	}
-	n := h.Len()
-	per := (n + batches - 1) / batches
+	rmw := histgen.SI(histgen.Spec{Txns: 5000, Keys: 300, Seed: 3})
 
-	pair := func(b *testing.B, h *history.History) {
+	pair := func(b *testing.B, h *history.History, per int) {
+		n := h.Len()
+		audits := (n + per - 1) / per
 		b.Run("incremental", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := NewChecker(Options{Level: AdyaSI})
@@ -525,7 +532,7 @@ func BenchmarkIncrementalAudit(b *testing.B) {
 					}
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches)/1e6, "ms/audit")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*audits)/1e6, "ms/audit")
 		})
 
 		b.Run("batch-recheck", func(b *testing.B) {
@@ -554,11 +561,13 @@ func BenchmarkIncrementalAudit(b *testing.B) {
 					mustOutcome(b, rep.Outcome, core.Accept)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batches)/1e6, "ms/audit")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*audits)/1e6, "ms/audit")
 		})
 	}
-	pair(b, h)
-	b.Run("unstamped", func(b *testing.B) { pair(b, unstamped) })
+	per := (h.Len() + batches - 1) / batches
+	pair(b, h, per)
+	b.Run("unstamped", func(b *testing.B) { pair(b, unstamped, per) })
+	b.Run("rmw", func(b *testing.B) { pair(b, rmw, 100) })
 }
 
 // --- Verdict matrix ------------------------------------------------------

@@ -10,12 +10,15 @@ import (
 
 // Checker is a long-lived checking session for online auditing: append
 // transactions as they are observed, then Audit the accumulated history as
-// often as needed. Each audit reuses the polygraph-construction state — and,
-// for AdyaSI/Serializability, the SAT solver's learned clauses,
-// activities, and topological order — of the previous audits, so
-// re-auditing a growing history costs roughly the work of the delta
-// instead of a from-scratch recheck (see DESIGN.md, "Online incremental
-// checking").
+// often as needed. Each audit reuses the session's read and write indexes.
+// At AdyaSI and Serializability, later audits also carry one SAT solver
+// (learned clauses, activities, topological order) across audits: such a
+// warm audit encodes only what changed since the last one, then runs the
+// one-shot check's schedule, resolution and stages on the carried solver
+// (see DESIGN.md, "Online incremental checking"). The schedule and
+// resolution still cover the whole live window, and a writer chain that
+// grows at its tail re-encodes the whole session, so on read-modify-write
+// streams a warm audit costs more than the delta.
 //
 // Verdicts are always equivalent to Check on a snapshot of the same
 // transactions. A Checker is not safe for concurrent use. Once an audit
@@ -203,7 +206,7 @@ func (c *Checker) AuditMatrix() *MatrixResult { return c.AuditMatrixContext(cont
 // bounds the whole pass, Options.Timeout each level's check.
 func (c *Checker) AuditMatrixContext(ctx context.Context) *MatrixResult {
 	start := time.Now()
-	if err := c.inc.History().Validate(); err != nil {
+	if err := validate(c.inc.History(), c.opts.Tracer); err != nil {
 		return &MatrixResult{Outcome: Reject, Violation: err, ParseTime: time.Since(start)}
 	}
 	parse := time.Since(start)

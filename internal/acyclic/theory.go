@@ -51,23 +51,14 @@ func (t *EdgeTheory) edgeForVar(v sat.Var) (Edge, bool) {
 // edges. It returns false if the constants alone already contain a cycle
 // (the instance is trivially unsatisfiable).
 func (t *EdgeTheory) InsertConstant(u, v int32) bool {
-	_, ok := t.InsertConstantPath(u, v)
-	return ok
-}
-
-// InsertConstantPath is InsertConstant, but on failure it also returns the
-// node path v..u of the constant cycle the insertion would close (the
-// session checker turns it into counterexample evidence). On success or
-// duplicate insertion it returns (nil, true).
-func (t *EdgeTheory) InsertConstantPath(u, v int32) ([]int32, bool) {
 	if t.consts.Has(u, v) {
-		return nil, true
+		return true
 	}
-	if path := t.g.AddEdge(u, v); path != nil {
-		return path, false
+	if t.g.AddEdge(u, v) != nil {
+		return false
 	}
 	t.consts.Add(u, v)
-	return nil, true
+	return true
 }
 
 // ReserveConstants readies the theory for n more constants, the i-th

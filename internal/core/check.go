@@ -69,7 +69,10 @@ type Report struct {
 	// pruning: every constraint of the full polygraph on a check with a
 	// timestamp stage or with pruning off (radius 0), and otherwise the
 	// writer pairs within the last pass's radius — 0 on a reject by a
-	// cycle of known edges, which it finds before building any.
+	// cycle of known edges, which it finds before building any. A warm
+	// session audit checks the session: KnownEdges counts its known list
+	// before this audit's forcing, and Constraints every constraint the
+	// session holds, before known-edge elision.
 	Nodes       int
 	KnownEdges  int
 	Constraints int
@@ -83,21 +86,22 @@ type Report struct {
 	// pass discharged without the solver (one side dead against the known
 	// graph's transitive closure, or one side already implied by it);
 	// ForcedEdges counts the known edges that forcing appended. Both count
-	// the pre-solve pass only, never the evidence pass a refutation runs.
-	// Zero when Options.DisableResolve is set or the pass declined to run.
-	// On a warm incremental session every audit resolves all the session's
-	// constraints afresh, so ResolvedConstraints counts those this audit
-	// discharged, while ForcedEdges is cumulative across audits, like
-	// Constraints: forced edges stay constants.
+	// this check's or audit's pre-solve pass only, never the evidence pass
+	// a refutation runs. Zero when Options.DisableResolve is set or the
+	// pass declined to run. A warm session audit resolves all the
+	// session's constraints afresh: ResolvedConstraints counts those it
+	// discharged, and ForcedEdges the edges it forced (earlier audits'
+	// forced edges are among its known edges).
 	ResolvedConstraints int
 	ForcedEdges         int
 
 	// TSDecided/TSResidual count the constraints the timestamp fast path
 	// (tsorder.go) classified: decided constraints were settled by the
 	// strict drift relation before any encoding, residual ones went to
-	// resolution and the solver. Both zero when Options.DisableTSFastPath
-	// is set or the timestamps were unusable; on a warm incremental
-	// session both are cumulative across audits, like ResolvedConstraints.
+	// resolution and the solver. Both count this check or audit alone, so
+	// their sum never exceeds Constraints. Both zero when
+	// Options.DisableTSFastPath is set, the timestamps were unusable, or
+	// no constraint reached the stage.
 	// TSUnusable, when non-empty, explains why the history's timestamps
 	// could not drive the fast path (absent/zero or inverted stamps).
 	TSDecided  int
@@ -105,8 +109,10 @@ type Report struct {
 	TSUnusable string
 
 	// Solver-pass statistics. The passes of a check share one solver, so
-	// EdgeVars (every solver variable) and Solver count all of them;
-	// PrunedConstraints, HeuristicEdges and FinalK describe the last pass.
+	// EdgeVars (every solver variable) and Solver count all of them, and
+	// on a warm session audit every audit's, like the solver they
+	// describe; PrunedConstraints, HeuristicEdges and FinalK describe the
+	// last pass.
 	PrunedConstraints int // constraints resolved by heuristic pruning
 	HeuristicEdges    int
 	EdgeVars          int
@@ -329,19 +335,26 @@ func (r *solveRun) check(ctx context.Context, order []int32) {
 		return
 	}
 
+	r.solve(ctx, r.everything(order))
+}
+
+// everything is every constraint of pg, undecided, over pg's known graph
+// and ŝ (order).
+func (r *solveRun) everything(order []int32) consSet {
+	pg := r.pg
 	all := consSet{cons: pg.Cons, at: make([]int32, len(pg.Cons)), known: pg.Known, pos: positionsOf(order)}
 	for i := range all.at {
 		all.at[i] = int32(i)
 	}
-	r.solve(ctx, all)
+	return all
 }
 
 // solve runs a check's stages over all, every constraint still undecided:
 // the timestamp stage, pre-solve resolution, and the solver passes (run),
 // after whose refutation the evidence pass names the cycle. The one-shot
 // check and a warm session audit both come through here; they differ only
-// in where the solver, the constants and ŝ come from, and in that a warm
-// audit has run its pre-solve resolution already.
+// in where the solver comes from, and in that a warm audit has run its
+// pre-solve resolution already (presolved).
 func (r *solveRun) solve(ctx context.Context, all consSet) {
 	rep, pg := r.rep, r.pg
 	if r.stopped(ctx) {
@@ -444,13 +457,13 @@ type consSet struct {
 // polygraph outright.
 //
 // A one-shot check starts its solver, theory and encodings at its first
-// pass. A warm session audit hands in the ones it carries across audits
-// (warm): its constants are already in the theory, and it has already
-// run its pre-solve resolution through the same fixpoint
-// (warmState.resolve calls resolvePolygraph), so this run's pre-solve
-// resolution does nothing. Both paths pay for large folds only after a
-// refutation, in the one evidence pass (evidence) over pg: a warm audit's
-// pg lists the session's constants as its known graph.
+// pass. A warm session audit hands in the ones it carries across audits,
+// with nconst, the prefix of its known list the theory already holds. It
+// runs the same schedule and pre-solve resolution (resolve) itself, ahead
+// of solve, whose own resolution then does nothing (presolved). Both paths
+// pay for large folds only after a refutation, in the one evidence pass
+// (evidence) over pg: a warm audit's pg lists the session's known list as
+// its known graph.
 type solveRun struct {
 	pg         *Polygraph
 	opts       Options
@@ -476,11 +489,11 @@ type solveRun struct {
 	radius int
 	grow   func(k int)
 
-	warm    bool
-	s       *sat.Solver
-	th      *acyclic.EdgeTheory
-	release func()
-	nconst  int // constants inserted: a prefix of the current consSet.known
+	presolved bool // pre-solve resolution already ran (a warm audit's)
+	s         *sat.Solver
+	th        *acyclic.EdgeTheory
+	release   func()
+	nconst    int // constants inserted: a prefix of the current consSet.known
 	// sel holds, by Polygraph.Cons index, the selector literal of each
 	// constraint that has its clauses (sat.LitUndef before): the selector
 	// variable of a coalesced constraint, or the first edge's literal of
@@ -506,7 +519,7 @@ func (r *solveRun) less(a, b int32) bool {
 // folds: an accept never needs them, and a refutation pays for them in
 // the evidence pass instead.
 func (r *solveRun) resolve(ctx context.Context, set consSet) (_ consSet, ok bool) {
-	if r.opts.DisableResolve || r.warm {
+	if r.opts.DisableResolve || r.presolved {
 		return set, true
 	}
 	rep, pg := r.rep, r.pg
@@ -696,13 +709,13 @@ func (r *solveRun) accept(pos []int32) bool {
 // fixpoint with its budget of large folds (resolveLargeFolds) over every
 // constraint of pg, from pg's own known graph, not r.out, which the
 // pre-solve pass's forced edges extend. A warm audit's pg lists the
-// session's constants as its known graph. A cycle the fixpoint closes, in
-// its closure or through a forced batch it stopped on unfolded, becomes
-// the report's KnownCycle. The pass never changes the verdict: finding no
-// cycle, or ctx expiring, leaves the reject without one. It declines
-// before building anything when resolution is disabled, ctx has expired
-// or the closure is over budget. Its time is resolution time; its counts
-// are not reported.
+// session's known list as it stood before this audit's forcing. A cycle
+// the fixpoint closes, in its closure or through a forced batch it
+// stopped on unfolded, becomes the report's KnownCycle. The pass never
+// changes the verdict: finding no cycle, or ctx expiring, leaves the
+// reject without one. It declines before building anything when
+// resolution is disabled, ctx has expired or the closure is over budget.
+// Its time is resolution time; its counts are not reported.
 func (r *solveRun) evidence(ctx context.Context) {
 	pg := r.pg
 	n := int(pg.NumNodes)

@@ -147,9 +147,10 @@ func (inc *Incremental) Checkpoint(keep int) (int, error) {
 		return 0, fmt.Errorf("checkpoint: compacted window failed validation (checkpoint bug): %w", err)
 	}
 
-	// Swap the history in and drop every derived structure: indexes and
-	// records are rebuilt over the small window by the next audit's update
-	// and regen passes, and the warm solver re-encodes from those records.
+	// Swap the history in and drop every derived structure: the next
+	// audit's update rebuilds the indexes over the small window, and with
+	// no warm state its regen pass regenerates every key's record for the
+	// warm solver to re-encode.
 	inc.h = nh
 	inc.indexed = 1
 	inc.g1bHigh = 1
@@ -158,10 +159,7 @@ func (inc *Incremental) Checkpoint(keep int) (int, error) {
 	inc.knownKeys = make(map[history.Key]bool)
 	inc.ranges = nil
 	inc.dirty = make(map[history.Key]bool)
-	inc.records = make(map[history.Key]*KeyRecord)
 	inc.chainSigs = make(map[history.Key][][]history.TxnID)
-	inc.pendingWarm = make(map[history.Key]bool)
-	inc.partitionChanged = false
 	inc.warm = nil
 	inc.liveOps = liveOps
 	inc.lastAccept = nil

@@ -16,11 +16,14 @@
 //     sessions.
 //   - The warm path, for later audits of AdyaSI and Serializability
 //     sessions: it regenerates each dirty key's emission record (known
-//     edges and constraints, in emission order; parallel.go) and feeds
-//     the records' deltas to a persistent solver. Clean keys keep their
-//     records verbatim, so the O(chains²)-per-key constraint pass — the
-//     dominant construction cost — reruns only where the history actually
-//     changed.
+//     edges and constraints, in emission order; parallel.go) and encodes
+//     the records' deltas into a persistent solver. The session keeps no
+//     records: what a clean key contributed lives on in the warm state.
+//     The O(chains²)-per-key constraint pass — the dominant construction
+//     cost — reruns for the dirty keys, and for every written key on a
+//     rebuild: the first warm audit, one after a checkpoint, and one
+//     after a chain repartition, which covers almost every warm audit of
+//     a read-modify-write stream.
 //
 // The warm path keeps one SAT solver and one acyclicity theory alive for
 // the whole session: learned clauses, VSIDS activities, saved phases, and
@@ -44,24 +47,26 @@
 // (e.g. a new read-modify-write merges two chains, or combining falls back
 // to singletons): previously encoded pair constraints then reference stale
 // chain boundaries. The session detects this by comparing each dirtied
-// key's chain partition against the one it last recorded and rebuilds the
-// solver from the (still incremental) record store when any prior chain is
-// not preserved verbatim. After the warm-only work — new constants and
-// implications for grown sides — a warm audit resolves every session
-// constraint through the one-shot check's fixpoint (resolvePolygraph)
-// against a closure of its constants built for that audit, makes the
-// forced edges constants, and hands the constraints left undecided to the
-// cold check's stages (check.go's solveRun.solve) on the carried solver:
-// the same timestamp classification, and the same §3.5 passes, whose
+// key's chain partition against the one it last recorded. When any prior
+// chain is not preserved verbatim it drops the solver, regenerates the
+// written keys the audit left clean, and re-encodes the whole session: a
+// rebuild, as on the first warm audit and after a checkpoint.
+//
+// After the encoding a warm audit is the cold check (check.go) over the
+// session's known list and constraints, on the carried solver. The known
+// list's topological sort under solveRun.less is ŝ, and a cycle rejects.
+// Pre-solve resolution (resolvePolygraph, no large folds) runs next, ahead
+// of the timestamp stage, and its forced edges join the known list. The
+// timestamp stage and the §3.5 passes (solveRun.solve) follow; their
 // pruned sides, stride edges and timestamp-chosen sides form one guarded
 // batch that is retired before the next pass or audit, never a theory
-// constant, which would be irrevocable. No resolution state carries over
-// between audits: constants only accrue, so each audit's fixpoint
-// rediscovers every earlier discharge. Like the one-shot check's
-// pre-solve pass, a warm audit's takes no large folds; when the solver
-// then refutes, the same evidence pass (solveRun.evidence) reruns the
-// fixpoint with them over the session's constants and constraints to
-// name the cycle.
+// constant, which would be irrevocable. The theory takes the known list's
+// new edges as constants at the next solver pass, so an audit decided
+// without one inserts none. No resolution state carries over between
+// audits: constants only accrue, so each audit's fixpoint rediscovers
+// every earlier discharge. When the solver refutes, the evidence pass
+// (solveRun.evidence) reruns the fixpoint with large folds over the
+// session's known list and constraints to name the cycle.
 //
 // Rejection is cached: SI (and the other checked levels) are closed under
 // history prefixes, so once a validated prefix is rejected every extension
@@ -117,19 +122,15 @@ type warmState struct {
 	// sel holds each constraint's selector literal once a pass encoded it
 	// (solveRun.sel).
 	sel []sat.Lit
-	// known lists the theory's constants in insertion order with their
-	// provenance, for counterexample cycles and each audit's closure.
-	known knownIndex
-	// intraHigh is the h.Txns index up to which intra edges are inserted.
+	// known is the session's known list, deduplicated, with provenance:
+	// intra, read-dependency and recorded known edges, and every edge
+	// resolution forced. It is each audit's known graph. The theory holds
+	// its first nconst edges as constants; the next solver pass inserts
+	// the rest.
+	known  knownIndex
+	nconst int
+	// intraHigh is the h.Txns index up to which intra edges are listed.
 	intraHigh int
-
-	// forcedEdges is the session-cumulative count of resolution-forced
-	// constants, backing Report.ForcedEdges.
-	forcedEdges int
-	// tsDecided / tsResidual are the session-cumulative timestamp
-	// fast-path counters backing Report.TSDecided / TSResidual.
-	tsDecided  int
-	tsResidual int
 }
 
 // Incremental is a long-lived checking session over a growing history.
@@ -139,11 +140,12 @@ type warmState struct {
 //
 // Audit requires the full history to be validated first, and panics
 // otherwise; the public viper.Checker wrapper validates on every audit.
-// Reports from the warm path carry cumulative solver statistics (the
-// solver lives across audits) and count constraints before known-edge
-// elision, so their Constraints/Solver fields are comparable across
-// audits of one session rather than to a from-scratch batch report;
-// verdicts and witnesses are always equivalent to the batch path on the
+// A warm audit's Solver, EdgeVars, Reorders and Constraints describe the
+// session's solver: they are session-wide, Constraints counted before
+// known-edge elision, so they compare across audits of one session
+// rather than to a from-scratch batch report. Its resolution and
+// timestamp counters count that audit's work, as on every report.
+// Verdicts and witnesses are always equivalent to the batch path on the
 // same history.
 type Incremental struct {
 	opts Options
@@ -157,12 +159,7 @@ type Incremental struct {
 	knownKeys map[history.Key]bool
 	ranges    []rangeObs
 	dirty     map[history.Key]bool
-	records   map[history.Key]*KeyRecord
 	chainSigs map[history.Key][][]history.TxnID
-
-	// pendingWarm holds keys regenerated since the last warm encode.
-	pendingWarm      map[history.Key]bool
-	partitionChanged bool
 
 	warm     *warmState
 	rejected *Report // cached graph rejection (levels are prefix-closed)
@@ -186,17 +183,15 @@ type Incremental struct {
 // contains only genesis; use Append (or write to History()) to grow it.
 func NewIncremental(opts Options) *Incremental {
 	return &Incremental{
-		opts:        opts,
-		h:           history.New(),
-		indexed:     1,
-		g1bHigh:     1,
-		readers:     make(map[history.Key]map[history.TxnID][]history.TxnID),
-		writers:     make(map[history.Key][]history.TxnID),
-		knownKeys:   make(map[history.Key]bool),
-		dirty:       make(map[history.Key]bool),
-		records:     make(map[history.Key]*KeyRecord),
-		chainSigs:   make(map[history.Key][][]history.TxnID),
-		pendingWarm: make(map[history.Key]bool),
+		opts:      opts,
+		h:         history.New(),
+		indexed:   1,
+		g1bHigh:   1,
+		readers:   make(map[history.Key]map[history.TxnID][]history.TxnID),
+		writers:   make(map[history.Key][]history.TxnID),
+		knownKeys: make(map[history.Key]bool),
+		dirty:     make(map[history.Key]bool),
+		chainSigs: make(map[history.Key][][]history.TxnID),
 	}
 }
 
@@ -364,15 +359,11 @@ func (inc *Incremental) AuditContext(ctx context.Context) *Report {
 	var rep *Report
 	switch {
 	case inc.warmCapable() && inc.audits > 0:
-		regenWall, regenCPU, workers := inc.regen()
-		if inc.partitionChanged {
-			inc.warm = nil
-			inc.partitionChanged = false
-		}
+		keys, recs, regenWall, regenCPU, workers := inc.regen()
 		// auditWarm books construction as ending at its entry; close the
 		// span to match.
 		conReg.End()
-		rep = inc.auditWarm(ctx, constructStart, regenWall, regenCPU, workers)
+		rep = inc.auditWarm(ctx, constructStart, keys, recs, regenWall, regenCPU, workers)
 	default:
 		conReg.End()
 		rep = inc.auditWindow(ctx, constructStart)
@@ -538,14 +529,19 @@ func (inc *Incremental) regenKey(lite *Polygraph, key history.Key, combine, coal
 	return rec, sig
 }
 
-// regen rebuilds the emission records of every dirty written key under
-// the work-stealing pool (per-key records are independent, and per-key
-// costs vary wildly) and flags any chain partition that was not preserved
-// verbatim. It returns the pass's wall time, summed per-goroutine busy
-// time, and the resolved worker count for the report's construction
-// accounting.
-func (inc *Incremental) regen() (wall, cpu time.Duration, workers int) {
-	keys := make([]history.Key, 0, len(inc.dirty))
+// regen rebuilds the emission records of every dirty written key, and of
+// every written key when the session has no warm state, and returns them
+// in key order for auditWarm to encode. A chain partition that was not
+// preserved verbatim drops the warm state, and the written keys the first
+// round left clean are regenerated too. It also returns the pass's wall
+// time, summed per-goroutine busy time, and the resolved worker count for
+// the report's construction accounting.
+func (inc *Incremental) regen() (keys []history.Key, recs []*KeyRecord, wall, cpu time.Duration, workers int) {
+	if inc.warm == nil {
+		for k := range inc.writers {
+			inc.dirty[k] = true
+		}
+	}
 	for k := range inc.dirty {
 		if len(inc.writers[k]) > 0 {
 			keys = append(keys, k) // never-written keys have nothing to emit
@@ -553,28 +549,61 @@ func (inc *Incremental) regen() (wall, cpu time.Duration, workers int) {
 	}
 	inc.dirty = make(map[history.Key]bool)
 	if len(keys) == 0 {
-		return 0, 0, 1
+		return nil, nil, 0, 0, 1
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	workers = inc.opts.workers()
+	recs, preserved, wall, cpu := inc.regenKeys(keys, workers)
+	if preserved || inc.warm == nil {
+		return keys, recs, wall, cpu, workers
+	}
 
+	// A repartition: the audit re-encodes the whole session from a fresh
+	// solver, so it needs every written key's record.
+	inc.warm = nil
+	got := make(map[history.Key]*KeyRecord, len(inc.writers))
+	for i, k := range keys {
+		got[k] = recs[i]
+	}
+	var rest []history.Key
+	for k, ws := range inc.writers {
+		if got[k] == nil && len(ws) > 0 {
+			rest = append(rest, k)
+		}
+	}
+	more, _, w, c := inc.regenKeys(rest, workers)
+	for i, k := range rest {
+		got[k] = more[i]
+	}
+	keys = append(keys, rest...)
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	recs = make([]*KeyRecord, len(keys))
+	for i, k := range keys {
+		recs[i] = got[k]
+	}
+	return keys, recs, wall + w, cpu + c, workers
+}
+
+// regenKeys sorts keys and regenerates their records under the
+// work-stealing pool (per-key records are independent, and per-key costs
+// vary wildly). It records each key's chain partition and reports whether
+// every earlier one was preserved.
+func (inc *Incremental) regenKeys(keys []history.Key, workers int) (recs []*KeyRecord, preserved bool, wall, cpu time.Duration) {
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	combine, coalesce := !inc.opts.DisableCombineWrites, !inc.opts.DisableCoalesce
 	lite := &Polygraph{ser: inc.ser()}
-	recs := make([]*KeyRecord, len(keys))
+	recs = make([]*KeyRecord, len(keys))
 	sigs := make([][][]history.TxnID, len(keys))
-	workers = inc.opts.workers()
 	wall, cpu = forEachKey(len(keys), workers, func(i int) {
 		recs[i], sigs[i] = inc.regenKey(lite, keys[i], combine, coalesce)
 	})
-
+	preserved = true
 	for i, key := range keys {
-		inc.records[key] = recs[i]
 		if old, ok := inc.chainSigs[key]; ok && !chainsPreserved(old, sigs[i]) {
-			inc.partitionChanged = true
+			preserved = false
 		}
 		inc.chainSigs[key] = sigs[i]
-		inc.pendingWarm[key] = true
 	}
-	return wall, cpu, workers
+	return recs, preserved, wall, cpu
 }
 
 // chainsPreserved reports whether every old chain appears verbatim (same
@@ -602,7 +631,7 @@ func chainsPreserved(old, cur [][]history.TxnID) bool {
 
 // knownIndex is an append-only list of known edges with their provenance,
 // indexed by edge: the lookup behind counterexample cycles, and the warm
-// session's record of its theory constants.
+// session's known list.
 type knownIndex struct {
 	at    acyclic.EdgeIndex // edge → position in edges
 	edges []KnownEdge
@@ -630,12 +659,6 @@ func (x *knownIndex) add(ke KnownEdge) bool {
 	return true
 }
 
-// has reports whether e is present.
-func (x *knownIndex) has(e Edge) bool {
-	_, ok := x.at.Get(e.From, e.To)
-	return ok
-}
-
 // provenance returns e with its recorded kind and key, or bare when the
 // index does not hold it.
 func (x *knownIndex) provenance(e Edge) KnownEdge {
@@ -645,8 +668,8 @@ func (x *knownIndex) provenance(e Edge) KnownEdge {
 	return KnownEdge{Edge: e}
 }
 
-// cycleEvidence renders a constant cycle — node path v..u plus the closing
-// edge u→v that failed to insert — with each edge's provenance.
+// cycleEvidence renders a cycle of must-hold edges — node path v..u plus
+// the closing edge u→v — with each edge's provenance.
 func cycleEvidence(path []int32, closing KnownEdge, known *knownIndex) []KnownEdge {
 	out := make([]KnownEdge, 0, len(path))
 	for i := 0; i+1 < len(path); i++ {
@@ -655,73 +678,22 @@ func cycleEvidence(path []int32, closing KnownEdge, known *knownIndex) []KnownEd
 	return append(out, closing)
 }
 
-// insert makes e a theory constant, with its provenance, unless it is
-// one already. An edge that would close a cycle of constants — a cycle
-// among permanently-true edges, i.e. a rejection — is not inserted; the
-// cycle comes back as evidence.
-func (w *warmState) insert(e Edge, kind EdgeKind, key history.Key) []KnownEdge {
-	if e.From == e.To || w.known.has(e) {
-		return nil // already a constant; re-insertion is a no-op
-	}
-	path, ok := w.th.InsertConstantPath(e.From, e.To)
-	if !ok {
-		return cycleEvidence(path, KnownEdge{Edge: e, Kind: kind, Key: key}, &w.known)
-	}
-	w.known.add(KnownEdge{Edge: e, Kind: kind, Key: key})
-	return nil
-}
-
-// resolve runs the one-shot check's resolution fixpoint (resolvePolygraph)
-// over set, every session constraint, against the closure of the theory's
-// constants over n nodes. The theory's Pearce–Kelly order is a
-// topological order of a supergraph of the constants, so it serves as
-// the build order directly. The fixpoint takes no large folds, like the
-// one-shot check's pre-solve pass: a forcing cascade too large for a
-// cheap refresh ends it, and the next audit's closure, built over the
-// forced constants, picks the cascade up; a refutation's evidence pass
-// takes them. The forced edges become theory constants. resolve returns
-// the constraints left undecided, with their indexes in w.cons, or a
-// rejection's evidence: a cycle that forcing closes, in the closure or
-// among the constants.
-func (w *warmState) resolve(ctx context.Context, set consSet, n int32, workers int, rep *Report) (consSet, []KnownEdge) {
-	start := time.Now()
-	defer func() { rep.Phases.Resolve = time.Since(start) }()
-	order := make([]int32, n)
-	for v := int32(0); v < n; v++ {
-		order[w.th.Order(v)] = v
-	}
-	rr := resolvePolygraph(ctx, int(n), w.known.edges, set.cons, order, 0, workers)
-	if rr == nil {
-		return set, nil
-	}
-	rep.ResolvedConstraints, rep.ClosureBytes = rr.resolved, rr.bytes
-	if rr.cycle != nil {
-		return set, rr.cycle
-	}
-	for _, ke := range rr.forced {
-		if cyc := w.insert(ke.Edge, ke.Kind, ke.Key); cyc != nil {
-			return set, cyc
-		}
-		w.forcedEdges++
-	}
-	kept := consSet{cons: rr.kept, at: make([]int32, len(rr.keptAt))}
-	for i, j := range rr.keptAt {
-		kept.at[i] = set.at[j]
-	}
-	return kept, nil
-}
-
-// auditWarm runs one audit against the persistent solver, encoding only
-// what changed since the last encode (everything, after a rebuild), then
-// resolves and hands the constraints left undecided to the cold check's
-// stages on the carried solver.
-func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time, regenWall, regenCPU time.Duration, workers int) *Report {
+// auditWarm runs one audit on the carried solver. It encodes what changed
+// since the last audit, keys and recs being the records regen
+// regenerated (every written key's, on a rebuild): new known edges join
+// the session's known list, new constraints get an identity, and a side
+// that grew gets one implication per new edge. It then runs the cold
+// check's schedule, pre-solve resolution and stages over the session's
+// known list and constraints, on the carried solver, theory and
+// selectors.
+func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time, keys []history.Key, recs []*KeyRecord, regenWall, regenCPU time.Duration, workers int) *Report {
 	opts := inc.obsOpts()
 	h := inc.h
 	construct := time.Since(constructStart)
 
-	rebuild := inc.warm == nil
-	if rebuild {
+	var rebuild int64
+	if inc.warm == nil {
+		rebuild = 1
 		w := &warmState{
 			s:   sat.New(),
 			th:  acyclic.NewEdgeTheory(0),
@@ -734,24 +706,15 @@ func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time,
 
 	encodeStart := time.Now()
 	encReg := opts.Tracer.Start("encode")
+	encReg.SetAttr("rebuild", rebuild)
 	w.s.Relax()
 	n := inc.numNodes()
 	w.th.Grow(int(n))
 
-	rep := &Report{Level: opts.Level, Nodes: int(n), ConstructWorkers: workers}
-	rep.Phases.Construct = construct
-	rep.Phases.ConstructCPU = construct - regenWall + regenCPU
-
-	// Constants go straight into the theory graph; a failed insertion is a
-	// cycle among permanently-true edges, i.e. an immediate rejection.
-	var cyc []KnownEdge
 	if !inc.ser() {
 		for _, t := range h.Txns[w.intraHigh:] {
-			if !t.Committed() {
-				continue
-			}
-			if cyc = w.insert(Edge{int32(t.ID) * 2, int32(t.ID)*2 + 1}, EdgeIntra, ""); cyc != nil {
-				break
+			if t.Committed() {
+				w.known.add(KnownEdge{Edge: Edge{int32(t.ID) * 2, int32(t.ID)*2 + 1}, Kind: EdgeIntra})
 			}
 		}
 		w.intraHigh = len(h.Txns)
@@ -769,39 +732,16 @@ func (inc *Incremental) auditWarm(ctx context.Context, constructStart time.Time,
 		return sat.PosLit(v)
 	}
 
-	var keys []history.Key
-	if rebuild {
-		keys = h.Keys()
-	} else {
-		keys = make([]history.Key, 0, len(inc.pendingWarm))
-		for k := range inc.pendingWarm {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	}
-	inc.pendingWarm = make(map[history.Key]bool)
-
-encode:
-	for _, key := range keys {
-		if cyc != nil {
-			break
-		}
-		rec := inc.records[key]
-		if rec == nil {
-			continue
-		}
+	for k, key := range keys {
+		rec := recs[k]
 		for _, e := range rec.WR {
-			if cyc = w.insert(e, EdgeWR, key); cyc != nil {
-				break encode
-			}
+			w.known.add(KnownEdge{Edge: e, Kind: EdgeWR, Key: key})
 		}
 		ids := w.ids[key]
 		for j := range rec.Ops {
 			op := &rec.Ops[j]
 			if !op.Cons {
-				if cyc = w.insert(op.Edge, op.Kind, key); cyc != nil {
-					break encode
-				}
+				w.known.add(KnownEdge{Edge: op.Edge, Kind: op.Kind, Key: key})
 				continue
 			}
 			if len(op.First) == 0 || len(op.Second) == 0 {
@@ -837,75 +777,43 @@ encode:
 			c.First, c.Second = op.First, op.Second
 		}
 	}
-
-	rep.Constraints = len(w.cons)
-	rep.EdgeVars = w.s.NumVars()
-	rep.Solver = w.s.Stats
-	rep.Phases.Encode = time.Since(encodeStart)
+	encoded := time.Since(encodeStart)
 	encReg.End()
 
-	// Sound pre-solve resolution (warmState.resolve), ahead of the
-	// timestamp stage that solveRun.solve begins with. A rejection found
-	// here carries a known-edge witness exactly like a failed constant
-	// insertion above; one the solver refutes gets its witness from the
-	// evidence pass, over pg below, whose known graph is the constants.
-	all := consSet{cons: w.cons, at: make([]int32, len(w.cons))}
-	for i := range all.at {
-		all.at[i] = int32(i)
-	}
-	if cyc == nil && !opts.DisableResolve {
-		resReg := opts.Tracer.Start("resolve")
-		all, cyc = w.resolve(ctx, all, n, opts.workers(), rep)
-		resReg.End()
-	}
-	rep.KnownEdges = w.th.NumConstants()
-	rep.ForcedEdges = w.forcedEdges
-	rep.Reorders, rep.ReorderedNodes = w.th.Reorders()
-	if cyc != nil {
-		rep.Outcome = Reject
-		rep.KnownCycle = cyc
-		return rep
-	}
-
-	// The cold check's stages over the undecided constraints, on the
-	// carried solver. Discharged constraints leave the set, as
-	// resolution's discharges do on the cold path; their clauses, if any,
-	// stay. ŝ is the theory's order, a topological order of every
-	// constant, or the timestamp order when every constant runs forward in
-	// it: exactly the order the cold path's topological sort derives then,
-	// and the witness a timestamp accept needs.
+	// The cold check over the session: its known list is the known graph,
+	// whose topological sort under solveRun.less is ŝ (a cycle rejects),
+	// and its constraints are the polygraph's. As in a cold audit, the sort
+	// is booked as construction. Pre-solve resolution runs ahead of the
+	// timestamp stage, and the edges it forces join the known list; the
+	// theory takes the new constants at the next solver pass.
+	sortStart := time.Now()
 	pg := newPolygraph(h, opts.Level)
+	pg.initNodeTS()
 	pg.Known, pg.Cons = w.known.edges, w.cons
-	all.known = w.known.edges
-	var schedule time.Duration
-	if !opts.DisableTSFastPath {
-		if ok, _ := tsUsable(h); ok {
-			tsReg := opts.Tracer.Start("tsorder")
-			tsStart := time.Now()
-			pg.initNodeTS()
-			if pos := pg.tsSchedule(); constantsForward(w.known.edges, pos) {
-				all.pos = pos
+	r := newSolveRun(pg, opts, solveDeadline(ctx, opts))
+	r.checkStart = constructStart
+	r.s, r.th, r.sel, r.nconst = w.s, w.th, w.sel, w.nconst
+	order, ok := r.schedule()
+	construct += time.Since(sortStart)
+	rep := r.rep
+	rep.ConstructWorkers = workers
+	rep.Phases.Construct = construct
+	rep.Phases.ConstructCPU = construct - regenWall + regenCPU
+	rep.Phases.Encode = encoded
+	rep.EdgeVars, rep.Solver = w.s.NumVars(), w.s.Stats
+	rep.Reorders, rep.ReorderedNodes = w.th.Reorders()
+	if ok {
+		if set, ok := r.resolve(ctx, r.everything(order)); ok {
+			for _, ke := range set.known[len(pg.Known):] {
+				w.known.add(ke)
 			}
-			schedule = time.Since(tsStart)
-			tsReg.End()
+			set.known = w.known.edges
+			r.presolved = true
+			r.solve(ctx, set)
 		}
 	}
-	if all.pos == nil {
-		all.pos = make([]int32, n)
-		for v := range all.pos {
-			all.pos[v] = w.th.Order(int32(v))
-		}
-	}
-	r := &solveRun{
-		pg: pg, opts: opts, rep: rep, deadline: solveDeadline(ctx, opts), checkStart: constructStart,
-		warm: true, s: w.s, th: w.th, sel: w.sel, nconst: len(w.known.edges),
-	}
-	r.solve(ctx, all)
+	w.nconst = r.nconst
 	w.th.Retire(w.s) // the last pass's batch ends with the audit
-	rep.Phases.TSOrder += schedule
-	w.tsDecided += rep.TSDecided
-	w.tsResidual += rep.TSResidual
-	rep.TSDecided, rep.TSResidual = w.tsDecided, w.tsResidual
 	rep.selfCheck(pg, opts)
 	return rep
 }

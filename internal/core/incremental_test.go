@@ -8,6 +8,7 @@ import (
 	"viper/internal/anomaly"
 	"viper/internal/histgen"
 	"viper/internal/history"
+	"viper/internal/obs"
 	"viper/internal/runner"
 	"viper/internal/workload"
 )
@@ -56,6 +57,91 @@ func TestIncrementalWarmPathEngages(t *testing.T) {
 	// Third audit with no appends: same warm solver, same verdict.
 	if rep = inc.mustAudit(t); rep.Outcome != Accept || inc.warm == nil {
 		t.Fatalf("no-op re-audit: outcome=%v warm=%v", rep.Outcome, inc.warm != nil)
+	}
+}
+
+// TestWarmReportsCountTheAudit: a warm audit's report counts that
+// audit's timestamp classification, so every audit of a session — the
+// cold first audit, warm audits and re-audits with nothing appended —
+// classifies at most the constraints it reports: TSDecided + TSResidual
+// ≤ Constraints. A warm audit's encode span says whether it re-encoded
+// the whole session (rebuild 1), as the first warm audit does, or only
+// what changed (rebuild 0), as a re-audit with nothing appended does.
+func TestWarmReportsCountTheAudit(t *testing.T) {
+	h := histgen.SI(histgen.Spec{Txns: 600, Keys: 30, Seed: 1})
+	tr := obs.NewTracer()
+	inc := NewIncremental(Options{Level: AdyaSI, Tracer: tr})
+	check := func(label string, rep *Report) {
+		t.Helper()
+		if rep.Outcome != Accept {
+			t.Fatalf("%s: %v", label, rep.Outcome)
+		}
+		if rep.TSDecided == 0 || rep.TSDecided+rep.TSResidual > rep.Constraints {
+			t.Fatalf("%s: %d ts-decided and %d residual of %d constraints", label, rep.TSDecided, rep.TSResidual, rep.Constraints)
+		}
+	}
+	for lo := 1; lo < len(h.Txns); lo += 200 {
+		hi := min(lo+200, len(h.Txns))
+		check(fmt.Sprintf("audit of txns [%d, %d)", lo, hi), inc.mustAudit(t, h.Txns[lo:hi]...))
+	}
+	for i := 1; i <= 2; i++ {
+		check(fmt.Sprintf("re-audit %d", i), inc.mustAudit(t))
+	}
+
+	if r := encodeRebuild(t, tr, 1); r != 1 {
+		t.Fatalf("first warm audit: rebuild %d, want 1", r)
+	}
+	for audit := 3; audit <= 4; audit++ {
+		if r := encodeRebuild(t, tr, audit); r != 0 {
+			t.Fatalf("re-audit %d with nothing appended: rebuild %d, want 0", audit-2, r)
+		}
+	}
+}
+
+// encodeRebuild returns the rebuild attribute of the encode span of a
+// session's audit (its index in the trace's audit spans).
+func encodeRebuild(t *testing.T, tr *obs.Tracer, audit int) int64 {
+	t.Helper()
+	for _, s := range tr.Trace().Spans[audit].Children {
+		if v, ok := s.Attrs["rebuild"]; ok && s.Name == "encode" {
+			return v
+		}
+	}
+	t.Fatalf("audit %d has no encode span with a rebuild attribute", audit)
+	return -1
+}
+
+// TestWarmRebuildEncodesTheSession: a chain repartition drops the warm
+// state and regenerates every written key, not only the dirty ones, so
+// the audit re-encodes the whole session. On a read-modify-write stream
+// whose chains grow at their tails every audit, each warm audit after the
+// first rebuilds, and it reports the constraints and known edges of a
+// fresh session's first warm audit of the same prefix.
+func TestWarmRebuildEncodesTheSession(t *testing.T) {
+	h := histgen.SI(histgen.Spec{Txns: 1200, Keys: 40, Seed: 3})
+	tr := obs.NewTracer()
+	inc := NewIncremental(Options{Level: AdyaSI, SelfCheck: true, Tracer: tr})
+	repartitions := 0
+	for audit, lo := 0, 1; lo < len(h.Txns); audit, lo = audit+1, lo+100 {
+		hi := min(lo+100, len(h.Txns))
+		rep := inc.mustAudit(t, h.Txns[lo:hi]...)
+		if rep.Outcome != Accept || !rep.WitnessVerified {
+			t.Fatalf("audit of txns [%d, %d): %v, witness verified %v", lo, hi, rep.Outcome, rep.WitnessVerified)
+		}
+		if audit < 2 || encodeRebuild(t, tr, audit) == 0 {
+			continue // cold, the first warm audit, or no repartition
+		}
+		repartitions++
+		fresh := NewIncremental(Options{Level: AdyaSI})
+		fresh.mustAudit(t, h.Txns[1:hi]...)
+		want := fresh.mustAudit(t)
+		if rep.Constraints != want.Constraints || rep.KnownEdges != want.KnownEdges {
+			t.Fatalf("rebuild at %d txns: %d constraints and %d known edges, a fresh session's first warm audit %d and %d",
+				hi-1, rep.Constraints, rep.KnownEdges, want.Constraints, want.KnownEdges)
+		}
+	}
+	if repartitions == 0 {
+		t.Fatal("no warm audit after the first rebuilt the session")
 	}
 }
 
@@ -178,8 +264,7 @@ func TestIncrementalFirstAuditMatchesBatchPolygraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		inc.update()
-		inc.regen()
-		comparePolygraphs(t, want, assembleStore(inc), "assemble/"+level.String())
+		comparePolygraphs(t, want, assembleStore(inc, regenStore(inc)), "assemble/"+level.String())
 	}
 }
 

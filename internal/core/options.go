@@ -266,12 +266,14 @@ type Options struct {
 	// trace, under one audit span per audit: construct (with the g1b
 	// screen), tsorder, resolve, attempt(encode solve) per solver pass,
 	// evidence after a refutation, and selfcheck; a warm audit's encode
-	// span comes before its resolve span. A cold audit (the window stage,
-	// window.go) runs all its stages inside one window span, whose
-	// attributes count the constraints it built, widenings included, and
-	// give its Outcome; nothing follows it. The viper package's Check
-	// and Checker audits open a validate span before the audit span. Nil
-	// (the default) costs one pointer check per phase boundary.
+	// span comes before its resolve span, and its rebuild attribute is 1
+	// when the audit re-encoded the whole session, 0 otherwise. A cold
+	// audit (the window stage, window.go) runs all its stages inside one
+	// window span, whose attributes count the constraints it built,
+	// widenings included, and give its Outcome; nothing follows it. The
+	// viper package's Check and Checker audits, AuditMatrix included, open
+	// a validate span before the audit span. Nil (the default) costs one
+	// pointer check per phase boundary.
 	Tracer *obs.Tracer
 }
 

@@ -43,14 +43,25 @@ func comparePolygraphs(t *testing.T, want, got *Polygraph, label string) {
 	}
 }
 
-// assembleStore assembles a session's record store, every key's record
-// as its last regen left it, into a polygraph (assemblePolygraph), the
-// way ShardMerger assembles a cluster's records.
-func assembleStore(inc *Incremental) *Polygraph {
+// regenStore returns the records regen makes for an indexed session
+// without warm state, every written key's, by key.
+func regenStore(inc *Incremental) map[history.Key]*KeyRecord {
+	keys, recs, _, _, _ := inc.regen()
+	store := make(map[history.Key]*KeyRecord, len(keys))
+	for i, key := range keys {
+		store[key] = recs[i]
+	}
+	return store
+}
+
+// assembleStore assembles a session's records by key (regenStore) into a
+// polygraph (assemblePolygraph), the way ShardMerger assembles a
+// cluster's records.
+func assembleStore(inc *Incremental, store map[history.Key]*KeyRecord) *Polygraph {
 	keys := inc.h.Keys()
 	recs := make([]*KeyRecord, len(keys))
 	for i, key := range keys {
-		recs[i] = inc.records[key]
+		recs[i] = store[key]
 	}
 	return assemblePolygraph(inc.h, inc.opts, recs)
 }
@@ -176,14 +187,14 @@ func TestRecordSizing(t *testing.T) {
 					inc := NewIncremental(opts)
 					inc.h = h
 					inc.update()
-					inc.regen()
-					for key, rec := range inc.records {
+					store := regenStore(inc)
+					for key, rec := range store {
 						checkRecordSizing(t, rec, label+"/"+string(key))
 					}
 					serialOpts := opts
 					serialOpts.Parallelism = 1
 					serial := Build(h, serialOpts)
-					comparePolygraphs(t, serial, assembleStore(inc), label+"/assemble")
+					comparePolygraphs(t, serial, assembleStore(inc, store), label+"/assemble")
 					comparePolygraphs(t, serial, Build(h, opts), label+"/build")
 					comparePolygraphs(t, serial, mergeViaShards(t, h, opts, 3), label+"/merge")
 				}
@@ -256,7 +267,7 @@ func TestForEachKeyBoundsGoroutines(t *testing.T) {
 	}
 }
 
-// cloneRecords deep-copies a session's record store.
+// cloneRecords deep-copies records by key.
 func cloneRecords(recs map[history.Key]*KeyRecord) map[history.Key]*KeyRecord {
 	out := make(map[history.Key]*KeyRecord, len(recs))
 	for key, rec := range recs {
@@ -270,13 +281,14 @@ func cloneRecords(recs map[history.Key]*KeyRecord) map[history.Key]*KeyRecord {
 	return out
 }
 
-// TestReplayLeavesRecordsIntact: every cold audit of a real-time-level
-// session replays the same record store, so a replay must never write
-// through a record. Key "a" makes C(w1)→B(w2) known (w2 read a from w1)
-// before key "b"'s coalesced constraint "w1 before w2", whose first side
-// [C(w1)→B(w2), B(r)→C(w2)] leads with that edge; the replay drops it
-// from the constraint, and a second replay of the same store must see
-// the records unchanged and build the same polygraph.
+// TestReplayLeavesRecordsIntact: records are shared (a cluster merge
+// assembles them, and a warm session's constraints alias their sides),
+// so an assembly must never write through a record. Key "a" makes
+// C(w1)→B(w2) known (w2 read a from w1) before key "b"'s coalesced
+// constraint "w1 before w2", whose first side [C(w1)→B(w2), B(r)→C(w2)]
+// leads with that edge; the replay drops it from the constraint, and a
+// second replay of the same records must see them unchanged and build
+// the same polygraph.
 func TestReplayLeavesRecordsIntact(t *testing.T) {
 	b := history.NewBuilder()
 	w1 := b.Session().Txn().Write("a").Write("b").Commit()
@@ -285,12 +297,12 @@ func TestReplayLeavesRecordsIntact(t *testing.T) {
 	h := b.MustHistory()
 	inc := sessionOver(h, Options{Level: GSI})
 	inc.update()
-	inc.regen()
-	before := cloneRecords(inc.records)
+	store := regenStore(inc)
+	before := cloneRecords(store)
 
-	first := assembleStore(inc)
+	first := assembleStore(inc, store)
 	var recorded, replayed []Edge
-	for _, op := range inc.records["b"].Ops {
+	for _, op := range store["b"].Ops {
 		if op.Cons {
 			recorded = op.First
 		}
@@ -303,9 +315,9 @@ func TestReplayLeavesRecordsIntact(t *testing.T) {
 	if len(recorded) != 2 || !reflect.DeepEqual(replayed, recorded[1:]) {
 		t.Fatalf("constraint on b: first side recorded as %v, replayed as %v; want its known leading edge dropped", recorded, replayed)
 	}
-	comparePolygraphs(t, first, assembleStore(inc), "second replay")
-	if !reflect.DeepEqual(inc.records, before) {
-		t.Fatal("replay mutated the record store")
+	comparePolygraphs(t, first, assembleStore(inc, store), "second replay")
+	if !reflect.DeepEqual(store, before) {
+		t.Fatal("replay mutated the records")
 	}
 }
 

@@ -29,10 +29,10 @@
 // resolvePolygraph is the one fixpoint, run in two passes that differ
 // only in their budget of large folds (closure rebuilds for a batch of
 // more than resolveCheapBatch forced edges). The pre-solve pass takes
-// none: a one-shot check reaches it through solveRun.resolve over the
-// polygraph's known graph, and a warm session audit over the closure of
-// its theory constants, built afresh each audit, making the forced edges
-// constants (warmState.resolve). An accept never needs the large folds —
+// none. Every check reaches it through solveRun.resolve: a one-shot check
+// over its polygraph's known graph, and a warm session audit over the
+// session's known list, built into a closure afresh each audit, which the
+// forced edges then join. An accept never needs the large folds —
 // the solver decides whatever the cheap folds leave — so only a reject
 // pays for them: after the solver refutes the polygraph, on either path,
 // the evidence pass (solveRun.evidence) reruns the fixpoint with
@@ -478,7 +478,7 @@ func resolvePolygraph(ctx context.Context, n int, known []KnownEdge, cons []Cons
 
 	// evalSide classifies one side against the closure: dead (some edge
 	// closes a cycle — deadEdge is the witness), or live with implied edges
-	// elided (copy-on-filter: sides may alias the session's record store).
+	// elided (copy-on-filter: sides may alias a key record's slab).
 	evalSide := func(side []Edge) (deadEdge *Edge, kept []Edge) {
 		for idx := range side {
 			e := side[idx]

@@ -27,17 +27,13 @@
 //     the §3.5 passes — on the same solver. Rejections therefore never
 //     rest on timestamps.
 //
-// A warm session audit runs the same classification and pass loop on its
-// carried solver (see incremental.go). Its ŝ is the events sorted by
-// (timestamp, node id) once per audit whenever every constant runs forward
-// in that order — exactly the order the one-shot check's topological sort
-// yields then — and the theory's maintained order otherwise.
+// A warm session audit runs the same stage on its carried solver (see
+// incremental.go), after its pre-solve resolution, with the same ŝ: the
+// topological sort of its known graph under solveRun.less.
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"viper/internal/history"
 )
@@ -122,37 +118,6 @@ func chosenForward(cons []Constraint, chosen []int32, pos []int32) bool {
 			if pos[e.From] >= pos[e.To] {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-// tsSchedule returns the positions of pg's nodes sorted by (timestamp,
-// node id). When every known edge runs forward in it, it is the order the
-// heuristic topological sort (solveRun.less) derives.
-func (pg *Polygraph) tsSchedule() []int32 {
-	order := make([]int32, pg.NumNodes)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	ts := pg.nodeTS
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := cmp.Compare(ts[a], ts[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	return positionsOf(order)
-}
-
-// constantsForward reports whether every constant edge runs forward in
-// pos. With every constant forward, every closure path over constants is
-// forward too, so resolution-implied constraint sides need no separate
-// check.
-func constantsForward(known []KnownEdge, pos []int32) bool {
-	for _, e := range known {
-		if pos[e.From] >= pos[e.To] {
-			return false
 		}
 	}
 	return true

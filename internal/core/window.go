@@ -53,8 +53,8 @@
 //   - A timeout stays a timeout.
 //
 // k doubles until the exact pass, so completeness is the full polygraph's.
-// The stage writes nothing to the record store: dirty keys stay dirty, so
-// a session's next warm audit regenerates them.
+// The stage writes no record: dirty keys stay dirty, so a session's next
+// warm audit regenerates them.
 package core
 
 import (

@@ -269,8 +269,9 @@ func (h *History) Txn(id TxnID) *Txn {
 // produced it. The genesis write id resolves to {GenesisID, -1}; so does
 // the latest pre-fence version of a key, because the fence plays the role
 // of a generalized genesis — it installed the "initial" version of every
-// key the compacted prefix wrote. Superseded or aborted pre-fence ids do
-// not resolve (Validate rejects any history that observes them).
+// key the compacted prefix wrote. A write of a transaction that did not
+// commit does not resolve, and neither do superseded or aborted pre-fence
+// ids (Validate rejects any history that observes them).
 func (h *History) WriterOf(w WriteID) (WriterRef, bool) {
 	if w == GenesisWriteID {
 		return WriterRef{Txn: GenesisID, Op: -1}, true
@@ -400,7 +401,7 @@ func (h *History) Validate() error {
 
 	// Pass 1: index committed writes, check uniqueness, collect keys.
 	keySet := make(map[Key]struct{})
-	allWrites := make(map[WriteID]WriterRef, len(h.Txns)*4) // incl. aborted, for G1a detection
+	aborted := make(map[WriteID]WriterRef) // the other writes, for G1a detection
 	for _, t := range h.Txns[1:] {
 		if int(t.ID) >= len(h.Txns) || h.Txns[t.ID] != t {
 			return h.errf(ErrMalformed, t.ID, -1, "transaction id does not match its index")
@@ -417,13 +418,14 @@ func (h *History) Validate() error {
 						return h.errf(ErrMalformed, t.ID, i, "duplicate write id %d (already written before the fence)", op.WriteID)
 					}
 				}
-				if prev, dup := allWrites[op.WriteID]; dup {
+				if prev, dup := h.anyWrite(op.WriteID, aborted); dup {
 					return h.errf(ErrMalformed, t.ID, i, "duplicate write id %d (first written by txn %d)", op.WriteID, prev.Txn)
 				}
-				allWrites[op.WriteID] = WriterRef{Txn: t.ID, Op: i}
 				if t.Committed() {
 					h.writerOf[op.WriteID] = WriterRef{Txn: t.ID, Op: i}
 					keySet[op.Key] = struct{}{}
+				} else {
+					aborted[op.WriteID] = WriterRef{Txn: t.ID, Op: i}
 				}
 			}
 		}
@@ -435,7 +437,7 @@ func (h *History) Validate() error {
 			op := &t.Ops[i]
 			switch op.Kind {
 			case OpRead:
-				if err := h.validateRead(t, i, op.Key, op.Observed, allWrites); err != nil {
+				if err := h.validateRead(t, i, op.Key, op.Observed, aborted); err != nil {
 					return err
 				}
 			case OpRange:
@@ -451,7 +453,7 @@ func (h *History) Validate() error {
 						return h.errf(ErrMalformed, t.ID, i, "range query returned key %q twice", v.Key)
 					}
 					seen[v.Key] = struct{}{}
-					if err := h.validateRead(t, i, v.Key, v.WriteID, allWrites); err != nil {
+					if err := h.validateRead(t, i, v.Key, v.WriteID, aborted); err != nil {
 						return err
 					}
 				}
@@ -507,9 +509,19 @@ func (h *History) Validate() error {
 	return nil
 }
 
+// anyWrite finds a write id among the committed writes, then among the
+// writes of transactions that did not commit.
+func (h *History) anyWrite(w WriteID, aborted map[WriteID]WriterRef) (WriterRef, bool) {
+	if ref, ok := h.writerOf[w]; ok {
+		return ref, true
+	}
+	ref, ok := aborted[w]
+	return ref, ok
+}
+
 // validateRead checks a single observation (key, observed write id) made by
 // transaction t at op index i.
-func (h *History) validateRead(t *Txn, i int, key Key, obs WriteID, allWrites map[WriteID]WriterRef) error {
+func (h *History) validateRead(t *Txn, i int, key Key, obs WriteID, aborted map[WriteID]WriterRef) error {
 	if obs == GenesisWriteID {
 		if f := h.fence; f != nil && f.Written(key) {
 			// The checked prefix installed a version of this key; observing
@@ -536,7 +548,7 @@ func (h *History) validateRead(t *Txn, i int, key Key, obs WriteID, allWrites ma
 			}
 		}
 	}
-	ref, known := allWrites[obs]
+	ref, known := h.anyWrite(obs, aborted)
 	if !known {
 		return h.errf(ErrUnknownWrite, t.ID, i, "key %q, write id %d", key, obs)
 	}

@@ -50,6 +50,24 @@ func TestWriterOfGenesis(t *testing.T) {
 	}
 }
 
+// TestWriterOfRefusesAbortedWrite: Validate indexes aborted writes too
+// (a read of one is G1a), but WriterOf resolves committed writes only.
+func TestWriterOfRefusesAbortedWrite(t *testing.T) {
+	b := NewBuilder()
+	s := b.Session()
+	tb := s.Txn().Write("x")
+	aborted := tb.WriteIDOf("x")
+	tb.Abort()
+	w := s.Txn().Write("x").Commit()
+	h := b.MustHistory()
+	if ref, ok := h.WriterOf(aborted); ok {
+		t.Fatalf("WriterOf(aborted write) = %+v, want no writer", ref)
+	}
+	if ref, ok := h.WriterOf(w.WriteIDOf("x")); !ok || ref.Txn != w.ID {
+		t.Fatalf("WriterOf(committed write) = %+v, %v; want txn %d", ref, ok, w.ID)
+	}
+}
+
 func TestValidateRejectsAbortedRead(t *testing.T) {
 	b := NewBuilder()
 	s := b.Session()

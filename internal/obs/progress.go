@@ -14,8 +14,9 @@ import (
 //
 // Counter semantics follow the Report fields they mirror: on a warm
 // incremental session the solver counters are cumulative across audits
-// (the solver lives across audits), while graph counts describe the
-// current audit.
+// (the solver lives across audits) and the graph counts describe the
+// session, while the resolution and timestamp counters count the current
+// audit's work.
 type Snapshot struct {
 	// Phase is the innermost phase at the time of the snapshot: one of
 	// "construct", "encode", "solve", or "done".

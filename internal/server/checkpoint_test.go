@@ -5,6 +5,11 @@ import (
 	"context"
 	"net/http"
 	"testing"
+
+	"viper/internal/anomaly"
+	"viper/internal/histgen"
+	"viper/internal/history"
+	"viper/internal/obs"
 )
 
 // appendInterleaved streams raw into the session in n byte-chunks,
@@ -147,6 +152,129 @@ func TestServerDefaultCheckpointPolicy(t *testing.T) {
 	for _, si := range list {
 		if si.ID == unb.ID && si.Checkpoints != 0 {
 			t.Fatalf("override ignored, session checkpointed: %+v", si)
+		}
+	}
+}
+
+// auditChunks streams h into session id in chunks of n transactions, the
+// last one completing the stream, audits after each chunk, and returns
+// the audits' report documents.
+func auditChunks(t *testing.T, cl *Client, id string, h *history.History, n int) []*obs.ReportDoc {
+	t.Helper()
+	ctx := context.Background()
+	// One header line, then one line per transaction.
+	lines := bytes.SplitAfter(encode(t, h), []byte("\n"))
+	header, txns := lines[0], lines[1:h.Len()+1]
+	var docs []*obs.ReportDoc
+	for lo := 0; lo < len(txns); lo += n {
+		hi := min(lo+n, len(txns))
+		var chunk []byte
+		if lo == 0 {
+			chunk = append(chunk, header...)
+		}
+		chunk = append(chunk, bytes.Join(txns[lo:hi], nil)...)
+		if _, err := cl.Append(ctx, id, bytes.NewReader(chunk), hi == len(txns)); err != nil {
+			t.Fatalf("append [%d:%d): %v", lo, hi, err)
+		}
+		doc, err := cl.Audit(ctx, id)
+		if err != nil {
+			t.Fatalf("audit @%d: %v", hi, err)
+		}
+		docs = append(docs, doc)
+	}
+	return docs
+}
+
+// workMetrics are the /metrics counters that add each audit report's
+// resolution and timestamp work.
+var workMetrics = []string{
+	"viperd_resolved_constraints_total",
+	"viperd_forced_edges_total",
+	"viperd_ts_decided_total",
+	"viperd_ts_residual_total",
+}
+
+// reportWork returns a report document's counters behind workMetrics, in
+// that order.
+func reportWork(doc *obs.ReportDoc) [4]int64 {
+	g := doc.Graph
+	return [4]int64{int64(g.ResolvedConstraints), int64(g.ForcedEdges), int64(g.TSDecided), int64(g.TSResidual)}
+}
+
+// TestMetricsSumAuditReports: each audit's report counts its own
+// resolution and timestamp work, checkpoints included, and /metrics adds
+// each report's counts. Over a read-modify-write stream audited every 100
+// transactions and checkpointed every 500, each counter's total equals
+// the sum of that field over the audits' report documents.
+func TestMetricsSumAuditReports(t *testing.T) {
+	_, cl := start(t, Config{})
+	ctx := context.Background()
+	info, err := cl.CreateSession(ctx, SessionConfig{CheckpointEvery: 500, CheckpointKeep: 100})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	var sum [4]int64
+	for _, doc := range auditChunks(t, cl, info.ID, histgen.SI(histgen.Spec{Txns: 1200, Keys: 40, Seed: 3}), 100) {
+		if doc.Outcome != "accept" {
+			t.Fatalf("audit: outcome %q", doc.Outcome)
+		}
+		for i, v := range reportWork(doc) {
+			sum[i] += v
+		}
+	}
+	m, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	if m["viperd_checkpoints_total"] < 1 || sum[0] == 0 || sum[1] == 0 || sum[2] == 0 {
+		t.Fatalf("stream exercised too little: %d checkpoints, %d resolved, %d forced, %d ts-decided",
+			m["viperd_checkpoints_total"], sum[0], sum[1], sum[2])
+	}
+	for i, name := range workMetrics {
+		if m[name] != sum[i] {
+			t.Errorf("%s = %d, the audits' report documents sum to %d", name, m[name], sum[i])
+		}
+	}
+}
+
+// TestMetricsCountCachedRejectOnce: a rejected session returns its cached
+// report on every later audit, and no work runs for it, so re-auditing
+// the session leaves the /metrics work counters where the rejecting
+// audit put them.
+func TestMetricsCountCachedRejectOnce(t *testing.T) {
+	_, cl := start(t, Config{})
+	ctx := context.Background()
+	info, err := cl.CreateSession(ctx, SessionConfig{})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	h := histgen.SI(histgen.Spec{Txns: 600, Keys: 30, Seed: 1})
+	anomaly.Inject(h, anomaly.GSIb)
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	docs := auditChunks(t, cl, info.ID, h, 200)
+	last := docs[len(docs)-1]
+	if last.Outcome != "reject" || reportWork(last) == [4]int64{} {
+		t.Fatalf("the anomaly's audit: outcome %q, work %v; want a reject that did some work", last.Outcome, reportWork(last))
+	}
+	before, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	for i := 1; i <= 2; i++ {
+		doc, err := cl.Audit(ctx, info.ID)
+		if err != nil || doc.Outcome != "reject" {
+			t.Fatalf("re-audit %d: outcome %v, err %v", i, doc.Outcome, err)
+		}
+	}
+	after, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	for _, name := range workMetrics {
+		if after[name] != before[name] {
+			t.Errorf("%s moved from %d to %d over two re-audits of a rejected session", name, before[name], after[name])
 		}
 	}
 }

@@ -662,32 +662,21 @@ func (s *Server) handleAudit(w http.ResponseWriter, req *http.Request) {
 	}
 
 	sess.mu.Lock()
-	res, doc := sess.audit(ctx)
+	res, doc, rep := sess.audit(ctx)
 	sess.mu.Unlock()
 	sess.touch()
 
 	s.metrics.Add("viperd_audits_total", 1)
 	s.metrics.Add("viperd_audits_"+res.Outcome.String()+"_total", 1)
-	if rep := res.Report; rep != nil {
-		// The warm checker's ForcedEdges and timestamp counters are
-		// session-cumulative, and its ResolvedConstraints counts the
-		// session's constraints resolution currently discharges; swap each
-		// against its high-water mark so an audit adds only its growth.
-		if d := int64(rep.ResolvedConstraints) - sess.resolvedSeen.Swap(int64(rep.ResolvedConstraints)); d > 0 {
-			s.metrics.Add("viperd_resolved_constraints_total", d)
-		}
-		if d := int64(rep.ForcedEdges) - sess.forcedSeen.Swap(int64(rep.ForcedEdges)); d > 0 {
-			s.metrics.Add("viperd_forced_edges_total", d)
-		}
-		if d := int64(rep.TSDecided) - sess.tsDecidedSeen.Swap(int64(rep.TSDecided)); d > 0 {
-			s.metrics.Add("viperd_ts_decided_total", d)
-		}
-		if d := int64(rep.TSResidual) - sess.tsResidualSeen.Swap(int64(rep.TSResidual)); d > 0 {
-			s.metrics.Add("viperd_ts_residual_total", d)
-		}
+	if rep != nil {
+		// Every report counts its own audit's resolution and timestamp
+		// work.
+		s.metrics.Add("viperd_resolved_constraints_total", int64(rep.ResolvedConstraints))
+		s.metrics.Add("viperd_forced_edges_total", int64(rep.ForcedEdges))
+		s.metrics.Add("viperd_ts_decided_total", int64(rep.TSDecided))
+		s.metrics.Add("viperd_ts_residual_total", int64(rep.TSResidual))
 	}
-	// Checkpoint accounting: Compacted is this audit's delta, no
-	// high-water swap needed.
+	// Checkpoint accounting: Compacted is this audit's count too.
 	if res.Compacted > 0 {
 		s.metrics.Add("viperd_checkpoints_total", 1)
 		s.metrics.Add("viperd_compacted_txns_total", int64(res.Compacted))

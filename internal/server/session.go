@@ -51,6 +51,10 @@ type session struct {
 	// the prefix that did decode is a legitimate history.
 	ingestErr    error
 	ingestStatus int
+	// counted is the last report whose work /metrics counted: a rejected
+	// session returns its cached report on every later audit, and that
+	// report's work ran once.
+	counted *core.Report
 
 	// Lock-free mirrors for listings, /healthz, and eviction. txns/opsN
 	// mirror lifetime totals; liveTxns/liveOps the uncompacted window;
@@ -63,15 +67,6 @@ type session struct {
 	certBytes   atomic.Int64
 	complete    atomic.Bool
 	lastUsed    atomic.Int64 // unix nanos of the last client operation
-
-	// High-water marks of the warm checker's cumulative resolution
-	// counters, so /metrics can accumulate per-audit deltas across
-	// sessions without double-counting the session-lifetime totals.
-	resolvedSeen atomic.Int64
-	forcedSeen   atomic.Int64
-	// Same pattern for the timestamp fast path's cumulative counters.
-	tsDecidedSeen  atomic.Int64
-	tsResidualSeen atomic.Int64
 }
 
 func newSession(id string, opts core.Options, maxOps int, policy viper.CheckpointPolicy) *session {
@@ -186,15 +181,20 @@ func (sess *session) drain(appended *int) error {
 
 // audit runs one incremental audit under ctx and assembles the report
 // document — the same document cmd/viper emits for the same check, via
-// the shared core.BuildReportDoc. Callers hold sess.mu (audits serialize
-// with appends) and the admission gate.
-func (sess *session) audit(ctx context.Context) (*viper.Result, *obs.ReportDoc) {
-	res := sess.checker.AuditContext(ctx)
-	doc := sess.checker.ReportDoc("viperd", res)
+// the shared core.BuildReportDoc. work is the report whose resolution and
+// timestamp counters /metrics adds, nil when the audit returned a report
+// it already counted. Callers hold sess.mu (audits serialize with
+// appends) and the admission gate.
+func (sess *session) audit(ctx context.Context) (res *viper.Result, doc *obs.ReportDoc, work *core.Report) {
+	res = sess.checker.AuditContext(ctx)
+	doc = sess.checker.ReportDoc("viperd", res)
 	// An accepting audit may have auto-checkpointed, shrinking the live
 	// window; refresh the mirrors so listings and /metrics see it.
 	sess.syncMirrors()
-	return res, doc
+	if res.Report != sess.counted {
+		work, sess.counted = res.Report, res.Report
+	}
+	return res, doc, work
 }
 
 // auditMatrix runs one verdict-matrix audit under ctx and assembles the

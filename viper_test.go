@@ -160,6 +160,25 @@ func TestAuditMatrixAfterCheckpoint(t *testing.T) {
 	}
 }
 
+// TestAuditMatrixTracesValidate: like Audit, AuditMatrix validates the
+// history under a validate span of Options.Tracer, ahead of the levels'
+// audits.
+func TestAuditMatrixTracesValidate(t *testing.T) {
+	h, _, err := RunWorkload(NewBlindWRW(), RunConfig{Clients: 2, Txns: 12, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTracer()
+	c := NewChecker(Options{Tracer: tr})
+	c.AppendHistory(h)
+	if mr := c.AuditMatrix(); mr.Outcome != Accept {
+		t.Fatalf("matrix: %v", mr.Outcome)
+	}
+	if spans := tr.Trace().Spans; len(spans) < 2 || spans[0].Name != "validate" {
+		t.Fatalf("trace %q, want a validate span first", tr.Trace().Structure())
+	}
+}
+
 // TestStressLargeHistory is the end-to-end stress test at the paper's
 // mid-range scale (5k transactions, 24 clients): generation, persistence,
 // reload, checking at two levels, and anomaly rejection. Skipped with
